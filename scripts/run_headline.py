@@ -20,7 +20,8 @@ from spoofbench import baseline, dataset
 from spoofbench.presets import best_settings
 
 
-def run(seed: int, workdir: Path) -> None:
+def run(seed: int, workdir: Path) -> dict:
+    """Runs the experiment in workdir, prints the comparison and returns it."""
     workdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     assert cli(["init", "--out", str(workdir), "--method", "wd", "--n-bs", "3",
@@ -39,8 +40,10 @@ def run(seed: int, workdir: Path) -> None:
 
     # Threshold baseline on the same windows, best T over a fine grid.
     spec = dataset.spec_from_dict(json.loads((workdir / "spec.json").read_text()))
-    rows = list(dataset.iter_delta_rows(spec, "test"))
-    curve = baseline.sweep_threshold(rows, np.linspace(0.0, 6.0, 121))
+    chunks = list(dataset.iter_delta_chunks(spec, "test"))
+    deltas = np.concatenate([d for _, d in chunks])
+    labels = [p.label for plans, _ in chunks for p in plans]
+    curve = baseline.sweep_threshold(deltas, labels, np.linspace(0.0, 6.0, 121))
     best = baseline.best_operating_point(curve)
 
     print(f"\nWD-MLP (3 BS) test accuracy : {report['test_accuracy']:.4f}")
@@ -49,6 +52,7 @@ def run(seed: int, workdir: Path) -> None:
     print(f"best threshold baseline     : acc {best.accuracy:.4f} at T={best.threshold_db:.2f} dB")
     print(f"MLP margin over baseline    : {report['test_accuracy'] - best.accuracy:+.4f}")
     print(f"wall clock                  : {elapsed:.1f} s")
+    return {"mlp_accuracy": report["test_accuracy"], "threshold": best}
 
 
 if __name__ == "__main__":

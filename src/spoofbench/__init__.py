@@ -5,23 +5,13 @@ detectors, reproducible end to end from a single seed."""
 from .baseline import OperatingPoint, ThresholdDetector, decide, sweep_threshold
 from .channel import (
     ChannelParams,
-    PathLossSample,
-    distance_3d,
+    Link,
     los_probability,
-    measured_path_loss,
-    sample_window,
+    measured_window,
     theoretical_path_loss,
 )
 from .dataset import DatasetSpec, LabeledDataset, generate, select_bs_subset, spec_hash
-from .features import (
-    DeltaSeries,
-    FeatureVector,
-    box,
-    delta_series,
-    extract,
-    mvsk,
-    wasserstein_1d,
-)
+from .features import FeatureVector, box, extract, mvsk, wasserstein_1d
 from .mlp import (
     MlpArchitecture,
     MlpModel,
@@ -43,7 +33,6 @@ from .scenario import (
     build_scenarios,
     default_config,
     destination_grid,
-    position_at,
 )
 
 __version__ = "0.1.0"

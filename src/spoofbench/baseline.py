@@ -2,9 +2,10 @@
 path-loss difference exceeds a fixed threshold T.
 
 This is the non-learned baseline the MLP detectors are compared against.
-It consumes the same decision windows: per station, the window mean of
-|measured - theoretical| is tested against T, either averaged across
-stations ("mean-delta") or by strict majority vote.
+It reads the same (rows, stations, samples) arrays of per-instant
+|measured - theoretical| path loss as the features: per station, the
+window mean is tested against T, either averaged across stations
+("mean-delta") or by strict majority vote.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .features import DeltaSeries
 
 AGGREGATIONS = ("mean-delta", "majority-vote")
 
@@ -31,14 +30,23 @@ class ThresholdDetector:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
 
 
-def decide(detector: ThresholdDetector, deltas: list[DeltaSeries]) -> bool:
-    """True (spoofed) when the aggregated window-mean delta exceeds T."""
-    if not deltas:
-        raise ValueError("no delta series given")
-    means = np.array([float(np.mean(d.values)) for d in deltas])
-    if detector.aggregation == "mean-delta":
-        return bool(np.mean(means) > detector.threshold_db)
-    return int(np.sum(means > detector.threshold_db)) * 2 > len(means)
+def _verdicts(deltas, thresholds, aggregation: str) -> np.ndarray:
+    """(thresholds, rows) verdicts: each row's window means per station are
+    computed and aggregated once, then compared against every threshold."""
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 3 or 0 in deltas.shape:
+        raise ValueError(f"need a non-empty (rows, stations, samples) delta array, got {deltas.shape}")
+    means = np.mean(deltas, axis=-1)
+    t = np.asarray(thresholds, dtype=float)
+    if aggregation == "mean-delta":
+        return np.mean(means, axis=-1) > t[:, None]
+    return np.sum(means > t[:, None, None], axis=-1) * 2 > means.shape[-1]
+
+
+def decide(detector: ThresholdDetector, deltas) -> np.ndarray:
+    """Per-row verdicts (True = spoofed): the aggregated window-mean delta
+    exceeds T. deltas is a (rows, stations, samples) array."""
+    return _verdicts(deltas, [detector.threshold_db], detector.aggregation)[0]
 
 
 @dataclass(frozen=True)
@@ -50,34 +58,34 @@ class OperatingPoint:
 
 
 def sweep_threshold(
-    rows: list[tuple[list[DeltaSeries], bool]],
+    deltas,
+    labels,
     t_grid,
     aggregation: str = "mean-delta",
 ) -> list[OperatingPoint]:
     """Operating curve of the detector over a grid of thresholds.
 
-    rows pairs each window's per-station delta series with its true label
-    (True = spoofed). FP rate is taken over legitimate rows, FN rate over
-    spoofed rows.
+    deltas is a (rows, stations, samples) array and labels holds each row's
+    true label (True = spoofed). FP rate is taken over legitimate rows, FN rate
+    over spoofed rows.
     """
-    if not rows:
-        raise ValueError("empty dataset")
-    t_grid = list(t_grid)
+    labels = np.asarray(labels, dtype=bool)
+    t_grid = [ThresholdDetector(float(t), aggregation).threshold_db for t in t_grid]
     if not t_grid:
         raise ValueError("empty threshold grid")
-    labels = np.array([bool(lab) for _, lab in rows])
+    verdicts = _verdicts(deltas, t_grid, aggregation)
+    if verdicts.shape[1] != len(labels):
+        raise ValueError(f"{len(labels)} labels for {verdicts.shape[1]} rows")
     n_spoofed = int(labels.sum())
     n_legit = len(labels) - n_spoofed
     curve = []
-    for t in t_grid:
-        detector = ThresholdDetector(float(t), aggregation)
-        verdicts = np.array([decide(detector, deltas) for deltas, _ in rows])
-        fp = int(np.sum(verdicts & ~labels))
-        fn = int(np.sum(~verdicts & labels))
+    for t, row in zip(t_grid, verdicts):
+        fp = int(np.sum(row & ~labels))
+        fn = int(np.sum(~row & labels))
         curve.append(
             OperatingPoint(
-                threshold_db=float(t),
-                accuracy=float(np.mean(verdicts == labels)),
+                threshold_db=t,
+                accuracy=float(np.mean(row == labels)),
                 fp_rate=fp / n_legit if n_legit else 0.0,
                 fn_rate=fn / n_spoofed if n_spoofed else 0.0,
             )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import BaseStation, SpoofingScenario, positions_at
+from .scenario import BaseStation, Trajectory, positions_at
 
 LOS_PROBABILITY_MIN_HEIGHT = 22.5  # rule below this clamps to the model floor
 
@@ -45,24 +45,6 @@ class ChannelParams:
             raise ValueError("carrier_frequency must be > 0")
         if self.nlos_shadow_sigma < 0 or self.meas_noise_sigma < 0:
             raise ValueError("noise sigmas must be >= 0")
-
-
-@dataclass(frozen=True)
-class PathLossSample:
-    """One aligned (measured, theoretical) path-loss pair for one station."""
-
-    bs_id: int
-    t: int  # sample index within the window
-    measured_db: float
-    theoretical_db: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.measured_db) and math.isfinite(self.theoretical_db)):
-            raise ValueError("path loss values must be finite")
-
-
-def distance_3d(p, q) -> float:
-    return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
 
 
 def los_probability(uav_height: float, d2d: float) -> float:
@@ -88,59 +70,68 @@ def los_shadow_sigma(uav_height: float) -> float:
     return 4.64 * math.exp(-0.0066 * uav_height)
 
 
-def _path_loss_arrays(
-    positions: np.ndarray, bs: BaseStation, params: ChannelParams, rng=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Path loss, LoS mask and heights for an (n, 3) array of UAV positions."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    delta = positions - bs.position
-    d3d = np.linalg.norm(delta, axis=1)
-    if np.any(d3d == 0.0):
-        raise ValueError("UAV position coincides with the base station")
-    d2d = np.linalg.norm(delta[:, :2], axis=1)
-    heights = positions[:, 2]
-    prob = _los_probability_array(heights, d2d)
-    if params.sampled_los and rng is not None:
-        los = rng.random(len(prob)) < prob
-    else:
-        los = prob >= 0.5
-    fc = params.carrier_frequency
-    pl_los = 28.0 + 22.0 * np.log10(d3d) + 20.0 * np.log10(fc)
-    if np.all(los):
-        return pl_los, los, heights
-    if np.any(heights[~los] <= 0):
-        raise ValueError("NLoS path loss undefined at zero height")
-    pl_nlos = (
-        -17.5
-        + (46.0 - 7.0 * np.log10(heights)) * np.log10(d3d)
-        + 20.0 * np.log10(40.0 * math.pi * fc / 3.0)
-    )
-    return np.where(los, pl_los, pl_nlos), los, heights
+@dataclass(frozen=True, eq=False)
+class Link:
+    """Noise-free path loss of one station's link along one sampled flight path.
+
+    Everything here depends only on (path, station, params), so a dataset
+    builds one Link per (destination, station) and every row that flies that
+    path shares it. Arrays hold one value per sample instant.
+    """
+
+    los_db: np.ndarray  # LoS-branch path loss
+    nlos_db: np.ndarray  # NLoS-branch path loss
+    los_prob: np.ndarray
+    los_sigma: np.ndarray  # LoS shadow-fading sigma
+    nlos_sigma: float
+    heights: np.ndarray
+
+    @classmethod
+    def along(cls, positions, bs: BaseStation, params: ChannelParams) -> Link:
+        """Link quantities for an (n, 3) array of UAV positions."""
+        positions = np.atleast_2d(np.asarray(positions, dtype=float))
+        delta = positions - bs.position
+        d3d = np.linalg.norm(delta, axis=1)
+        if np.any(d3d == 0.0):
+            raise ValueError("UAV position coincides with the base station")
+        d2d = np.linalg.norm(delta[:, :2], axis=1)
+        heights = positions[:, 2]
+        fc = params.carrier_frequency
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero heights: see branch()
+            nlos_db = (
+                -17.5
+                + (46.0 - 7.0 * np.log10(heights)) * np.log10(d3d)
+                + 20.0 * np.log10(40.0 * math.pi * fc / 3.0)
+            )
+        los_sigma = 4.64 * np.exp(-0.0066 * heights)
+        return cls(
+            los_db=28.0 + 22.0 * np.log10(d3d) + 20.0 * np.log10(fc),
+            nlos_db=nlos_db,
+            los_prob=_los_probability_array(heights, d2d),
+            los_sigma=los_sigma if params.los_shadow_formula else np.zeros_like(heights),
+            nlos_sigma=params.nlos_shadow_sigma,
+            heights=heights,
+        )
+
+    def branch(self, los: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Path loss and shadow-fading sigma per sample for a LoS mask."""
+        if np.all(los):
+            return self.los_db, self.los_sigma
+        if np.any(self.heights[~los] <= 0):
+            raise ValueError("NLoS path loss undefined at zero height")
+        return (
+            np.where(los, self.los_db, self.nlos_db),
+            np.where(los, self.los_sigma, self.nlos_sigma),
+        )
+
+    def theoretical(self) -> np.ndarray:
+        """Noise-free path loss, LoS where its probability is at least one half."""
+        return self.branch(self.los_prob >= 0.5)[0]
 
 
 def theoretical_path_loss(uav, bs: BaseStation, params: ChannelParams) -> float:
     """Model path loss in dB for a UAV at the given position."""
-    pl, _, _ = _path_loss_arrays(np.asarray(uav, dtype=float), bs, params)
-    return float(pl[0])
-
-
-def _shadow_sigmas(heights: np.ndarray, los: np.ndarray, params: ChannelParams) -> np.ndarray:
-    if params.los_shadow_formula:
-        sigma_los = 4.64 * np.exp(-0.0066 * heights)
-    else:
-        sigma_los = np.zeros_like(heights)
-    return np.where(los, sigma_los, params.nlos_shadow_sigma)
-
-
-def measured_path_loss(
-    uav_true, bs: BaseStation, params: ChannelParams, rng: np.random.Generator
-) -> float:
-    """Noisy path loss as a station would report it for the true position."""
-    pl, los, heights = _path_loss_arrays(np.asarray(uav_true, dtype=float), bs, params, rng)
-    sigma = _shadow_sigmas(heights, los, params)
-    shadow = rng.normal(0.0, sigma[0])
-    noise = rng.normal(0.0, params.meas_noise_sigma)
-    return float(pl[0] + shadow + noise)
+    return float(Link.along(uav, bs, params).theoretical()[0])
 
 
 def window_rng(params: ChannelParams, noise_seed: int, bs_id: int) -> np.random.Generator:
@@ -148,38 +139,33 @@ def window_rng(params: ChannelParams, noise_seed: int, bs_id: int) -> np.random.
     return np.random.default_rng([params.rng_seed, noise_seed, bs_id])
 
 
-def sample_window(
-    scenario: SpoofingScenario,
-    bs: BaseStation,
-    params: ChannelParams,
-    n_samples: int | None = None,
-) -> list[PathLossSample]:
-    """One decision window: aligned (measured, theoretical) pairs.
+def measured_window(link: Link, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
+    """Noisy path loss a station reports along a window of the true path.
 
-    Measured values come from the true trajectory with shadow fading and
-    measurement noise; theoretical values are the noise-free model output at
-    the reported trajectory. Deterministic given (scenario, params) because
-    the random stream is derived from their seeds.
+    These are the only per-window random draws, in the order every dataset
+    depends on: the LoS branch of every sample (sampled_los only), then
+    every shadow-fading value, then every measurement-noise value.
     """
-    traj = scenario.true_trajectory
-    if n_samples is None:
-        n_samples = traj.n_samples()
+    n = len(link.los_prob)
+    los = rng.random(n) < link.los_prob if params.sampled_los else link.los_prob >= 0.5
+    pl, sigma = link.branch(los)
+    # sigma * standard_normal() is normal(0, sigma) bit for bit, without the
+    # per-call scale checks that normal() makes on an array sigma.
+    return pl + sigma * rng.standard_normal(n) + params.meas_noise_sigma * rng.standard_normal(n)
+
+
+def check_finite(values: np.ndarray) -> np.ndarray:
+    """values, if every one is finite; the shared guard on simulated path loss."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("path loss values must be finite")
+    return values
+
+
+def window_positions(trajectory: Trajectory, n_samples: int) -> np.ndarray:
+    """Positions at the first n_samples sample instants of a flight."""
     if n_samples < 1:
         raise ValueError("window needs at least one sample")
-    period = traj.sample_period
-    ts = np.arange(n_samples) * period
-    if ts[-1] > traj.duration or ts[-1] > scenario.reported_trajectory.duration:
-        raise ValueError(
-            f"trajectory too short for a {n_samples}-sample window"
-        )
-    rng = window_rng(params, scenario.noise_seed, bs.id)
-    true_pos = positions_at(scenario.true_trajectory, ts)
-    rep_pos = positions_at(scenario.reported_trajectory, ts)
-    pl_true, los, heights = _path_loss_arrays(true_pos, bs, params, rng)
-    sigma = _shadow_sigmas(heights, los, params)
-    measured = pl_true + rng.normal(0.0, sigma) + rng.normal(0.0, params.meas_noise_sigma, n_samples)
-    theoretical, _, _ = _path_loss_arrays(rep_pos, bs, params)
-    return [
-        PathLossSample(bs.id, k, float(measured[k]), float(theoretical[k]))
-        for k in range(n_samples)
-    ]
+    ts = np.arange(n_samples) * trajectory.sample_period
+    if ts[-1] > trajectory.duration:
+        raise ValueError(f"trajectory too short for a {n_samples}-sample window")
+    return positions_at(trajectory, ts)

@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, dataset, mlp
-from .channel import sample_window
+from .channel import ChannelParams, Link, check_finite, measured_window, window_positions, window_rng
 from .configio import config_to_dict, load_config, save_config
 from .features import FEATURES_PER_BS, METHODS
 from .presets import BEST_SETTINGS
 from .scenario import build_scenarios, default_config
-from .channel import ChannelParams
 
 ARCHIVE_FORMAT = "spoofbench-archive"
 REPORT_FORMAT = "spoofbench-report"
@@ -71,12 +70,16 @@ def cmd_simulate(args) -> int:
     scenarios = build_scenarios(scenario_cfg)
     entries = []
     for i, sc in enumerate(scenarios):
+        true_pos = window_positions(sc.true_trajectory, scenario_cfg.window_size)
+        reported_pos = window_positions(sc.reported_trajectory, scenario_cfg.window_size)
         windows = {}
         for bs in scenario_cfg.base_stations:
-            samples = sample_window(sc, bs, channel, scenario_cfg.window_size)
+            rng = window_rng(channel, sc.noise_seed, bs.id)
+            measured = measured_window(Link.along(true_pos, bs, channel), channel, rng)
+            theoretical = Link.along(reported_pos, bs, channel).theoretical()
             windows[str(bs.id)] = {
-                "measured_db": [s.measured_db for s in samples],
-                "theoretical_db": [s.theoretical_db for s in samples],
+                "measured_db": check_finite(measured).tolist(),
+                "theoretical_db": check_finite(theoretical).tolist(),
             }
         entries.append(
             {
@@ -280,9 +283,9 @@ def cmd_evaluate(args) -> int:
         det = baseline.ThresholdDetector(args.t, args.aggregation)
         verdicts = [
             baseline.decide(det, deltas)
-            for deltas, _ in dataset.iter_delta_rows(ds.spec, args.split)
+            for _, deltas in dataset.iter_delta_chunks(ds.spec, args.split)
         ]
-        predictions = np.array([float(v) for v in verdicts])
+        predictions = np.concatenate(verdicts).astype(float)
         detector = {"kind": "threshold", "threshold_db": args.t, "aggregation": args.aggregation}
         history = []
     report = _confusion_report(predictions, labels, started, ds.provenance, detector, history)

@@ -16,12 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, sample_window
+from . import features
+from .channel import ChannelParams, Link, check_finite, measured_window, window_positions, window_rng
 from .configio import config_from_dict, config_to_dict
-from .features import FEATURES_PER_BS, FeatureVector, check_method, delta_series, extract
+from .features import FEATURES_PER_BS, FeatureVector, check_method
 from .scenario import ScenarioConfig, SpoofingScenario, destination_grid, flight_to
 
 SPLITS = ("train", "test")
+
+# Rows simulated per chunk; the bound is there for peak memory. wd/3 at seed 1
+# peaked at 39.6 MB after generate with 64-row chunks, as the per-sample
+# simulation did, against 41.2 MB with 256 and 43.5 MB with 512, which also
+# grew on each repeat. Per-chunk overhead is already negligible at 64 rows.
+CHUNK_ROWS = 64
 
 BS_SUBSETS = {1: (1,), 2: (1, 3), 3: (1, 2, 3)}
 
@@ -117,33 +124,38 @@ def row_plan(spec: DatasetSpec, split: str) -> list[RowPlan]:
     return rows
 
 
-def iter_windows(spec: DatasetSpec, split: str):
-    """Yields (plan, per-station windows) for each row of a split."""
+def iter_delta_chunks(spec: DatasetSpec, split: str):
+    """Yields (plans, deltas) for consecutive chunks of at most CHUNK_ROWS rows.
+
+    deltas is a (rows, stations, samples) array of |measured - theoretical|
+    path loss, stations in select_bs_subset order. The noise-free path loss
+    is computed once per (destination, station); per row only the window's
+    random draws are made.
+    """
     config = spec.scenario
-    destinations = destination_grid(config)
-    flights = {}
-    reported = flight_to(config, destinations[0])
+    n = config.window_size
     stations = [config.base_station_by_id(i) for i in select_bs_subset(spec.n_bs)]
-    for plan in row_plan(spec, split):
-        if plan.dest_index not in flights:
-            flights[plan.dest_index] = flight_to(config, destinations[plan.dest_index])
-        scenario = SpoofingScenario(
-            true_trajectory=flights[plan.dest_index],
-            reported_trajectory=reported,
-            label=plan.label,
-            spoof_onset=0.0,
-            noise_seed=plan.noise_seed,
-        )
-        windows = [
-            sample_window(scenario, bs, spec.channel, config.window_size) for bs in stations
-        ]
-        yield plan, windows
-
-
-def iter_delta_rows(spec: DatasetSpec, split: str):
-    """Yields (per-station delta series, label) rows for threshold detectors."""
-    for plan, windows in iter_windows(spec, split):
-        yield [delta_series(w) for w in windows], plan.label
+    destinations = destination_grid(config)
+    reported = flight_to(config, destinations[0])
+    links = []  # [destination][station]
+    for dest_index, destination in enumerate(destinations):
+        flight = flight_to(config, destination)
+        # Validates the pair: identical when legitimate, divergent when spoofed.
+        SpoofingScenario(flight, reported, label=dest_index != 0)
+        positions = window_positions(flight, n)
+        links.append([Link.along(positions, bs, spec.channel) for bs in stations])
+    # Every row reports the planned flight, destination 0.
+    theoretical = np.stack([lk.theoretical() for lk in links[0]])
+    plans = row_plan(spec, split)
+    for start in range(0, len(plans), CHUNK_ROWS):
+        chunk = plans[start : start + CHUNK_ROWS]
+        measured = np.empty((len(chunk), len(stations), n))
+        for i, plan in enumerate(chunk):
+            for j, lk in enumerate(links[plan.dest_index]):
+                rng = window_rng(spec.channel, plan.noise_seed, stations[j].id)
+                measured[i, j] = measured_window(lk, spec.channel, rng)
+        measured -= theoretical  # in place: |measured - theoretical| without temporaries
+        yield chunk, check_finite(np.abs(measured, out=measured))
 
 
 @dataclass
@@ -195,12 +207,12 @@ class LabeledDataset:
 def generate(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Simulate, extract and label the train and test splits of a spec."""
     digest = spec_hash(spec)
+    bs_ids = select_bs_subset(spec.n_bs)
     splits = []
     for split in SPLITS:
-        rows = [
-            extract(windows, spec.method, plan.label)
-            for plan, windows in iter_windows(spec, split)
-        ]
+        rows = []
+        for plans, deltas in iter_delta_chunks(spec, split):
+            rows += features.extract(deltas, spec.method, [p.label for p in plans], bs_ids)
         splits.append(LabeledDataset(rows=rows, split=split, provenance=digest, spec=spec))
     return splits[0], splits[1]
 
@@ -224,6 +236,7 @@ def save(dataset: LabeledDataset, path) -> None:
         "n_rows": len(dataset.rows),
         "width": width,
         "method": dataset.method,
+        "bs_ids": [bs_id for bs_id, _ in dataset.rows[0].per_bs],
     }
     if dataset.spec is not None:
         sidecar["spec"] = spec_to_dict(dataset.spec)
@@ -255,13 +268,16 @@ def load(path) -> LabeledDataset:
         raise DatasetFormatError(f"{path}: row 1: bad header {lines[0]!r}")
     width = len(header) - 1
     per_bs = FEATURES_PER_BS[method]
-    if width % per_bs != 0:
-        raise DatasetFormatError(f"{path}: width {width} not a multiple of {per_bs} ({method})")
-    bs_ids = (
-        select_bs_subset(spec.n_bs)
-        if spec is not None
-        else tuple(range(1, width // per_bs + 1))
-    )
+    if "bs_ids" in sidecar:
+        bs_ids = tuple(int(i) for i in sidecar["bs_ids"])
+    elif spec is not None:
+        bs_ids = select_bs_subset(spec.n_bs)
+    else:
+        raise DatasetFormatError(f"{path}: sidecar names neither bs_ids nor a spec")
+    if len(bs_ids) * per_bs != width:
+        raise DatasetFormatError(f"{path}: {len(bs_ids)} stations do not fit width {width} ({method})")
+    if spec is not None and bs_ids != select_bs_subset(spec.n_bs):
+        raise DatasetFormatError(f"{path}: bs_ids {list(bs_ids)} disagree with the spec's n_bs")
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         cells = line.split(",")

@@ -7,8 +7,7 @@ measured-vs-theoretical differences:
   box  -- five-number summary (min, quartiles, max)
   wd   -- 1-D Wasserstein distance between the difference distribution and
           the all-zero reference of an unspoofed link (one value per
-          station); optionally the raw measured sample is compared against
-          the raw theoretical sample instead
+          station)
 
 Feature vectors concatenate the per-station blocks in ascending station id,
 so the input width is n_stations * {4, 5, 1}.
@@ -20,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathLossSample
-
 METHODS = ("mvsk", "box", "wd")
 FEATURES_PER_BS = {"mvsk": 4, "box": 5, "wd": 1}
 
@@ -32,33 +29,6 @@ def check_method(method: str) -> str:
     return method
 
 
-@dataclass(frozen=True)
-class DeltaSeries:
-    """Per-instant |measured - theoretical| path loss for one station."""
-
-    bs_id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or len(v) == 0:
-            raise ValueError("delta series must be a non-empty 1-D array")
-        if np.any(v < 0):
-            raise ValueError("delta series values must be >= 0")
-
-
-def delta_series(window: list[PathLossSample]) -> DeltaSeries:
-    """Absolute measured-vs-theoretical differences for a single station."""
-    if not window:
-        raise ValueError("empty window")
-    ids = {s.bs_id for s in window}
-    if len(ids) != 1:
-        raise ValueError(f"window mixes base stations {sorted(ids)}")
-    values = np.array([abs(s.measured_db - s.theoretical_db) for s in window])
-    return DeltaSeries(bs_id=window[0].bs_id, values=values)
-
-
 def mvsk(series) -> tuple[float, float, float, float]:
     """Mean, sample variance (n-1), skewness g1 and excess kurtosis g2.
 
@@ -67,19 +37,33 @@ def mvsk(series) -> tuple[float, float, float, float]:
     are defined as 0.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
+    if x.ndim != 1:
         raise ValueError("mvsk needs a 1-D series of length >= 2")
-    x = np.sort(x)  # canonical summation order: bit-exact under permutation
-    n = len(x)
-    mean = float(np.mean(x))
-    centered = x - mean
-    variance = float(np.sum(centered**2) / (n - 1))
-    m2 = float(np.sum(centered**2) / n)
-    if m2 == 0.0:
-        return mean, 0.0, 0.0, 0.0
-    m3 = float(np.sum(centered**3) / n)
-    m4 = float(np.sum(centered**4) / n)
-    return mean, variance, m3 / m2**1.5, m4 / m2**2 - 3.0
+    return tuple(_mvsk_lanes(x[None])[0].tolist())
+
+
+def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
+    """mvsk of every series along the last axis; shape (..., 4)."""
+    n = x.shape[-1]
+    if n < 2:
+        raise ValueError("mvsk needs a 1-D series of length >= 2")
+    x = _sorted_lanes(x)
+    mean = np.mean(x, axis=-1)
+    centered = x - mean[..., None]
+    sum_sq = np.sum(centered**2, axis=-1)
+    m2 = sum_sq / n
+    m3 = np.sum(centered**3, axis=-1) / n
+    m4 = np.sum(centered**4, axis=-1) / n
+    # g1 and g2 lane by lane in Python floats: numpy's vectorized pow rounds
+    # m2**1.5 differently from the C library in the last bit.
+    shape_moments = [
+        (c3 / c2**1.5, c4 / c2**2 - 3.0) if c2 != 0.0 else (0.0, 0.0)
+        for c2, c3, c4 in zip(m2.ravel().tolist(), m3.ravel().tolist(), m4.ravel().tolist())
+    ]
+    variance = np.where(m2 == 0.0, 0.0, sum_sq / (n - 1))
+    return np.concatenate(
+        [np.stack([mean, variance], axis=-1), np.reshape(shape_moments, m2.shape + (2,))], axis=-1
+    )
 
 
 def box(series) -> tuple[float, float, float, float, float]:
@@ -87,8 +71,31 @@ def box(series) -> tuple[float, float, float, float, float]:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < 1:
         raise ValueError("box needs a non-empty 1-D series")
-    q = np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return tuple(float(v) for v in q)
+    return tuple(_box_lanes(x).tolist())
+
+
+def _box_lanes(x: np.ndarray) -> np.ndarray:
+    """Five-number summary of every series along the last axis; shape (..., 5)."""
+    return np.moveaxis(np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0], axis=-1), 0, -1)
+
+
+def _wd_lanes(deltas: np.ndarray) -> np.ndarray:
+    """wasserstein_1d(d, zeros) of every series along the last axis; shape (..., 1).
+
+    Against the all-zero reference the distance is the mean of the sorted
+    deltas, summed in wasserstein_1d's order, so the values are bit-identical.
+    """
+    return np.mean(_sorted_lanes(deltas), axis=-1)[..., None]
+
+
+def _sorted_lanes(x: np.ndarray) -> np.ndarray:
+    """Each series along the last axis sorted, so sums are bit-exact under any
+    permutation, and in C order, so numpy sums each series pairwise as it
+    sums a 1-D array (a strided last axis is summed in another order)."""
+    return np.ascontiguousarray(np.sort(x, axis=-1))
+
+
+_LANE_FEATURES = {"mvsk": _mvsk_lanes, "box": _box_lanes, "wd": _wd_lanes}
 
 
 def wasserstein_1d(a, b) -> float:
@@ -142,40 +149,35 @@ class FeatureVector:
         )
 
 
-def extract(
-    windows: list[list[PathLossSample]],
-    method: str,
-    label: bool,
-    wd_on_raw: bool = False,
-) -> FeatureVector:
-    """Feature vector for one decision instant from per-station windows.
+def extract(deltas, method: str, labels, bs_ids) -> list[FeatureVector]:
+    """Labeled feature vectors for a batch of decision windows.
 
-    mvsk and box summarize each station's |measured - theoretical| series;
-    wd measures how far that series' distribution sits from the all-zero
-    reference (or, with wd_on_raw, compares the raw measured sample against
-    the raw theoretical one).
+    deltas is a (rows, stations, samples) array of per-instant
+    |measured - theoretical| path loss, its station axis ordered as bs_ids;
+    labels holds one label per row. mvsk and box summarize each station's
+    series; wd measures how far its distribution sits from the all-zero
+    reference. Blocks come out in ascending station id.
     """
     check_method(method)
-    if not windows:
-        raise ValueError("no windows given")
-    lengths = {len(w) for w in windows}
-    if len(lengths) != 1:
-        raise ValueError(f"windows have inconsistent lengths {sorted(lengths)}")
-    blocks: list[tuple[int, tuple[float, ...]]] = []
-    for window in windows:
-        deltas = delta_series(window)
-        if method == "mvsk":
-            block = mvsk(deltas.values)
-        elif method == "box":
-            block = box(deltas.values)
-        else:
-            if wd_on_raw:
-                measured = [s.measured_db for s in window]
-                theoretical = [s.theoretical_db for s in window]
-                block = (wasserstein_1d(measured, theoretical),)
-            else:
-                block = (wasserstein_1d(deltas.values, np.zeros_like(deltas.values)),)
-        blocks.append((deltas.bs_id, tuple(float(v) for v in block)))
-    blocks.sort(key=lambda item: item[0])
-    flattened = np.concatenate([np.asarray(blk, dtype=float) for _, blk in blocks])
-    return FeatureVector(method=method, per_bs=tuple(blocks), flattened=flattened, label=label)
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 3 or 0 in deltas.shape:
+        raise ValueError(f"deltas must be a non-empty (rows, stations, samples) array, got {deltas.shape}")
+    if len(bs_ids) != deltas.shape[1] or len(set(bs_ids)) != len(bs_ids):
+        raise ValueError(f"need one unique station id per station column, got {list(bs_ids)}")
+    if len(labels) != deltas.shape[0]:
+        raise ValueError(f"{len(labels)} labels for {deltas.shape[0]} rows")
+    if np.any(deltas < 0):
+        raise ValueError("delta values must be >= 0")
+    order = np.argsort(bs_ids, kind="stable")
+    ids = [int(bs_ids[k]) for k in order]
+    blocks = _LANE_FEATURES[method](deltas[:, order])
+    flat = blocks.reshape(len(blocks), -1)
+    return [
+        FeatureVector(
+            method=method,
+            per_bs=tuple(zip(ids, map(tuple, row))),
+            flattened=flat[i],
+            label=bool(label),
+        )
+        for i, (row, label) in enumerate(zip(blocks.tolist(), labels))
+    ]

@@ -87,18 +87,10 @@ class Trajectory:
     def points(self) -> np.ndarray:
         return np.stack([w.position for w in self.waypoints])
 
-    def n_samples(self) -> int:
-        """Number of sample instants k*sample_period that fit in the flight."""
-        return int(math.floor(self.waypoints[-1].time / self.sample_period)) + 1
-
-
-def position_at(trajectory: Trajectory, t: float) -> np.ndarray:
-    """Position at time t, linearly interpolated between waypoints."""
-    return positions_at(trajectory, np.asarray([t], dtype=float))[0]
-
 
 def positions_at(trajectory: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """Vectorized position_at: returns an (n, 3) array for n query times."""
+    """Positions at n query times as an (n, 3) array, linearly interpolated
+    between waypoints."""
     ts = np.asarray(ts, dtype=float)
     times = trajectory.times()
     if np.any(ts < times[0]) or np.any(ts > times[-1]):

@@ -2,12 +2,56 @@
 
 These deliberately avoid the library's own code paths: plain Python
 summation for the moments, CDF-area integration for the transport distance,
-central finite differences for the gradients.
+central finite differences for the gradients, and one sample at a time for
+the simulated path loss.
 """
 
 import numpy as np
 
+from spoofbench.channel import Link, window_rng
 from spoofbench.mlp import forward_batch, loss_mse
+from spoofbench.scenario import positions_at
+
+
+def distance_3d(p, q) -> float:
+    return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
+
+
+def position_at(trajectory, t: float) -> np.ndarray:
+    """Position at time t, linearly interpolated between waypoints."""
+    return positions_at(trajectory, np.asarray([t], dtype=float))[0]
+
+
+def reference_window(scenario, bs, params, n_samples):
+    """Scalar per-window reference: (measured, theoretical, los) lists for one
+    station, one sample instant at a time.
+
+    It shares only the path-loss formula with the library, evaluated at one
+    position per call (numpy's vectorized log10 and exp round differently
+    from the math module's, so only the same ufuncs compare bit for bit).
+    The per-destination cache, the chunking and the array draws are
+    replaced by per-sample draws that consume the window's random stream as
+    the channel must: every sample's LoS draw first (sampled_los only), then
+    every shadow-fading draw, then every measurement-noise draw.
+    """
+    rng = window_rng(params, scenario.noise_seed, bs.id)
+    period = scenario.true_trajectory.sample_period
+    true = [Link.along(position_at(scenario.true_trajectory, k * period), bs, params)
+            for k in range(n_samples)]
+    reported = [Link.along(position_at(scenario.reported_trajectory, k * period), bs, params)
+                for k in range(n_samples)]
+    if params.sampled_los:
+        los = [rng.random() < lk.los_prob[0] for lk in true]
+    else:
+        los = [lk.los_prob[0] >= 0.5 for lk in true]
+    shadow = [rng.normal(0.0, lk.los_sigma[0] if k else params.nlos_shadow_sigma)
+              for lk, k in zip(true, los)]
+    noise = [rng.normal(0.0, params.meas_noise_sigma) for _ in range(n_samples)]
+    measured = [float((lk.los_db[0] if k else lk.nlos_db[0]) + s + e)
+                for lk, k, s, e in zip(true, los, shadow, noise)]
+    theoretical = [float(lk.los_db[0] if lk.los_prob[0] >= 0.5 else lk.nlos_db[0])
+                   for lk in reported]
+    return measured, theoretical, los
 
 
 def naive_mvsk(xs):

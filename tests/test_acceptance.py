@@ -23,7 +23,7 @@ from oracles import (
 from spoofbench.baseline import best_operating_point, sweep_threshold
 from spoofbench.channel import ChannelParams
 from spoofbench.cli import main as cli
-from spoofbench.dataset import DatasetSpec, generate, iter_delta_rows
+from spoofbench.dataset import DatasetSpec, generate, iter_delta_chunks
 from spoofbench.features import FEATURES_PER_BS, METHODS, mvsk, wasserstein_1d
 from spoofbench.mlp import (
     MlpArchitecture,
@@ -308,6 +308,12 @@ def test_criterion_08_statistical_oracles():
     )
 
 
+def split_deltas(spec: DatasetSpec, split: str):
+    """A whole split's (rows, stations, samples) deltas and its labels."""
+    chunks = list(iter_delta_chunks(spec, split))
+    return np.concatenate([d for _, d in chunks]), [p.label for plans, _ in chunks for p in plans]
+
+
 def test_criterion_09_baseline_sanity(bench):
     """Zero noise: some threshold separates perfectly. Default noise: the
     best threshold trails the best 3-station MLP (margin reported only)."""
@@ -319,12 +325,11 @@ def test_criterion_09_baseline_sanity(bench):
         ),
         method="wd", n_bs=3, train_size=60, test_size=30, rng_seed=SEED,
     )
-    rows = list(iter_delta_rows(quiet, "test"))
-    curve = sweep_threshold(rows, np.linspace(0.0, 2.0, 41))
+    curve = sweep_threshold(*split_deltas(quiet, "test"), np.linspace(0.0, 2.0, 41))
     quiet_best = best_operating_point(curve)
 
-    noisy_rows = list(iter_delta_rows(bench[("wd", 3)].spec, "test"))
-    noisy_curve = sweep_threshold(noisy_rows, np.linspace(0.0, 6.0, 121))
+    noisy = split_deltas(bench[("wd", 3)].spec, "test")
+    noisy_curve = sweep_threshold(*noisy, np.linspace(0.0, 6.0, 121))
     noisy_best = best_operating_point(noisy_curve)
     mlp_acc = bench[("wd", 3)].test_accuracy
     margin = mlp_acc - noisy_best.accuracy

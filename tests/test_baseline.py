@@ -8,9 +8,10 @@ from spoofbench.baseline import (
     decide,
     sweep_threshold,
 )
-from spoofbench.channel import ChannelParams, sample_window, theoretical_path_loss
-from spoofbench.features import DeltaSeries, delta_series
-from spoofbench.scenario import build_scenarios, default_config, position_at
+from oracles import position_at
+from spoofbench.channel import ChannelParams, theoretical_path_loss
+from spoofbench.dataset import DatasetSpec, iter_delta_chunks
+from spoofbench.scenario import default_config, destination_grid, flight_to
 
 QUIET = ChannelParams(
     carrier_frequency=2.0,
@@ -21,44 +22,48 @@ QUIET = ChannelParams(
 )
 
 
-def series(bs_id, *values):
-    return DeltaSeries(bs_id, np.array(values, dtype=float))
+def row(*station_values):
+    """A one-row (1, stations, samples) delta array."""
+    return np.array([station_values], dtype=float)
 
 
 def test_all_zero_deltas_are_legitimate():
     detector = ThresholdDetector(1.0)
-    assert decide(detector, [series(1, 0.0, 0.0, 0.0)]) is False
+    assert decide(detector, row([0.0, 0.0, 0.0])).tolist() == [False]
 
 
 def test_large_constant_delta_is_spoofed():
     detector = ThresholdDetector(1.0)
-    assert decide(detector, [series(1, 5.0, 5.0)]) is True
+    assert decide(detector, row([5.0, 5.0])).tolist() == [True]
 
 
 def test_decide_requires_input():
     with pytest.raises(ValueError):
-        decide(ThresholdDetector(1.0), [])
+        decide(ThresholdDetector(1.0), np.zeros((1, 0, 10)))
+    with pytest.raises(ValueError):
+        decide(ThresholdDetector(1.0), np.zeros((0, 1, 10)))
 
 
 def test_majority_vote_needs_strict_majority():
     detector = ThresholdDetector(1.0, "majority-vote")
-    two_of_three = [series(1, 9.0), series(2, 9.0), series(3, 0.0)]
-    one_of_three = [series(1, 9.0), series(2, 0.0), series(3, 0.0)]
-    one_of_two = [series(1, 9.0), series(2, 0.0)]
-    assert decide(detector, two_of_three) is True
-    assert decide(detector, one_of_three) is False
-    assert decide(detector, one_of_two) is False  # exactly half is not a majority
+    two_of_three = row([9.0], [9.0], [0.0])
+    one_of_three = row([9.0], [0.0], [0.0])
+    one_of_two = row([9.0], [0.0])
+    assert decide(detector, two_of_three).tolist() == [True]
+    assert decide(detector, one_of_three).tolist() == [False]
+    assert decide(detector, one_of_two).tolist() == [False]  # exactly half is not a majority
+    batch = np.concatenate([two_of_three, one_of_three])
+    assert decide(detector, batch).tolist() == [True, False]
 
 
 def test_decide_is_monotone_in_threshold():
     rng = np.random.default_rng(3)
-    rows = [series(1, *rng.uniform(0, 4, size=10)) for _ in range(20)]
-    for deltas in rows:
-        previous = True
-        for t in np.linspace(0.0, 5.0, 21):
-            verdict = decide(ThresholdDetector(float(t)), [deltas])
-            assert previous or not verdict  # spoofed never reappears as T grows
-            previous = verdict
+    deltas = rng.uniform(0, 4, size=(20, 1, 10))
+    previous = np.ones(20, dtype=bool)
+    for t in np.linspace(0.0, 5.0, 21):
+        verdicts = decide(ThresholdDetector(float(t)), deltas)
+        assert np.all(previous | ~verdicts)  # spoofed never reappears as T grows
+        previous = verdicts
 
 
 def test_detector_validation():
@@ -73,68 +78,66 @@ def test_zero_noise_spoofed_flight_exceeds_1db():
     through the loss model directly, then check decide() agrees."""
     cfg = default_config()
     bs = cfg.base_stations[0]
-    spoofed = [s for s in build_scenarios(cfg) if s.label][7]  # opposite azimuth
-    window = sample_window(spoofed, bs, QUIET, cfg.window_size)
-    deltas = delta_series(window)
+    spec = DatasetSpec(cfg, QUIET, "wd", n_bs=1, train_size=16, test_size=2)
+    (plans, deltas), = iter_delta_chunks(spec, "train")
+    k = next(i for i, p in enumerate(plans) if p.dest_index == 8)  # opposite azimuth
+    true = flight_to(cfg, destination_grid(cfg)[8])
+    reported = flight_to(cfg, destination_grid(cfg)[0])
 
     oracle = []
-    for k in range(cfg.window_size):
-        t = k * cfg.sample_period
-        pl_true = theoretical_path_loss(position_at(spoofed.true_trajectory, t), bs, QUIET)
-        pl_rep = theoretical_path_loss(position_at(spoofed.reported_trajectory, t), bs, QUIET)
+    for j in range(cfg.window_size):
+        t = j * cfg.sample_period
+        pl_true = theoretical_path_loss(position_at(true, t), bs, QUIET)
+        pl_rep = theoretical_path_loss(position_at(reported, t), bs, QUIET)
         oracle.append(abs(pl_true - pl_rep))
-    assert np.allclose(deltas.values, oracle, rtol=1e-12)
+    assert np.allclose(deltas[k, 0], oracle, rtol=1e-12)
     assert float(np.mean(oracle)) > 1.0
-    assert decide(ThresholdDetector(1.0), [deltas]) is True
+    assert decide(ThresholdDetector(1.0), deltas[k : k + 1]).tolist() == [True]
 
 
 def _noisy_rows(n=40):
     rng = np.random.default_rng(11)
-    rows = []
-    for i in range(n):
-        spoofed = i % 2 == 0
-        base = 1.5 if spoofed else 0.0
-        deltas = [series(1, *np.abs(base + rng.normal(0, 0.7, size=12)))]
-        rows.append((deltas, spoofed))
-    return rows
+    labels = np.arange(n) % 2 == 0
+    base = np.where(labels, 1.5, 0.0)[:, None, None]
+    return np.abs(base + rng.normal(0, 0.7, size=(n, 1, 12))), labels
 
 
 def test_sweep_threshold_zero_flags_everything():
-    rows = _noisy_rows()
-    (point,) = sweep_threshold(rows, [0.0])
+    (point,) = sweep_threshold(*_noisy_rows(), [0.0])
     assert point.fp_rate == 1.0  # any positive delta exceeds T=0
     assert point.fn_rate == 0.0
 
 
 def test_sweep_threshold_infinite_misses_everything():
-    rows = _noisy_rows()
-    (point,) = sweep_threshold(rows, [float("inf")])
+    (point,) = sweep_threshold(*_noisy_rows(), [float("inf")])
     assert point.fn_rate == 1.0
     assert point.fp_rate == 0.0
     assert point.accuracy == pytest.approx(0.5)
 
 
 def test_sweep_threshold_finds_best_point_on_noisy_data():
-    rows = _noisy_rows(200)
-    curve = sweep_threshold(rows, np.linspace(0.0, 3.0, 61))
+    deltas, labels = _noisy_rows(200)
+    curve = sweep_threshold(deltas, labels, np.linspace(0.0, 3.0, 61))
     best = best_operating_point(curve)
     assert best.accuracy == max(p.accuracy for p in curve)
     assert best.accuracy > 0.8
+    for aggregation in ("mean-delta", "majority-vote"):  # one decision per threshold
+        for point in sweep_threshold(deltas, labels, [0.5, 1.0], aggregation):
+            verdicts = decide(ThresholdDetector(point.threshold_db, aggregation), deltas)
+            assert point.accuracy == float(np.mean(verdicts == labels))
 
 
 def test_sweep_threshold_zero_noise_reaches_perfect_accuracy():
-    cfg = default_config()
-    stations = cfg.base_stations
-    rows = []
-    for s in build_scenarios(cfg):
-        deltas = [delta_series(sample_window(s, bs, QUIET, cfg.window_size)) for bs in stations]
-        rows.append((deltas, s.label))
-    curve = sweep_threshold(rows, np.linspace(0.0, 2.0, 41))
+    spec = DatasetSpec(default_config(), QUIET, "wd", n_bs=3, train_size=30, test_size=2)
+    (plans, deltas), = iter_delta_chunks(spec, "train")
+    curve = sweep_threshold(deltas, [p.label for p in plans], np.linspace(0.0, 2.0, 41))
     assert best_operating_point(curve).accuracy == 1.0
 
 
 def test_sweep_threshold_validates_input():
     with pytest.raises(ValueError):
-        sweep_threshold([], [1.0])
+        sweep_threshold(np.zeros((0, 1, 5)), [], [1.0])
     with pytest.raises(ValueError):
-        sweep_threshold(_noisy_rows(4), [])
+        sweep_threshold(*_noisy_rows(4), [])
+    with pytest.raises(ValueError, match="labels"):
+        sweep_threshold(_noisy_rows(4)[0], [True], [1.0])

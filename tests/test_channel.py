@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import distance_3d, position_at
 from spoofbench.channel import (
     ChannelParams,
-    PathLossSample,
-    distance_3d,
+    Link,
     los_probability,
     los_shadow_sigma,
-    measured_path_loss,
-    sample_window,
+    measured_window,
     theoretical_path_loss,
+    window_positions,
     window_rng,
 )
+from spoofbench.dataset import DatasetSpec, generate
 from spoofbench.scenario import (
     BaseStation,
     SpoofingScenario,
@@ -141,19 +142,17 @@ def test_los_shadow_sigma_at_150m():
 
 
 def test_measured_equals_theoretical_without_noise():
-    rng = np.random.default_rng(0)
     uav = [150.0, 150.0, 150.0]
-    assert measured_path_loss(uav, BS1, QUIET, rng) == theoretical_path_loss(
-        uav, BS1, QUIET
-    )
+    measured = measured_window(Link.along(uav, BS1, QUIET), QUIET, np.random.default_rng(0))
+    assert measured[0] == theoretical_path_loss(uav, BS1, QUIET)
 
 
 def test_measured_noise_is_zero_mean():
     uav = [150.0, 150.0, 150.0]
-    rng = np.random.default_rng(1234)
     n = 100_000
     pl = theoretical_path_loss(uav, BS1, PARAMS)
-    draws = np.array([measured_path_loss(uav, BS1, PARAMS, rng) - pl for k in range(n)])
+    link = Link.along(np.tile(uav, (n, 1)), BS1, PARAMS)
+    draws = measured_window(link, PARAMS, np.random.default_rng(1234)) - pl
     sigma = math.hypot(los_shadow_sigma(150.0), PARAMS.meas_noise_sigma)
     assert abs(draws.mean()) <= 3.0 * sigma / math.sqrt(n)
     assert draws.std() == pytest.approx(sigma, rel=0.02)
@@ -163,44 +162,52 @@ def _scenarios():
     return build_scenarios(default_config())
 
 
+def sample_window(scenario, bs, params, n_samples=100):
+    """(measured, theoretical) path loss of one station's window."""
+    true_link = Link.along(window_positions(scenario.true_trajectory, n_samples), bs, params)
+    rng = window_rng(params, scenario.noise_seed, bs.id)
+    reported = window_positions(scenario.reported_trajectory, n_samples)
+    return measured_window(true_link, params, rng), Link.along(reported, bs, params).theoretical()
+
+
 def test_sample_window_length_and_alignment():
-    legit = _scenarios()[0]
-    window = sample_window(legit, BS1, PARAMS, 100)
-    assert len(window) == 100
-    assert [s.t for s in window] == list(range(100))
-    assert all(s.bs_id == 1 for s in window)
+    spoofed = _scenarios()[3]
+    measured, theoretical = sample_window(spoofed, BS1, QUIET)
+    assert measured.shape == theoretical.shape == (100,)
+    for k in (0, 1, 50, 99):  # sample k belongs to instant k * sample_period
+        t = k * spoofed.true_trajectory.sample_period
+        assert measured[k] == theoretical_path_loss(position_at(spoofed.true_trajectory, t), BS1, QUIET)
+        assert theoretical[k] == theoretical_path_loss(
+            position_at(spoofed.reported_trajectory, t), BS1, QUIET
+        )
 
 
 def test_sample_window_legitimate_zero_noise_is_exact():
-    legit = _scenarios()[0]
-    window = sample_window(legit, BS1, QUIET, 100)
-    assert all(s.measured_db == s.theoretical_db for s in window)
+    measured, theoretical = sample_window(_scenarios()[0], BS1, QUIET)
+    assert np.array_equal(measured, theoretical)
 
 
 def test_sample_window_spoofed_zero_noise_diverges():
-    spoofed = _scenarios()[1]
-    window = sample_window(spoofed, BS1, QUIET, 100)
-    assert any(s.measured_db != s.theoretical_db for s in window)
+    measured, theoretical = sample_window(_scenarios()[1], BS1, QUIET)
+    assert np.any(measured != theoretical)
 
 
 def test_sample_window_seeded_determinism():
     spoofed = _scenarios()[2]
-    a = sample_window(spoofed, BS1, PARAMS, 100)
-    b = sample_window(spoofed, BS1, PARAMS, 100)
-    assert a == b
-    other_seed = ChannelParams(carrier_frequency=2.0, rng_seed=2)
-    c = sample_window(spoofed, BS1, other_seed, 100)
-    assert any(x.measured_db != y.measured_db for x, y in zip(a, c))
+    a, _ = sample_window(spoofed, BS1, PARAMS)
+    b, _ = sample_window(spoofed, BS1, PARAMS)
+    assert np.array_equal(a, b)
+    c, _ = sample_window(spoofed, BS1, ChannelParams(carrier_frequency=2.0, rng_seed=2))
+    assert np.any(a != c)
 
 
 def test_sample_window_streams_differ_across_stations_and_flights():
     s = _scenarios()
-    w1 = sample_window(s[0], BS1, PARAMS, 100)
-    w2 = sample_window(s[0], BS2, PARAMS, 100)
-    assert any(a.measured_db - a.theoretical_db != b.measured_db - b.theoretical_db
-               for a, b in zip(w1, w2))
-    w3 = sample_window(s[16], BS1, PARAMS, 100)  # legitimate replica, fresh seed
-    assert any(a.measured_db != b.measured_db for a, b in zip(w1, w3))
+    m1, t1 = sample_window(s[0], BS1, PARAMS)
+    m2, t2 = sample_window(s[0], BS2, PARAMS)
+    assert np.any(m1 - t1 != m2 - t2)
+    m3, _ = sample_window(s[16], BS1, PARAMS)  # legitimate replica, fresh seed
+    assert np.any(m1 != m3)
 
 
 def test_sample_window_rejects_short_trajectory():
@@ -215,13 +222,19 @@ def test_sampled_los_mode_is_deterministic():
     )
     scenario = SpoofingScenario(low, low, label=False)
     params = ChannelParams(carrier_frequency=2.0, rng_seed=3, sampled_los=True)
-    a = sample_window(scenario, BS1, params, 100)
-    assert a == sample_window(scenario, BS1, params, 100)
+    a, _ = sample_window(scenario, BS1, params)
+    b, _ = sample_window(scenario, BS1, params)
+    assert np.array_equal(a, b)
 
 
 def test_path_loss_sample_requires_finite_values():
-    with pytest.raises(ValueError):
-        PathLossSample(1, 0, float("nan"), 80.0)
+    spec = DatasetSpec(
+        scenario=default_config(),
+        channel=ChannelParams(carrier_frequency=2.0, meas_noise_sigma=math.inf),
+        method="wd", n_bs=1, train_size=2, test_size=2,
+    )
+    with pytest.raises(ValueError, match="finite"):
+        generate(spec)
 
 
 def test_window_rng_is_stable_derivation():

@@ -9,7 +9,8 @@ from spoofbench.dataset import (
     DatasetSpec,
     LabeledDataset,
     generate,
-    iter_delta_rows,
+    CHUNK_ROWS,
+    iter_delta_chunks,
     load,
     row_plan,
     save,
@@ -100,11 +101,21 @@ def test_row_plan_cycles_spoofed_destinations():
 def test_delta_rows_agree_with_mvsk_mean_feature():
     spec = small_spec(method="mvsk", n_bs=2, train=6, test=4)
     train_ds, _ = generate(spec)
-    for (deltas, label), row in zip(iter_delta_rows(spec, "train"), train_ds.rows):
-        assert label == row.label
-        for k, d in enumerate(deltas):
+    (plans, deltas), = iter_delta_chunks(spec, "train")
+    assert deltas.shape == (6, 2, 100)
+    for plan, row_deltas, row in zip(plans, deltas, train_ds.rows):
+        assert plan.label == row.label
+        for k, d in enumerate(row_deltas):
             mean_feature = row.per_bs[k][1][0]
-            assert float(np.mean(d.values)) == pytest.approx(mean_feature, rel=1e-12)
+            assert float(np.mean(d)) == pytest.approx(mean_feature, rel=1e-12)
+
+
+def test_delta_chunks_cover_the_split_in_order():
+    spec = small_spec(method="wd", n_bs=1, train=CHUNK_ROWS + 3, test=2)
+    chunks = list(iter_delta_chunks(spec, "train"))
+    assert [len(plans) for plans, _ in chunks] == [CHUNK_ROWS, 3]
+    assert [p.index for plans, _ in chunks for p in plans] == list(range(CHUNK_ROWS + 3))
+    assert all(d.shape == (len(plans), 1, 100) for plans, d in chunks)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -113,6 +124,27 @@ def test_save_load_round_trip(tmp_path):
         path = tmp_path / name
         save(ds, path)
         assert load(path) == ds
+
+
+def test_save_load_round_trip_without_spec(tmp_path):
+    train_ds, _ = generate(small_spec(method="mvsk", n_bs=2, train=10, test=6))
+    bare = LabeledDataset(rows=train_ds.rows, split="train", provenance=train_ds.provenance)
+    path = tmp_path / "train.csv"
+    save(bare, path)
+    again = load(path)
+    assert again == bare
+    assert [bs_id for bs_id, _ in again.rows[0].per_bs] == [1, 3]
+
+    sidecar_path = tmp_path / "train.meta.json"
+    doc = json.loads(sidecar_path.read_text())
+    doc["bs_ids"] = [1, 2, 3]
+    sidecar_path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match="3 stations"):
+        load(path)
+    del doc["bs_ids"]
+    sidecar_path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match="neither bs_ids nor a spec"):
+        load(path)
 
 
 def test_load_reports_bad_cells(tmp_path):
@@ -156,10 +188,16 @@ def test_load_detects_tampered_sidecar(tmp_path):
     path = tmp_path / "train.csv"
     save(ds, path)
     sidecar_path = tmp_path / "train.meta.json"
-    doc = json.loads(sidecar_path.read_text())
+    original = sidecar_path.read_text()
+    doc = json.loads(original)
     doc["spec"]["scenario"]["rng_seed"] = 999  # silently alter provenance
     sidecar_path.write_text(json.dumps(doc))
     with pytest.raises(DatasetFormatError, match="hash"):
+        load(path)
+    doc = json.loads(original)
+    doc["bs_ids"] = [2]  # relabel the station
+    sidecar_path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match="disagree"):
         load(path)
 
 

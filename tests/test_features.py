@@ -5,17 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spoofbench.channel import PathLossSample
+from oracles import reference_window
+from spoofbench.channel import ChannelParams
+from spoofbench.dataset import DatasetSpec, iter_delta_chunks
 from spoofbench.features import (
     FEATURES_PER_BS,
-    DeltaSeries,
     FeatureVector,
     box,
-    delta_series,
     extract,
     mvsk,
     wasserstein_1d,
 )
+from spoofbench.scenario import SpoofingScenario, default_config, destination_grid, flight_to
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
 series_strategy = st.lists(finite_floats, min_size=2, max_size=60)
@@ -47,40 +48,52 @@ def cdf_area_distance(a, b):
     return total
 
 
-def make_window(measured, theoretical, bs_id=1):
-    return [
-        PathLossSample(bs_id, t, float(m), float(th))
-        for t, (m, th) in enumerate(zip(measured, theoretical))
-    ]
-
-
 # ---------------------------------------------------------------- delta series
 
 
 def test_delta_series_is_absolute_difference():
-    window = make_window([80.0, 80.0], [80.0, 79.356])
-    d = delta_series(window)
-    assert d.values[0] == 0.0
-    assert d.values[1] == pytest.approx(0.644, abs=1e-9)
+    """The simulated deltas are |measured - theoretical| of the scalar oracle."""
+    config = default_config()
+    spec = DatasetSpec(config, ChannelParams(carrier_frequency=2.0), "wd", n_bs=2,
+                       train_size=6, test_size=2)
+    destinations = destination_grid(config)
+    reported = flight_to(config, destinations[0])
+    ((plans, deltas),) = iter_delta_chunks(spec, "train")
+    for plan, row in zip(plans, deltas):
+        flight = flight_to(config, destinations[plan.dest_index])
+        scenario = SpoofingScenario(flight, reported, plan.label, noise_seed=plan.noise_seed)
+        for bs_id, delta in zip((1, 3), row):
+            measured, theoretical, _ = reference_window(
+                scenario, config.base_station_by_id(bs_id), spec.channel, 100
+            )
+            assert delta.tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
 
 
 def test_delta_series_sign_flip_invariant():
-    up = delta_series(make_window([81.0, 82.0], [80.0, 80.0]))
-    down = delta_series(make_window([79.0, 78.0], [80.0, 80.0]))
-    assert np.array_equal(up.values, down.values)
+    theoretical = np.full(2, 80.0)
+    up = np.abs(np.array([81.0, 82.0]) - theoretical)
+    down = np.abs(np.array([79.0, 78.0]) - theoretical)
+    for method in ("mvsk", "box", "wd"):
+        assert extract(up[None, None], method, [True], [1]) == extract(
+            down[None, None], method, [True], [1]
+        )
 
 
 def test_delta_series_rejects_mixed_stations_and_empty():
-    mixed = make_window([80.0], [80.0], bs_id=1) + make_window([80.0], [80.0], bs_id=2)
-    with pytest.raises(ValueError, match="mixes"):
-        delta_series(mixed)
-    with pytest.raises(ValueError):
-        delta_series([])
+    deltas = np.ones((1, 2, 5))
+    with pytest.raises(ValueError, match="unique station id"):
+        extract(deltas, "mvsk", [True], [1])
+    with pytest.raises(ValueError, match="unique station id"):
+        extract(deltas, "mvsk", [True], [2, 2])
+    with pytest.raises(ValueError, match="non-empty"):
+        extract(np.ones((1, 2, 0)), "mvsk", [True], [1, 2])
+    with pytest.raises(ValueError, match="labels"):
+        extract(deltas, "mvsk", [True, False], [1, 2])
 
 
 def test_delta_series_validates_values():
-    with pytest.raises(ValueError):
-        DeltaSeries(1, np.array([-0.1]))
+    with pytest.raises(ValueError, match=">= 0"):
+        extract(np.array([[[0.5, -0.1]]]), "box", [True], [1])
 
 
 # ------------------------------------------------------------------------ mvsk
@@ -197,14 +210,9 @@ def test_wasserstein_translation_pairing_invariance(a, b, shift):
 # --------------------------------------------------------------------- extract
 
 
-def synthetic_windows(n_bs, n=10, seed=0):
+def synthetic_deltas(n_bs, n=10, seed=0, rows=1):
     rng = np.random.default_rng(seed)
-    windows = []
-    for bs_id in range(1, n_bs + 1):
-        theoretical = 80.0 + rng.normal(size=n)
-        measured = theoretical + rng.normal(size=n)
-        windows.append(make_window(measured, theoretical, bs_id=bs_id))
-    return windows
+    return np.abs(rng.normal(size=(rows, n_bs, n)))
 
 
 @pytest.mark.parametrize(
@@ -216,51 +224,56 @@ def synthetic_windows(n_bs, n=10, seed=0):
     ],
 )
 def test_extract_widths(method, n_bs, width):
-    fv = extract(synthetic_windows(n_bs), method, label=True)
+    (fv,) = extract(synthetic_deltas(n_bs), method, [True], list(range(1, n_bs + 1)))
     assert fv.width == width
     assert fv.width == n_bs * FEATURES_PER_BS[method]
     assert fv.label is True
 
 
 def test_extract_orders_blocks_by_station_id():
-    windows = synthetic_windows(3)
-    shuffled = [windows[2], windows[0], windows[1]]
-    assert extract(shuffled, "mvsk", False) == extract(windows, "mvsk", False)
-    assert [bs for bs, _ in extract(shuffled, "box", False).per_bs] == [1, 2, 3]
+    deltas = synthetic_deltas(3, rows=4)
+    labels = [True, False, True, False]
+    shuffled = deltas[:, [2, 0, 1]]
+    for method in ("mvsk", "box", "wd"):
+        assert extract(shuffled, method, labels, [3, 1, 2]) == extract(deltas, method, labels, [1, 2, 3])
+    assert [bs for bs, _ in extract(shuffled, "box", labels, [3, 1, 2])[0].per_bs] == [1, 2, 3]
 
 
 def test_extract_is_invariant_to_sample_order():
-    windows = synthetic_windows(2, n=20)
+    deltas = synthetic_deltas(2, n=20, rows=3)
     rng = np.random.default_rng(5)
+    labels = [True] * 3
     for method in ("mvsk", "box", "wd"):
-        permuted = [[w[i] for i in rng.permutation(len(w))] for w in windows]
-        assert extract(permuted, method, True) == extract(windows, method, True)
+        permuted = deltas[..., rng.permutation(20)]
+        assert extract(permuted, method, labels, [1, 2]) == extract(deltas, method, labels, [1, 2])
+
+
+def test_extract_matches_per_series_features_bit_for_bit():
+    deltas = synthetic_deltas(3, n=100, seed=4, rows=50)
+    deltas[7, 1] = 0.25  # constant series: the mvsk zero-variance convention
+    labels = [bool(i % 2) for i in range(50)]
+    for method, fn in (("mvsk", mvsk), ("box", box)):
+        rows = extract(deltas, method, labels, [1, 2, 3])
+        for row, series in zip(rows, deltas):
+            assert row.per_bs == tuple((k + 1, fn(s)) for k, s in enumerate(series))
+            assert row.flattened.tolist() == [v for s in series for v in fn(s)]
 
 
 def test_extract_wd_default_is_delta_against_zero():
-    windows = synthetic_windows(1, n=30)
-    d = delta_series(windows[0])
-    fv = extract(windows, "wd", True)
-    assert fv.flattened[0] == pytest.approx(float(np.mean(d.values)), rel=1e-12)
-
-
-def test_extract_wd_raw_variant_compares_measured_and_theoretical():
-    windows = synthetic_windows(1, n=30)
-    measured = [s.measured_db for s in windows[0]]
-    theoretical = [s.theoretical_db for s in windows[0]]
-    fv = extract(windows, "wd", True, wd_on_raw=True)
-    assert fv.flattened[0] == pytest.approx(wasserstein_1d(measured, theoretical), rel=1e-12)
+    deltas = synthetic_deltas(1, n=30, rows=5)
+    for fv, d in zip(extract(deltas, "wd", [True] * 5, [1]), deltas):
+        assert fv.flattened[0] == wasserstein_1d(d[0], np.zeros_like(d[0]))
 
 
 def test_extract_errors():
     with pytest.raises(ValueError):
-        extract([], "mvsk", True)
-    windows = synthetic_windows(2)
-    windows[1] = windows[1][:-1]
-    with pytest.raises(ValueError, match="lengths"):
-        extract(windows, "mvsk", True)
+        extract(np.ones((0, 1, 10)), "mvsk", [], [1])
+    with pytest.raises(ValueError, match="rows, stations, samples"):
+        extract(np.ones((2, 10)), "mvsk", [True, True], [1])
+    with pytest.raises(ValueError, match="length >= 2"):
+        extract(np.ones((1, 1, 1)), "mvsk", [True], [1])
     with pytest.raises(ValueError, match="unknown feature method"):
-        extract(synthetic_windows(1), "pca", True)
+        extract(synthetic_deltas(1), "pca", [True], [1])
 
 
 def test_feature_vector_width_validation():

@@ -1,0 +1,54 @@
+"""Golden sha256 digests of the seed-1 full-size datasets.
+
+The digests were recorded from the per-sample simulation that preceded the
+array pipeline. They pin the exact bytes of train.csv and test.csv for every
+(method, station count) pair, so a change to the simulation, the feature
+arithmetic or the CSV writer that moves any value by even one ulp fails
+here. Criterion 10 only replays the current code against itself.
+"""
+
+import hashlib
+
+import pytest
+
+from spoofbench.channel import ChannelParams
+from spoofbench.dataset import DatasetSpec, generate, save
+from spoofbench.scenario import default_config
+
+GOLDEN_CSV_SHA256 = {
+    ("mvsk", 1): ("e93f3b9634cd010cd7db9a99ce2cb1c9a8a296a3377db86b9c9bc1fbf6298245",
+                  "83c1da1685b35be3d11813100ec0d1010109471feadb5d4959896579c333eccc"),
+    ("mvsk", 2): ("6726beec2675de59436af20426e5109975c56ba7f191142d3eb2f3c720432412",
+                  "5c1d1d822c6879701736946aca02edd33c65e3bc5fd7e4d6f76e0ff297778406"),
+    ("mvsk", 3): ("fa31d5c057266c5e66878e2ec74644c264f443866c6103a3539e9e2f8436a01a",
+                  "9b170d670b98453e15ec6b948a7e6d14df9b3ddacb7ab6806ec8f160c7c38817"),
+    ("box", 1): ("98b5843e67f1761d83f3de6cfe5b341bd2d4e8268a308de20d34322ea6e8a512",
+                 "58091ec4d0fcbbeab4a9abcd54c575ef6bd5be7e94faaf1b13befdef34ec7402"),
+    ("box", 2): ("9445cd2f3776e0b37fa107df2fbfded29735569f6f2b27a2c951bfe90eca5acc",
+                 "79507d860364a97381e7e55c49770f4d2bab91535dea7e1bdcdbd544e47d235e"),
+    ("box", 3): ("e33c0e9ebfa23a8c6cbac03cee13605dde0297cf2927c83a700e9a23ed890193",
+                 "de65bd36e3cae70a55d60ed3e8290e6a5e1bebdebaacfa38f3d1160091adf93f"),
+    ("wd", 1): ("06834223f6617cae999269167bd7b686209d499256289800bcd3a20782db767c",
+                "c2b086c008bf156bfddf993498af0a3a1595b4c0f02cc2aa2da5ba7ca0a2a126"),
+    ("wd", 2): ("c2523257d32aa75f0cb1a9bc93d9c4670e607e83ea5fe22c6b345e9854d64cc9",
+                "18bcaffe479c9934aac9622457f1b742d61bc7ccd309990b65e4f407e9f01b81"),
+    ("wd", 3): ("c995a577ca61958fc8bf5f220d972682c041b075ee528831b05437b3b2502473",
+                "b70612d043e7b45c9f7cb05130188941fb56d716978a25540bbebdee65d1e366"),
+}
+
+
+@pytest.mark.parametrize("method,n_bs", sorted(GOLDEN_CSV_SHA256))
+def test_seed1_dataset_csvs_match_golden_digests(tmp_path, method, n_bs):
+    spec = DatasetSpec(
+        scenario=default_config(rng_seed=1),
+        channel=ChannelParams(carrier_frequency=2.0, rng_seed=1),
+        method=method,
+        n_bs=n_bs,
+        rng_seed=1,
+    )
+    digests = []
+    for ds in generate(spec):
+        path = tmp_path / f"{ds.split}.csv"
+        save(ds, path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert tuple(digests) == GOLDEN_CSV_SHA256[(method, n_bs)]

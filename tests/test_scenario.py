@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import position_at
 from spoofbench.scenario import (
     BaseStation,
     ScenarioConfig,
@@ -16,7 +17,6 @@ from spoofbench.scenario import (
     destination_grid,
     destination_layout,
     flight_to,
-    position_at,
     positions_at,
 )
 

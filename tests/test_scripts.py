@@ -1,0 +1,19 @@
+"""Smoke test of the experiment scripts' end-to-end entry points."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_headline_reproduces_seed1_accuracy(tmp_path):
+    result = load_script("run_headline").run(seed=1, workdir=tmp_path)
+    assert result["mlp_accuracy"] == 0.9618163054695562
+    assert result["threshold"].accuracy < result["mlp_accuracy"]
