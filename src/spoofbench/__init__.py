@@ -30,7 +30,6 @@ from .scenario import (
     SpoofingScenario,
     Trajectory,
     Waypoint,
-    build_scenarios,
     default_config,
     destination_grid,
 )

@@ -24,16 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import BaseStation, Trajectory, positions_at
+from .scenario import BaseStation, Trajectory, check_positive_finite, positions_at
 
 LOS_PROBABILITY_MIN_HEIGHT = 22.5  # rule below this clamps to the model floor
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Stochastic channel configuration; all sigmas in dB."""
+    """Stochastic channel configuration; all sigmas in dB.
 
-    carrier_frequency: float  # GHz
+    The only holder of the carrier frequency and of rng_seed, the seed of
+    every window's noise stream (window_rng).
+    """
+
+    carrier_frequency: float = 2.0  # GHz
     los_shadow_formula: bool = True  # height-dependent LoS shadow sigma on/off
     nlos_shadow_sigma: float = 6.0
     meas_noise_sigma: float = 0.5
@@ -41,10 +45,13 @@ class ChannelParams:
     sampled_los: bool = False  # draw the LoS/NLoS branch instead of thresholding
 
     def __post_init__(self):
-        if self.carrier_frequency <= 0:
-            raise ValueError("carrier_frequency must be > 0")
-        if self.nlos_shadow_sigma < 0 or self.meas_noise_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        check_positive_finite("carrier_frequency", self.carrier_frequency)
+        for name in ("nlos_shadow_sigma", "meas_noise_sigma"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 def los_probability(uav_height: float, d2d: float) -> float:

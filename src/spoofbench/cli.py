@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, dataset, mlp
-from .channel import ChannelParams, Link, check_finite, measured_window, window_positions, window_rng
+from .channel import ChannelParams
 from .configio import config_to_dict, load_config, save_config
 from .features import FEATURES_PER_BS, METHODS
 from .presets import BEST_SETTINGS
-from .scenario import build_scenarios, default_config
+from .scenario import default_config, destination_grid
 
 ARCHIVE_FORMAT = "spoofbench-archive"
 REPORT_FORMAT = "spoofbench-report"
@@ -42,10 +42,8 @@ def cmd_init(args) -> int:
     """Write the default scenario config and dataset spec to a directory."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = default_config(rng_seed=args.seed)
-    channel = ChannelParams(
-        carrier_frequency=scenario.carrier_frequency, rng_seed=args.seed
-    )
+    scenario = default_config()
+    channel = ChannelParams(rng_seed=args.seed)
     save_config(out / "config.json", scenario, channel)
     spec = dataset.DatasetSpec(
         scenario=scenario,
@@ -65,43 +63,37 @@ def cmd_simulate(args) -> int:
     """Deterministic archive of every scenario's per-station windows."""
     scenario_cfg, channel = load_config(args.config)
     if args.seed is not None:
-        scenario_cfg = replace(scenario_cfg, rng_seed=args.seed)
         channel = replace(channel, rng_seed=args.seed)
-    scenarios = build_scenarios(scenario_cfg)
+    bs_ids = [bs.id for bs in scenario_cfg.base_stations]
+    destinations = destination_grid(scenario_cfg)
+    plans = dataset.archive_plan(scenario_cfg.n_destinations)
     entries = []
-    for i, sc in enumerate(scenarios):
-        true_pos = window_positions(sc.true_trajectory, scenario_cfg.window_size)
-        reported_pos = window_positions(sc.reported_trajectory, scenario_cfg.window_size)
-        windows = {}
-        for bs in scenario_cfg.base_stations:
-            rng = window_rng(channel, sc.noise_seed, bs.id)
-            measured = measured_window(Link.along(true_pos, bs, channel), channel, rng)
-            theoretical = Link.along(reported_pos, bs, channel).theoretical()
-            windows[str(bs.id)] = {
-                "measured_db": check_finite(measured).tolist(),
-                "theoretical_db": check_finite(theoretical).tolist(),
-            }
-        entries.append(
-            {
-                "index": i,
-                "label": sc.label,
-                "noise_seed": sc.noise_seed,
-                "true_destination": list(sc.true_trajectory.waypoints[-1].position),
-                "reported_destination": list(sc.reported_trajectory.waypoints[-1].position),
-                "windows": windows,
-            }
-        )
+    for chunk, theoretical, measured in dataset.iter_windows(scenario_cfg, channel, bs_ids, plans):
+        for plan, row in zip(chunk, measured):
+            entries.append(
+                {
+                    "index": plan.index,
+                    "label": plan.label,
+                    "noise_seed": plan.noise_seed,
+                    "true_destination": list(destinations[plan.dest_index]),
+                    "reported_destination": list(destinations[0]),
+                    "windows": {
+                        str(bs_id): {"measured_db": m.tolist(), "theoretical_db": t.tolist()}
+                        for bs_id, m, t in zip(bs_ids, row, theoretical)
+                    },
+                }
+            )
     _write_json(
         args.out,
         {
             "format": ARCHIVE_FORMAT,
             "format_version": FORMAT_VERSION,
             "config": config_to_dict(scenario_cfg, channel),
-            "base_stations": [bs.id for bs in scenario_cfg.base_stations],
+            "base_stations": bs_ids,
             "scenarios": entries,
         },
     )
-    print(f"wrote {args.out}: {len(entries)} scenarios x {len(scenario_cfg.base_stations)} stations")
+    print(f"wrote {args.out}: {len(entries)} scenarios x {len(bs_ids)} stations")
     return 0
 
 
@@ -113,12 +105,7 @@ def _load_spec(args) -> dataset.DatasetSpec:
     if getattr(args, "n_bs", None):
         spec = replace(spec, n_bs=args.n_bs)
     if args.seed is not None:
-        spec = replace(
-            spec,
-            rng_seed=args.seed,
-            scenario=replace(spec.scenario, rng_seed=args.seed),
-            channel=replace(spec.channel, rng_seed=args.seed),
-        )
+        spec = replace(spec, rng_seed=args.seed, channel=replace(spec.channel, rng_seed=args.seed))
     return spec
 
 

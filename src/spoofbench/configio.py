@@ -1,12 +1,16 @@
 """Reading and writing the human-editable scenario config file.
 
-One JSON document holds both the scene geometry and the channel noise
-settings, under fixed keys:
+One JSON document holds both the scene geometry (ScenarioConfig) and the
+channel settings (ChannelParams), under fixed keys:
 
-    base_stations, start, mission_radius_m, n_destinations,
-    carrier_frequency_ghz, window_size, rng_seed, sample_period_s,
-    nlos_shadow_sigma_db, los_shadow_formula, meas_noise_sigma_db,
-    sampled_los
+    scene:   base_stations, start, mission_radius_m, n_destinations,
+             window_size, sample_period_s
+    channel: carrier_frequency_ghz, rng_seed, nlos_shadow_sigma_db,
+             los_shadow_formula, meas_noise_sigma_db, sampled_los
+
+Values must have their JSON type: booleans are true/false, counts, ids and
+seeds are integers. A wrong type or a value the constructors reject raises
+ConfigError.
 """
 
 from __future__ import annotations
@@ -33,15 +37,33 @@ def config_to_dict(config: ScenarioConfig, channel: ChannelParams) -> dict:
         "start": list(config.start),
         "mission_radius_m": config.mission_radius,
         "n_destinations": config.n_destinations,
-        "carrier_frequency_ghz": config.carrier_frequency,
+        "carrier_frequency_ghz": channel.carrier_frequency,
         "window_size": config.window_size,
-        "rng_seed": config.rng_seed,
+        "rng_seed": channel.rng_seed,
         "sample_period_s": config.sample_period,
         "nlos_shadow_sigma_db": channel.nlos_shadow_sigma,
         "los_shadow_formula": channel.los_shadow_formula,
         "meas_noise_sigma_db": channel.meas_noise_sigma,
         "sampled_los": channel.sampled_los,
     }
+
+
+_JSON_TYPES = {bool: ("a boolean", (bool,)), int: ("an integer", (int,)), float: ("a number", (int, float))}
+
+
+def _typed(key: str, value, kind):
+    """value converted to kind, if its JSON type is kind's; names key if not."""
+    name, types = _JSON_TYPES[kind]
+    # bool is a subclass of int in Python, but true is no JSON number.
+    if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    return kind(value)
+
+
+def _list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def config_from_dict(doc: dict) -> tuple[ScenarioConfig, ChannelParams]:
@@ -58,29 +80,31 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, ChannelParams]:
     if missing:
         raise ConfigError(f"config missing keys: {', '.join(missing)}")
     try:
-        stations = tuple(
-            BaseStation(int(b["id"]), np.array([float(b["x"]), float(b["y"]), float(b["h"])]))
-            for b in doc["base_stations"]
-        )
+        stations = []
+        for b in _list("base_stations", doc["base_stations"]):
+            if not isinstance(b, dict) or not {"id", "x", "y", "h"} <= b.keys():
+                raise ConfigError(f"base_stations entries need id, x, y and h, got {b!r}")
+            position = [_typed(f"base_stations.{k}", b[k], float) for k in ("x", "y", "h")]
+            stations.append(BaseStation(_typed("base_stations.id", b["id"], int), np.array(position)))
         config = ScenarioConfig(
-            base_stations=stations,
-            start=np.asarray(doc["start"], dtype=float),
-            mission_radius=float(doc["mission_radius_m"]),
-            n_destinations=int(doc["n_destinations"]),
-            carrier_frequency=float(doc["carrier_frequency_ghz"]),
-            window_size=int(doc["window_size"]),
-            rng_seed=int(doc["rng_seed"]),
-            sample_period=float(doc.get("sample_period_s", 1.0)),
+            base_stations=tuple(stations),
+            start=np.array([_typed("start", v, float) for v in _list("start", doc["start"])]),
+            mission_radius=_typed("mission_radius_m", doc["mission_radius_m"], float),
+            n_destinations=_typed("n_destinations", doc["n_destinations"], int),
+            window_size=_typed("window_size", doc["window_size"], int),
+            sample_period=_typed("sample_period_s", doc.get("sample_period_s", 1.0), float),
         )
         channel = ChannelParams(
-            carrier_frequency=config.carrier_frequency,
-            los_shadow_formula=bool(doc.get("los_shadow_formula", True)),
-            nlos_shadow_sigma=float(doc.get("nlos_shadow_sigma_db", 6.0)),
-            meas_noise_sigma=float(doc.get("meas_noise_sigma_db", 0.5)),
-            rng_seed=int(doc["rng_seed"]),
-            sampled_los=bool(doc.get("sampled_los", False)),
+            carrier_frequency=_typed("carrier_frequency_ghz", doc["carrier_frequency_ghz"], float),
+            los_shadow_formula=_typed("los_shadow_formula", doc.get("los_shadow_formula", True), bool),
+            nlos_shadow_sigma=_typed("nlos_shadow_sigma_db", doc.get("nlos_shadow_sigma_db", 6.0), float),
+            meas_noise_sigma=_typed("meas_noise_sigma_db", doc.get("meas_noise_sigma_db", 0.5), float),
+            rng_seed=_typed("rng_seed", doc["rng_seed"], int),
+            sampled_los=_typed("sampled_los", doc.get("sampled_los", False), bool),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError) as exc:  # a constructor's check, or an int too big for a float
         raise ConfigError(f"invalid config value: {exc}") from exc
     return config, channel
 

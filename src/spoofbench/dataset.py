@@ -124,17 +124,31 @@ def row_plan(spec: DatasetSpec, split: str) -> list[RowPlan]:
     return rows
 
 
-def iter_delta_chunks(spec: DatasetSpec, split: str):
-    """Yields (plans, deltas) for consecutive chunks of at most CHUNK_ROWS rows.
-
-    deltas is a (rows, stations, samples) array of |measured - theoretical|
-    path loss, stations in select_bs_subset order. The noise-free path loss
-    is computed once per (destination, station); per row only the window's
-    random draws are made.
+def archive_plan(n_destinations: int) -> list[RowPlan]:
+    """The rows of a `simulate` archive: one flight per destination, seeded
+    with its index (only destination 0, the planned one, is legitimate),
+    then n - 2 legitimate replays seeded n ... 2n - 3, so the classes come
+    out balanced.
     """
-    config = spec.scenario
+    n = n_destinations
+    flights = [RowPlan(index=i, label=i != 0, dest_index=i, noise_seed=i) for i in range(n)]
+    replays = [RowPlan(index=k, label=False, dest_index=0, noise_seed=k) for k in range(n, 2 * n - 2)]
+    return flights + replays
+
+
+def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, plans: list[RowPlan]):
+    """Yields (plans, theoretical, measured) for consecutive chunks of at most
+    CHUNK_ROWS rows: the one simulation behind `generate` and `simulate`.
+
+    Every row reports the planned flight, destination 0, so theoretical is
+    one (stations, samples) array of its noise-free path loss, shared by
+    every chunk. measured is a (rows, stations, samples) array of the path
+    loss each station reports along the row's true flight. Stations come in
+    bs_ids order. The noise-free path loss is computed once per
+    (destination, station); per row only the window's random draws are made.
+    """
     n = config.window_size
-    stations = [config.base_station_by_id(i) for i in select_bs_subset(spec.n_bs)]
+    stations = [config.base_station_by_id(i) for i in bs_ids]
     destinations = destination_grid(config)
     reported = flight_to(config, destinations[0])
     links = []  # [destination][station]
@@ -143,19 +157,28 @@ def iter_delta_chunks(spec: DatasetSpec, split: str):
         # Validates the pair: identical when legitimate, divergent when spoofed.
         SpoofingScenario(flight, reported, label=dest_index != 0)
         positions = window_positions(flight, n)
-        links.append([Link.along(positions, bs, spec.channel) for bs in stations])
-    # Every row reports the planned flight, destination 0.
-    theoretical = np.stack([lk.theoretical() for lk in links[0]])
-    plans = row_plan(spec, split)
+        links.append([Link.along(positions, bs, channel) for bs in stations])
+    theoretical = check_finite(np.stack([lk.theoretical() for lk in links[0]]))
     for start in range(0, len(plans), CHUNK_ROWS):
         chunk = plans[start : start + CHUNK_ROWS]
         measured = np.empty((len(chunk), len(stations), n))
         for i, plan in enumerate(chunk):
             for j, lk in enumerate(links[plan.dest_index]):
-                rng = window_rng(spec.channel, plan.noise_seed, stations[j].id)
-                measured[i, j] = measured_window(lk, spec.channel, rng)
+                rng = window_rng(channel, plan.noise_seed, stations[j].id)
+                measured[i, j] = measured_window(lk, channel, rng)
+        yield chunk, theoretical, check_finite(measured)
+
+
+def iter_delta_chunks(spec: DatasetSpec, split: str):
+    """Yields (plans, deltas) for consecutive chunks of at most CHUNK_ROWS rows.
+
+    deltas is a (rows, stations, samples) array of |measured - theoretical|
+    path loss, stations in select_bs_subset order.
+    """
+    windows = iter_windows(spec.scenario, spec.channel, select_bs_subset(spec.n_bs), row_plan(spec, split))
+    for chunk, theoretical, measured in windows:
         measured -= theoretical  # in place: |measured - theoretical| without temporaries
-        yield chunk, check_finite(np.abs(measured, out=measured))
+        yield chunk, np.abs(measured, out=measured)
 
 
 @dataclass

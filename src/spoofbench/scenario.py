@@ -10,7 +10,7 @@ flies toward a different destination while still reporting the planned path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,15 @@ def _as_vec3(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"coordinates must be finite, got {v.tolist()}")
     return v
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Raises unless value is a finite number above zero."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +82,7 @@ class Trajectory:
         times = [w.time for w in self.waypoints]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("waypoint times must be strictly increasing")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
+        check_positive_finite("sample_period", self.sample_period)
 
     @property
     def duration(self) -> float:
@@ -101,65 +108,50 @@ def positions_at(trajectory: Trajectory, ts: np.ndarray) -> np.ndarray:
     return np.stack([np.interp(ts, times, pts[:, k]) for k in range(3)], axis=1)
 
 
-def _trajectories_equal(a: Trajectory, b: Trajectory) -> bool:
-    return (
-        len(a.waypoints) == len(b.waypoints)
-        and a.sample_period == b.sample_period
-        and all(
-            wa.time == wb.time and np.array_equal(wa.position, wb.position)
-            for wa, wb in zip(a.waypoints, b.waypoints)
-        )
-    )
-
-
 @dataclass(frozen=True)
 class SpoofingScenario:
     """One flight: where the UAV really is vs. where its GPS says it is.
 
     label is True when the reported trajectory diverges from the true one
-    (spoofed). spoof_onset is the time at which the two paths start to
-    diverge; noise_seed individualizes the measurement noise of this flight.
+    (spoofed).
     """
 
     true_trajectory: Trajectory
     reported_trajectory: Trajectory
     label: bool
-    spoof_onset: float = 0.0
-    noise_seed: int = 0
 
     def __post_init__(self):
-        same = _trajectories_equal(self.true_trajectory, self.reported_trajectory)
+        same = self.true_trajectory == self.reported_trajectory
         if not self.label:
             if not same:
                 raise ValueError("legitimate scenario must have identical trajectories")
             return
         if same:
             raise ValueError("spoofed scenario must have divergent trajectories")
-        # Paths must agree strictly before onset and differ somewhere after.
+        # Distinct waypoints may still trace the same path at the sample instants.
         period = self.true_trajectory.sample_period
         end = min(self.true_trajectory.duration, self.reported_trajectory.duration)
         ts = np.arange(0.0, end + 0.5 * period, period)
         ts = ts[ts <= end]
         p_true = positions_at(self.true_trajectory, ts)
         p_rep = positions_at(self.reported_trajectory, ts)
-        diverged = np.any(p_true != p_rep, axis=1)
-        if np.any(diverged & (ts < self.spoof_onset)):
-            raise ValueError("trajectories diverge before spoof_onset")
-        if not np.any(diverged & (ts >= self.spoof_onset)):
-            raise ValueError("spoofed trajectories never diverge after onset")
+        if not np.any(p_true != p_rep):
+            raise ValueError("spoofed trajectories never diverge")
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Every knob of the simulated mission, serializable to a config file."""
+    """The mission's geometry and sampling, serializable to a config file.
+
+    The carrier frequency and the noise seed belong to the channel
+    (ChannelParams), which the same file also holds.
+    """
 
     base_stations: tuple[BaseStation, ...]
     start: np.ndarray
     mission_radius: float  # meters from start to every destination
     n_destinations: int
-    carrier_frequency: float  # GHz
     window_size: int  # samples per decision window
-    rng_seed: int
     sample_period: float = 1.0  # seconds between path-loss samples
 
     def __post_init__(self):
@@ -168,16 +160,16 @@ class ScenarioConfig:
         ids = [bs.id for bs in self.base_stations]
         if len(set(ids)) != len(ids):
             raise ValueError("base station ids must be unique")
-        if self.n_destinations < 2:
-            raise ValueError("need at least 2 destinations")
+        if self.n_destinations < 2 or self.n_destinations % 2:
+            raise ValueError(f"n_destinations must be even and >= 2, got {self.n_destinations}")
         if self.window_size < 2:
             raise ValueError("window_size must be >= 2")
-        if self.carrier_frequency <= 0:
-            raise ValueError("carrier_frequency must be > 0")
-        if self.mission_radius <= 0:
-            raise ValueError("mission_radius must be > 0")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
+        check_positive_finite("mission_radius", self.mission_radius)
+        check_positive_finite("sample_period", self.sample_period)
+        # Two destinations span both elevation rings, and a destination's
+        # height does not depend on its azimuth: this fails exactly when the
+        # full layout would put a destination underground.
+        destination_layout(self.start, self.mission_radius, 2)
 
     def __eq__(self, other):
         if not isinstance(other, ScenarioConfig):
@@ -185,22 +177,8 @@ class ScenarioConfig:
         return (
             self.base_stations == other.base_stations
             and np.array_equal(self.start, other.start)
-            and (
-                self.mission_radius,
-                self.n_destinations,
-                self.carrier_frequency,
-                self.window_size,
-                self.rng_seed,
-                self.sample_period,
-            )
-            == (
-                other.mission_radius,
-                other.n_destinations,
-                other.carrier_frequency,
-                other.window_size,
-                other.rng_seed,
-                other.sample_period,
-            )
+            and (self.mission_radius, self.n_destinations, self.window_size, self.sample_period)
+            == (other.mission_radius, other.n_destinations, other.window_size, other.sample_period)
         )
 
     def base_station_by_id(self, bs_id: int) -> BaseStation:
@@ -215,9 +193,9 @@ class ScenarioConfig:
         return self.window_size * self.sample_period
 
 
-def default_config(rng_seed: int = 1) -> ScenarioConfig:
+def default_config() -> ScenarioConfig:
     """Reference setup: three 35 m stations, start at (150,150,150), sixteen
-    destinations 100 m away, 2.0 GHz, 100-sample windows."""
+    destinations 100 m away, 100-sample windows."""
     return ScenarioConfig(
         base_stations=(
             BaseStation(1, np.array([0.0, 0.0, 35.0])),
@@ -227,9 +205,7 @@ def default_config(rng_seed: int = 1) -> ScenarioConfig:
         start=np.array([150.0, 150.0, 150.0]),
         mission_radius=100.0,
         n_destinations=16,
-        carrier_frequency=2.0,
         window_size=100,
-        rng_seed=rng_seed,
     )
 
 
@@ -281,35 +257,3 @@ def flight_to(config: ScenarioConfig, destination: np.ndarray) -> Trajectory:
         ),
         sample_period=config.sample_period,
     )
-
-
-def build_scenarios(config: ScenarioConfig) -> list[SpoofingScenario]:
-    """One flight per destination (reported destination is always #0), plus
-    legitimate replicas with fresh noise seeds so classes come out balanced.
-    """
-    destinations = destination_grid(config)
-    reported = flight_to(config, destinations[0])
-    scenarios: list[SpoofingScenario] = []
-    for i, dest in enumerate(destinations):
-        scenarios.append(
-            SpoofingScenario(
-                true_trajectory=flight_to(config, dest),
-                reported_trajectory=reported,
-                label=i != 0,
-                spoof_onset=0.0,
-                noise_seed=i,
-            )
-        )
-    # 1 legitimate vs n-1 spoofed so far: replicate the legitimate flight.
-    n_spoofed = len(destinations) - 1
-    for k in range(n_spoofed - 1):
-        scenarios.append(
-            SpoofingScenario(
-                true_trajectory=reported,
-                reported_trajectory=reported,
-                label=False,
-                spoof_onset=0.0,
-                noise_seed=len(destinations) + k,
-            )
-        )
-    return scenarios

@@ -22,9 +22,10 @@ def position_at(trajectory, t: float) -> np.ndarray:
     return positions_at(trajectory, np.asarray([t], dtype=float))[0]
 
 
-def reference_window(scenario, bs, params, n_samples):
+def reference_window(scenario, noise_seed, bs, params, n_samples):
     """Scalar per-window reference: (measured, theoretical, los) lists for one
-    station, one sample instant at a time.
+    station's window of a flight seeded noise_seed, one sample instant at a
+    time.
 
     It shares only the path-loss formula with the library, evaluated at one
     position per call (numpy's vectorized log10 and exp round differently
@@ -34,7 +35,7 @@ def reference_window(scenario, bs, params, n_samples):
     the channel must: every sample's LoS draw first (sampled_los only), then
     every shadow-fading draw, then every measurement-noise draw.
     """
-    rng = window_rng(params, scenario.noise_seed, bs.id)
+    rng = window_rng(params, noise_seed, bs.id)
     period = scenario.true_trajectory.sample_period
     true = [Link.along(position_at(scenario.true_trajectory, k * period), bs, params)
             for k in range(n_samples)]

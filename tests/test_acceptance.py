@@ -47,10 +47,8 @@ def check(num: int, ok: bool, detail: str) -> None:
 
 
 def make_spec(method: str, n_bs: int, **overrides) -> DatasetSpec:
-    scenario = default_config(rng_seed=SEED)
-    channel = ChannelParams(carrier_frequency=scenario.carrier_frequency, rng_seed=SEED)
     return DatasetSpec(
-        scenario=scenario, channel=channel, method=method, n_bs=n_bs,
+        scenario=default_config(), channel=ChannelParams(rng_seed=SEED), method=method, n_bs=n_bs,
         rng_seed=SEED, **overrides,
     )
 
@@ -318,7 +316,7 @@ def test_criterion_09_baseline_sanity(bench):
     """Zero noise: some threshold separates perfectly. Default noise: the
     best threshold trails the best 3-station MLP (margin reported only)."""
     quiet = DatasetSpec(
-        scenario=default_config(rng_seed=SEED),
+        scenario=default_config(),
         channel=ChannelParams(
             carrier_frequency=2.0, los_shadow_formula=False,
             nlos_shadow_sigma=0.0, meas_noise_sigma=0.0, rng_seed=SEED,

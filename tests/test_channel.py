@@ -9,6 +9,7 @@ from oracles import distance_3d, position_at
 from spoofbench.channel import (
     ChannelParams,
     Link,
+    check_finite,
     los_probability,
     los_shadow_sigma,
     measured_window,
@@ -16,14 +17,15 @@ from spoofbench.channel import (
     window_positions,
     window_rng,
 )
-from spoofbench.dataset import DatasetSpec, generate
+from spoofbench.dataset import DatasetSpec, archive_plan, generate
 from spoofbench.scenario import (
     BaseStation,
     SpoofingScenario,
     Trajectory,
     Waypoint,
-    build_scenarios,
     default_config,
+    destination_grid,
+    flight_to,
 )
 
 PARAMS = ChannelParams(carrier_frequency=2.0, rng_seed=1)
@@ -159,20 +161,30 @@ def test_measured_noise_is_zero_mean():
 
 
 def _scenarios():
-    return build_scenarios(default_config())
+    """The `simulate` archive's flights, as (scenario, noise seed) pairs."""
+    cfg = default_config()
+    dests = destination_grid(cfg)
+    reported = flight_to(cfg, dests[0])
+    return [
+        (SpoofingScenario(flight_to(cfg, dests[p.dest_index]), reported, p.label), p.noise_seed)
+        for p in archive_plan(cfg.n_destinations)
+    ]
 
 
-def sample_window(scenario, bs, params, n_samples=100):
-    """(measured, theoretical) path loss of one station's window."""
+def sample_window(flight, bs, params, n_samples=100):
+    """(measured, theoretical) path loss of one station's window of a
+    (scenario, noise seed) pair."""
+    scenario, noise_seed = flight
     true_link = Link.along(window_positions(scenario.true_trajectory, n_samples), bs, params)
-    rng = window_rng(params, scenario.noise_seed, bs.id)
+    rng = window_rng(params, noise_seed, bs.id)
     reported = window_positions(scenario.reported_trajectory, n_samples)
     return measured_window(true_link, params, rng), Link.along(reported, bs, params).theoretical()
 
 
 def test_sample_window_length_and_alignment():
-    spoofed = _scenarios()[3]
-    measured, theoretical = sample_window(spoofed, BS1, QUIET)
+    flight = _scenarios()[3]
+    spoofed, _ = flight
+    measured, theoretical = sample_window(flight, BS1, QUIET)
     assert measured.shape == theoretical.shape == (100,)
     for k in (0, 1, 50, 99):  # sample k belongs to instant k * sample_period
         t = k * spoofed.true_trajectory.sample_period
@@ -220,20 +232,41 @@ def test_sampled_los_mode_is_deterministic():
         waypoints=(Waypoint([2000.0, 0.0, 60.0], 0.0), Waypoint([2100.0, 0.0, 60.0], 100.0)),
         sample_period=1.0,
     )
-    scenario = SpoofingScenario(low, low, label=False)
+    flight = (SpoofingScenario(low, low, label=False), 0)
     params = ChannelParams(carrier_frequency=2.0, rng_seed=3, sampled_los=True)
-    a, _ = sample_window(scenario, BS1, params)
-    b, _ = sample_window(scenario, BS1, params)
+    a, _ = sample_window(flight, BS1, params)
+    b, _ = sample_window(flight, BS1, params)
     assert np.array_equal(a, b)
 
 
 def test_path_loss_sample_requires_finite_values():
+    for bad in (math.inf, -math.inf, math.nan):
+        for field in ("carrier_frequency", "nlos_shadow_sigma", "meas_noise_sigma"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                ChannelParams(**{field: bad})
+    with pytest.raises(ValueError, match="carrier_frequency"):
+        ChannelParams(carrier_frequency=0.0)
+    with pytest.raises(ValueError, match="meas_noise_sigma"):
+        ChannelParams(meas_noise_sigma=-0.1)
+    with pytest.raises(ValueError, match="rng_seed"):
+        ChannelParams(rng_seed=-1)
+
+
+def test_check_finite_rejects_any_non_finite_value():
+    values = np.array([[80.0, 81.5], [79.0, 82.0]])
+    assert check_finite(values) is values
+    for bad in (math.inf, -math.inf, math.nan):
+        broken = values.copy()
+        broken[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            check_finite(broken)
+    # A finite sigma can still draw an overflowing value; the simulation checks.
     spec = DatasetSpec(
         scenario=default_config(),
-        channel=ChannelParams(carrier_frequency=2.0, meas_noise_sigma=math.inf),
+        channel=ChannelParams(carrier_frequency=2.0, meas_noise_sigma=1e308),
         method="wd", n_bs=1, train_size=2, test_size=2,
     )
-    with pytest.raises(ValueError, match="finite"):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         generate(spec)
 
 

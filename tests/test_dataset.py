@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,12 @@ from spoofbench.dataset import (
     spec_to_dict,
 )
 from spoofbench.features import FEATURES_PER_BS
-from spoofbench.scenario import default_config
+from spoofbench.scenario import BaseStation, ScenarioConfig, default_config
 
 
 def small_spec(method="mvsk", n_bs=3, seed=1, train=40, test=20):
     return DatasetSpec(
-        scenario=default_config(rng_seed=seed),
+        scenario=default_config(),
         channel=ChannelParams(carrier_frequency=2.0, rng_seed=seed),
         method=method,
         n_bs=n_bs,
@@ -207,6 +208,58 @@ def test_spec_dict_round_trip():
     again = spec_from_dict(json.loads(json.dumps(doc)))
     assert again == spec
     assert spec_hash(again) == spec_hash(spec)
+
+
+# One changed valid value for every field a spec is built from.
+CHANGES = {
+    ScenarioConfig: {
+        "base_stations": tuple(default_config().base_stations[:2]) + (BaseStation(3, [300.0, 160.0, 35.0]),),
+        "start": np.array([150.0, 150.0, 151.0]),
+        "mission_radius": 99.0,
+        "n_destinations": 8,
+        "window_size": 50,
+        "sample_period": 0.5,
+    },
+    ChannelParams: {
+        "carrier_frequency": 3.5,
+        "los_shadow_formula": False,
+        "nlos_shadow_sigma": 5.0,
+        "meas_noise_sigma": 0.4,
+        "rng_seed": 2,
+        "sampled_los": True,
+    },
+    DatasetSpec: {"method": "box", "n_bs": 2, "train_size": 41, "test_size": 21, "rng_seed": 2},
+}
+
+
+def _changed(spec, owner, name):
+    value = CHANGES[owner][name]
+    if owner is ScenarioConfig:
+        return replace(spec, scenario=replace(spec.scenario, **{name: value}))
+    if owner is ChannelParams:
+        return replace(spec, channel=replace(spec.channel, **{name: value}))
+    return replace(spec, **{name: value})
+
+
+def test_changes_cover_every_field():
+    for owner, changes in CHANGES.items():
+        names = {f.name for f in fields(owner)}
+        if owner is DatasetSpec:
+            names -= {"scenario", "channel"}  # covered field by field above
+        assert set(changes) == names, owner.__name__
+
+
+@pytest.mark.parametrize(
+    "owner,name", [(owner, name) for owner, changes in CHANGES.items() for name in changes],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_spec_hash_covers_every_field(owner, name):
+    spec = small_spec(method="wd", n_bs=3)
+    changed = _changed(spec, owner, name)
+    assert changed != spec
+    assert spec_hash(changed) != spec_hash(spec)
+    for s in (spec, changed):
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(s)))) == s
 
 
 def test_labeled_dataset_requires_both_classes():

@@ -61,10 +61,10 @@ def test_delta_series_is_absolute_difference():
     ((plans, deltas),) = iter_delta_chunks(spec, "train")
     for plan, row in zip(plans, deltas):
         flight = flight_to(config, destinations[plan.dest_index])
-        scenario = SpoofingScenario(flight, reported, plan.label, noise_seed=plan.noise_seed)
+        scenario = SpoofingScenario(flight, reported, plan.label)
         for bs_id, delta in zip((1, 3), row):
             measured, theoretical, _ = reference_window(
-                scenario, config.base_station_by_id(bs_id), spec.channel, 100
+                scenario, plan.noise_seed, config.base_station_by_id(bs_id), spec.channel, 100
             )
             assert delta.tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
 

@@ -1,10 +1,11 @@
-"""Golden sha256 digests of the seed-1 full-size datasets.
+"""Golden sha256 digests of the seed-1 full-size datasets, the `init`
+files and the default `simulate` archives.
 
-The digests were recorded from the per-sample simulation that preceded the
-array pipeline. They pin the exact bytes of train.csv and test.csv for every
-(method, station count) pair, so a change to the simulation, the feature
-arithmetic or the CSV writer that moves any value by even one ulp fails
-here. Criterion 10 only replays the current code against itself.
+The CSV digests were recorded from the per-sample simulation that preceded
+the array pipeline. They pin the exact bytes of train.csv and test.csv for
+every (method, station count) pair, so a change to the simulation, the
+feature arithmetic or the CSV writer that moves any value by even one ulp
+fails here. Criterion 10 only replays the current code against itself.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import hashlib
 import pytest
 
 from spoofbench.channel import ChannelParams
+from spoofbench.cli import main as cli
 from spoofbench.dataset import DatasetSpec, generate, save
 from spoofbench.scenario import default_config
 
@@ -40,7 +42,7 @@ GOLDEN_CSV_SHA256 = {
 @pytest.mark.parametrize("method,n_bs", sorted(GOLDEN_CSV_SHA256))
 def test_seed1_dataset_csvs_match_golden_digests(tmp_path, method, n_bs):
     spec = DatasetSpec(
-        scenario=default_config(rng_seed=1),
+        scenario=default_config(),
         channel=ChannelParams(carrier_frequency=2.0, rng_seed=1),
         method=method,
         n_bs=n_bs,
@@ -52,3 +54,36 @@ def test_seed1_dataset_csvs_match_golden_digests(tmp_path, method, n_bs):
         save(ds, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert tuple(digests) == GOLDEN_CSV_SHA256[(method, n_bs)]
+
+
+# `init --seed 1` writes these two files; `simulate` on that config.json
+# writes the archives, with no --seed (1) and with --seed 7. Recorded before
+# the scene model moved the seed and carrier frequency onto the channel.
+GOLDEN_INIT_SHA256 = {
+    "config.json": "a86d1ae19d2e5c4545fd87fd54f672e146fda11393708509bcdc43c3fd2c98b3",
+    "spec.json": "5543259a08d03330f81c9c7c1c12cfe73f012ba93a0e27dfc315a6ded5120920",
+}
+GOLDEN_ARCHIVE_SHA256 = {
+    None: "af407bd5c6194b6b6b98340f8b4ca27a01d0b216343cd1fa2525ddeee183de73",
+    7: "50d9155574277ae6a763a58e21f7ee5fdd490c83d691c113370d759058b8181f",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_seed1_init_files_match_golden_digests(tmp_path):
+    assert cli(["init", "--out", str(tmp_path), "--seed", "1"]) == 0
+    assert {name: _sha256(tmp_path / name) for name in GOLDEN_INIT_SHA256} == GOLDEN_INIT_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_ARCHIVE_SHA256, key=str))
+def test_default_simulate_archive_matches_golden_digest(tmp_path, seed):
+    assert cli(["init", "--out", str(tmp_path), "--seed", "1"]) == 0
+    archive = tmp_path / "archive.json"
+    argv = ["simulate", "--config", str(tmp_path / "config.json"), "--out", str(archive)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert cli(argv) == 0
+    assert _sha256(archive) == GOLDEN_ARCHIVE_SHA256[seed]

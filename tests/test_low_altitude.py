@@ -51,10 +51,10 @@ def test_low_altitude_deltas_match_scalar_oracle_and_parent_archive(tmp_path, sa
         for plans, deltas in iter_delta_chunks(spec, split):
             for plan, row in zip(plans, deltas):
                 flight = flight_to(config, destinations[plan.dest_index])
-                scenario = SpoofingScenario(flight, reported, plan.label, noise_seed=plan.noise_seed)
+                scenario = SpoofingScenario(flight, reported, plan.label)
                 for bs, delta in zip(stations, row):
                     measured, theoretical, los = reference_window(
-                        scenario, bs, spec.channel, config.window_size
+                        scenario, plan.noise_seed, bs, spec.channel, config.window_size
                     )
                     nlos_draws += los.count(False)
                     assert delta.tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import position_at
+from spoofbench.channel import ChannelParams
+from spoofbench.dataset import archive_plan
 from spoofbench.scenario import (
     BaseStation,
     ScenarioConfig,
     SpoofingScenario,
     Trajectory,
     Waypoint,
-    build_scenarios,
     default_config,
     destination_grid,
     destination_layout,
@@ -30,7 +31,7 @@ def test_default_config_reference_values():
     assert cfg.start.tolist() == [150.0, 150.0, 150.0]
     assert cfg.mission_radius == 100.0
     assert cfg.n_destinations == 16
-    assert cfg.carrier_frequency == 2.0
+    assert ChannelParams().carrier_frequency == 2.0
     assert cfg.window_size == 100
 
 
@@ -102,49 +103,46 @@ def test_position_at_is_speed_continuous(t, eps):
     assert step <= speed * eps * (1 + 1e-9) + 1e-12
 
 
-def test_build_scenarios_counts_and_balance():
-    scenarios = build_scenarios(default_config())
-    labels = [s.label for s in scenarios]
+def test_archive_plan_counts_and_balance():
+    plans = archive_plan(16)
+    labels = [p.label for p in plans]
     # one flight per destination first: 1 legitimate then 15 spoofed
     assert labels[0] is False
     assert all(labels[1:16])
     assert abs(sum(labels) - (len(labels) - sum(labels))) <= 1
-    seeds = [s.noise_seed for s in scenarios]
+    seeds = [p.noise_seed for p in plans]
     assert len(set(seeds)) == len(seeds)
 
 
-def test_build_scenarios_reported_is_planned_destination():
+def test_archive_plan_spoofs_exactly_the_unplanned_destinations():
+    plans = archive_plan(16)
+    assert [p.dest_index for p in plans[:16]] == list(range(16))
+    for p in plans:
+        assert p.label == (p.dest_index != 0)
+
+
+def test_archive_plan_keeps_the_archive_seed_scheme():
+    # Destination i flies with seed i, then n - 2 replays take n ... 2n - 3:
+    # the seeds every `simulate` archive was written with.
+    for n in (2, 4, 16):
+        plans = archive_plan(n)
+        assert [p.index for p in plans] == list(range(2 * n - 2))
+        assert [p.noise_seed for p in plans] == list(range(2 * n - 2))
+        assert [p.dest_index for p in plans] == list(range(n)) + [0] * (n - 2)
+
+
+def test_archive_scenarios_diverge_exactly_when_spoofed():
     cfg = default_config()
     dests = destination_grid(cfg)
-    for s in build_scenarios(cfg):
-        assert np.array_equal(s.reported_trajectory.waypoints[-1].position, dests[0])
-        assert s.label == (
-            not np.array_equal(s.true_trajectory.waypoints[-1].position, dests[0])
-        )
-
-
-def test_build_scenarios_is_deterministic():
-    a = build_scenarios(default_config(rng_seed=9))
-    b = build_scenarios(default_config(rng_seed=9))
-    assert len(a) == len(b)
-    for sa, sb in zip(a, b):
-        assert sa.noise_seed == sb.noise_seed and sa.label == sb.label
-        assert np.array_equal(
-            sa.true_trajectory.waypoints[-1].position,
-            sb.true_trajectory.waypoints[-1].position,
-        )
-
-
-def test_spoofed_scenarios_coincide_only_before_onset():
-    cfg = default_config()
-    for s in build_scenarios(cfg):
-        ts = np.arange(cfg.window_size) * cfg.sample_period
-        p_true = positions_at(s.true_trajectory, ts)
-        p_rep = positions_at(s.reported_trajectory, ts)
-        diverged = np.any(p_true != p_rep, axis=1)
+    reported = flight_to(cfg, dests[0])
+    ts = np.arange(cfg.window_size) * cfg.sample_period
+    p_rep = positions_at(reported, ts)
+    for plan in archive_plan(cfg.n_destinations):
+        s = SpoofingScenario(flight_to(cfg, dests[plan.dest_index]), reported, plan.label)
+        diverged = np.any(positions_at(s.true_trajectory, ts) != p_rep, axis=1)
         if s.label:
-            assert not np.any(diverged & (ts < s.spoof_onset))
-            assert np.any(diverged & (ts >= s.spoof_onset))
+            assert not diverged[0]  # both paths leave the start together
+            assert np.all(diverged[1:])
         else:
             assert not np.any(diverged)
 
@@ -158,6 +156,14 @@ def test_scenario_label_consistency_enforced():
         SpoofingScenario(same, other, label=False)
     with pytest.raises(ValueError):
         SpoofingScenario(same, same, label=True)
+    # Trajectories compare by value, not identity.
+    SpoofingScenario(same, flight_to(cfg, dests[0]), label=False)
+    with pytest.raises(ValueError, match="divergent"):
+        SpoofingScenario(same, flight_to(cfg, dests[0]), label=True)
+    # Unequal trajectories that agree at every sample instant are no spoof.
+    coarse = Trajectory(same.waypoints, sample_period=2.0)
+    with pytest.raises(ValueError, match="never diverge"):
+        SpoofingScenario(same, coarse, label=True)
 
 
 def test_trajectory_validation():
@@ -175,27 +181,57 @@ def test_trajectory_validation():
         Waypoint([0.0, 0.0, 1.0], -2.0)
 
 
+def _config(**overrides):
+    cfg = default_config()
+    fields = dict(
+        base_stations=cfg.base_stations,
+        start=cfg.start,
+        mission_radius=cfg.mission_radius,
+        n_destinations=cfg.n_destinations,
+        window_size=cfg.window_size,
+    )
+    return ScenarioConfig(**{**fields, **overrides})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BaseStation(1, [0.0, 0.0, 0.0])
     cfg = default_config()
+    assert _config() == cfg
     with pytest.raises(ValueError):
-        ScenarioConfig(
-            base_stations=(cfg.base_stations[0], cfg.base_stations[0]),
-            start=cfg.start,
-            mission_radius=100.0,
-            n_destinations=16,
-            carrier_frequency=2.0,
-            window_size=100,
-            rng_seed=1,
-        )
+        _config(base_stations=(cfg.base_stations[0], cfg.base_stations[0]))
     with pytest.raises(ValueError):
-        ScenarioConfig(
-            base_stations=cfg.base_stations,
-            start=cfg.start,
-            mission_radius=100.0,
-            n_destinations=1,
-            carrier_frequency=2.0,
-            window_size=100,
-            rng_seed=1,
-        )
+        _config(n_destinations=1)
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"mission_radius": math.nan}, "mission_radius must be finite"),
+        ({"mission_radius": math.inf}, "mission_radius must be finite"),
+        ({"mission_radius": 0.0}, "mission_radius"),
+        ({"sample_period": math.nan}, "sample_period must be finite"),
+        ({"n_destinations": 7}, "even"),
+        ({"n_destinations": 0}, "even"),
+        ({"start": [150.0, 150.0, 20.0]}, "altitude"),
+        ({"start": [150.0, math.nan, 150.0]}, "finite"),
+    ],
+)
+def test_config_rejects_what_the_simulator_cannot_lay_out(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        _config(**overrides)
+
+
+def test_config_layout_check_matches_destination_grid():
+    # The constructor's two-point check agrees with the full layout at the
+    # edge: the lower ring sits radius * sin(15 deg) below the start.
+    drop = 100.0 * math.sin(math.radians(15.0))
+    for z, underground in ((drop - 1e-9, True), (drop, True), (drop + 1e-9, False)):
+        start = np.array([150.0, 150.0, z])
+        if underground:
+            with pytest.raises(ValueError, match="altitude"):
+                destination_layout(start, 100.0, 16)
+            with pytest.raises(ValueError, match="altitude"):
+                _config(start=start)
+        else:
+            assert len(destination_grid(_config(start=start))) == 16
