@@ -22,6 +22,7 @@ from .mlp import (
     forward_batch,
     loss_mse,
     train,
+    train_stack,
     tune,
 )
 from .scenario import (

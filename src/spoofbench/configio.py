@@ -48,10 +48,15 @@ def config_to_dict(config: ScenarioConfig, channel: ChannelParams) -> dict:
     }
 
 
-_JSON_TYPES = {bool: ("a boolean", (bool,)), int: ("an integer", (int,)), float: ("a number", (int, float))}
+_JSON_TYPES = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+}
 
 
-def _typed(key: str, value, kind):
+def typed(key: str, value, kind):
     """value converted to kind, if its JSON type is kind's; names key if not."""
     name, types = _JSON_TYPES[kind]
     # bool is a subclass of int in Python, but true is no JSON number.
@@ -84,23 +89,23 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, ChannelParams]:
         for b in _list("base_stations", doc["base_stations"]):
             if not isinstance(b, dict) or not {"id", "x", "y", "h"} <= b.keys():
                 raise ConfigError(f"base_stations entries need id, x, y and h, got {b!r}")
-            position = [_typed(f"base_stations.{k}", b[k], float) for k in ("x", "y", "h")]
-            stations.append(BaseStation(_typed("base_stations.id", b["id"], int), np.array(position)))
+            position = [typed(f"base_stations.{k}", b[k], float) for k in ("x", "y", "h")]
+            stations.append(BaseStation(typed("base_stations.id", b["id"], int), np.array(position)))
         config = ScenarioConfig(
             base_stations=tuple(stations),
-            start=np.array([_typed("start", v, float) for v in _list("start", doc["start"])]),
-            mission_radius=_typed("mission_radius_m", doc["mission_radius_m"], float),
-            n_destinations=_typed("n_destinations", doc["n_destinations"], int),
-            window_size=_typed("window_size", doc["window_size"], int),
-            sample_period=_typed("sample_period_s", doc.get("sample_period_s", 1.0), float),
+            start=np.array([typed("start", v, float) for v in _list("start", doc["start"])]),
+            mission_radius=typed("mission_radius_m", doc["mission_radius_m"], float),
+            n_destinations=typed("n_destinations", doc["n_destinations"], int),
+            window_size=typed("window_size", doc["window_size"], int),
+            sample_period=typed("sample_period_s", doc.get("sample_period_s", 1.0), float),
         )
         channel = ChannelParams(
-            carrier_frequency=_typed("carrier_frequency_ghz", doc["carrier_frequency_ghz"], float),
-            los_shadow_formula=_typed("los_shadow_formula", doc.get("los_shadow_formula", True), bool),
-            nlos_shadow_sigma=_typed("nlos_shadow_sigma_db", doc.get("nlos_shadow_sigma_db", 6.0), float),
-            meas_noise_sigma=_typed("meas_noise_sigma_db", doc.get("meas_noise_sigma_db", 0.5), float),
-            rng_seed=_typed("rng_seed", doc["rng_seed"], int),
-            sampled_los=_typed("sampled_los", doc.get("sampled_los", False), bool),
+            carrier_frequency=typed("carrier_frequency_ghz", doc["carrier_frequency_ghz"], float),
+            los_shadow_formula=typed("los_shadow_formula", doc.get("los_shadow_formula", True), bool),
+            nlos_shadow_sigma=typed("nlos_shadow_sigma_db", doc.get("nlos_shadow_sigma_db", 6.0), float),
+            meas_noise_sigma=typed("meas_noise_sigma_db", doc.get("meas_noise_sigma_db", 0.5), float),
+            rng_seed=typed("rng_seed", doc["rng_seed"], int),
+            sampled_los=typed("sampled_los", doc.get("sampled_los", False), bool),
         )
     except ConfigError:
         raise

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import features
 from .channel import ChannelParams, Link, check_finite, measured_window, window_positions, window_rng
-from .configio import config_from_dict, config_to_dict
+from .configio import ConfigError, config_from_dict, config_to_dict, typed
 from .features import FEATURES_PER_BS, FeatureVector, check_method
 from .scenario import ScenarioConfig, SpoofingScenario, destination_grid, flight_to
 
@@ -78,16 +78,28 @@ def spec_to_dict(spec: DatasetSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> DatasetSpec:
+    """The spec a `spec_to_dict` document describes; ConfigError, naming the
+    key, on a missing key, a value of the wrong JSON type or a bad value."""
+    missing = [k for k in ("scenario", "method", "n_bs") if k not in doc]
+    if missing:
+        raise ConfigError(f"spec missing keys: {', '.join(missing)}")
+    if not isinstance(doc["scenario"], dict):
+        raise ConfigError(f"scenario must be an object, got {doc['scenario']!r:.40}")
     scenario, channel = config_from_dict(doc["scenario"])
-    return DatasetSpec(
-        scenario=scenario,
-        channel=channel,
-        method=str(doc["method"]),
-        n_bs=int(doc["n_bs"]),
-        train_size=int(doc.get("train_size", 2259)),
-        test_size=int(doc.get("test_size", 969)),
-        rng_seed=int(doc.get("rng_seed", 1)),
-    )
+    try:
+        return DatasetSpec(
+            scenario=scenario,
+            channel=channel,
+            method=typed("method", doc["method"], str),
+            n_bs=typed("n_bs", doc["n_bs"], int),
+            train_size=typed("train_size", doc.get("train_size", 2259), int),
+            test_size=typed("test_size", doc.get("test_size", 969), int),
+            rng_seed=typed("rng_seed", doc.get("rng_seed", 1), int),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a DatasetSpec check
+        raise ConfigError(f"invalid spec value: {exc}") from exc
 
 
 def spec_hash(spec: DatasetSpec) -> str:

@@ -11,11 +11,15 @@ best-validation snapshot. Everything is deterministic given the seed.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .configio import typed
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -103,60 +107,48 @@ class MlpModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def init_model(
-    architecture: MlpArchitecture,
-    rng: np.random.Generator,
-    norm_mean: np.ndarray | None = None,
-    norm_std: np.ndarray | None = None,
-) -> MlpModel:
-    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
+def init_model(architecture: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
+    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases,
+    identity normalization."""
     sizes = architecture.layer_sizes()
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    if norm_mean is None:
-        norm_mean = np.zeros(architecture.input_width)
-    if norm_std is None:
-        norm_std = np.ones(architecture.input_width)
     return MlpModel(
         architecture=architecture,
         weights=weights,
         biases=biases,
-        norm_mean=np.asarray(norm_mean, dtype=float),
-        norm_std=np.asarray(norm_std, dtype=float),
+        norm_mean=np.zeros(architecture.input_width),
+        norm_std=np.ones(architecture.input_width),
         history=[],
     )
 
 
-def _forward_cached(
-    weights: list[np.ndarray], biases: list[np.ndarray], x_norm: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Pre-activations and activations per layer for normalized inputs."""
-    zs: list[np.ndarray] = []
+def _activations(weights, biases, x_norm: np.ndarray) -> list[np.ndarray]:
+    """Inputs, then the activation of every layer, for normalized inputs.
+
+    Takes one model's (fan_in, fan_out) weights and (fan_out,) biases, or a
+    stack's (L, fan_in, fan_out) weights and (L, 1, fan_out) biases; with a
+    stack, every activation after the inputs has a leading L axis.
+    """
     activations = [x_norm]
-    a = x_norm
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w + b
-        zs.append(z)
-        a = _sigmoid(z) if k == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return zs, activations
+        z = activations[-1] @ w
+        z += b
+        activations.append(_sigmoid(z) if k == last else np.maximum(z, 0.0, out=z))
+    return activations
 
 
 def _predict_norm(weights, biases, x_norm: np.ndarray) -> np.ndarray:
-    _, activations = _forward_cached(weights, biases, x_norm)
-    return activations[-1][:, 0]
+    return _activations(weights, biases, x_norm)[-1][:, 0]
 
 
 def normalize(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -196,14 +188,105 @@ def accuracy(predictions, labels, cut: float = 0.5) -> float:
 
 
 def confusion_matrix(predictions, labels, cut: float = 0.5) -> dict[str, int]:
-    p = np.asarray(predictions, dtype=float) >= cut
-    y = np.asarray(labels, dtype=float) >= 0.5
+    p = np.asarray(predictions, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if len(p) == 0 or len(p) != len(y):
+        raise ValueError("predictions and labels must be equal-length and non-empty")
+    p, y = p >= cut, y >= 0.5
     return {
         "tp": int(np.sum(p & y)),
         "fp": int(np.sum(p & ~y)),
         "fn": int(np.sum(~p & y)),
         "tn": int(np.sum(~p & ~y)),
     }
+
+
+class _Stack:
+    """Parameters, gradients and Adam moments of L models of one architecture.
+
+    Each is one flat (L, P) buffer, laid out layer by layer as the weights,
+    then the biases; `weights`, `biases`, `grad_w` and `grad_b` are per-layer
+    (L, fan_in, fan_out) and (L, 1, fan_out) views into them.
+    """
+
+    def __init__(self, sizes: list[int], params: np.ndarray, learning_rates: np.ndarray):
+        self.sizes = sizes
+        self.params = params
+        self.grads = np.empty_like(params)
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.lr = learning_rates[:, None]
+        self._views()
+
+    def _views(self) -> None:
+        self.weights, self.biases = _layer_views(self.params, self.sizes)
+        self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        self.grad_w, self.grad_b = _layer_views(self.grads, self.sizes)
+        self._temps = (np.empty_like(self.params), np.empty_like(self.params))
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every row not in `rows`, in one copy of each buffer."""
+        self.params, self.m, self.v, self.lr = (a[rows] for a in (self.params, self.m, self.v, self.lr))
+        self.grads = np.empty_like(self.params)
+        self._views()
+
+    def model(self, row: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Row views of one model's weights and biases."""
+        return [w[row] for w in self.weights], [b[row] for b in self.biases]
+
+    def adam_step(self, step: int) -> None:
+        """One Adam update of every parameter. Each element goes through the
+        operations of a per-tensor update in the same order, so stacking
+        changes no bit of any model."""
+        corr1 = 1.0 - ADAM_BETA1**step
+        corr2 = 1.0 - ADAM_BETA2**step
+        g, m, v = self.grads, self.m, self.v
+        t, u = self._temps
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=t)
+        v += np.multiply(t, g, out=t)
+        # p -= (lr (m / corr1)) / (sqrt(v / corr2) + eps)
+        np.sqrt(np.divide(v, corr2, out=t), out=t)
+        t += ADAM_EPS
+        np.multiply(np.divide(m, corr1, out=u), self.lr, out=u)
+        self.params -= np.divide(u, t, out=u)
+
+
+def _layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    rows = len(flat)
+    weights, biases = [], []
+    lo = 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(flat[:, lo : lo + fan_in * fan_out].reshape(rows, fan_in, fan_out))
+        lo += fan_in * fan_out
+        biases.append(flat[:, lo : lo + fan_out].reshape(rows, 1, fan_out))
+        lo += fan_out
+    return weights, biases
+
+
+def _flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
+
+
+def _gradients(stack: _Stack, x_norm: np.ndarray, y: np.ndarray) -> None:
+    """Batch MSE gradients of every model in the stack, into stack.grads.
+
+    The ReLU subgradient at exactly 0 is taken as 0.
+    """
+    activations = _activations(stack.weights, stack.biases, x_norm)
+    y_hat = activations[-1][..., 0]
+    n = len(y)
+    # d(mean squared error)/d(logit) through the logistic output
+    delta = (2.0 * (y_hat - y) / n * y_hat * (1.0 - y_hat))[..., None]
+    for k in range(len(activations) - 2, -1, -1):
+        np.matmul(activations[k].swapaxes(-1, -2), delta, out=stack.grad_w[k])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=stack.grad_b[k])
+        if k > 0:
+            # ReLU'(z) is 1 exactly where ReLU(z) > 0
+            delta = (delta @ stack.weights_t[k]) * (activations[k] > 0.0)
 
 
 def backprop_gradients(
@@ -217,24 +300,10 @@ def backprop_gradients(
     y = np.asarray(labels, dtype=float)
     if len(y) == 0:
         raise ValueError("empty batch")
-    x_norm = normalize(model, inputs)
-    return _gradients(model.weights, model.biases, x_norm, y)
-
-
-def _gradients(weights, biases, x_norm, y):
-    zs, activations = _forward_cached(weights, biases, x_norm)
-    y_hat = activations[-1][:, 0]
-    n = len(y)
-    # d(mean squared error)/d(logit) through the logistic output
-    delta = (2.0 * (y_hat - y) / n * y_hat * (1.0 - y_hat))[:, None]
-    grads_w = [np.empty(0)] * len(weights)
-    grads_b = [np.empty(0)] * len(weights)
-    for k in range(len(weights) - 1, -1, -1):
-        grads_w[k] = activations[k].T @ delta
-        grads_b[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = (delta @ weights[k].T) * (zs[k - 1] > 0.0)
-    return grads_w, grads_b
+    params = _flatten(model.weights, model.biases)[None]
+    stack = _Stack(model.architecture.layer_sizes(), params, np.zeros(1))
+    _gradients(stack, normalize(model, inputs), y)
+    return [g[0] for g in stack.grad_w], [g[0, 0] for g in stack.grad_b]
 
 
 def _check_training_labels(labels: np.ndarray) -> None:
@@ -258,6 +327,28 @@ def train(
     model snapshot from the epoch with the lowest validation MSE. The full
     per-epoch history stays attached to the returned model.
     """
+    return train_stack(architecture, inputs, labels, config, (config.learning_rate,))[0]
+
+
+def train_stack(
+    architecture: MlpArchitecture,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    config: TrainConfig,
+    learning_rates,
+) -> list[MlpModel]:
+    """`train` for each learning rate, all in lockstep; one model per rate.
+
+    The runs share the seed, so they share the validation split, the
+    normalization, the initial weights and every epoch's batch order; only
+    the learning rate differs. They take each step together on one stacked
+    parameter buffer, and each model is bit for bit what `train` with
+    `replace(config, learning_rate=lr)` returns. A model that stops early
+    leaves the stack; the others go on.
+    """
+    configs = [replace(config, learning_rate=lr) for lr in learning_rates]
+    if not configs:
+        raise ValueError("no learning rates to train")
     X = np.asarray(inputs, dtype=float)
     y = np.asarray(labels, dtype=float)
     if X.ndim != 2 or len(X) != len(y):
@@ -282,72 +373,74 @@ def train(
     Xt = (X_train - norm_mean) / norm_std
     Xv = (X_val - norm_mean) / norm_std
 
-    model = init_model(architecture, rng, norm_mean, norm_std)
-    weights, biases = model.weights, model.biases
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    initial = init_model(architecture, rng)
+    n_models = len(configs)
+    stack = _Stack(
+        architecture.layer_sizes(),
+        np.tile(_flatten(initial.weights, initial.biases), (n_models, 1)),
+        np.array([c.learning_rate for c in configs]),
+    )
+    active = list(range(n_models))  # model index of each stack row
     step = 0
 
-    history: list[EpochStats] = []
-    best_val = np.inf
-    best_epoch = 0
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
-    bad_epochs = 0
+    histories: list[list[EpochStats]] = [[] for _ in configs]
+    best_val = [np.inf] * n_models
+    best_epoch = [0] * n_models
+    best_params = stack.params.copy()  # row i: model i's best snapshot
+    bad_epochs = [0] * n_models
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(Xt))
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            grads_w, grads_b = _gradients(weights, biases, Xt[batch], y_train[batch])
+            _gradients(stack, Xt[batch], y_train[batch])
             step += 1
-            corr1 = 1.0 - ADAM_BETA1**step
-            corr2 = 1.0 - ADAM_BETA2**step
-            for k in range(len(weights)):
-                for p, g, m, v in (
-                    (weights[k], grads_w[k], m_w[k], v_w[k]),
-                    (biases[k], grads_b[k], m_b[k], v_b[k]),
-                ):
-                    m *= ADAM_BETA1
-                    m += (1.0 - ADAM_BETA1) * g
-                    v *= ADAM_BETA2
-                    v += (1.0 - ADAM_BETA2) * g * g
-                    p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+            stack.adam_step(step)
 
-        train_pred = _predict_norm(weights, biases, Xt)
-        val_pred = _predict_norm(weights, biases, Xv)
-        val_mse = loss_mse(val_pred, y_val)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_mse=loss_mse(train_pred, y_train),
-                val_mse=val_mse,
-                val_accuracy=accuracy(val_pred, y_val),
+        stopped = set()
+        for row, i in enumerate(active):
+            weights, biases = stack.model(row)
+            train_pred = _predict_norm(weights, biases, Xt)
+            val_pred = _predict_norm(weights, biases, Xv)
+            val_mse = loss_mse(val_pred, y_val)
+            histories[i].append(
+                EpochStats(
+                    epoch=epoch,
+                    train_mse=loss_mse(train_pred, y_train),
+                    val_mse=val_mse,
+                    val_accuracy=accuracy(val_pred, y_val),
+                )
             )
-        )
-        if val_mse < best_val:
-            best_val = val_mse
-            best_epoch = epoch
-            best_weights = [w.copy() for w in weights]
-            best_biases = [b.copy() for b in biases]
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
+            if val_mse < best_val[i]:
+                best_val[i] = val_mse
+                best_epoch[i] = epoch
+                best_params[i] = stack.params[row]
+                bad_epochs[i] = 0
+            else:
+                bad_epochs[i] += 1
+                if bad_epochs[i] >= config.patience:
+                    stopped.add(row)
+        if stopped:
+            rows = [row for row in range(len(active)) if row not in stopped]
+            if not rows:
                 break
+            stack.keep(rows)
+            active = [active[row] for row in rows]
 
-    return MlpModel(
-        architecture=architecture,
-        weights=best_weights,
-        biases=best_biases,
-        norm_mean=norm_mean,
-        norm_std=norm_std,
-        history=history,
-        best_epoch=best_epoch,
-        train_config=config,
-    )
+    best_weights, best_biases = _layer_views(best_params, stack.sizes)
+    return [
+        MlpModel(
+            architecture=architecture,
+            weights=[w[i].copy() for w in best_weights],
+            biases=[b[i, 0].copy() for b in best_biases],
+            norm_mean=norm_mean.copy(),
+            norm_std=norm_std.copy(),
+            history=histories[i],
+            best_epoch=best_epoch[i],
+            train_config=configs[i],
+        )
+        for i in range(n_models)
+    ]
 
 
 @dataclass(frozen=True)
@@ -385,51 +478,41 @@ def tune(
 ) -> TuneResult:
     """Train every (learning rate, depth, width) combination and keep the
     best by validation MSE; ties go to the higher validation accuracy, then
-    to the smaller parameter count, then to grid order."""
+    to the smaller parameter count, then to grid order.
+
+    Results are in grid order, learning rate outermost. Each architecture
+    trains all its learning rates in one `train_stack`; with jobs > 1,
+    architectures train on that many threads.
+    """
     X = np.asarray(inputs, dtype=float)
-    combos = [
-        (lr, depth, width)
-        for lr in learning_rates
-        for depth in hidden_layers
-        for width in neurons
-    ]
-    if not combos:
+    learning_rates = tuple(learning_rates)
+    shapes = [(depth, width) for depth in hidden_layers for width in neurons]
+    if not learning_rates or not shapes:
         raise ValueError("empty hyperparameter grid")
 
-    def run(combo):
-        lr, depth, width = combo
-        arch = MlpArchitecture(X.shape[1], depth, width)
-        model = train(arch, X, labels, replace(base_config, learning_rate=lr))
-        result = GridResult(
-            learning_rate=lr,
-            hidden_layers=depth,
-            neurons=width,
-            param_count=arch.parameter_count(),
-            epochs_run=len(model.history),
-            best_epoch=model.best_epoch,
-            val_mse=model.val_mse,
-            val_accuracy=model.val_accuracy,
-        )
-        return result, model
+    def run(shape):
+        arch = MlpArchitecture(X.shape[1], *shape)
+        return arch, train_stack(arch, X, labels, base_config, learning_rates)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = pool.map(run, combos)
-            results = []
-            best_model, best_index = None, -1
-            for i, (result, model) in enumerate(outcomes):
-                results.append(result)
-                if best_index < 0 or selection_key(result) < selection_key(results[best_index]):
-                    best_model, best_index = model, i
-    else:
-        results = []
-        best_model, best_index = None, -1
-        for i, combo in enumerate(combos):
-            result, model = run(combo)
-            results.append(result)
-            if best_index < 0 or selection_key(result) < selection_key(results[best_index]):
-                best_model, best_index = model, i
-    return TuneResult(best_model=best_model, best_index=best_index, results=results)
+    results: list[GridResult | None] = [None] * (len(learning_rates) * len(shapes))
+    best_model, best = None, None
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for s, (arch, models) in enumerate((pool.map if pool else map)(run, shapes)):
+            for j, model in enumerate(models):
+                i = j * len(shapes) + s  # grid order: learning rate outermost
+                results[i] = GridResult(
+                    learning_rate=learning_rates[j],
+                    hidden_layers=arch.hidden_layers,
+                    neurons=arch.neurons_per_hidden,
+                    param_count=arch.parameter_count(),
+                    epochs_run=len(model.history),
+                    best_epoch=model.best_epoch,
+                    val_mse=model.val_mse,
+                    val_accuracy=model.val_accuracy,
+                )
+                if best is None or (selection_key(results[i]), i) < best:
+                    best_model, best = model, (selection_key(results[i]), i)
+    return TuneResult(best_model=best_model, best_index=best[1], results=results)
 
 
 def save_model(model: MlpModel, path, meta: dict | None = None) -> None:
@@ -453,26 +536,119 @@ def save_model(model: MlpModel, path, meta: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+_MODEL_KEYS = ("architecture", "weights", "biases", "norm_mean", "norm_std", "best_epoch", "train_config", "history")
+_ARCHITECTURE_FIELDS = {"input_width": int, "hidden_layers": int, "neurons_per_hidden": int}
+_TRAIN_CONFIG_FIELDS = {
+    "learning_rate": float,
+    "max_epochs": int,
+    "patience": int,
+    "batch_size": int,
+    "validation_fraction": float,
+    "rng_seed": int,
+}
+
+
+def _number(key: str, value) -> float:
+    """A finite JSON number as a float; true/false are not numbers."""
+    try:
+        out = typed(key, value, float)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{key} must be finite, got {value!r:.40}")
+    return out
+
+
+def _array(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested JSON lists of finite numbers, of exactly this shape."""
+    try:
+        cells = np.array(value, dtype=object)
+    except ValueError:
+        cells = None
+    if cells is None or cells.shape != shape:
+        raise ValueError(f"{key} must be a {' x '.join(map(str, shape))} array")
+    return np.array([_number(key, v) for v in cells.flat], dtype=float).reshape(shape)
+
+
+def _fields(key: str, value, kinds: dict) -> dict:
+    """A JSON object with exactly these fields, each of its kind."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {value!r:.40}")
+    unknown = sorted(set(value) - set(kinds), key=str)
+    missing = [name for name in kinds if name not in value]
+    if unknown or missing:
+        raise ValueError(f"{key}: unknown fields {unknown}, missing fields {missing}")
+    fields = {}
+    for name, kind in kinds.items():
+        where = f"{key}.{name}"
+        fields[name] = _number(where, value[name]) if kind is float else typed(where, value[name], kind)
+    return fields
+
+
+def _history(value) -> list[EpochStats]:
+    if not isinstance(value, list):
+        raise ValueError(f"history must be a list, got {value!r:.40}")
+    history = []
+    for epoch, entry in enumerate(value, start=1):
+        key = f"history[{epoch - 1}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ValueError(f"{key} must be [epoch, train_mse, val_mse, val_accuracy]")
+        if typed(f"{key}.epoch", entry[0], int) != epoch:
+            raise ValueError(f"{key}.epoch must be {epoch}, got {entry[0]}")
+        history.append(EpochStats(epoch, *(_number(key, v) for v in entry[1:])))
+    return history
+
+
+def _model_from_doc(doc: dict) -> MlpModel:
+    missing = [k for k in _MODEL_KEYS if k not in doc]
+    if missing:
+        raise ValueError(f"model missing keys: {', '.join(missing)}")
+    fields = _fields("architecture", doc["architecture"], _ARCHITECTURE_FIELDS)
+    try:
+        architecture = MlpArchitecture(**fields)
+    except ValueError as exc:
+        raise ValueError(f"architecture: {exc}") from None
+    layers = architecture.hidden_layers + 1
+    for key in ("weights", "biases"):
+        if not isinstance(doc[key], list) or len(doc[key]) != layers:
+            raise ValueError(f"{key} must be a list of {layers} layers")
+    sizes = architecture.layer_sizes()
+    weights = [_array(f"weights[{k}]", w, (sizes[k], sizes[k + 1])) for k, w in enumerate(doc["weights"])]
+    biases = [_array(f"biases[{k}]", b, (sizes[k + 1],)) for k, b in enumerate(doc["biases"])]
+    norm_mean = _array("norm_mean", doc["norm_mean"], (architecture.input_width,))
+    norm_std = _array("norm_std", doc["norm_std"], (architecture.input_width,))
+    history = _history(doc["history"])
+    best_epoch = typed("best_epoch", doc["best_epoch"], int)
+    if not 1 <= best_epoch <= len(history):
+        raise ValueError(f"best_epoch {best_epoch} is not an epoch of the {len(history)}-epoch history")
+    val_mses = [s.val_mse for s in history]
+    if val_mses.index(min(val_mses)) != best_epoch - 1:
+        raise ValueError(f"best_epoch {best_epoch} is not the first epoch of lowest val_mse in history")
+    train_config = None
+    if doc["train_config"] is not None:
+        fields = _fields("train_config", doc["train_config"], _TRAIN_CONFIG_FIELDS)
+        try:
+            train_config = TrainConfig(**fields)
+        except ValueError as exc:
+            raise ValueError(f"train_config: {exc}") from None
+    return MlpModel(architecture, weights, biases, norm_mean, norm_std, history, best_epoch, train_config)
+
+
 def load_model(path) -> tuple[MlpModel, dict]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {doc.get('format_version')}")
-    model = MlpModel(
-        architecture=MlpArchitecture(**doc["architecture"]),
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-        norm_mean=np.asarray(doc["norm_mean"], dtype=float),
-        norm_std=np.asarray(doc["norm_std"], dtype=float),
-        history=[
-            EpochStats(epoch=int(e), train_mse=t, val_mse=v, val_accuracy=a)
-            for e, t, v, a in doc["history"]
-        ],
-        best_epoch=int(doc["best_epoch"]),
-        train_config=TrainConfig(**doc["train_config"]) if doc.get("train_config") else None,
-    )
-    return model, doc.get("meta", {})
+    """Read a `save_model` file. A document that is not one raises a
+    ValueError naming the path and the offending key."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"not a {MODEL_FORMAT} file")
+        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {doc.get('format_version')!r:.40}")
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be an object, got {meta!r:.40}")
+        return _model_from_doc(doc), meta
+    except ValueError as exc:  # json.JSONDecodeError is one too
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

@@ -2,14 +2,15 @@
 
 These deliberately avoid the library's own code paths: plain Python
 summation for the moments, CDF-area integration for the transport distance,
-central finite differences for the gradients, and one sample at a time for
-the simulated path loss.
+central finite differences for the gradients, one sample at a time for
+the simulated path loss, and one model with one Adam update per tensor for
+training.
 """
 
 import numpy as np
 
 from spoofbench.channel import Link, window_rng
-from spoofbench.mlp import forward_batch, loss_mse
+from spoofbench.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EpochStats, accuracy, forward_batch, init_model, loss_mse
 from spoofbench.scenario import positions_at
 
 
@@ -126,3 +127,71 @@ def min_hidden_preactivation(model, inputs):
         closest = min(closest, float(np.min(np.abs(z))))
         a = np.maximum(z, 0.0)
     return closest
+
+
+def _reference_forward(weights, biases, x):
+    """Pre-activations and activations of one model, 2-D matmuls only."""
+    zs, activations = [], [x]
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = activations[-1] @ w + b
+        zs.append(z)
+        if k < len(weights) - 1:
+            activations.append(np.maximum(z, 0.0))
+        else:
+            a = np.empty_like(z)
+            pos = z >= 0
+            a[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            e = np.exp(z[~pos])
+            a[~pos] = e / (1.0 + e)
+            activations.append(a)
+    return zs, activations
+
+
+def reference_train(architecture, X, y, config):
+    """One model, one Adam update per weight and bias tensor: the trainer's
+    algorithm without stacking. Returns (weights, biases, history, best_epoch)."""
+    rng = np.random.default_rng(config.rng_seed)
+    perm = rng.permutation(len(X))
+    n_val = max(1, int(round(config.validation_fraction * len(X))))
+    train_idx, val_idx = perm[n_val:], perm[:n_val]
+    mean, std = X[train_idx].mean(axis=0), X[train_idx].std(axis=0)
+    std[std == 0.0] = 1.0
+    Xt, yt = (X[train_idx] - mean) / std, y[train_idx]
+    Xv, yv = (X[val_idx] - mean) / std, y[val_idx]
+    model = init_model(architecture, rng)
+    params = model.weights + model.biases
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    history, best, best_val, bad, step = [], ([p.copy() for p in params], 0), np.inf, 0, 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(Xt))
+        for lo in range(0, len(order), config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            zs, acts = _reference_forward(model.weights, model.biases, Xt[batch])
+            y_hat = acts[-1][:, 0]
+            delta = (2.0 * (y_hat - yt[batch]) / len(batch) * y_hat * (1.0 - y_hat))[:, None]
+            grads_w, grads_b = [None] * len(zs), [None] * len(zs)
+            for k in range(len(zs) - 1, -1, -1):
+                grads_w[k] = acts[k].T @ delta
+                grads_b[k] = delta.sum(axis=0)
+                if k > 0:
+                    delta = (delta @ model.weights[k].T) * (zs[k - 1] > 0.0)
+            step += 1
+            corr1, corr2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+            for p, g, (m, v) in zip(params, grads_w + grads_b, moments):
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+        train_pred = _reference_forward(model.weights, model.biases, Xt)[1][-1][:, 0]
+        val_pred = _reference_forward(model.weights, model.biases, Xv)[1][-1][:, 0]
+        val_mse = loss_mse(val_pred, yv)
+        history.append(EpochStats(epoch, loss_mse(train_pred, yt), val_mse, accuracy(val_pred, yv)))
+        if val_mse < best_val:
+            best_val, best, bad = val_mse, ([p.copy() for p in params], epoch), 0
+        else:
+            bad += 1
+            if bad >= config.patience:
+                break
+    layers = len(model.weights)
+    return best[0][:layers], best[0][layers:], history, best[1]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spoofbench.channel import ChannelParams
+from spoofbench.configio import ConfigError
 from spoofbench.dataset import (
     DatasetFormatError,
     DatasetSpec,
@@ -208,6 +209,34 @@ def test_spec_dict_round_trip():
     again = spec_from_dict(json.loads(json.dumps(doc)))
     assert again == spec
     assert spec_hash(again) == spec_hash(spec)
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("n_bs", 2.9, "n_bs must be an integer"),
+        ("n_bs", 2.0, "n_bs must be an integer"),
+        ("n_bs", 4, "invalid spec value: n_bs must be one of"),
+        ("rng_seed", True, "rng_seed must be an integer"),
+        ("train_size", "40", "train_size must be an integer"),
+        ("test_size", None, "test_size must be an integer"),
+        ("method", 3, "method must be a string"),
+        ("method", _DROP, "spec missing keys: method"),
+        ("n_bs", _DROP, "spec missing keys: n_bs"),
+        ("scenario", [], "scenario must be an object"),
+    ],
+)
+def test_spec_from_dict_rejects_bad_values_naming_the_key(key, value, message):
+    doc = json.loads(json.dumps(spec_to_dict(small_spec(method="wd", n_bs=2))))
+    if value is _DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ConfigError, match=message):
+        spec_from_dict(doc)
 
 
 # One changed valid value for every field a spec is built from.

@@ -1,5 +1,5 @@
 """Golden sha256 digests of the seed-1 full-size datasets, the `init`
-files and the default `simulate` archives.
+files, the default `simulate` archives and two trained models' outputs.
 
 The CSV digests were recorded from the per-sample simulation that preceded
 the array pipeline. They pin the exact bytes of train.csv and test.csv for
@@ -9,6 +9,7 @@ fails here. Criterion 10 only replays the current code against itself.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -87,3 +88,39 @@ def test_default_simulate_archive_matches_golden_digest(tmp_path, seed):
         argv += ["--seed", str(seed)]
     assert cli(argv) == 0
     assert _sha256(archive) == GOLDEN_ARCHIVE_SHA256[seed]
+
+
+# Training goldens, recorded before the trainer went lockstep: the seed-1
+# wd/3 preset model (weights, biases and history, digested as the benchmark's
+# `model_digest` does) and a small tuner grid's `grid_report.csv`. In the
+# grid, both lr 0.05 models stop early (at epochs 8 and 4) while the lr 0.001
+# models run all 12 epochs.
+GOLDEN_PRESET_MODEL_SHA256 = "4f59aed8e61138811abb172c07a7541cdc20a47ded861aeac452fd63eaebc447"
+GOLDEN_SMALL_GRID_REPORT_SHA256 = "f68078c62b2b9922603af2a8e009eff57ce02f3e657dafe50b45fd9113245323"
+
+
+def _model_digest(path):
+    doc = json.loads(path.read_text())
+    core = {k: doc[k] for k in ("weights", "biases", "history")}
+    return hashlib.sha256(json.dumps(core, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def wd3_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("wd3")
+    assert cli(["init", "--out", str(root), "--seed", "1"]) == 0
+    assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data"),
+                "--method", "wd", "--n-bs", "3"]) == 0
+    return root / "data"
+
+
+def test_seed1_wd3_preset_model_matches_golden_digest(tmp_path, wd3_data):
+    assert cli(["train", str(wd3_data), "--out", str(tmp_path), "--seed", "1"]) == 0
+    assert _model_digest(tmp_path / "model.json") == GOLDEN_PRESET_MODEL_SHA256
+
+
+def test_seed1_small_grid_report_matches_golden_digest(tmp_path, wd3_data):
+    assert cli(["tune", str(wd3_data), "--out", str(tmp_path), "--seed", "1",
+                "--lr-grid", "0.05,0.001", "--layers-grid", "1,2", "--neurons-grid", "8",
+                "--epochs", "12", "--patience", "2"]) == 0
+    assert _sha256(tmp_path / "grid_report.csv") == GOLDEN_SMALL_GRID_REPORT_SHA256

@@ -1,12 +1,21 @@
+import copy
+import json
 import math
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     finite_difference_gradients,
     max_relative_gradient_error,
     min_hidden_preactivation,
+    reference_train,
 )
 from spoofbench.mlp import (
     GridResult,
@@ -24,6 +33,7 @@ from spoofbench.mlp import (
     save_model,
     selection_key,
     train,
+    train_stack,
     tune,
     write_history_csv,
 )
@@ -115,6 +125,12 @@ def test_accuracy_examples():
     assert confusion_matrix(predictions, labels) == {"tp": 3, "fp": 1, "fn": 2, "tn": 4}
     with pytest.raises(ValueError):
         accuracy([0.5], [1, 0])
+
+
+@pytest.mark.parametrize("predictions,labels", [([0.9], [1, 0, 1, 0]), ([0.9, 0.1], [1]), ([], [])])
+def test_confusion_matrix_rejects_unequal_or_empty_input(predictions, labels):
+    with pytest.raises(ValueError, match="equal-length and non-empty"):
+        confusion_matrix(predictions, labels)
 
 
 def test_prediction_threshold_is_inclusive():
@@ -270,6 +286,70 @@ def test_tune_explores_the_whole_grid_and_is_parallel_safe():
     assert seq.best_index == par.best_index
 
 
+def _same_model(a, b):
+    return (
+        a.history == b.history
+        and a.best_epoch == b.best_epoch
+        and a.train_config == b.train_config
+        and all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+        and np.array_equal(a.norm_mean, b.norm_mean)
+        and np.array_equal(a.norm_std, b.norm_std)
+    )
+
+
+@pytest.mark.parametrize(
+    "arch,config",
+    [
+        (MlpArchitecture(2, 1, 8), TrainConfig(learning_rate=0.01, max_epochs=25, rng_seed=1)),
+        (MlpArchitecture(2, 3, 5), TrainConfig(learning_rate=0.05, max_epochs=60, patience=3,
+                                               batch_size=7, rng_seed=2)),
+    ],
+)
+def test_train_equals_the_per_tensor_reference_bit_for_bit(arch, config):
+    X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
+    model = train(arch, X, y, config)
+    weights, biases, history, best_epoch = reference_train(arch, X, y, config)
+    assert (model.history, model.best_epoch) == (history, best_epoch)
+    assert all(np.array_equal(a, b) for a, b in zip(model.weights + model.biases, weights + biases))
+
+
+def test_train_stack_equals_one_train_per_learning_rate():
+    X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
+    config = TrainConfig(learning_rate=0.01, patience=3, max_epochs=60, rng_seed=2)
+    arch = MlpArchitecture(2, 2, 6)
+    rates = (0.002, 0.05, 0.01)  # the fastest to stop sits mid-stack
+    models = train_stack(arch, X, y, config, rates)
+    assert len({len(m.history) for m in models}) == len(rates)  # each stops at its own epoch
+    for lr, model in zip(rates, models):
+        assert _same_model(model, train(arch, X, y, replace(config, learning_rate=lr)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tune_equals_one_train_per_configuration_bit_for_bit(jobs):
+    X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
+    base = TrainConfig(learning_rate=0.01, patience=3, max_epochs=60, rng_seed=2)
+    rates, depths, widths = (0.01, 0.05, 0.002), (1, 2), (3, 6)
+    result = tune(X, y, base, learning_rates=rates, hidden_layers=depths, neurons=widths, jobs=jobs)
+    combos = [(lr, depth, width) for lr in rates for depth in depths for width in widths]
+    models = [
+        train(MlpArchitecture(2, depth, width), X, y, replace(base, learning_rate=lr))
+        for lr, depth, width in combos
+    ]
+    for depth in depths:  # the stop-and-drop path runs: rates of one shape stop apart
+        for width in widths:
+            runs = {r.epochs_run for r in result.results if (r.hidden_layers, r.neurons) == (depth, width)}
+            assert len(runs) > 1
+    expected = [
+        GridResult(lr, depth, width, MlpArchitecture(2, depth, width).parameter_count(),
+                   len(m.history), m.best_epoch, m.val_mse, m.val_accuracy)
+        for (lr, depth, width), m in zip(combos, models)
+    ]
+    assert result.results == expected
+    winner = min(range(len(expected)), key=lambda i: (selection_key(expected[i]), i))
+    assert result.best_index == winner
+    assert _same_model(result.best_model, models[winner])
+
+
 def test_selection_prefers_mse_then_accuracy_then_size():
     rows = [
         GridResult(0.01, 2, 8, 100, 20, 10, val_mse=0.10, val_accuracy=0.90),
@@ -306,6 +386,143 @@ def test_load_model_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="not a"):
         load_model(path)
+
+
+def _model_doc():
+    """A saved model document."""
+    X, y = blobs(n=120, seed=14)
+    model = train(MlpArchitecture(2, 1, 3), X, y,
+                  TrainConfig(learning_rate=0.05, max_epochs=12, patience=2, rng_seed=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path, meta={"method": "wd"})
+        return json.loads(path.read_text())
+
+
+VALID_MODEL_DOC = _model_doc()
+
+
+def _edited(edit):
+    doc = copy.deepcopy(VALID_MODEL_DOC)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.pop("weights"), "model missing keys: weights"),
+        (lambda d: d.pop("best_epoch"), "model missing keys: best_epoch"),
+        (lambda d: d.update(norm_mean="0"), "norm_mean must be a 2 array"),
+        (lambda d: d["weights"][0][0].__setitem__(0, True), r"weights\[0\] must be a number"),
+        (lambda d: d["weights"][1].append([0.5]), r"weights\[1\] must be a 3 x 1 array"),
+        (lambda d: d["biases"].pop(), "biases must be a list of 2 layers"),
+        (lambda d: d["architecture"].update(input_width="2"), "architecture.input_width must be an integer"),
+        (lambda d: d["architecture"].update(hidden_layers=0), "architecture: architecture sizes must be >= 1"),
+        (lambda d: d["architecture"].update(dropout=0.1), r"architecture: unknown fields \['dropout'\]"),
+        (lambda d: d["train_config"].update(momentum=0.9), r"train_config: unknown fields \['momentum'\]"),
+        (lambda d: d["train_config"].pop("patience"), r"missing fields \['patience'\]"),
+        (lambda d: d["train_config"].update(learning_rate=-1), "train_config: learning_rate must be > 0"),
+        (lambda d: d.update(best_epoch=2.0), "best_epoch must be an integer"),
+        (lambda d: d.update(best_epoch=True), "best_epoch must be an integer"),
+        (lambda d: d.update(best_epoch=0), "best_epoch 0 is not an epoch"),
+        (lambda d: d.update(best_epoch=len(d["history"]) + 1), "is not an epoch"),
+        (lambda d: d.update(history=d["history"][: d["best_epoch"] - 1]), "is not an epoch"),
+        (lambda d: d["history"][0].__setitem__(2, 0.0), "is not the first epoch of lowest val_mse"),
+        (lambda d: d["history"][0].__setitem__(0, 0), r"history\[0\].epoch must be 1"),
+        (lambda d: d["history"][1].pop(), r"history\[1\] must be \[epoch"),
+        (lambda d: d["history"][0].__setitem__(1, None), r"history\[0\] must be a number"),
+        (lambda d: d["norm_std"].__setitem__(0, 0.0), "norm_std entries must be > 0"),
+        (lambda d: d["norm_mean"].__setitem__(0, 10**400), "norm_mean must be finite"),
+        (lambda d: d.update(meta=[]), "meta must be an object"),
+    ],
+)
+def test_load_model_rejects_malformed_documents_naming_path_and_key(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_edited(edit)))
+    with pytest.raises(ValueError, match=message) as caught:
+        load_model(path)
+    assert str(caught.value).startswith(f"{path}: ")
+
+
+def test_load_model_rejects_invalid_json_naming_the_path(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"format": ')
+    with pytest.raises(ValueError, match="^" + re.escape(str(path))):
+        load_model(path)
+
+
+def _locations(doc, where=()):
+    """Every (container, key) pair in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield where + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _locations(value, where + (key,))
+
+
+MODEL_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+)
+MODEL_JSON_VALUES = st.recursive(
+    MODEL_JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_model_docs(draw):
+    """A valid model document with a few values anywhere in it dropped,
+    replaced by a nearby number or an arbitrary JSON value, or given a
+    sibling."""
+    doc = copy.deepcopy(VALID_MODEL_DOC)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        where = draw(st.sampled_from(list(_locations(doc))))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        key, value = where[-1], parent[where[-1]]
+        action = draw(st.sampled_from(["drop", "arbitrary", "near", "extra"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "arbitrary":
+            parent[key] = draw(MODEL_JSON_VALUES)
+        elif action == "near" and type(value) in (int, float):
+            parent[key] = draw(st.one_of(
+                st.integers(min_value=-3, max_value=30), st.floats(min_value=-2.0, max_value=2.0)))
+        elif action == "extra" and isinstance(parent, dict):
+            parent[draw(st.text(max_size=6))] = draw(MODEL_JSON_VALUES)
+        elif action == "extra":
+            parent.append(copy.deepcopy(value))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_model_docs())
+def test_load_model_fuzz_rejects_with_value_error_or_round_trips(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc))
+        try:
+            model, meta = load_model(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        again = Path(tmp) / "again.json"
+        save_model(model, again, meta)
+        written = json.loads(again.read_text())
+        reloaded, meta_again = load_model(again)
+    assert meta_again == meta
+    assert _same_model(reloaded, model)
+    # What was read is what the document said, key by key.
+    for key, value in written.items():
+        if key in doc:
+            assert doc[key] == value, key
 
 
 def test_history_csv(tmp_path):
