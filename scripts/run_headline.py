@@ -17,7 +17,7 @@ import numpy as np
 
 from spoofbench.cli import main as cli
 from spoofbench import baseline, dataset
-from spoofbench.presets import best_settings
+from spoofbench.presets import BEST_SETTINGS
 
 
 def run(seed: int, workdir: Path) -> dict:
@@ -28,7 +28,7 @@ def run(seed: int, workdir: Path) -> dict:
                 "--seed", str(seed)]) == 0
     assert cli(["generate", "--spec", str(workdir / "spec.json"),
                 "--out", str(workdir / "data")]) == 0
-    lr, layers, neurons = best_settings("wd", 3)
+    lr, layers, neurons = BEST_SETTINGS[("wd", 3)]
     assert cli(["train", str(workdir / "data"), "--out", str(workdir / "run"),
                 "--lr", str(lr), "--layers", str(layers), "--neurons", str(neurons),
                 "--seed", str(seed)]) == 0

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from spoofbench.cli import main as cli
 from spoofbench.features import METHODS
-from spoofbench.presets import best_settings
+from spoofbench.presets import BEST_SETTINGS
 
 
 def run(seed: int, workdir: Path) -> None:
@@ -27,7 +27,7 @@ def run(seed: int, workdir: Path) -> None:
         for method in METHODS:
             assert cli(["generate", "--spec", spec, "--out", str(data / method),
                         "--method", method, "--n-bs", str(n_bs)]) == 0
-            lr, layers, neurons = best_settings(method, n_bs)
+            lr, layers, neurons = BEST_SETTINGS[(method, n_bs)]
             run_dir = workdir / f"run_{method}_{n_bs}bs"
             assert cli(["train", str(data / method), "--out", str(run_dir),
                         "--lr", str(lr), "--layers", str(layers),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import BaseStation, Trajectory, check_positive_finite, positions_at
+from .scenario import BaseStation, check_positive_finite
 
 LOS_PROBABILITY_MIN_HEIGHT = 22.5  # rule below this clamps to the model floor
 
@@ -54,14 +54,8 @@ class ChannelParams:
             raise ValueError("rng_seed must be >= 0")
 
 
-def los_probability(uav_height: float, d2d: float) -> float:
-    """Probability that the UAV-to-station link is line-of-sight."""
-    if uav_height <= 0:
-        raise ValueError("uav_height must be > 0")
-    return float(_los_probability_array(np.asarray([uav_height]), np.asarray([d2d]))[0])
-
-
-def _los_probability_array(heights: np.ndarray, d2d: np.ndarray) -> np.ndarray:
+def los_probability(heights, d2d) -> np.ndarray:
+    """Probability that each UAV-to-station link is line-of-sight."""
     h = np.maximum(np.asarray(heights, dtype=float), LOS_PROBABILITY_MIN_HEIGHT)
     d2d = np.asarray(d2d, dtype=float)
     d1 = np.maximum(460.0 * np.log10(h) - 700.0, 18.0)
@@ -70,11 +64,6 @@ def _los_probability_array(heights: np.ndarray, d2d: np.ndarray) -> np.ndarray:
         far = d1 / d2d + np.exp(-d2d / p1) * (1.0 - d1 / d2d)
     prob = np.where(d2d <= d1, 1.0, far)
     return np.where(heights > 100.0, 1.0, np.clip(prob, 0.0, 1.0))
-
-
-def los_shadow_sigma(uav_height: float) -> float:
-    """Height-dependent LoS shadow-fading standard deviation in dB."""
-    return 4.64 * math.exp(-0.0066 * uav_height)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +103,7 @@ class Link:
         return cls(
             los_db=28.0 + 22.0 * np.log10(d3d) + 20.0 * np.log10(fc),
             nlos_db=nlos_db,
-            los_prob=_los_probability_array(heights, d2d),
+            los_prob=los_probability(heights, d2d),
             los_sigma=los_sigma if params.los_shadow_formula else np.zeros_like(heights),
             nlos_sigma=params.nlos_shadow_sigma,
             heights=heights,
@@ -134,11 +123,6 @@ class Link:
     def theoretical(self) -> np.ndarray:
         """Noise-free path loss, LoS where its probability is at least one half."""
         return self.branch(self.los_prob >= 0.5)[0]
-
-
-def theoretical_path_loss(uav, bs: BaseStation, params: ChannelParams) -> float:
-    """Model path loss in dB for a UAV at the given position."""
-    return float(Link.along(uav, bs, params).theoretical()[0])
 
 
 def window_rng(params: ChannelParams, noise_seed: int, bs_id: int) -> np.random.Generator:
@@ -167,12 +151,3 @@ def check_finite(values: np.ndarray) -> np.ndarray:
         raise ValueError("path loss values must be finite")
     return values
 
-
-def window_positions(trajectory: Trajectory, n_samples: int) -> np.ndarray:
-    """Positions at the first n_samples sample instants of a flight."""
-    if n_samples < 1:
-        raise ValueError("window needs at least one sample")
-    ts = np.arange(n_samples) * trajectory.sample_period
-    if ts[-1] > trajectory.duration:
-        raise ValueError(f"trajectory too short for a {n_samples}-sample window")
-    return positions_at(trajectory, ts)

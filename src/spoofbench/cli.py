@@ -21,7 +21,7 @@ import numpy as np
 from . import baseline, dataset, mlp
 from .channel import ChannelParams
 from .configio import config_to_dict, load_config, save_config
-from .features import FEATURES_PER_BS, METHODS
+from .features import METHODS
 from .presets import BEST_SETTINGS
 from .scenario import default_config, destination_grid
 
@@ -118,7 +118,7 @@ def cmd_generate(args) -> int:
     dataset.save(train_ds, out / "train.csv")
     dataset.save(test_ds, out / "test.csv")
     print(
-        f"wrote {out}/{{train,test}}.csv: {len(train_ds.rows)}/{len(test_ds.rows)} rows, "
+        f"wrote {out}/{{train,test}}.csv: {len(train_ds.labels)}/{len(test_ds.labels)} rows, "
         f"width {train_ds.width} ({spec.method}, {spec.n_bs} BS), spec {train_ds.provenance[:12]}"
     )
     return 0
@@ -128,19 +128,13 @@ def _load_split(data_dir, split: str) -> dataset.LabeledDataset:
     return dataset.load(Path(data_dir) / f"{split}.csv")
 
 
-def _infer_n_bs(ds: dataset.LabeledDataset) -> int:
-    if ds.spec is not None:
-        return ds.spec.n_bs
-    return ds.width // FEATURES_PER_BS[ds.method]
-
-
 def cmd_train(args) -> int:
     """Train one MLP on a generated dataset; write model JSON + history CSV."""
     train_ds = _load_split(args.data_dir, "train")
     method = args.method or train_ds.method
     if method != train_ds.method:
         raise ValueError(f"dataset was extracted with {train_ds.method!r}, not {method!r}")
-    n_bs = _infer_n_bs(train_ds)
+    n_bs = len(train_ds.bs_ids)
     preset = BEST_SETTINGS.get((method, n_bs), (0.001, 3, 32))
     lr = args.lr if args.lr is not None else preset[0]
     layers = args.layers if args.layers is not None else preset[1]
@@ -154,7 +148,7 @@ def cmd_train(args) -> int:
         rng_seed=args.seed if args.seed is not None else 1,
     )
     arch = mlp.MlpArchitecture(train_ds.width, layers, neurons)
-    model = mlp.train(arch, train_ds.features(), train_ds.labels(), config)
+    model = mlp.train(arch, train_ds.features, train_ds.labels, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"method": method, "n_bs": n_bs, "dataset_spec_hash": train_ds.provenance}
@@ -194,8 +188,8 @@ def cmd_tune(args) -> int:
         rng_seed=args.seed if args.seed is not None else 1,
     )
     result = mlp.tune(
-        train_ds.features(),
-        train_ds.labels(),
+        train_ds.features,
+        train_ds.labels,
         base,
         learning_rates=lrs,
         hidden_layers=layer_grid,
@@ -214,7 +208,7 @@ def cmd_tune(args) -> int:
             f"{row.val_mse!r},{row.val_accuracy!r},{rank[i]}"
         )
     (out / "grid_report.csv").write_text("\n".join(lines) + "\n")
-    n_bs = _infer_n_bs(train_ds)
+    n_bs = len(train_ds.bs_ids)
     meta = {"method": method, "n_bs": n_bs, "dataset_spec_hash": train_ds.provenance}
     mlp.save_model(result.best_model, out / "model.json", meta)
     mlp.write_history_csv(result.best_model.history, out / "history.csv")
@@ -248,14 +242,14 @@ def cmd_evaluate(args) -> int:
     """Score an MLP model file or the threshold baseline on a dataset split."""
     started = time.perf_counter()
     ds = _load_split(args.data_dir, args.split)
-    labels = ds.labels()
+    labels = ds.labels
     if args.model:
         model, meta = mlp.load_model(args.model)
         if meta.get("method") and meta["method"] != ds.method:
             raise ValueError(
                 f"model was trained on {meta['method']!r} features, dataset is {ds.method!r}"
             )
-        predictions = mlp.forward_batch(model, ds.features())
+        predictions = mlp.forward_batch(model, ds.features)
         detector = {
             "kind": "mlp",
             "architecture": asdict(model.architecture),

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import features
-from .channel import ChannelParams, Link, check_finite, measured_window, window_positions, window_rng
+from .channel import ChannelParams, Link, check_finite, measured_window, window_rng
 from .configio import ConfigError, config_from_dict, config_to_dict, typed
-from .features import FEATURES_PER_BS, FeatureVector, check_method
-from .scenario import ScenarioConfig, SpoofingScenario, destination_grid, flight_to
+from .features import FEATURES_PER_BS, check_method
+from .scenario import ScenarioConfig, destination_grid, flight_positions
 
 SPLITS = ("train", "test")
 
@@ -161,15 +161,13 @@ def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, plans: 
     """
     n = config.window_size
     stations = [config.base_station_by_id(i) for i in bs_ids]
-    destinations = destination_grid(config)
-    reported = flight_to(config, destinations[0])
-    links = []  # [destination][station]
-    for dest_index, destination in enumerate(destinations):
-        flight = flight_to(config, destination)
-        # Validates the pair: identical when legitimate, divergent when spoofed.
-        SpoofingScenario(flight, reported, label=dest_index != 0)
-        positions = window_positions(flight, n)
-        links.append([Link.along(positions, bs, channel) for bs in stations])
+    positions = flight_positions(config, destination_grid(config))
+    # Destination 0 is the reported flight; every other one is flown spoofed.
+    never_diverge = np.all(positions[1:] == positions[0], axis=(1, 2))
+    if np.any(never_diverge):
+        k = 1 + int(np.argmax(never_diverge))
+        raise ValueError(f"spoofed flight to destination {k} never diverges from the planned one")
+    links = [[Link.along(p, bs, channel) for bs in stations] for p in positions]  # [destination][station]
     theoretical = check_finite(np.stack([lk.theoretical() for lk in links[0]]))
     for start in range(0, len(plans), CHUNK_ROWS):
         chunk = plans[start : start + CHUNK_ROWS]
@@ -193,62 +191,64 @@ def iter_delta_chunks(spec: DatasetSpec, split: str):
         yield chunk, np.abs(measured, out=measured)
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
-    rows: list[FeatureVector]
+    """One split: an (n, width) feature matrix and one label per row (True =
+    spoofed). Each row's blocks belong to bs_ids, in that order."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    bs_ids: tuple[int, ...]
+    method: str
     split: str
     provenance: str  # hash of the generating DatasetSpec
-    spec: DatasetSpec | None = field(default=None, compare=False)
+    spec: DatasetSpec | None = None
 
     def __post_init__(self):
+        check_method(self.method)
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}")
-        if not self.rows:
+        if self.features.ndim != 2 or len(self.features) == 0:
             raise ValueError("dataset has no rows")
-        widths = {r.width for r in self.rows}
-        if len(widths) != 1:
-            raise ValueError(f"rows have inconsistent widths {sorted(widths)}")
-        methods = {r.method for r in self.rows}
-        if len(methods) != 1:
-            raise ValueError("rows mix feature methods")
-        labels = {r.label for r in self.rows}
-        if len(labels) != 2:
+        if list(self.bs_ids) != sorted(set(self.bs_ids)):
+            raise ValueError(f"bs_ids must be unique and ascending, got {list(self.bs_ids)}")
+        if len(self.bs_ids) * FEATURES_PER_BS[self.method] != self.width:
+            raise ValueError(f"{len(self.bs_ids)} stations do not fit width {self.width} ({self.method})")
+        if self.labels.shape != (len(self.features),):
+            raise ValueError(f"{len(self.labels)} labels for {len(self.features)} rows")
+        if len(np.unique(self.labels)) != 2:
             raise ValueError("dataset must contain both classes")
 
     @property
-    def method(self) -> str:
-        return self.rows[0].method
-
-    @property
     def width(self) -> int:
-        return self.rows[0].width
-
-    def features(self) -> np.ndarray:
-        return np.stack([r.flattened for r in self.rows])
-
-    def labels(self) -> np.ndarray:
-        return np.array([float(r.label) for r in self.rows])
+        return self.features.shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDataset):
             return NotImplemented
         return (
-            self.split == other.split
-            and self.provenance == other.provenance
-            and self.rows == other.rows
+            (self.split, self.provenance, self.method, self.bs_ids)
+            == (other.split, other.provenance, other.method, other.bs_ids)
+            and np.array_equal(self.features, other.features)
+            and np.array_equal(self.labels, other.labels)
         )
 
 
 def generate(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Simulate, extract and label the train and test splits of a spec."""
     digest = spec_hash(spec)
-    bs_ids = select_bs_subset(spec.n_bs)
     splits = []
     for split in SPLITS:
-        rows = []
+        blocks, labels = [], []
         for plans, deltas in iter_delta_chunks(spec, split):
-            rows += features.extract(deltas, spec.method, [p.label for p in plans], bs_ids)
-        splits.append(LabeledDataset(rows=rows, split=split, provenance=digest, spec=spec))
+            blocks.append(features.extract(deltas, spec.method))
+            labels += [p.label for p in plans]
+        splits.append(
+            LabeledDataset(
+                np.concatenate(blocks), np.array(labels), select_bs_subset(spec.n_bs),
+                spec.method, split, digest, spec,
+            )
+        )
     return splits[0], splits[1]
 
 
@@ -259,19 +259,19 @@ def _sidecar_path(csv_path: Path) -> Path:
 def save(dataset: LabeledDataset, path) -> None:
     """CSV with full-precision features plus a JSON sidecar holding the spec."""
     path = Path(path)
-    width = dataset.width
-    header = "label," + ",".join(f"f{i + 1}" for i in range(width))
-    lines = [header]
-    for row in dataset.rows:
-        lines.append(f"{int(row.label)}," + ",".join(repr(float(v)) for v in row.flattened))
+    header = "label," + ",".join(f"f{i + 1}" for i in range(dataset.width))
+    lines = [header] + [
+        f"{int(label)}," + ",".join(map(repr, row))
+        for label, row in zip(dataset.labels.tolist(), dataset.features.tolist())
+    ]
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
         "spec_hash": dataset.provenance,
         "split": dataset.split,
-        "n_rows": len(dataset.rows),
-        "width": width,
+        "n_rows": len(dataset.labels),
+        "width": dataset.width,
         "method": dataset.method,
-        "bs_ids": [bs_id for bs_id, _ in dataset.rows[0].per_bs],
+        "bs_ids": list(dataset.bs_ids),
     }
     if dataset.spec is not None:
         sidecar["spec"] = spec_to_dict(dataset.spec)
@@ -283,65 +283,92 @@ class DatasetFormatError(ValueError):
     pass
 
 
-def load(path) -> LabeledDataset:
-    """Reads a dataset CSV and its sidecar; errors name the offending cell."""
-    path = Path(path)
-    sidecar_file = _sidecar_path(path)
-    if not sidecar_file.exists():
-        raise DatasetFormatError(f"{path}: missing sidecar {sidecar_file.name}")
-    sidecar = json.loads(sidecar_file.read_text())
-    method = check_method(sidecar["method"])
-    spec = spec_from_dict(sidecar["spec"]) if "spec" in sidecar else None
-    if spec is not None and spec_hash(spec) != sidecar["spec_hash"]:
-        raise DatasetFormatError(f"{path}: sidecar hash does not match its spec (tampered?)")
+SIDECAR_FIELDS = {"spec_hash": str, "split": str, "method": str, "n_rows": int, "width": int}
 
+
+def _read_sidecar(sidecar_file: Path) -> tuple[dict, tuple[int, ...], DatasetSpec | None]:
+    """The sidecar's typed fields, station ids and spec; errors name the file
+    and the key."""
+    try:
+        doc = json.loads(sidecar_file.read_text())
+        if not isinstance(doc, dict):
+            raise ConfigError("sidecar must be a JSON object")
+        missing = [k for k in SIDECAR_FIELDS if k not in doc]
+        if missing:
+            raise ConfigError(f"sidecar missing keys: {', '.join(missing)}")
+        fields = {k: typed(k, doc[k], kind) for k, kind in SIDECAR_FIELDS.items()}
+        spec = None
+        if "spec" in doc:
+            if not isinstance(doc["spec"], dict):
+                raise ConfigError(f"spec must be an object, got {doc['spec']!r:.40}")
+            spec = spec_from_dict(doc["spec"])
+            if spec_hash(spec) != fields["spec_hash"]:
+                raise ConfigError("spec_hash does not match the embedded spec (tampered?)")
+        if "bs_ids" in doc:
+            if not isinstance(doc["bs_ids"], list):
+                raise ConfigError(f"bs_ids must be a list, got {doc['bs_ids']!r:.40}")
+            bs_ids = tuple(typed("bs_ids", i, int) for i in doc["bs_ids"])
+            if spec is not None and bs_ids != select_bs_subset(spec.n_bs):
+                raise ConfigError(f"bs_ids {list(bs_ids)} disagree with the spec's n_bs")
+        elif spec is not None:
+            bs_ids = select_bs_subset(spec.n_bs)
+        else:
+            raise ConfigError("sidecar names neither bs_ids nor a spec")
+        if "n_bs" in doc and typed("n_bs", doc["n_bs"], int) != len(bs_ids):
+            raise ConfigError(f"n_bs {doc['n_bs']} disagrees with {len(bs_ids)} stations")
+    except ValueError as exc:  # ConfigError, or malformed JSON
+        raise DatasetFormatError(f"{sidecar_file}: {exc}") from None
+    return fields, bs_ids, spec
+
+
+def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, width) feature matrix and the labels of a dataset CSV; errors
+    name the row and the column."""
     lines = path.read_text().splitlines()
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
     header = lines[0].split(",")
     if header[0] != "label" or len(header) < 2:
         raise DatasetFormatError(f"{path}: row 1: bad header {lines[0]!r}")
-    width = len(header) - 1
-    per_bs = FEATURES_PER_BS[method]
-    if "bs_ids" in sidecar:
-        bs_ids = tuple(int(i) for i in sidecar["bs_ids"])
-    elif spec is not None:
-        bs_ids = select_bs_subset(spec.n_bs)
-    else:
-        raise DatasetFormatError(f"{path}: sidecar names neither bs_ids nor a spec")
-    if len(bs_ids) * per_bs != width:
-        raise DatasetFormatError(f"{path}: {len(bs_ids)} stations do not fit width {width} ({method})")
-    if spec is not None and bs_ids != select_bs_subset(spec.n_bs):
-        raise DatasetFormatError(f"{path}: bs_ids {list(bs_ids)} disagree with the spec's n_bs")
-    rows = []
+    labels, rows = [], []
     for i, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != width + 1:
-            raise DatasetFormatError(
-                f"{path}: row {i}: expected {width + 1} columns, found {len(cells)}"
-            )
+        if len(cells) != len(header):
+            raise DatasetFormatError(f"{path}: row {i}: expected {len(header)} columns, found {len(cells)}")
         if cells[0] not in ("0", "1"):
             raise DatasetFormatError(f"{path}: row {i}, column 1: bad label {cells[0]!r}")
-        values = []
+        labels.append(cells[0] == "1")
+        row = []
         for j, cell in enumerate(cells[1:], start=2):
             try:
-                values.append(float(cell))
+                row.append(float(cell))
             except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: row {i}, column {j}: {cell!r} is not a number"
-                ) from None
-        blocks = tuple(
-            (bs_id, tuple(values[k * per_bs : (k + 1) * per_bs]))
-            for k, bs_id in enumerate(bs_ids)
+                raise DatasetFormatError(f"{path}: row {i}, column {j}: {cell!r} is not a number") from None
+        rows.append(row)
+    matrix = np.array(rows).reshape(len(rows), len(header) - 1)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        r, c = bad[0].tolist()
+        cell = lines[r + 1].split(",")[c + 1]
+        raise DatasetFormatError(f"{path}: row {r + 2}, column {c + 2}: {cell!r} is not finite")
+    return matrix, np.array(labels)
+
+
+def load(path) -> LabeledDataset:
+    """Reads a dataset CSV and its sidecar; errors name the file and the
+    offending key or cell."""
+    path = Path(path)
+    sidecar_file = _sidecar_path(path)
+    if not sidecar_file.exists():
+        raise DatasetFormatError(f"{path}: missing sidecar {sidecar_file.name}")
+    fields, bs_ids, spec = _read_sidecar(sidecar_file)
+    matrix, labels = _read_csv(path)
+    for key, found in (("n_rows", matrix.shape[0]), ("width", matrix.shape[1])):
+        if fields[key] != found:
+            raise DatasetFormatError(f"{sidecar_file}: {key} {fields[key]} disagrees with the CSV's {found}")
+    try:
+        return LabeledDataset(
+            matrix, labels, bs_ids, fields["method"], fields["split"], fields["spec_hash"], spec
         )
-        rows.append(
-            FeatureVector(
-                method=method,
-                per_bs=blocks,
-                flattened=np.array(values),
-                label=cells[0] == "1",
-            )
-        )
-    return LabeledDataset(
-        rows=rows, split=sidecar["split"], provenance=sidecar["spec_hash"], spec=spec
-    )
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None

@@ -9,13 +9,11 @@ measured-vs-theoretical differences:
           the all-zero reference of an unspoofed link (one value per
           station)
 
-Feature vectors concatenate the per-station blocks in ascending station id,
-so the input width is n_stations * {4, 5, 1}.
+A row of features concatenates the per-station blocks in ascending station
+id, so the input width is n_stations * {4, 5, 1}.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,24 +27,17 @@ def check_method(method: str) -> str:
     return method
 
 
-def mvsk(series) -> tuple[float, float, float, float]:
-    """Mean, sample variance (n-1), skewness g1 and excess kurtosis g2.
+def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
+    """Mean, sample variance (n-1), skewness g1 and excess kurtosis g2 of
+    every series along the last axis; shape (..., 4).
 
     g1 = m3 / m2^1.5 and g2 = m4 / m2^2 - 3 with central moments m_k taken
     over n. A constant series has zero variance; its skewness and kurtosis
     are defined as 0.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("mvsk needs a 1-D series of length >= 2")
-    return tuple(_mvsk_lanes(x[None])[0].tolist())
-
-
-def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
-    """mvsk of every series along the last axis; shape (..., 4)."""
     n = x.shape[-1]
     if n < 2:
-        raise ValueError("mvsk needs a 1-D series of length >= 2")
+        raise ValueError("mvsk needs series of length >= 2")
     x = _sorted_lanes(x)
     mean = np.mean(x, axis=-1)
     centered = x - mean[..., None]
@@ -66,24 +57,17 @@ def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
     )
 
 
-def box(series) -> tuple[float, float, float, float, float]:
-    """Five-number summary with linearly interpolated quartiles."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or len(x) < 1:
-        raise ValueError("box needs a non-empty 1-D series")
-    return tuple(_box_lanes(x).tolist())
-
-
 def _box_lanes(x: np.ndarray) -> np.ndarray:
-    """Five-number summary of every series along the last axis; shape (..., 5)."""
+    """Five-number summary (min, linearly interpolated quartiles, max) of
+    every series along the last axis; shape (..., 5)."""
     return np.moveaxis(np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0], axis=-1), 0, -1)
 
 
 def _wd_lanes(deltas: np.ndarray) -> np.ndarray:
-    """wasserstein_1d(d, zeros) of every series along the last axis; shape (..., 1).
-
-    Against the all-zero reference the distance is the mean of the sorted
-    deltas, summed in wasserstein_1d's order, so the values are bit-identical.
+    """Order-1 Wasserstein distance of every series along the last axis from
+    the all-zero reference; shape (..., 1). That distance is the mean
+    absolute difference of the sorted samples, so for deltas >= 0 it is the
+    mean of the sorted deltas.
     """
     return np.mean(_sorted_lanes(deltas), axis=-1)[..., None]
 
@@ -98,86 +82,22 @@ def _sorted_lanes(x: np.ndarray) -> np.ndarray:
 _LANE_FEATURES = {"mvsk": _mvsk_lanes, "box": _box_lanes, "wd": _wd_lanes}
 
 
-def wasserstein_1d(a, b) -> float:
-    """Order-1 Wasserstein distance between two equal-size empirical samples:
-    the mean absolute difference of the sorted values."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or len(a) == 0:
-        raise ValueError("need non-empty 1-D samples")
-    if len(a) != len(b):
-        raise ValueError(f"sample sizes differ: {len(a)} vs {len(b)}")
-    return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Flattened per-station features for one window, with its label."""
-
-    method: str
-    per_bs: tuple[tuple[int, tuple[float, ...]], ...]  # (bs_id, block), ascending id
-    flattened: np.ndarray
-    label: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "flattened", np.asarray(self.flattened, dtype=float))
-        check_method(self.method)
-        ids = [bs_id for bs_id, _ in self.per_bs]
-        if ids != sorted(ids) or len(set(ids)) != len(ids):
-            raise ValueError("per-station blocks must be ordered by unique bs_id")
-        expected = len(self.per_bs) * FEATURES_PER_BS[self.method]
-        if len(self.flattened) != expected:
-            raise ValueError(
-                f"{self.method} features for {len(self.per_bs)} stations "
-                f"must have width {expected}, got {len(self.flattened)}"
-            )
-        if not np.all(np.isfinite(self.flattened)):
-            raise ValueError("features must be finite")
-
-    @property
-    def width(self) -> int:
-        return len(self.flattened)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureVector):
-            return NotImplemented
-        return (
-            self.method == other.method
-            and self.label == other.label
-            and self.per_bs == other.per_bs
-            and np.array_equal(self.flattened, other.flattened)
-        )
-
-
-def extract(deltas, method: str, labels, bs_ids) -> list[FeatureVector]:
-    """Labeled feature vectors for a batch of decision windows.
+def extract(deltas, method: str) -> np.ndarray:
+    """The (rows, width) feature matrix of a batch of decision windows.
 
     deltas is a (rows, stations, samples) array of per-instant
-    |measured - theoretical| path loss, its station axis ordered as bs_ids;
-    labels holds one label per row. mvsk and box summarize each station's
-    series; wd measures how far its distribution sits from the all-zero
-    reference. Blocks come out in ascending station id.
+    |measured - theoretical| path loss. mvsk and box summarize each
+    station's series; wd measures how far its distribution sits from the
+    all-zero reference. A row concatenates the stations' blocks in the
+    station axis' order.
     """
     check_method(method)
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 3 or 0 in deltas.shape:
         raise ValueError(f"deltas must be a non-empty (rows, stations, samples) array, got {deltas.shape}")
-    if len(bs_ids) != deltas.shape[1] or len(set(bs_ids)) != len(bs_ids):
-        raise ValueError(f"need one unique station id per station column, got {list(bs_ids)}")
-    if len(labels) != deltas.shape[0]:
-        raise ValueError(f"{len(labels)} labels for {deltas.shape[0]} rows")
     if np.any(deltas < 0):
         raise ValueError("delta values must be >= 0")
-    order = np.argsort(bs_ids, kind="stable")
-    ids = [int(bs_ids[k]) for k in order]
-    blocks = _LANE_FEATURES[method](deltas[:, order])
-    flat = blocks.reshape(len(blocks), -1)
-    return [
-        FeatureVector(
-            method=method,
-            per_bs=tuple(zip(ids, map(tuple, row))),
-            flattened=flat[i],
-            label=bool(label),
-        )
-        for i, (row, label) in enumerate(zip(blocks.tolist(), labels))
-    ]
+    features = _LANE_FEATURES[method](deltas).reshape(len(deltas), -1)
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features must be finite")
+    return features

@@ -62,8 +62,8 @@ class TrainConfig:
     rng_seed: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate!r}")
         if self.max_epochs < 1 or self.patience < 1 or self.batch_size < 1:
             raise ValueError("max_epochs, patience and batch_size must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -163,11 +163,6 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
             f"input width {inputs.shape[1]} != model width {model.architecture.input_width}"
         )
     return _predict_norm(model.weights, model.biases, normalize(model, inputs))
-
-
-def forward(model: MlpModel, x) -> float:
-    """Probability in (0, 1) that a single feature vector is spoofed."""
-    return float(forward_batch(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def loss_mse(predictions, labels) -> float:

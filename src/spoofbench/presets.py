@@ -19,6 +19,3 @@ BEST_SETTINGS: dict[tuple[str, int], tuple[float, int, int]] = {
     ("wd", 1): (0.0001, 2, 64),
 }
 
-
-def best_settings(method: str, n_bs: int) -> tuple[float, int, int]:
-    return BEST_SETTINGS[(method, n_bs)]

@@ -1,10 +1,11 @@
-"""Scene geometry: base stations, flight trajectories, destination layouts
-and spoofing scenarios.
+"""Scene geometry: base stations, destination layouts and flight position
+arrays.
 
-A flight goes from a fixed start point to one of several destinations spread
-on a sphere around the start. The GPS receiver reports a trajectory toward
-the planned destination (index 0); under spoofing the vehicle physically
-flies toward a different destination while still reporting the planned path.
+A flight goes in a straight line from a fixed start point to one of several
+destinations spread on a sphere around the start. The GPS receiver reports
+the flight toward the planned destination (index 0); under spoofing the
+vehicle physically flies toward a different destination while still
+reporting the planned path.
 """
 
 from __future__ import annotations
@@ -48,95 +49,6 @@ class BaseStation:
         if not isinstance(other, BaseStation):
             return NotImplemented
         return self.id == other.id and np.array_equal(self.position, other.position)
-
-
-@dataclass(frozen=True, eq=False)
-class Waypoint:
-    position: np.ndarray
-    time: float  # seconds since mission start
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_vec3(self.position))
-        if self.position[2] < 0:
-            raise ValueError("waypoint altitude must be >= 0")
-        if self.time < 0:
-            raise ValueError("waypoint time must be >= 0")
-
-    def __eq__(self, other):
-        if not isinstance(other, Waypoint):
-            return NotImplemented
-        return self.time == other.time and np.array_equal(self.position, other.position)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-linear path through waypoints, sampled every sample_period."""
-
-    waypoints: tuple[Waypoint, ...]
-    sample_period: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        if len(self.waypoints) < 2:
-            raise ValueError("trajectory needs at least 2 waypoints")
-        times = [w.time for w in self.waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("waypoint times must be strictly increasing")
-        check_positive_finite("sample_period", self.sample_period)
-
-    @property
-    def duration(self) -> float:
-        return self.waypoints[-1].time - self.waypoints[0].time
-
-    def times(self) -> np.ndarray:
-        return np.array([w.time for w in self.waypoints])
-
-    def points(self) -> np.ndarray:
-        return np.stack([w.position for w in self.waypoints])
-
-
-def positions_at(trajectory: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """Positions at n query times as an (n, 3) array, linearly interpolated
-    between waypoints."""
-    ts = np.asarray(ts, dtype=float)
-    times = trajectory.times()
-    if np.any(ts < times[0]) or np.any(ts > times[-1]):
-        raise ValueError(
-            f"query time outside trajectory range [{times[0]}, {times[-1]}]"
-        )
-    pts = trajectory.points()
-    return np.stack([np.interp(ts, times, pts[:, k]) for k in range(3)], axis=1)
-
-
-@dataclass(frozen=True)
-class SpoofingScenario:
-    """One flight: where the UAV really is vs. where its GPS says it is.
-
-    label is True when the reported trajectory diverges from the true one
-    (spoofed).
-    """
-
-    true_trajectory: Trajectory
-    reported_trajectory: Trajectory
-    label: bool
-
-    def __post_init__(self):
-        same = self.true_trajectory == self.reported_trajectory
-        if not self.label:
-            if not same:
-                raise ValueError("legitimate scenario must have identical trajectories")
-            return
-        if same:
-            raise ValueError("spoofed scenario must have divergent trajectories")
-        # Distinct waypoints may still trace the same path at the sample instants.
-        period = self.true_trajectory.sample_period
-        end = min(self.true_trajectory.duration, self.reported_trajectory.duration)
-        ts = np.arange(0.0, end + 0.5 * period, period)
-        ts = ts[ts <= end]
-        p_true = positions_at(self.true_trajectory, ts)
-        p_rep = positions_at(self.reported_trajectory, ts)
-        if not np.any(p_true != p_rep):
-            raise ValueError("spoofed trajectories never diverge")
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,11 +161,12 @@ def destination_grid(config: ScenarioConfig) -> list[np.ndarray]:
     return destination_layout(config.start, config.mission_radius, config.n_destinations)
 
 
-def flight_to(config: ScenarioConfig, destination: np.ndarray) -> Trajectory:
-    return Trajectory(
-        waypoints=(
-            Waypoint(config.start, 0.0),
-            Waypoint(destination, config.flight_duration),
-        ),
-        sample_period=config.sample_period,
+def flight_positions(config: ScenarioConfig, destinations) -> np.ndarray:
+    """(destinations, samples, 3) positions of straight flights from the
+    start to each destination, at the window's sample instants."""
+    ts = np.arange(config.window_size) * config.sample_period
+    times = [0.0, config.flight_duration]
+    return np.stack(
+        [np.stack([np.interp(ts, times, [config.start[k], dest[k]]) for k in range(3)], axis=1)
+         for dest in destinations]
     )

@@ -1,54 +1,60 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the library's own code paths: plain Python
-summation for the moments, CDF-area integration for the transport distance,
-central finite differences for the gradients, one sample at a time for
-the simulated path loss, and one model with one Adam update per tensor for
-training.
+summation for the moments, CDF-area integration and the sorted-difference
+formula for the transport distance, central finite differences for the
+gradients, one sample at a time for the flight positions and the simulated
+path loss, and one model with one Adam update per tensor for training.
 """
 
 import numpy as np
 
 from spoofbench.channel import Link, window_rng
 from spoofbench.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EpochStats, accuracy, forward_batch, init_model, loss_mse
-from spoofbench.scenario import positions_at
+from spoofbench.scenario import destination_grid
 
 
 def distance_3d(p, q) -> float:
     return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
 
 
-def position_at(trajectory, t: float) -> np.ndarray:
-    """Position at time t, linearly interpolated between waypoints."""
-    return positions_at(trajectory, np.asarray([t], dtype=float))[0]
+def position_at(config, destination, t: float) -> np.ndarray:
+    """Position at time t of the straight flight from the start to destination."""
+    times = [0.0, config.flight_duration]
+    return np.array([np.interp(t, times, [config.start[k], destination[k]]) for k in range(3)])
 
 
-def reference_window(scenario, noise_seed, bs, params, n_samples):
+def path_loss(position, bs, params) -> float:
+    """Noise-free model path loss in dB at one UAV position."""
+    return float(Link.along(position, bs, params).theoretical()[0])
+
+
+def reference_window(config, dest_index, noise_seed, bs, params):
     """Scalar per-window reference: (measured, theoretical, los) lists for one
-    station's window of a flight seeded noise_seed, one sample instant at a
-    time.
+    station's window of the flight to destination dest_index seeded
+    noise_seed, one sample instant at a time.
 
     It shares only the path-loss formula with the library, evaluated at one
     position per call (numpy's vectorized log10 and exp round differently
     from the math module's, so only the same ufuncs compare bit for bit).
-    The per-destination cache, the chunking and the array draws are
-    replaced by per-sample draws that consume the window's random stream as
-    the channel must: every sample's LoS draw first (sampled_los only), then
-    every shadow-fading draw, then every measurement-noise draw.
+    The position arrays, the per-destination cache, the chunking and the
+    array draws are replaced by per-sample positions and draws that consume
+    the window's random stream as the channel must: every sample's LoS draw
+    first (sampled_los only), then every shadow-fading draw, then every
+    measurement-noise draw.
     """
     rng = window_rng(params, noise_seed, bs.id)
-    period = scenario.true_trajectory.sample_period
-    true = [Link.along(position_at(scenario.true_trajectory, k * period), bs, params)
-            for k in range(n_samples)]
-    reported = [Link.along(position_at(scenario.reported_trajectory, k * period), bs, params)
-                for k in range(n_samples)]
+    destinations = destination_grid(config)
+    instants = [k * config.sample_period for k in range(config.window_size)]
+    true = [Link.along(position_at(config, destinations[dest_index], t), bs, params) for t in instants]
+    reported = [Link.along(position_at(config, destinations[0], t), bs, params) for t in instants]
     if params.sampled_los:
         los = [rng.random() < lk.los_prob[0] for lk in true]
     else:
         los = [lk.los_prob[0] >= 0.5 for lk in true]
     shadow = [rng.normal(0.0, lk.los_sigma[0] if k else params.nlos_shadow_sigma)
               for lk, k in zip(true, los)]
-    noise = [rng.normal(0.0, params.meas_noise_sigma) for _ in range(n_samples)]
+    noise = [rng.normal(0.0, params.meas_noise_sigma) for _ in instants]
     measured = [float((lk.los_db[0] if k else lk.nlos_db[0]) + s + e)
                 for lk, k, s, e in zip(true, los, shadow, noise)]
     theoretical = [float(lk.los_db[0] if lk.los_prob[0] >= 0.5 else lk.nlos_db[0])
@@ -80,6 +86,12 @@ def cdf_area_distance(a, b):
         fb = np.count_nonzero(b <= x0) / len(b)
         total += abs(fa - fb) * (x1 - x0)
     return total
+
+
+def wasserstein_1d(a, b) -> float:
+    """Order-1 Wasserstein distance between two equal-size empirical samples:
+    the mean absolute difference of the sorted values."""
+    return float(np.mean(np.abs(np.sort(np.asarray(a, dtype=float)) - np.sort(np.asarray(b, dtype=float)))))
 
 
 def finite_difference_gradients(model, inputs, labels, step=1e-5):

@@ -24,7 +24,7 @@ from spoofbench.baseline import best_operating_point, sweep_threshold
 from spoofbench.channel import ChannelParams
 from spoofbench.cli import main as cli
 from spoofbench.dataset import DatasetSpec, generate, iter_delta_chunks
-from spoofbench.features import FEATURES_PER_BS, METHODS, mvsk, wasserstein_1d
+from spoofbench.features import FEATURES_PER_BS, METHODS, extract
 from spoofbench.mlp import (
     MlpArchitecture,
     TrainConfig,
@@ -34,7 +34,7 @@ from spoofbench.mlp import (
     init_model,
     train,
 )
-from spoofbench.presets import best_settings
+from spoofbench.presets import BEST_SETTINGS
 from spoofbench.scenario import default_config
 
 SEED = 1
@@ -73,18 +73,18 @@ def bench():
             t0 = time.perf_counter()
             spec = make_spec(method, n_bs)
             train_ds, test_ds = generate(spec)
-            lr, layers, neurons = best_settings(method, n_bs)
+            lr, layers, neurons = BEST_SETTINGS[(method, n_bs)]
             model = train(
                 MlpArchitecture(train_ds.width, layers, neurons),
-                train_ds.features(),
-                train_ds.labels(),
+                train_ds.features,
+                train_ds.labels,
                 TrainConfig(learning_rate=lr, rng_seed=SEED),
             )
-            test_acc = accuracy(forward_batch(model, test_ds.features()), test_ds.labels())
+            test_acc = accuracy(forward_batch(model, test_ds.features), test_ds.labels)
             runs[(method, n_bs)] = BenchRun(
                 spec=spec,
-                train_rows=len(train_ds.rows),
-                test_rows=len(test_ds.rows),
+                train_rows=len(train_ds.labels),
+                test_rows=len(test_ds.labels),
                 width=train_ds.width,
                 model=model,
                 test_accuracy=test_acc,
@@ -97,7 +97,7 @@ def test_criterion_01_headline_accuracy_three_stations(bench):
     """WD detector, 3 stations, reference settings: >= 0.90 hard gate
     (0.93 target) on the 969-row test set, end to end within 5 minutes."""
     run = bench[("wd", 3)]
-    lr, layers, neurons = best_settings("wd", 3)
+    lr, layers, neurons = BEST_SETTINGS[("wd", 3)]
     ok = (
         run.test_accuracy >= 0.90
         and run.train_rows == 2259
@@ -278,14 +278,15 @@ def test_criterion_07_gradient_oracle():
 
 
 def test_criterion_08_statistical_oracles():
-    """mvsk vs naive two-pass summation (1e-12) and transport distance vs
-    CDF-area integration (1e-9 absolute), 1000 random series each."""
+    """mvsk features vs naive two-pass summation (1e-12) and wd features vs
+    CDF-area integration against the all-zero reference (1e-9 absolute),
+    1000 random delta series each."""
     rng = np.random.default_rng(SEED)
     worst_mvsk = 0.0
     for _ in range(1000):
         n = int(rng.integers(20, 101))
         series = np.abs(rng.normal(rng.uniform(0.5, 3.0), rng.uniform(0.2, 2.0), size=n))
-        got = mvsk(series)
+        got = extract(series[None, None], "mvsk")[0]
         want = naive_mvsk(series.tolist())
         for g, w in zip(got, want):
             worst_mvsk = max(worst_mvsk, abs(g - w) / max(abs(g), abs(w), 1.0))
@@ -294,9 +295,9 @@ def test_criterion_08_statistical_oracles():
     worst_wd = 0.0
     for _ in range(1000):
         n = int(rng.integers(5, 61))
-        a = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 3.0), size=n)
-        b = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 3.0), size=n)
-        worst_wd = max(worst_wd, abs(wasserstein_1d(a, b) - cdf_area_distance(a, b)))
+        deltas = np.abs(rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 3.0), size=n))
+        got = extract(deltas[None, None], "wd")[0, 0]
+        worst_wd = max(worst_wd, abs(got - cdf_area_distance(deltas, np.zeros(n))))
     wd_ok = worst_wd <= 1e-9
 
     check(

@@ -8,10 +8,10 @@ from spoofbench.baseline import (
     decide,
     sweep_threshold,
 )
-from oracles import position_at
-from spoofbench.channel import ChannelParams, theoretical_path_loss
+from oracles import path_loss, position_at
+from spoofbench.channel import ChannelParams
 from spoofbench.dataset import DatasetSpec, iter_delta_chunks
-from spoofbench.scenario import default_config, destination_grid, flight_to
+from spoofbench.scenario import default_config, destination_grid
 
 QUIET = ChannelParams(
     carrier_frequency=2.0,
@@ -74,21 +74,20 @@ def test_detector_validation():
 
 
 def test_zero_noise_spoofed_flight_exceeds_1db():
-    """Oracle: recompute the window-mean delta by walking both trajectories
+    """Oracle: recompute the window-mean delta by walking both flights
     through the loss model directly, then check decide() agrees."""
     cfg = default_config()
     bs = cfg.base_stations[0]
     spec = DatasetSpec(cfg, QUIET, "wd", n_bs=1, train_size=16, test_size=2)
     (plans, deltas), = iter_delta_chunks(spec, "train")
     k = next(i for i, p in enumerate(plans) if p.dest_index == 8)  # opposite azimuth
-    true = flight_to(cfg, destination_grid(cfg)[8])
-    reported = flight_to(cfg, destination_grid(cfg)[0])
+    true, reported = destination_grid(cfg)[8], destination_grid(cfg)[0]
 
     oracle = []
     for j in range(cfg.window_size):
         t = j * cfg.sample_period
-        pl_true = theoretical_path_loss(position_at(true, t), bs, QUIET)
-        pl_rep = theoretical_path_loss(position_at(reported, t), bs, QUIET)
+        pl_true = path_loss(position_at(cfg, true, t), bs, QUIET)
+        pl_rep = path_loss(position_at(cfg, reported, t), bs, QUIET)
         oracle.append(abs(pl_true - pl_rep))
     assert np.allclose(deltas[k, 0], oracle, rtol=1e-12)
     assert float(np.mean(oracle)) > 1.0

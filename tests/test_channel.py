@@ -5,28 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_3d, position_at
+from oracles import distance_3d, path_loss, position_at
 from spoofbench.channel import (
     ChannelParams,
     Link,
     check_finite,
     los_probability,
-    los_shadow_sigma,
     measured_window,
-    theoretical_path_loss,
-    window_positions,
     window_rng,
 )
 from spoofbench.dataset import DatasetSpec, archive_plan, generate
-from spoofbench.scenario import (
-    BaseStation,
-    SpoofingScenario,
-    Trajectory,
-    Waypoint,
-    default_config,
-    destination_grid,
-    flight_to,
-)
+from spoofbench.scenario import BaseStation, default_config, destination_grid, flight_positions
 
 PARAMS = ChannelParams(carrier_frequency=2.0, rng_seed=1)
 QUIET = ChannelParams(
@@ -72,20 +61,14 @@ def test_los_probability_is_a_probability(h, d):
 
 def test_theoretical_path_loss_frozen_values():
     # start position against the station right underneath (d3d = 115 m)
-    assert theoretical_path_loss([150, 150, 150], BS2, PARAMS) == pytest.approx(
-        79.35595240105908, rel=1e-12
-    )
+    assert path_loss([150, 150, 150], BS2, PARAMS) == pytest.approx(79.35595240105908, rel=1e-12)
     # start position against the corner station (d3d = sqrt(58225) m)
-    assert theoretical_path_loss([150, 150, 150], BS1, PARAMS) == pytest.approx(
-        86.43680438255353, rel=1e-12
-    )
+    assert path_loss([150, 150, 150], BS1, PARAMS) == pytest.approx(86.43680438255353, rel=1e-12)
 
 
 def test_doubling_frequency_adds_6db():
     four = ChannelParams(carrier_frequency=4.0)
-    gain = theoretical_path_loss([150, 150, 150], BS1, four) - theoretical_path_loss(
-        [150, 150, 150], BS1, PARAMS
-    )
+    gain = path_loss([150, 150, 150], BS1, four) - path_loss([150, 150, 150], BS1, PARAMS)
     assert gain == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
 
 
@@ -98,12 +81,12 @@ def test_nlos_branch_value():
         + (46.0 - 7.0 * math.log10(30.0)) * math.log10(d3d)
         + 20.0 * math.log10(40.0 * math.pi * 2.0 / 3.0)
     )
-    assert theoretical_path_loss(uav, BS1, PARAMS) == pytest.approx(expected, rel=1e-12)
+    assert path_loss(uav, BS1, PARAMS) == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_distance_rejected():
     with pytest.raises(ValueError):
-        theoretical_path_loss([0.0, 0.0, 35.0], BS1, PARAMS)
+        path_loss([0.0, 0.0, 35.0], BS1, PARAMS)
 
 
 @settings(max_examples=100)
@@ -117,8 +100,8 @@ def test_path_loss_increases_with_distance_in_los(d_near, factor):
     bs = BaseStation(1, [0.0, 0.0, 35.0])
     horiz = lambda d3d: math.sqrt(d3d**2 - (h - 35.0) ** 2)
     d_far = d_near * factor
-    near = theoretical_path_loss([horiz(d_near + 200), 0, h], bs, PARAMS)
-    far = theoretical_path_loss([horiz(d_far + 200), 0, h], bs, PARAMS)
+    near = path_loss([horiz(d_near + 200), 0, h], bs, PARAMS)
+    far = path_loss([horiz(d_far + 200), 0, h], bs, PARAMS)
     assert far > near
 
 
@@ -134,78 +117,72 @@ def test_path_loss_translation_invariant(shift):
     uav = np.array([150.0, 150.0, 150.0])
     c = np.array(shift)
     moved_bs = BaseStation(1, BS1.position + c)
-    assert theoretical_path_loss(uav + c, moved_bs, PARAMS) == pytest.approx(
-        theoretical_path_loss(uav, BS1, PARAMS), rel=1e-9
-    )
+    assert path_loss(uav + c, moved_bs, PARAMS) == pytest.approx(path_loss(uav, BS1, PARAMS), rel=1e-9)
 
 
 def test_los_shadow_sigma_at_150m():
-    assert los_shadow_sigma(150.0) == pytest.approx(1.724115846342292, rel=1e-12)
+    sigma = Link.along([150.0, 150.0, 150.0], BS1, PARAMS).los_sigma[0]
+    assert sigma == pytest.approx(1.724115846342292, rel=1e-12)
 
 
 def test_measured_equals_theoretical_without_noise():
     uav = [150.0, 150.0, 150.0]
     measured = measured_window(Link.along(uav, BS1, QUIET), QUIET, np.random.default_rng(0))
-    assert measured[0] == theoretical_path_loss(uav, BS1, QUIET)
+    assert measured[0] == path_loss(uav, BS1, QUIET)
 
 
 def test_measured_noise_is_zero_mean():
     uav = [150.0, 150.0, 150.0]
     n = 100_000
-    pl = theoretical_path_loss(uav, BS1, PARAMS)
+    pl = path_loss(uav, BS1, PARAMS)
     link = Link.along(np.tile(uav, (n, 1)), BS1, PARAMS)
     draws = measured_window(link, PARAMS, np.random.default_rng(1234)) - pl
-    sigma = math.hypot(los_shadow_sigma(150.0), PARAMS.meas_noise_sigma)
+    sigma = math.hypot(link.los_sigma[0], PARAMS.meas_noise_sigma)
     assert abs(draws.mean()) <= 3.0 * sigma / math.sqrt(n)
     assert draws.std() == pytest.approx(sigma, rel=0.02)
 
 
-def _scenarios():
-    """The `simulate` archive's flights, as (scenario, noise seed) pairs."""
-    cfg = default_config()
-    dests = destination_grid(cfg)
-    reported = flight_to(cfg, dests[0])
-    return [
-        (SpoofingScenario(flight_to(cfg, dests[p.dest_index]), reported, p.label), p.noise_seed)
-        for p in archive_plan(cfg.n_destinations)
-    ]
+CONFIG = default_config()
+DESTINATIONS = destination_grid(CONFIG)
+POSITIONS = flight_positions(CONFIG, DESTINATIONS)
 
 
-def sample_window(flight, bs, params, n_samples=100):
+def _flights():
+    """The `simulate` archive's flights, as (destination index, noise seed) pairs."""
+    return [(p.dest_index, p.noise_seed) for p in archive_plan(CONFIG.n_destinations)]
+
+
+def sample_window(flight, bs, params, positions=POSITIONS):
     """(measured, theoretical) path loss of one station's window of a
-    (scenario, noise seed) pair."""
-    scenario, noise_seed = flight
-    true_link = Link.along(window_positions(scenario.true_trajectory, n_samples), bs, params)
+    (destination index, noise seed) pair."""
+    dest_index, noise_seed = flight
     rng = window_rng(params, noise_seed, bs.id)
-    reported = window_positions(scenario.reported_trajectory, n_samples)
-    return measured_window(true_link, params, rng), Link.along(reported, bs, params).theoretical()
+    measured = measured_window(Link.along(positions[dest_index], bs, params), params, rng)
+    return measured, Link.along(positions[0], bs, params).theoretical()
 
 
 def test_sample_window_length_and_alignment():
-    flight = _scenarios()[3]
-    spoofed, _ = flight
+    flight = _flights()[3]
     measured, theoretical = sample_window(flight, BS1, QUIET)
     assert measured.shape == theoretical.shape == (100,)
     for k in (0, 1, 50, 99):  # sample k belongs to instant k * sample_period
-        t = k * spoofed.true_trajectory.sample_period
-        assert measured[k] == theoretical_path_loss(position_at(spoofed.true_trajectory, t), BS1, QUIET)
-        assert theoretical[k] == theoretical_path_loss(
-            position_at(spoofed.reported_trajectory, t), BS1, QUIET
-        )
+        t = k * CONFIG.sample_period
+        assert measured[k] == path_loss(position_at(CONFIG, DESTINATIONS[3], t), BS1, QUIET)
+        assert theoretical[k] == path_loss(position_at(CONFIG, DESTINATIONS[0], t), BS1, QUIET)
 
 
 def test_sample_window_legitimate_zero_noise_is_exact():
-    measured, theoretical = sample_window(_scenarios()[0], BS1, QUIET)
+    measured, theoretical = sample_window(_flights()[0], BS1, QUIET)
     assert np.array_equal(measured, theoretical)
 
 
 def test_sample_window_spoofed_zero_noise_diverges():
-    measured, theoretical = sample_window(_scenarios()[1], BS1, QUIET)
+    measured, theoretical = sample_window(_flights()[1], BS1, QUIET)
     assert np.any(measured != theoretical)
 
 
 def test_sample_window_seeded_determinism():
-    spoofed = _scenarios()[2]
+    spoofed = _flights()[2]
     a, _ = sample_window(spoofed, BS1, PARAMS)
     b, _ = sample_window(spoofed, BS1, PARAMS)
     assert np.array_equal(a, b)
@@ -214,7 +191,7 @@ def test_sample_window_seeded_determinism():
 
 
 def test_sample_window_streams_differ_across_stations_and_flights():
-    s = _scenarios()
+    s = _flights()
     m1, t1 = sample_window(s[0], BS1, PARAMS)
     m2, t2 = sample_window(s[0], BS2, PARAMS)
     assert np.any(m1 - t1 != m2 - t2)
@@ -222,20 +199,11 @@ def test_sample_window_streams_differ_across_stations_and_flights():
     assert np.any(m1 != m3)
 
 
-def test_sample_window_rejects_short_trajectory():
-    with pytest.raises(ValueError, match="too short"):
-        sample_window(_scenarios()[0], BS1, PARAMS, 102)
-
-
 def test_sampled_los_mode_is_deterministic():
-    low = Trajectory(
-        waypoints=(Waypoint([2000.0, 0.0, 60.0], 0.0), Waypoint([2100.0, 0.0, 60.0], 100.0)),
-        sample_period=1.0,
-    )
-    flight = (SpoofingScenario(low, low, label=False), 0)
+    low = np.column_stack([np.arange(2000.0, 2100.0), np.zeros(100), np.full(100, 60.0)])
     params = ChannelParams(carrier_frequency=2.0, rng_seed=3, sampled_los=True)
-    a, _ = sample_window(flight, BS1, params)
-    b, _ = sample_window(flight, BS1, params)
+    a, _ = sample_window((0, 0), BS1, params, positions=low[None])
+    b, _ = sample_window((0, 0), BS1, params, positions=low[None])
     assert np.array_equal(a, b)
 
 

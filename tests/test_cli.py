@@ -94,6 +94,21 @@ def test_train_writes_model_and_history(run_dir):
     assert len(history) == len(doc["history"]) + 1
 
 
+def test_train_rejects_a_non_finite_learning_rate(workdir, data_dir, capsys):
+    assert run("train", data_dir, "--out", workdir / "run", "--lr", "nan") == 1
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (workdir / "run").exists()
+
+
+def test_evaluate_names_the_sidecar_and_the_missing_key(workdir, data_dir, capsys):
+    sidecar = data_dir / "test.meta.json"
+    doc = json.loads(sidecar.read_text())
+    del doc["split"]
+    sidecar.write_text(json.dumps(doc))
+    assert run("evaluate", data_dir, "--detector", "threshold", "--out", workdir / "thr.json") == 1
+    assert f"{sidecar}: sidecar missing keys: split" in capsys.readouterr().err
+
+
 def test_train_is_byte_deterministic(workdir, data_dir):
     a, b = workdir / "run_a", workdir / "run_b"
     for out in (a, b):

@@ -1,15 +1,21 @@
+import copy
 import json
+import re
+import tempfile
 from dataclasses import fields, replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spoofbench.channel import ChannelParams
 from spoofbench.configio import ConfigError
 from spoofbench.dataset import (
     DatasetFormatError,
     DatasetSpec,
-    LabeledDataset,
     generate,
     CHUNK_ROWS,
     iter_delta_chunks,
@@ -59,11 +65,11 @@ def test_spec_default_sizes_match_reference_dataset():
 def test_generate_shapes_and_balance():
     spec = small_spec(method="mvsk", n_bs=3, train=41, test=20)
     train_ds, test_ds = generate(spec)
-    assert len(train_ds.rows) == 41 and len(test_ds.rows) == 20
-    assert train_ds.width == 12 and test_ds.width == 12
+    assert train_ds.features.shape == (41, 12) and test_ds.features.shape == (20, 12)
     for ds in (train_ds, test_ds):
-        spoofed = sum(r.label for r in ds.rows)
-        assert abs(spoofed - (len(ds.rows) - spoofed)) <= 1
+        spoofed = int(ds.labels.sum())
+        assert abs(spoofed - (len(ds.labels) - spoofed)) <= 1
+        assert ds.bs_ids == (1, 2, 3) and ds.method == "mvsk"
     assert train_ds.split == "train" and test_ds.split == "test"
     assert train_ds.provenance == spec_hash(spec)
 
@@ -105,11 +111,9 @@ def test_delta_rows_agree_with_mvsk_mean_feature():
     train_ds, _ = generate(spec)
     (plans, deltas), = iter_delta_chunks(spec, "train")
     assert deltas.shape == (6, 2, 100)
-    for plan, row_deltas, row in zip(plans, deltas, train_ds.rows):
-        assert plan.label == row.label
-        for k, d in enumerate(row_deltas):
-            mean_feature = row.per_bs[k][1][0]
-            assert float(np.mean(d)) == pytest.approx(mean_feature, rel=1e-12)
+    assert train_ds.labels.tolist() == [p.label for p in plans]
+    means = train_ds.features.reshape(6, 2, 4)[..., 0]  # (rows, stations) window means
+    assert np.mean(deltas, axis=-1) == pytest.approx(means, rel=1e-12)
 
 
 def test_delta_chunks_cover_the_split_in_order():
@@ -130,12 +134,12 @@ def test_save_load_round_trip(tmp_path):
 
 def test_save_load_round_trip_without_spec(tmp_path):
     train_ds, _ = generate(small_spec(method="mvsk", n_bs=2, train=10, test=6))
-    bare = LabeledDataset(rows=train_ds.rows, split="train", provenance=train_ds.provenance)
+    bare = replace(train_ds, spec=None)
     path = tmp_path / "train.csv"
     save(bare, path)
     again = load(path)
     assert again == bare
-    assert [bs_id for bs_id, _ in again.rows[0].per_bs] == [1, 3]
+    assert again.bs_ids == (1, 3) and again.spec is None
 
     sidecar_path = tmp_path / "train.meta.json"
     doc = json.loads(sidecar_path.read_text())
@@ -176,6 +180,132 @@ def test_load_reports_bad_cells(tmp_path):
     path.write_text("f1,f2\n1.0,2.0\n")
     with pytest.raises(DatasetFormatError, match="header"):
         load(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_cells_naming_row_and_column(tmp_path, cell):
+    path = tmp_path / "train.csv"
+    save(_wd3_train(), path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = cell
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: row 4, column 3: '{cell}' is not finite"
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        load(path)
+
+
+@cache
+def _wd3_train():
+    """A 40-row wd/3 train split."""
+    return generate(small_spec(method="wd", n_bs=3))[0]
+
+
+@cache
+def _saved_sidecar() -> dict:
+    """The sidecar `save` writes for _wd3_train()."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save(_wd3_train(), Path(tmp) / "train.csv")
+        return json.loads((Path(tmp) / "train.meta.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.pop("split"), "sidecar missing keys: split"),
+        (lambda d: d.pop("method"), "sidecar missing keys: method"),
+        (lambda d: d.pop("spec_hash"), "sidecar missing keys: spec_hash"),
+        (lambda d: d.update(bs_ids=[1.7, 2, 3]), "bs_ids must be an integer, got 1.7"),
+        (lambda d: d.update(bs_ids=3), "bs_ids must be a list"),
+        (lambda d: d.update(n_rows=999), "n_rows 999 disagrees with the CSV's 40"),
+        (lambda d: d.update(width=7), "width 7 disagrees with the CSV's 3"),
+        (lambda d: d.update(n_bs=2), "n_bs 2 disagrees with 3 stations"),
+        (lambda d: d.update(split=1), "split must be a string"),
+        (lambda d: d.update(spec=[]), "spec must be an object"),
+    ],
+)
+def test_load_rejects_bad_sidecars_naming_path_and_key(tmp_path, edit, message):
+    path = tmp_path / "train.csv"
+    save(_wd3_train(), path)
+    doc = copy.deepcopy(_saved_sidecar())
+    edit(doc)
+    sidecar = tmp_path / "train.meta.json"
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{sidecar}: {message}")):
+        load(path)
+
+
+def test_load_rejects_unparseable_sidecar_naming_the_path(tmp_path):
+    path = tmp_path / "train.csv"
+    save(_wd3_train(), path)
+    sidecar = tmp_path / "train.meta.json"
+    sidecar.write_text('{"split": ')
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{sidecar}: Expecting value")):
+        load(path)
+
+
+SIDECAR_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+    st.sampled_from(["train", "test", "wd", "box", "mvsk"]),
+)
+SIDECAR_VALUES = st.recursive(
+    SIDECAR_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_sidecars(draw):
+    """A valid sidecar with a few keys dropped, renamed, retyped or set to
+    nearby or arbitrary values, at the top level or inside bs_ids or spec."""
+    doc = copy.deepcopy(_saved_sidecar())
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        key = draw(st.sampled_from(sorted(_saved_sidecar())))
+        action = draw(st.sampled_from(["drop", "rename", "arbitrary", "near", "station", "spec", "extra"]))
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "rename" and key in doc:
+            doc[key + draw(st.sampled_from(["_", "s", "X"]))] = doc.pop(key)
+        elif action == "arbitrary":
+            doc[key] = draw(SIDECAR_VALUES)
+        elif action == "near" and type(doc.get(key)) is int:
+            doc[key] = draw(st.one_of(st.integers(min_value=-2, max_value=50), st.floats(-5.0, 50.0)))
+        elif action == "station" and isinstance(doc.get("bs_ids"), list) and doc["bs_ids"]:
+            i = draw(st.integers(min_value=0, max_value=len(doc["bs_ids"]) - 1))
+            doc["bs_ids"][i] = draw(st.one_of(st.integers(min_value=0, max_value=4), SIDECAR_SCALARS))
+        elif action == "spec" and isinstance(doc.get("spec"), dict):
+            doc["spec"][draw(st.sampled_from(sorted(doc["spec"])))] = draw(SIDECAR_VALUES)
+        elif action == "extra":
+            doc[draw(st.text(max_size=6))] = draw(SIDECAR_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_sidecars())
+def test_load_fuzz_rejects_with_format_error_or_reads_what_the_sidecar_says(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "train.csv"
+        save(_wd3_train(), path)
+        (Path(tmp) / "train.meta.json").write_text(json.dumps(doc))
+        try:
+            ds = load(path)
+        except DatasetFormatError as exc:
+            assert str(exc).startswith(f"{tmp}/train")
+            return
+        again = Path(tmp) / "again.csv"
+        save(ds, again)
+        written = json.loads((Path(tmp) / "again.meta.json").read_text())
+    assert np.array_equal(ds.features, _wd3_train().features)
+    # What was read is what the sidecar said, key by key.
+    for key, value in written.items():
+        if key in doc:
+            assert doc[key] == value, key
 
 
 def test_load_requires_sidecar(tmp_path):
@@ -294,11 +424,7 @@ def test_spec_hash_covers_every_field(owner, name):
 def test_labeled_dataset_requires_both_classes():
     ds, _ = generate(small_spec(train=6, test=4))
     with pytest.raises(ValueError, match="both classes"):
-        LabeledDataset(
-            rows=[r for r in ds.rows if r.label],
-            split="train",
-            provenance=ds.provenance,
-        )
+        replace(ds, features=ds.features[ds.labels], labels=ds.labels[ds.labels])
 
 
 def test_spec_validation():

@@ -1,51 +1,26 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_window
+from oracles import cdf_area_distance, naive_mvsk, reference_window, wasserstein_1d
 from spoofbench.channel import ChannelParams
 from spoofbench.dataset import DatasetSpec, iter_delta_chunks
-from spoofbench.features import (
-    FEATURES_PER_BS,
-    FeatureVector,
-    box,
-    extract,
-    mvsk,
-    wasserstein_1d,
-)
-from spoofbench.scenario import SpoofingScenario, default_config, destination_grid, flight_to
+from spoofbench.features import FEATURES_PER_BS, extract
+from spoofbench.scenario import default_config
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
-series_strategy = st.lists(finite_floats, min_size=2, max_size=60)
+delta_floats = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
 
 
-def naive_mvsk(xs):
-    """Straight two-pass summation oracle, plain Python arithmetic."""
-    n = len(xs)
-    mean = sum(xs) / n
-    var = sum((x - mean) ** 2 for x in xs) / (n - 1)
-    m2 = sum((x - mean) ** 2 for x in xs) / n
-    if m2 == 0.0:
-        return mean, 0.0, 0.0, 0.0
-    m3 = sum((x - mean) ** 3 for x in xs) / n
-    m4 = sum((x - mean) ** 4 for x in xs) / n
-    return mean, var, m3 / m2**1.5, m4 / m2**2 - 3.0
+def mvsk(series):
+    """extract's mvsk block of one station's series."""
+    return tuple(extract(np.asarray(series, dtype=float)[None, None], "mvsk")[0].tolist())
 
 
-def cdf_area_distance(a, b):
-    """Brute-force area between the two empirical CDFs."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    points = np.unique(np.concatenate([a, b]))
-    total = 0.0
-    for x0, x1 in zip(points[:-1], points[1:]):
-        fa = np.count_nonzero(a <= x0) / len(a)
-        fb = np.count_nonzero(b <= x0) / len(b)
-        total += abs(fa - fb) * (x1 - x0)
-    return total
+def box(series):
+    """extract's box block of one station's series."""
+    return tuple(extract(np.asarray(series, dtype=float)[None, None], "box")[0].tolist())
 
 
 # ---------------------------------------------------------------- delta series
@@ -56,15 +31,11 @@ def test_delta_series_is_absolute_difference():
     config = default_config()
     spec = DatasetSpec(config, ChannelParams(carrier_frequency=2.0), "wd", n_bs=2,
                        train_size=6, test_size=2)
-    destinations = destination_grid(config)
-    reported = flight_to(config, destinations[0])
     ((plans, deltas),) = iter_delta_chunks(spec, "train")
     for plan, row in zip(plans, deltas):
-        flight = flight_to(config, destinations[plan.dest_index])
-        scenario = SpoofingScenario(flight, reported, plan.label)
         for bs_id, delta in zip((1, 3), row):
             measured, theoretical, _ = reference_window(
-                scenario, plan.noise_seed, config.base_station_by_id(bs_id), spec.channel, 100
+                config, plan.dest_index, plan.noise_seed, config.base_station_by_id(bs_id), spec.channel
             )
             assert delta.tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
 
@@ -74,26 +45,12 @@ def test_delta_series_sign_flip_invariant():
     up = np.abs(np.array([81.0, 82.0]) - theoretical)
     down = np.abs(np.array([79.0, 78.0]) - theoretical)
     for method in ("mvsk", "box", "wd"):
-        assert extract(up[None, None], method, [True], [1]) == extract(
-            down[None, None], method, [True], [1]
-        )
-
-
-def test_delta_series_rejects_mixed_stations_and_empty():
-    deltas = np.ones((1, 2, 5))
-    with pytest.raises(ValueError, match="unique station id"):
-        extract(deltas, "mvsk", [True], [1])
-    with pytest.raises(ValueError, match="unique station id"):
-        extract(deltas, "mvsk", [True], [2, 2])
-    with pytest.raises(ValueError, match="non-empty"):
-        extract(np.ones((1, 2, 0)), "mvsk", [True], [1, 2])
-    with pytest.raises(ValueError, match="labels"):
-        extract(deltas, "mvsk", [True, False], [1, 2])
+        assert np.array_equal(extract(up[None, None], method), extract(down[None, None], method))
 
 
 def test_delta_series_validates_values():
     with pytest.raises(ValueError, match=">= 0"):
-        extract(np.array([[[0.5, -0.1]]]), "box", [True], [1])
+        extract(np.array([[[0.5, -0.1]]]), "box")
 
 
 # ------------------------------------------------------------------------ mvsk
@@ -117,7 +74,7 @@ def test_mvsk_needs_two_values():
 
 
 @settings(max_examples=200)
-@given(series_strategy)
+@given(st.lists(delta_floats, min_size=2, max_size=60))
 def test_mvsk_matches_naive_two_pass_oracle(xs):
     n = len(xs)
     mean = sum(xs) / n
@@ -145,7 +102,7 @@ def test_box_linear_interpolation():
 
 
 @settings(max_examples=200)
-@given(st.lists(finite_floats, min_size=1, max_size=60))
+@given(st.lists(delta_floats, min_size=1, max_size=60))
 def test_box_output_is_monotone(xs):
     q = box(xs)
     assert q[0] <= q[1] <= q[2] <= q[3] <= q[4]
@@ -161,13 +118,6 @@ def test_wasserstein_identical_samples():
 
 def test_wasserstein_uniform_shift():
     assert wasserstein_1d([0.0, 1.0], [1.0, 2.0]) == pytest.approx(1.0)
-
-
-def test_wasserstein_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        wasserstein_1d([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        wasserstein_1d([], [])
 
 
 def test_wasserstein_matches_cdf_area_oracle_random_pairs():
@@ -224,60 +174,48 @@ def synthetic_deltas(n_bs, n=10, seed=0, rows=1):
     ],
 )
 def test_extract_widths(method, n_bs, width):
-    (fv,) = extract(synthetic_deltas(n_bs), method, [True], list(range(1, n_bs + 1)))
-    assert fv.width == width
-    assert fv.width == n_bs * FEATURES_PER_BS[method]
-    assert fv.label is True
+    assert extract(synthetic_deltas(n_bs, rows=2), method).shape == (2, width)
+    assert width == n_bs * FEATURES_PER_BS[method]
 
 
-def test_extract_orders_blocks_by_station_id():
+def test_extract_blocks_follow_the_station_axis():
     deltas = synthetic_deltas(3, rows=4)
-    labels = [True, False, True, False]
-    shuffled = deltas[:, [2, 0, 1]]
-    for method in ("mvsk", "box", "wd"):
-        assert extract(shuffled, method, labels, [3, 1, 2]) == extract(deltas, method, labels, [1, 2, 3])
-    assert [bs for bs, _ in extract(shuffled, "box", labels, [3, 1, 2])[0].per_bs] == [1, 2, 3]
+    for method, per in FEATURES_PER_BS.items():
+        blocks = extract(deltas, method).reshape(4, 3, per)
+        shuffled = extract(deltas[:, [2, 0, 1]], method).reshape(4, 3, per)
+        assert np.array_equal(shuffled, blocks[:, [2, 0, 1]])
 
 
 def test_extract_is_invariant_to_sample_order():
     deltas = synthetic_deltas(2, n=20, rows=3)
     rng = np.random.default_rng(5)
-    labels = [True] * 3
     for method in ("mvsk", "box", "wd"):
         permuted = deltas[..., rng.permutation(20)]
-        assert extract(permuted, method, labels, [1, 2]) == extract(deltas, method, labels, [1, 2])
+        assert np.array_equal(extract(permuted, method), extract(deltas, method))
 
 
 def test_extract_matches_per_series_features_bit_for_bit():
     deltas = synthetic_deltas(3, n=100, seed=4, rows=50)
     deltas[7, 1] = 0.25  # constant series: the mvsk zero-variance convention
-    labels = [bool(i % 2) for i in range(50)]
     for method, fn in (("mvsk", mvsk), ("box", box)):
-        rows = extract(deltas, method, labels, [1, 2, 3])
-        for row, series in zip(rows, deltas):
-            assert row.per_bs == tuple((k + 1, fn(s)) for k, s in enumerate(series))
-            assert row.flattened.tolist() == [v for s in series for v in fn(s)]
+        for row, series in zip(extract(deltas, method), deltas):
+            assert row.tolist() == [v for s in series for v in fn(s)]
 
 
 def test_extract_wd_default_is_delta_against_zero():
     deltas = synthetic_deltas(1, n=30, rows=5)
-    for fv, d in zip(extract(deltas, "wd", [True] * 5, [1]), deltas):
-        assert fv.flattened[0] == wasserstein_1d(d[0], np.zeros_like(d[0]))
+    for fv, d in zip(extract(deltas, "wd"), deltas):
+        assert fv[0] == wasserstein_1d(d[0], np.zeros_like(d[0]))
 
 
 def test_extract_errors():
-    with pytest.raises(ValueError):
-        extract(np.ones((0, 1, 10)), "mvsk", [], [1])
+    with pytest.raises(ValueError, match="non-empty"):
+        extract(np.ones((0, 1, 10)), "mvsk")
+    with pytest.raises(ValueError, match="non-empty"):
+        extract(np.ones((1, 2, 0)), "mvsk")
     with pytest.raises(ValueError, match="rows, stations, samples"):
-        extract(np.ones((2, 10)), "mvsk", [True, True], [1])
+        extract(np.ones((2, 10)), "mvsk")
     with pytest.raises(ValueError, match="length >= 2"):
-        extract(np.ones((1, 1, 1)), "mvsk", [True], [1])
+        extract(np.ones((1, 1, 1)), "mvsk")
     with pytest.raises(ValueError, match="unknown feature method"):
-        extract(synthetic_deltas(1), "pca", [True], [1])
-
-
-def test_feature_vector_width_validation():
-    with pytest.raises(ValueError, match="width"):
-        FeatureVector("wd", ((1, (1.0, 2.0)),), np.array([1.0, 2.0]), True)
-    with pytest.raises(ValueError, match="finite"):
-        FeatureVector("wd", ((1, (float("inf"),)),), np.array([float("inf")]), True)
+        extract(synthetic_deltas(1), "pca")

@@ -15,7 +15,6 @@ import pytest
 from oracles import reference_window
 from spoofbench.cli import main as cli
 from spoofbench.dataset import iter_delta_chunks, spec_from_dict
-from spoofbench.scenario import SpoofingScenario, destination_grid, flight_to
 
 START_HEIGHT_M = 50.0
 
@@ -43,18 +42,14 @@ def low_altitude_files(workdir, sampled_los):
 def test_low_altitude_deltas_match_scalar_oracle_and_parent_archive(tmp_path, sampled_los):
     spec = low_altitude_files(tmp_path, sampled_los)
     config = spec.scenario
-    destinations = destination_grid(config)
-    reported = flight_to(config, destinations[0])
     stations = [config.base_station_by_id(i) for i in (1, 2, 3)]
     nlos_draws = 0
     for split in ("train", "test"):
         for plans, deltas in iter_delta_chunks(spec, split):
             for plan, row in zip(plans, deltas):
-                flight = flight_to(config, destinations[plan.dest_index])
-                scenario = SpoofingScenario(flight, reported, plan.label)
                 for bs, delta in zip(stations, row):
                     measured, theoretical, los = reference_window(
-                        scenario, plan.noise_seed, bs, spec.channel, config.window_size
+                        config, plan.dest_index, plan.noise_seed, bs, spec.channel
                     )
                     nlos_draws += los.count(False)
                     assert delta.tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]

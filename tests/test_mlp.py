@@ -25,7 +25,6 @@ from spoofbench.mlp import (
     accuracy,
     backprop_gradients,
     confusion_matrix,
-    forward,
     forward_batch,
     init_model,
     load_model,
@@ -62,7 +61,7 @@ def blobs(n=400, seed=0, sep=2.0, std=0.5):
 
 
 def test_forward_all_zero_parameters_gives_half():
-    assert forward(zero_model(), [3.0, -1.0]) == 0.5
+    assert forward_batch(zero_model(), [3.0, -1.0]).tolist() == [0.5]
 
 
 def test_forward_single_unit_chain_at_zero_input():
@@ -70,7 +69,7 @@ def test_forward_single_unit_chain_at_zero_input():
     model = init_model(arch, np.random.default_rng(0))
     model.weights = [np.ones((1, 1)), np.ones((1, 1))]
     model.biases = [np.zeros(1), np.zeros(1)]
-    assert forward(model, [0.0]) == 0.5  # ReLU(0) = 0 then logistic(0)
+    assert forward_batch(model, [0.0]).tolist() == [0.5]  # ReLU(0) = 0 then logistic(0)
 
 
 def test_forward_matches_straight_line_oracle():
@@ -88,12 +87,12 @@ def test_forward_matches_straight_line_oracle():
             a = [max(v, 0.0) for v in z]
         else:
             a = [1.0 / (1.0 + math.exp(-z[0]))]
-    assert forward(model, x) == pytest.approx(a[0], rel=1e-12)
+    assert forward_batch(model, x)[0] == pytest.approx(a[0], rel=1e-12)
 
 
 def test_forward_rejects_width_mismatch():
     with pytest.raises(ValueError, match="width"):
-        forward(zero_model(input_width=3), [1.0, 2.0])
+        forward_batch(zero_model(input_width=3), [1.0, 2.0])
 
 
 def test_forward_outputs_stay_in_unit_interval():
@@ -233,6 +232,12 @@ def test_train_rejects_single_class_and_bad_labels():
         train(MlpArchitecture(2, 1, 4), X, np.zeros(20), TrainConfig(learning_rate=0.01))
     with pytest.raises(ValueError, match="labels"):
         train(MlpArchitecture(2, 1, 4), X, np.full(20, 0.3), TrainConfig(learning_rate=0.01))
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0])
+def test_train_config_rejects_a_non_finite_or_non_positive_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate must be > 0 and finite"):
+        TrainConfig(learning_rate=lr)
 
 
 def test_train_normalization_absorbs_affine_feature_rescaling():

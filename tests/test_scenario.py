@@ -2,23 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import position_at
 from spoofbench.channel import ChannelParams
-from spoofbench.dataset import archive_plan
+from spoofbench.dataset import archive_plan, iter_windows
 from spoofbench.scenario import (
     BaseStation,
     ScenarioConfig,
-    SpoofingScenario,
-    Trajectory,
-    Waypoint,
     default_config,
     destination_grid,
     destination_layout,
-    flight_to,
-    positions_at,
+    flight_positions,
 )
 
 
@@ -58,49 +52,24 @@ def test_destination_layout_rejects_underground_and_odd_counts():
         destination_layout(np.array([0.0, 0.0, 500.0]), 100.0, 7)
 
 
-def test_position_at_waypoints_and_segments():
-    traj = Trajectory(
-        waypoints=(Waypoint([0.0, 0.0, 0.0], 0.0), Waypoint([2.0, 0.0, 0.0], 4.0)),
-        sample_period=1.0,
-    )
-    assert position_at(traj, 0.0).tolist() == [0.0, 0.0, 0.0]
-    assert position_at(traj, 4.0).tolist() == [2.0, 0.0, 0.0]
-    assert position_at(traj, 2.0).tolist() == [1.0, 0.0, 0.0]
-
-
-def test_position_at_quarter_point():
-    traj = Trajectory(
-        waypoints=(
-            Waypoint([150.0, 150.0, 150.0], 0.0),
-            Waypoint([250.0, 150.0, 150.0], 100.0),
-        ),
-        sample_period=1.0,
-    )
-    assert position_at(traj, 25.0) == pytest.approx([175.0, 150.0, 150.0])
-
-
-def test_position_at_out_of_range():
-    traj = Trajectory(
-        waypoints=(Waypoint([0.0, 0.0, 1.0], 0.0), Waypoint([1.0, 0.0, 1.0], 1.0)),
-        sample_period=0.5,
-    )
-    with pytest.raises(ValueError):
-        position_at(traj, -0.1)
-    with pytest.raises(ValueError):
-        position_at(traj, 1.1)
-
-
-@settings(max_examples=100)
-@given(
-    t=st.floats(min_value=0.0, max_value=99.0),
-    eps=st.floats(min_value=1e-6, max_value=1.0),
-)
-def test_position_at_is_speed_continuous(t, eps):
+def test_flight_positions_match_the_scalar_oracle_bit_for_bit():
     cfg = default_config()
-    traj = flight_to(cfg, destination_grid(cfg)[3])
+    dests = destination_grid(cfg)
+    positions = flight_positions(cfg, dests)
+    assert positions.shape == (16, 100, 3)
+    for d, dest in enumerate(dests):
+        for k in range(cfg.window_size):
+            assert positions[d, k].tolist() == position_at(cfg, dest, k * cfg.sample_period).tolist()
+
+
+def test_flight_positions_leave_the_start_at_constant_speed():
+    cfg = default_config()
+    (positions,) = flight_positions(cfg, [cfg.start + [100.0, 0.0, 0.0]])
+    assert positions[0].tolist() == [150.0, 150.0, 150.0]
+    assert positions[25] == pytest.approx([175.0, 150.0, 150.0])
     speed = cfg.mission_radius / cfg.flight_duration
-    step = np.linalg.norm(position_at(traj, t + eps) - position_at(traj, t))
-    assert step <= speed * eps * (1 + 1e-9) + 1e-12
+    steps = np.linalg.norm(np.diff(flight_positions(cfg, destination_grid(cfg)), axis=1), axis=-1)
+    assert steps == pytest.approx(np.full(steps.shape, speed * cfg.sample_period), rel=1e-9)
 
 
 def test_archive_plan_counts_and_balance():
@@ -133,52 +102,21 @@ def test_archive_plan_keeps_the_archive_seed_scheme():
 
 def test_archive_scenarios_diverge_exactly_when_spoofed():
     cfg = default_config()
-    dests = destination_grid(cfg)
-    reported = flight_to(cfg, dests[0])
-    ts = np.arange(cfg.window_size) * cfg.sample_period
-    p_rep = positions_at(reported, ts)
+    positions = flight_positions(cfg, destination_grid(cfg))
     for plan in archive_plan(cfg.n_destinations):
-        s = SpoofingScenario(flight_to(cfg, dests[plan.dest_index]), reported, plan.label)
-        diverged = np.any(positions_at(s.true_trajectory, ts) != p_rep, axis=1)
-        if s.label:
+        diverged = np.any(positions[plan.dest_index] != positions[0], axis=1)
+        if plan.label:
             assert not diverged[0]  # both paths leave the start together
             assert np.all(diverged[1:])
         else:
             assert not np.any(diverged)
 
 
-def test_scenario_label_consistency_enforced():
-    cfg = default_config()
-    dests = destination_grid(cfg)
-    same = flight_to(cfg, dests[0])
-    other = flight_to(cfg, dests[1])
-    with pytest.raises(ValueError):
-        SpoofingScenario(same, other, label=False)
-    with pytest.raises(ValueError):
-        SpoofingScenario(same, same, label=True)
-    # Trajectories compare by value, not identity.
-    SpoofingScenario(same, flight_to(cfg, dests[0]), label=False)
-    with pytest.raises(ValueError, match="divergent"):
-        SpoofingScenario(same, flight_to(cfg, dests[0]), label=True)
-    # Unequal trajectories that agree at every sample instant are no spoof.
-    coarse = Trajectory(same.waypoints, sample_period=2.0)
-    with pytest.raises(ValueError, match="never diverge"):
-        SpoofingScenario(same, coarse, label=True)
-
-
-def test_trajectory_validation():
-    w0 = Waypoint([0.0, 0.0, 1.0], 0.0)
-    w1 = Waypoint([1.0, 0.0, 1.0], 1.0)
-    with pytest.raises(ValueError):
-        Trajectory(waypoints=(w0,), sample_period=1.0)
-    with pytest.raises(ValueError):
-        Trajectory(waypoints=(w1, w0), sample_period=1.0)
-    with pytest.raises(ValueError):
-        Trajectory(waypoints=(w0, w1), sample_period=0.0)
-    with pytest.raises(ValueError):
-        Waypoint([0.0, 0.0, -1.0], 0.0)
-    with pytest.raises(ValueError):
-        Waypoint([0.0, 0.0, 1.0], -2.0)
+def test_windows_refuse_a_spoofed_flight_that_never_diverges():
+    # A radius this small rounds every destination onto the start.
+    cfg = _config(mission_radius=1e-300)
+    with pytest.raises(ValueError, match="destination 1 never diverges"):
+        next(iter_windows(cfg, ChannelParams(), [1], archive_plan(cfg.n_destinations)))
 
 
 def _config(**overrides):
