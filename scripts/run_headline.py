@@ -17,6 +17,7 @@ import numpy as np
 
 from spoofbench.cli import main as cli
 from spoofbench import baseline, dataset
+from spoofbench.features import extract
 from spoofbench.presets import BEST_SETTINGS
 
 
@@ -40,10 +41,9 @@ def run(seed: int, workdir: Path) -> dict:
 
     # Threshold baseline on the same windows, best T over a fine grid.
     spec = dataset.spec_from_dict(json.loads((workdir / "spec.json").read_text()))
-    chunks = list(dataset.iter_delta_chunks(spec, "test"))
-    deltas = np.concatenate([d for _, d in chunks])
-    labels = [p.label for plans, _ in chunks for p in plans]
-    curve = baseline.sweep_threshold(deltas, labels, np.linspace(0.0, 6.0, 121))
+    means = np.concatenate([extract(d, "wd") for _, d in dataset.iter_delta_chunks(spec, "test")])
+    labels = dataset.row_plan(spec, "test")[0] != 0
+    curve = baseline.sweep_threshold(means, labels, np.linspace(0.0, 6.0, 121))
     best = baseline.best_operating_point(curve)
 
     print(f"\nWD-MLP (3 BS) test accuracy : {report['test_accuracy']:.4f}")

@@ -2,10 +2,10 @@
 path-loss difference exceeds a fixed threshold T.
 
 This is the non-learned baseline the MLP detectors are compared against.
-It reads the same (rows, stations, samples) arrays of per-instant
-|measured - theoretical| path loss as the features: per station, the
-window mean is tested against T, either averaged across stations
-("mean-delta") or by strict majority vote.
+It reads a (rows, stations) array of window means of per-instant
+|measured - theoretical| path loss, the wd features of the same windows:
+each station's window mean is tested against T, either averaged across
+stations ("mean-delta") or by strict majority vote.
 """
 
 from __future__ import annotations
@@ -30,23 +30,22 @@ class ThresholdDetector:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
 
 
-def _verdicts(deltas, thresholds, aggregation: str) -> np.ndarray:
-    """(thresholds, rows) verdicts: each row's window means per station are
-    computed and aggregated once, then compared against every threshold."""
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 3 or 0 in deltas.shape:
-        raise ValueError(f"need a non-empty (rows, stations, samples) delta array, got {deltas.shape}")
-    means = np.mean(deltas, axis=-1)
+def _verdicts(means, thresholds, aggregation: str) -> np.ndarray:
+    """(thresholds, rows) verdicts: each row's window means are aggregated
+    once, then compared against every threshold."""
+    means = np.asarray(means, dtype=float)
+    if means.ndim != 2 or 0 in means.shape:
+        raise ValueError(f"need a non-empty (rows, stations) array of window means, got {means.shape}")
     t = np.asarray(thresholds, dtype=float)
     if aggregation == "mean-delta":
         return np.mean(means, axis=-1) > t[:, None]
     return np.sum(means > t[:, None, None], axis=-1) * 2 > means.shape[-1]
 
 
-def decide(detector: ThresholdDetector, deltas) -> np.ndarray:
+def decide(detector: ThresholdDetector, means) -> np.ndarray:
     """Per-row verdicts (True = spoofed): the aggregated window-mean delta
-    exceeds T. deltas is a (rows, stations, samples) array."""
-    return _verdicts(deltas, [detector.threshold_db], detector.aggregation)[0]
+    exceeds T. means is a (rows, stations) array of window means."""
+    return _verdicts(means, [detector.threshold_db], detector.aggregation)[0]
 
 
 @dataclass(frozen=True)
@@ -57,23 +56,18 @@ class OperatingPoint:
     fn_rate: float
 
 
-def sweep_threshold(
-    deltas,
-    labels,
-    t_grid,
-    aggregation: str = "mean-delta",
-) -> list[OperatingPoint]:
+def sweep_threshold(means, labels, t_grid, aggregation: str = "mean-delta") -> list[OperatingPoint]:
     """Operating curve of the detector over a grid of thresholds.
 
-    deltas is a (rows, stations, samples) array and labels holds each row's
-    true label (True = spoofed). FP rate is taken over legitimate rows, FN rate
-    over spoofed rows.
+    means is a (rows, stations) array of window means and labels holds each
+    row's true label (True = spoofed). FP rate is taken over legitimate
+    rows, FN rate over spoofed rows.
     """
     labels = np.asarray(labels, dtype=bool)
     t_grid = [ThresholdDetector(float(t), aggregation).threshold_db for t in t_grid]
     if not t_grid:
         raise ValueError("empty threshold grid")
-    verdicts = _verdicts(deltas, t_grid, aggregation)
+    verdicts = _verdicts(means, t_grid, aggregation)
     if verdicts.shape[1] != len(labels):
         raise ValueError(f"{len(labels)} labels for {verdicts.shape[1]} rows")
     n_spoofed = int(labels.sum())

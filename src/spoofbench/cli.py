@@ -21,7 +21,7 @@ import numpy as np
 from . import baseline, dataset, mlp
 from .channel import ChannelParams
 from .configio import config_to_dict, load_config, save_config
-from .features import METHODS
+from .features import METHODS, extract
 from .presets import BEST_SETTINGS
 from .scenario import default_config, destination_grid
 
@@ -66,16 +66,16 @@ def cmd_simulate(args) -> int:
         channel = replace(channel, rng_seed=args.seed)
     bs_ids = [bs.id for bs in scenario_cfg.base_stations]
     destinations = destination_grid(scenario_cfg)
-    plans = dataset.archive_plan(scenario_cfg.n_destinations)
+    dests = dataset.archive_plan(scenario_cfg.n_destinations).tolist()
     entries = []
-    for chunk, theoretical, measured in dataset.iter_windows(scenario_cfg, channel, bs_ids, plans):
-        for plan, row in zip(chunk, measured):
+    for rows, theoretical, measured in dataset.iter_windows(scenario_cfg, channel, bs_ids, dests, 0):
+        for k, row in zip(rows, measured):
             entries.append(
                 {
-                    "index": plan.index,
-                    "label": plan.label,
-                    "noise_seed": plan.noise_seed,
-                    "true_destination": list(destinations[plan.dest_index]),
+                    "index": k,
+                    "label": dests[k] != 0,
+                    "noise_seed": k,
+                    "true_destination": list(destinations[dests[k]]),
                     "reported_destination": list(destinations[0]),
                     "windows": {
                         str(bs_id): {"measured_db": m.tolist(), "theoretical_db": t.tolist()}
@@ -262,11 +262,8 @@ def cmd_evaluate(args) -> int:
         if ds.spec is None:
             raise ValueError("threshold evaluation needs the dataset sidecar to embed its spec")
         det = baseline.ThresholdDetector(args.t, args.aggregation)
-        verdicts = [
-            baseline.decide(det, deltas)
-            for _, deltas in dataset.iter_delta_chunks(ds.spec, args.split)
-        ]
-        predictions = np.concatenate(verdicts).astype(float)
+        means = [extract(deltas, "wd") for _, deltas in dataset.iter_delta_chunks(ds.spec, args.split)]
+        predictions = baseline.decide(det, np.concatenate(means)).astype(float)
         detector = {"kind": "threshold", "threshold_db": args.t, "aggregation": args.aggregation}
         history = []
     report = _confusion_report(predictions, labels, started, ds.provenance, detector, history)

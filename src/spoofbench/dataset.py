@@ -1,10 +1,11 @@
 """End-to-end dataset generation: flights -> windows -> labeled features.
 
-Rows are (flight, noise seed) pairs. Spoofed rows cycle through the
-non-planned destinations; legitimate rows replay the planned flight with a
-fresh noise seed, keeping the class counts within one of each other. Train
-and test rows draw from disjoint seed ranges, so no noise realization is
-shared between splits. Everything is a pure function of the DatasetSpec.
+Row k of a split flies to dests[k] with noise seed first_seed + k. Spoofed
+rows cycle through the non-planned destinations; legitimate rows replay
+the planned flight with a fresh noise seed, keeping the class counts
+within one of each other. Train and test rows draw from disjoint seed
+ranges, so no noise realization is shared between splits. Everything is a
+pure function of the DatasetSpec.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ class DatasetSpec:
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
 
-    @property
-    def feature_width(self) -> int:
-        return self.n_bs * FEATURES_PER_BS[self.method]
-
 
 def spec_to_dict(spec: DatasetSpec) -> dict:
     return {
@@ -107,50 +104,37 @@ def spec_hash(spec: DatasetSpec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RowPlan:
-    index: int
-    label: bool  # True = spoofed
-    dest_index: int
-    noise_seed: int
-
-
-def row_plan(spec: DatasetSpec, split: str) -> list[RowPlan]:
-    """Deterministic (destination, seed) assignment for every row of a split.
+def row_plan(spec: DatasetSpec, split: str) -> tuple[np.ndarray, int]:
+    """Every row's destination in a split, and row 0's noise seed; row k is
+    seeded first_seed + k, and spoofed exactly when its destination is not 0.
 
     Even rows are spoofed and cycle the non-planned destinations; odd rows
     are legitimate replays. Seeds encode (dataset seed, split, row) so the
-    two splits can never share a noise stream.
+    two splits can never share a noise stream. They stay Python ints: from
+    rng_seed 2**30 on they exceed int64.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}")
-    split_id = SPLITS.index(split)
     size = spec.train_size if split == "train" else spec.test_size
-    n_spoofed_dests = spec.scenario.n_destinations - 1
-    rows = []
-    for k in range(size):
-        spoofed = k % 2 == 0
-        dest = 1 + (k // 2) % n_spoofed_dests if spoofed else 0
-        seed = ((spec.rng_seed * 2 + split_id) << 32) + k
-        rows.append(RowPlan(index=k, label=spoofed, dest_index=dest, noise_seed=seed))
-    return rows
+    k = np.arange(size)
+    dests = np.where(k % 2 == 0, 1 + (k // 2) % (spec.scenario.n_destinations - 1), 0)
+    return dests, (spec.rng_seed * 2 + SPLITS.index(split)) << 32
 
 
-def archive_plan(n_destinations: int) -> list[RowPlan]:
-    """The rows of a `simulate` archive: one flight per destination, seeded
-    with its index (only destination 0, the planned one, is legitimate),
-    then n - 2 legitimate replays seeded n ... 2n - 3, so the classes come
-    out balanced.
+def archive_plan(n_destinations: int) -> np.ndarray:
+    """The destinations of a `simulate` archive's rows, each seeded with its
+    index: one flight per destination (only destination 0, the planned one,
+    is legitimate), then n - 2 legitimate replays, so the classes come out
+    balanced.
     """
-    n = n_destinations
-    flights = [RowPlan(index=i, label=i != 0, dest_index=i, noise_seed=i) for i in range(n)]
-    replays = [RowPlan(index=k, label=False, dest_index=0, noise_seed=k) for k in range(n, 2 * n - 2)]
-    return flights + replays
+    return np.concatenate([np.arange(n_destinations), np.zeros(n_destinations - 2, dtype=int)])
 
 
-def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, plans: list[RowPlan]):
-    """Yields (plans, theoretical, measured) for consecutive chunks of at most
+def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, dests, first_seed: int):
+    """Yields (rows, theoretical, measured) for consecutive chunks of at most
     CHUNK_ROWS rows: the one simulation behind `generate` and `simulate`.
+    Row k flies to destination dests[k] with noise seed first_seed + k, and
+    rows is the chunk's range of k.
 
     Every row reports the planned flight, destination 0, so theoretical is
     one (stations, samples) array of its noise-free path loss, shared by
@@ -169,26 +153,29 @@ def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, plans: 
         raise ValueError(f"spoofed flight to destination {k} never diverges from the planned one")
     links = [[Link.along(p, bs, channel) for bs in stations] for p in positions]  # [destination][station]
     theoretical = check_finite(np.stack([lk.theoretical() for lk in links[0]]))
-    for start in range(0, len(plans), CHUNK_ROWS):
-        chunk = plans[start : start + CHUNK_ROWS]
-        measured = np.empty((len(chunk), len(stations), n))
-        for i, plan in enumerate(chunk):
-            for j, lk in enumerate(links[plan.dest_index]):
-                rng = window_rng(channel, plan.noise_seed, stations[j].id)
+    dests = np.asarray(dests).tolist()
+    for start in range(0, len(dests), CHUNK_ROWS):
+        rows = range(start, min(start + CHUNK_ROWS, len(dests)))
+        measured = np.empty((len(rows), len(stations), n))
+        for i, k in enumerate(rows):
+            for j, lk in enumerate(links[dests[k]]):
+                rng = window_rng(channel, first_seed + k, stations[j].id)
                 measured[i, j] = measured_window(lk, channel, rng)
-        yield chunk, theoretical, check_finite(measured)
+        yield rows, theoretical, check_finite(measured)
 
 
 def iter_delta_chunks(spec: DatasetSpec, split: str):
-    """Yields (plans, deltas) for consecutive chunks of at most CHUNK_ROWS rows.
+    """Yields (rows, deltas) for consecutive chunks of at most CHUNK_ROWS rows.
 
-    deltas is a (rows, stations, samples) array of |measured - theoretical|
-    path loss, stations in select_bs_subset order.
+    rows is the chunk's range of row indices, and deltas a (rows, stations,
+    samples) array of |measured - theoretical| path loss, stations in
+    select_bs_subset order.
     """
-    windows = iter_windows(spec.scenario, spec.channel, select_bs_subset(spec.n_bs), row_plan(spec, split))
-    for chunk, theoretical, measured in windows:
+    dests, first_seed = row_plan(spec, split)
+    windows = iter_windows(spec.scenario, spec.channel, select_bs_subset(spec.n_bs), dests, first_seed)
+    for rows, theoretical, measured in windows:
         measured -= theoretical  # in place: |measured - theoretical| without temporaries
-        yield chunk, np.abs(measured, out=measured)
+        yield rows, np.abs(measured, out=measured)
 
 
 @dataclass(eq=False)
@@ -239,13 +226,10 @@ def generate(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     digest = spec_hash(spec)
     splits = []
     for split in SPLITS:
-        blocks, labels = [], []
-        for plans, deltas in iter_delta_chunks(spec, split):
-            blocks.append(features.extract(deltas, spec.method))
-            labels += [p.label for p in plans]
+        blocks = [features.extract(deltas, spec.method) for _, deltas in iter_delta_chunks(spec, split)]
         splits.append(
             LabeledDataset(
-                np.concatenate(blocks), np.array(labels), select_bs_subset(spec.n_bs),
+                np.concatenate(blocks), row_plan(spec, split)[0] != 0, select_bs_subset(spec.n_bs),
                 spec.method, split, digest, spec,
             )
         )
@@ -356,7 +340,8 @@ def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def load(path) -> LabeledDataset:
     """Reads a dataset CSV and its sidecar; errors name the file and the
-    offending key or cell."""
+    offending key or cell. With an embedded spec, the labels must be that
+    spec's row plan."""
     path = Path(path)
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
@@ -367,8 +352,21 @@ def load(path) -> LabeledDataset:
         if fields[key] != found:
             raise DatasetFormatError(f"{sidecar_file}: {key} {fields[key]} disagrees with the CSV's {found}")
     try:
-        return LabeledDataset(
+        ds = LabeledDataset(
             matrix, labels, bs_ids, fields["method"], fields["split"], fields["spec_hash"], spec
         )
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
+    if spec is not None:
+        planned = row_plan(spec, ds.split)[0] != 0
+        if len(planned) != len(labels):
+            raise DatasetFormatError(
+                f"{path}: {len(labels)} rows, but the spec's {ds.split} split has {len(planned)}"
+            )
+        wrong = np.flatnonzero(planned != labels)
+        if len(wrong):
+            k = int(wrong[0])
+            raise DatasetFormatError(
+                f"{path}: row {k + 2}, column 1: label {int(labels[k])} disagrees with the spec's row plan"
+            )
+    return ds

@@ -47,10 +47,15 @@ def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
     m4 = np.sum(centered**4, axis=-1) / n
     # g1 and g2 lane by lane in Python floats: numpy's vectorized pow rounds
     # m2**1.5 differently from the C library in the last bit.
-    shape_moments = [
-        (c3 / c2**1.5, c4 / c2**2 - 3.0) if c2 != 0.0 else (0.0, 0.0)
-        for c2, c3, c4 in zip(m2.ravel().tolist(), m3.ravel().tolist(), m4.ravel().tolist())
-    ]
+    try:
+        shape_moments = [
+            (c3 / c2**1.5, c4 / c2**2 - 3.0) if c2 != 0.0 else (0.0, 0.0)
+            for c2, c3, c4 in zip(m2.ravel().tolist(), m3.ravel().tolist(), m4.ravel().tolist())
+        ]
+    except OverflowError:
+        raise ValueError(
+            f"mvsk skewness and kurtosis overflow: a window's variance reaches {np.max(m2):.3g} dB^2"
+        ) from None
     variance = np.where(m2 == 0.0, 0.0, sum_sq / (n - 1))
     return np.concatenate(
         [np.stack([mean, variance], axis=-1), np.reshape(shape_moments, m2.shape + (2,))], axis=-1
@@ -99,5 +104,5 @@ def extract(deltas, method: str) -> np.ndarray:
         raise ValueError("delta values must be >= 0")
     features = _LANE_FEATURES[method](deltas).reshape(len(deltas), -1)
     if not np.all(np.isfinite(features)):
-        raise ValueError("features must be finite")
+        raise ValueError(f"{method} features must be finite")
     return features

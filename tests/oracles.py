@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: plain Python
 summation for the moments, CDF-area integration and the sorted-difference
 formula for the transport distance, central finite differences for the
 gradients, one sample at a time for the flight positions and the simulated
-path loss, and one model with one Adam update per tensor for training.
+path loss, one row at a time for the row plan, and one model with one Adam
+update per tensor for training.
 """
 
 import numpy as np
@@ -27,6 +28,21 @@ def position_at(config, destination, t: float) -> np.ndarray:
 def path_loss(position, bs, params) -> float:
     """Noise-free model path loss in dB at one UAV position."""
     return float(Link.along(position, bs, params).theoretical()[0])
+
+
+def reference_row_plan(spec, split):
+    """(label, destination, noise seed) of every row of a split, one row at a
+    time in Python ints: even rows are spoofed and cycle the non-planned
+    destinations, odd rows replay the planned one, and the seed packs
+    (dataset seed, split, row)."""
+    split_id = ("train", "test").index(split)
+    size = spec.train_size if split == "train" else spec.test_size
+    rows = []
+    for k in range(size):
+        spoofed = k % 2 == 0
+        dest = 1 + (k // 2) % (spec.scenario.n_destinations - 1) if spoofed else 0
+        rows.append((spoofed, dest, ((spec.rng_seed * 2 + split_id) << 32) + k))
+    return rows
 
 
 def reference_window(config, dest_index, noise_seed, bs, params):

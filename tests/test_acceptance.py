@@ -23,7 +23,7 @@ from oracles import (
 from spoofbench.baseline import best_operating_point, sweep_threshold
 from spoofbench.channel import ChannelParams
 from spoofbench.cli import main as cli
-from spoofbench.dataset import DatasetSpec, generate, iter_delta_chunks
+from spoofbench.dataset import DatasetSpec, generate, iter_delta_chunks, row_plan
 from spoofbench.features import FEATURES_PER_BS, METHODS, extract
 from spoofbench.mlp import (
     MlpArchitecture,
@@ -307,10 +307,10 @@ def test_criterion_08_statistical_oracles():
     )
 
 
-def split_deltas(spec: DatasetSpec, split: str):
-    """A whole split's (rows, stations, samples) deltas and its labels."""
-    chunks = list(iter_delta_chunks(spec, split))
-    return np.concatenate([d for _, d in chunks]), [p.label for plans, _ in chunks for p in plans]
+def split_means(spec: DatasetSpec, split: str):
+    """A whole split's (rows, stations) window means and its labels."""
+    means = np.concatenate([extract(d, "wd") for _, d in iter_delta_chunks(spec, split)])
+    return means, row_plan(spec, split)[0] != 0
 
 
 def test_criterion_09_baseline_sanity(bench):
@@ -324,10 +324,10 @@ def test_criterion_09_baseline_sanity(bench):
         ),
         method="wd", n_bs=3, train_size=60, test_size=30, rng_seed=SEED,
     )
-    curve = sweep_threshold(*split_deltas(quiet, "test"), np.linspace(0.0, 2.0, 41))
+    curve = sweep_threshold(*split_means(quiet, "test"), np.linspace(0.0, 2.0, 41))
     quiet_best = best_operating_point(curve)
 
-    noisy = split_deltas(bench[("wd", 3)].spec, "test")
+    noisy = split_means(bench[("wd", 3)].spec, "test")
     noisy_curve = sweep_threshold(*noisy, np.linspace(0.0, 6.0, 121))
     noisy_best = best_operating_point(noisy_curve)
     mlp_acc = bench[("wd", 3)].test_accuracy

@@ -10,7 +10,8 @@ from spoofbench.baseline import (
 )
 from oracles import path_loss, position_at
 from spoofbench.channel import ChannelParams
-from spoofbench.dataset import DatasetSpec, iter_delta_chunks
+from spoofbench.dataset import DatasetSpec, iter_delta_chunks, row_plan
+from spoofbench.features import extract
 from spoofbench.scenario import default_config, destination_grid
 
 QUIET = ChannelParams(
@@ -23,8 +24,9 @@ QUIET = ChannelParams(
 
 
 def row(*station_values):
-    """A one-row (1, stations, samples) delta array."""
-    return np.array([station_values], dtype=float)
+    """The (1, stations) window means of a one-row delta array, one sample
+    list per station."""
+    return extract(np.array([station_values], dtype=float), "wd")
 
 
 def test_all_zero_deltas_are_legitimate():
@@ -39,9 +41,11 @@ def test_large_constant_delta_is_spoofed():
 
 def test_decide_requires_input():
     with pytest.raises(ValueError):
-        decide(ThresholdDetector(1.0), np.zeros((1, 0, 10)))
+        decide(ThresholdDetector(1.0), np.zeros((1, 0)))
     with pytest.raises(ValueError):
-        decide(ThresholdDetector(1.0), np.zeros((0, 1, 10)))
+        decide(ThresholdDetector(1.0), np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="window means"):  # deltas, not their means
+        decide(ThresholdDetector(1.0), np.zeros((1, 1, 10)))
 
 
 def test_majority_vote_needs_strict_majority():
@@ -58,10 +62,10 @@ def test_majority_vote_needs_strict_majority():
 
 def test_decide_is_monotone_in_threshold():
     rng = np.random.default_rng(3)
-    deltas = rng.uniform(0, 4, size=(20, 1, 10))
+    means = extract(rng.uniform(0, 4, size=(20, 1, 10)), "wd")
     previous = np.ones(20, dtype=bool)
     for t in np.linspace(0.0, 5.0, 21):
-        verdicts = decide(ThresholdDetector(float(t)), deltas)
+        verdicts = decide(ThresholdDetector(float(t)), means)
         assert np.all(previous | ~verdicts)  # spoofed never reappears as T grows
         previous = verdicts
 
@@ -79,8 +83,8 @@ def test_zero_noise_spoofed_flight_exceeds_1db():
     cfg = default_config()
     bs = cfg.base_stations[0]
     spec = DatasetSpec(cfg, QUIET, "wd", n_bs=1, train_size=16, test_size=2)
-    (plans, deltas), = iter_delta_chunks(spec, "train")
-    k = next(i for i, p in enumerate(plans) if p.dest_index == 8)  # opposite azimuth
+    (_, deltas), = iter_delta_chunks(spec, "train")
+    k = int(np.flatnonzero(row_plan(spec, "train")[0] == 8)[0])  # opposite azimuth
     true, reported = destination_grid(cfg)[8], destination_grid(cfg)[0]
 
     oracle = []
@@ -91,14 +95,15 @@ def test_zero_noise_spoofed_flight_exceeds_1db():
         oracle.append(abs(pl_true - pl_rep))
     assert np.allclose(deltas[k, 0], oracle, rtol=1e-12)
     assert float(np.mean(oracle)) > 1.0
-    assert decide(ThresholdDetector(1.0), deltas[k : k + 1]).tolist() == [True]
+    assert decide(ThresholdDetector(1.0), extract(deltas[k : k + 1], "wd")).tolist() == [True]
 
 
 def _noisy_rows(n=40):
+    """(n, 1) window means of noisy 12-sample deltas, and their labels."""
     rng = np.random.default_rng(11)
     labels = np.arange(n) % 2 == 0
     base = np.where(labels, 1.5, 0.0)[:, None, None]
-    return np.abs(base + rng.normal(0, 0.7, size=(n, 1, 12))), labels
+    return extract(np.abs(base + rng.normal(0, 0.7, size=(n, 1, 12))), "wd"), labels
 
 
 def test_sweep_threshold_zero_flags_everything():
@@ -115,27 +120,28 @@ def test_sweep_threshold_infinite_misses_everything():
 
 
 def test_sweep_threshold_finds_best_point_on_noisy_data():
-    deltas, labels = _noisy_rows(200)
-    curve = sweep_threshold(deltas, labels, np.linspace(0.0, 3.0, 61))
+    means, labels = _noisy_rows(200)
+    curve = sweep_threshold(means, labels, np.linspace(0.0, 3.0, 61))
     best = best_operating_point(curve)
     assert best.accuracy == max(p.accuracy for p in curve)
     assert best.accuracy > 0.8
     for aggregation in ("mean-delta", "majority-vote"):  # one decision per threshold
-        for point in sweep_threshold(deltas, labels, [0.5, 1.0], aggregation):
-            verdicts = decide(ThresholdDetector(point.threshold_db, aggregation), deltas)
+        for point in sweep_threshold(means, labels, [0.5, 1.0], aggregation):
+            verdicts = decide(ThresholdDetector(point.threshold_db, aggregation), means)
             assert point.accuracy == float(np.mean(verdicts == labels))
 
 
 def test_sweep_threshold_zero_noise_reaches_perfect_accuracy():
     spec = DatasetSpec(default_config(), QUIET, "wd", n_bs=3, train_size=30, test_size=2)
-    (plans, deltas), = iter_delta_chunks(spec, "train")
-    curve = sweep_threshold(deltas, [p.label for p in plans], np.linspace(0.0, 2.0, 41))
+    (_, deltas), = iter_delta_chunks(spec, "train")
+    labels = row_plan(spec, "train")[0] != 0
+    curve = sweep_threshold(extract(deltas, "wd"), labels, np.linspace(0.0, 2.0, 41))
     assert best_operating_point(curve).accuracy == 1.0
 
 
 def test_sweep_threshold_validates_input():
     with pytest.raises(ValueError):
-        sweep_threshold(np.zeros((0, 1, 5)), [], [1.0])
+        sweep_threshold(np.zeros((0, 1)), [], [1.0])
     with pytest.raises(ValueError):
         sweep_threshold(*_noisy_rows(4), [])
     with pytest.raises(ValueError, match="labels"):

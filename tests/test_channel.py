@@ -149,7 +149,7 @@ POSITIONS = flight_positions(CONFIG, DESTINATIONS)
 
 def _flights():
     """The `simulate` archive's flights, as (destination index, noise seed) pairs."""
-    return [(p.dest_index, p.noise_seed) for p in archive_plan(CONFIG.n_destinations)]
+    return [(dest, seed) for seed, dest in enumerate(archive_plan(CONFIG.n_destinations).tolist())]
 
 
 def sample_window(flight, bs, params, positions=POSITIONS):

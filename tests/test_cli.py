@@ -48,6 +48,8 @@ def test_simulate_archive_is_deterministic(workdir):
     archive = json.loads(a.read_text())
     assert archive["base_stations"] == [1, 2, 3]
     assert len(archive["scenarios"]) == 30
+    # Each archive row is seeded with its index.
+    assert [(s["index"], s["noise_seed"]) for s in archive["scenarios"]] == [(k, k) for k in range(30)]
     first = archive["scenarios"][0]
     assert len(first["windows"]["1"]["measured_db"]) == 100
 
@@ -107,6 +109,27 @@ def test_evaluate_names_the_sidecar_and_the_missing_key(workdir, data_dir, capsy
     sidecar.write_text(json.dumps(doc))
     assert run("evaluate", data_dir, "--detector", "threshold", "--out", workdir / "thr.json") == 1
     assert f"{sidecar}: sidecar missing keys: split" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_an_edited_label(workdir, data_dir, capsys):
+    csv = data_dir / "test.csv"
+    lines = csv.read_text().splitlines()
+    lines[2] = ("0" if lines[2].startswith("1,") else "1") + lines[2][1:]
+    csv.write_text("\n".join(lines) + "\n")
+    assert run("evaluate", data_dir, "--detector", "threshold", "--out", workdir / "thr.json") == 1
+    assert f"{csv}: row 3, column 1: label" in capsys.readouterr().err
+    assert not (workdir / "thr.json").exists()
+
+
+def test_generate_names_mvsk_when_its_moments_overflow(workdir, capsys):
+    spec = json.loads((workdir / "spec.json").read_text())
+    spec["scenario"]["meas_noise_sigma_db"] = 1e120
+    (workdir / "spec.json").write_text(json.dumps(spec))
+    with pytest.warns(RuntimeWarning):
+        code = run("generate", "--spec", workdir / "spec.json", "--out", workdir / "data",
+                   "--method", "mvsk", "--n-bs", "1")
+    assert code == 1
+    assert "error: mvsk skewness and kurtosis overflow" in capsys.readouterr().err
 
 
 def test_train_is_byte_deterministic(workdir, data_dir):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_row_plan, reference_window
 from spoofbench.channel import ChannelParams
 from spoofbench.configio import ConfigError
 from spoofbench.dataset import (
@@ -89,29 +90,56 @@ def test_generate_is_deterministic():
     assert a_train != c_train
 
 
+def plan_seeds(spec, split):
+    """Every row's noise seed: row k's is first_seed + k."""
+    dests, first_seed = row_plan(spec, split)
+    return [first_seed + k for k in range(len(dests))]
+
+
 def test_train_and_test_noise_seeds_are_disjoint():
     spec = small_spec(train=200, test=200)
-    train_seeds = {p.noise_seed for p in row_plan(spec, "train")}
-    test_seeds = {p.noise_seed for p in row_plan(spec, "test")}
+    train_seeds = set(plan_seeds(spec, "train"))
+    test_seeds = set(plan_seeds(spec, "test"))
     assert not train_seeds & test_seeds
     assert len(train_seeds) == 200 and len(test_seeds) == 200
 
 
 def test_row_plan_cycles_spoofed_destinations():
     spec = small_spec(train=64, test=4)
-    plans = row_plan(spec, "train")
-    assert all(p.label == (p.index % 2 == 0) for p in plans)
-    spoofed_dests = [p.dest_index for p in plans if p.label]
-    assert set(spoofed_dests) <= set(range(1, 16))
-    assert all(p.dest_index == 0 for p in plans if not p.label)
+    dests, _ = row_plan(spec, "train")
+    assert (dests != 0).tolist() == [k % 2 == 0 for k in range(64)]
+    assert set(dests[0::2].tolist()) <= set(range(1, 16))
+    assert not np.any(dests[1::2])
+
+
+@pytest.mark.parametrize("rng_seed", [1, 2**31, 2**40])
+def test_row_plan_matches_the_per_row_reference(rng_seed):
+    # From rng_seed 2**30 on the seeds exceed int64.
+    spec = small_spec(seed=rng_seed, train=2 * CHUNK_ROWS + 5, test=CHUNK_ROWS + 1)
+    for split in ("train", "test"):
+        dests, first_seed = row_plan(spec, split)
+        plan = [(d != 0, d, first_seed + k) for k, d in enumerate(dests.tolist())]
+        assert plan == reference_row_plan(spec, split)
+
+
+def test_windows_draw_with_the_reference_seeds_beyond_int64():
+    spec = small_spec(method="wd", n_bs=1, seed=2**40, train=CHUNK_ROWS + 2, test=2)
+    chunks = list(iter_delta_chunks(spec, "train"))
+    plan = reference_row_plan(spec, "train")
+    station = spec.scenario.base_station_by_id(1)
+    for k in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1):
+        _, dest, seed = plan[k]
+        measured, theoretical, _ = reference_window(spec.scenario, dest, seed, station, spec.channel)
+        rows, deltas = chunks[k // CHUNK_ROWS]
+        assert deltas[rows.index(k), 0].tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
 
 
 def test_delta_rows_agree_with_mvsk_mean_feature():
     spec = small_spec(method="mvsk", n_bs=2, train=6, test=4)
     train_ds, _ = generate(spec)
-    (plans, deltas), = iter_delta_chunks(spec, "train")
-    assert deltas.shape == (6, 2, 100)
-    assert train_ds.labels.tolist() == [p.label for p in plans]
+    (rows, deltas), = iter_delta_chunks(spec, "train")
+    assert rows == range(6) and deltas.shape == (6, 2, 100)
+    assert train_ds.labels.tolist() == [label for label, _, _ in reference_row_plan(spec, "train")]
     means = train_ds.features.reshape(6, 2, 4)[..., 0]  # (rows, stations) window means
     assert np.mean(deltas, axis=-1) == pytest.approx(means, rel=1e-12)
 
@@ -119,9 +147,19 @@ def test_delta_rows_agree_with_mvsk_mean_feature():
 def test_delta_chunks_cover_the_split_in_order():
     spec = small_spec(method="wd", n_bs=1, train=CHUNK_ROWS + 3, test=2)
     chunks = list(iter_delta_chunks(spec, "train"))
-    assert [len(plans) for plans, _ in chunks] == [CHUNK_ROWS, 3]
-    assert [p.index for plans, _ in chunks for p in plans] == list(range(CHUNK_ROWS + 3))
-    assert all(d.shape == (len(plans), 1, 100) for plans, d in chunks)
+    assert [len(rows) for rows, _ in chunks] == [CHUNK_ROWS, 3]
+    assert [k for rows, _ in chunks for k in rows] == list(range(CHUNK_ROWS + 3))
+    assert all(d.shape == (len(rows), 1, 100) for rows, d in chunks)
+
+
+@pytest.mark.parametrize("sigma", [1e120, 1e160])
+def test_generate_refuses_mvsk_moments_that_overflow(sigma):
+    # Finite deltas whose variance, cubed (sigma 1e120) or as it is (sigma
+    # 1e160), exceeds the largest float.
+    spec = replace(small_spec(method="mvsk", n_bs=1, train=4, test=4),
+                   channel=ChannelParams(meas_noise_sigma=sigma))
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="mvsk"):
+        generate(spec)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -306,6 +344,27 @@ def test_load_fuzz_rejects_with_format_error_or_reads_what_the_sidecar_says(doc)
     for key, value in written.items():
         if key in doc:
             assert doc[key] == value, key
+
+
+def test_load_refuses_labels_that_disagree_with_the_row_plan(tmp_path):
+    path = tmp_path / "train.csv"
+    save(_wd3_train(), path)
+    lines = path.read_text().splitlines()
+    flipped = lines[:]
+    assert lines[4].startswith("0,")  # row 5 of the file, a legitimate replay
+    flipped[4] = "1" + flipped[4][1:]
+    path.write_text("\n".join(flipped) + "\n")
+    message = f"{path}: row 5, column 1: label 1 disagrees with the spec's row plan"
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        load(path)
+
+    path.write_text("\n".join(lines[:-1]) + "\n")  # one row short, and the sidecar agrees
+    sidecar = tmp_path / "train.meta.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "n_rows": 39}))
+    message = f"{path}: 39 rows, but the spec's train split has 40"
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        load(path)
 
 
 def test_load_requires_sidecar(tmp_path):

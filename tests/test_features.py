@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cdf_area_distance, naive_mvsk, reference_window, wasserstein_1d
+from oracles import cdf_area_distance, naive_mvsk, reference_row_plan, reference_window, wasserstein_1d
 from spoofbench.channel import ChannelParams
 from spoofbench.dataset import DatasetSpec, iter_delta_chunks
 from spoofbench.features import FEATURES_PER_BS, extract
@@ -31,11 +31,11 @@ def test_delta_series_is_absolute_difference():
     config = default_config()
     spec = DatasetSpec(config, ChannelParams(carrier_frequency=2.0), "wd", n_bs=2,
                        train_size=6, test_size=2)
-    ((plans, deltas),) = iter_delta_chunks(spec, "train")
-    for plan, row in zip(plans, deltas):
+    ((_, deltas),) = iter_delta_chunks(spec, "train")
+    for (_, dest, seed), row in zip(reference_row_plan(spec, "train"), deltas):
         for bs_id, delta in zip((1, 3), row):
             measured, theoretical, _ = reference_window(
-                config, plan.dest_index, plan.noise_seed, config.base_station_by_id(bs_id), spec.channel
+                config, dest, seed, config.base_station_by_id(bs_id), spec.channel
             )
             assert delta.tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
 

@@ -10,9 +10,10 @@ that preceded the array pipeline.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from oracles import reference_window
+from oracles import reference_row_plan, reference_window
 from spoofbench.cli import main as cli
 from spoofbench.dataset import iter_delta_chunks, spec_from_dict
 
@@ -45,14 +46,12 @@ def test_low_altitude_deltas_match_scalar_oracle_and_parent_archive(tmp_path, sa
     stations = [config.base_station_by_id(i) for i in (1, 2, 3)]
     nlos_draws = 0
     for split in ("train", "test"):
-        for plans, deltas in iter_delta_chunks(spec, split):
-            for plan, row in zip(plans, deltas):
-                for bs, delta in zip(stations, row):
-                    measured, theoretical, los = reference_window(
-                        config, plan.dest_index, plan.noise_seed, bs, spec.channel
-                    )
-                    nlos_draws += los.count(False)
-                    assert delta.tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
+        deltas = np.concatenate([d for _, d in iter_delta_chunks(spec, split)])
+        for (_, dest, seed), row in zip(reference_row_plan(spec, split), deltas, strict=True):
+            for bs, delta in zip(stations, row):
+                measured, theoretical, los = reference_window(config, dest, seed, bs, spec.channel)
+                nlos_draws += los.count(False)
+                assert delta.tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
     # Every LoS probability here is 0.87 or more: thresholded, every sample is
     # LoS; drawn, some are NLoS.
     assert (nlos_draws > 0) == sampled_los

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -16,4 +18,5 @@ def load_script(name):
 def test_run_headline_reproduces_seed1_accuracy(tmp_path):
     result = load_script("run_headline").run(seed=1, workdir=tmp_path)
     assert result["mlp_accuracy"] == 0.9618163054695562
-    assert result["threshold"].accuracy < result["mlp_accuracy"]
+    assert result["threshold"].accuracy == 0.9504643962848297
+    assert result["threshold"].threshold_db == pytest.approx(1.45)
