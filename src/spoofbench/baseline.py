@@ -24,8 +24,8 @@ class ThresholdDetector:
     aggregation: str = "mean-delta"
 
     def __post_init__(self):
-        if self.threshold_db < 0:
-            raise ValueError("threshold must be >= 0")
+        if not self.threshold_db >= 0:  # NaN compares False; +inf is a legal threshold
+            raise ValueError(f"threshold_db must be >= 0, got {self.threshold_db!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
 

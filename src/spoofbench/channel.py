@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -33,8 +34,8 @@ LOS_PROBABILITY_MIN_HEIGHT = 22.5  # rule below this clamps to the model floor
 class ChannelParams:
     """Stochastic channel configuration; all sigmas in dB.
 
-    The only holder of the carrier frequency and of rng_seed, the seed of
-    every window's noise stream (window_rng).
+    The only holder of the carrier frequency and of rng_seed, the first
+    entry of every window's noise seed (measured_windows).
     """
 
     carrier_frequency: float = 2.0  # GHz
@@ -109,15 +110,33 @@ class Link:
             heights=heights,
         )
 
-    def branch(self, los: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Path loss and shadow-fading sigma per sample for a LoS mask."""
+    @classmethod
+    def stack(cls, links) -> Link:
+        """The Links of a (destinations, stations) nested list as one Link of
+        (destinations, stations, samples) arrays."""
+
+        def stacked(name):
+            return np.array([[getattr(lk, name) for lk in row] for row in links])
+
+        return cls(
+            los_db=stacked("los_db"),
+            nlos_db=stacked("nlos_db"),
+            los_prob=stacked("los_prob"),
+            los_sigma=stacked("los_sigma"),
+            nlos_sigma=links[0][0].nlos_sigma,
+            heights=stacked("heights"),
+        )
+
+    def branch(self, los: np.ndarray, index=...) -> tuple[np.ndarray, np.ndarray]:
+        """Path loss and shadow-fading sigma per sample for a LoS mask over
+        the links at index (along the leading axes of every array)."""
         if np.all(los):
-            return self.los_db, self.los_sigma
-        if np.any(self.heights[~los] <= 0):
+            return self.los_db[index], self.los_sigma[index]
+        if np.any(self.heights[index][~los] <= 0):
             raise ValueError("NLoS path loss undefined at zero height")
         return (
-            np.where(los, self.los_db, self.nlos_db),
-            np.where(los, self.los_sigma, self.nlos_sigma),
+            np.where(los, self.los_db[index], self.nlos_db[index]),
+            np.where(los, self.los_sigma[index], self.nlos_sigma),
         )
 
     def theoretical(self) -> np.ndarray:
@@ -125,24 +144,140 @@ class Link:
         return self.branch(self.los_prob >= 0.5)[0]
 
 
-def window_rng(params: ChannelParams, noise_seed: int, bs_id: int) -> np.random.Generator:
-    """Fixed seed derivation: one independent stream per (seed, flight, station)."""
-    return np.random.default_rng([params.rng_seed, noise_seed, bs_id])
+# NumPy's SeedSequence (NEP 19) pool size and hash constants, and PCG64's
+# 128-bit LCG multiplier. window_states reproduces default_rng's seeding with
+# them, so a NumPy that changed them would move every draw: the pinned
+# digests and tests/test_channel.py's default_rng oracle test catch that.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
-def measured_window(link: Link, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """Noisy path loss a station reports along a window of the true path.
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's split of an int >= 0 into uint32 words, least
+    significant first; 0 is the one word 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
 
-    These are the only per-window random draws, in the order every dataset
-    depends on: the LoS branch of every sample (sampled_los only), then
-    every shadow-fading value, then every measurement-noise value.
+
+def _xorshift(x: np.ndarray) -> np.ndarray:
+    return x ^ (x >> 16)
+
+
+class _HashMix:
+    """SeedSequence's hashmix on uint32 lanes: x -> (x ^ h) * h', then an
+    xorshift, where h is the running hash constant and h' = h * mult is
+    the next one."""
+
+    def __init__(self, init: int, mult: int):
+        self.h, self.mult = init, mult
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = x ^ np.uint32(self.h)
+        self.h = self.h * self.mult & _MASK32
+        return _xorshift(x * np.uint32(self.h))
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """generate_state(4, uint64) of SeedSequence(e) for every row e of a
+    (windows, words) uint32 entropy array, as (windows, 8) uint32 words.
+
+    Every operation is the scalar algorithm's on uint32 lanes, one lane per
+    window; uint32 arrays wrap on overflow as its C arithmetic does.
     """
-    n = len(link.los_prob)
-    los = rng.random(n) < link.los_prob if params.sampled_los else link.los_prob >= 0.5
-    pl, sigma = link.branch(los)
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    zeros = np.zeros(len(entropy), dtype=np.uint32)
+    n_words = entropy.shape[1]
+    pool = [hashmix(entropy[:, i] if i < n_words else zeros) for i in range(_POOL_SIZE)]
+
+    def mix(x, y):
+        return _xorshift(x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R))
+
+    for src, dst in product(range(_POOL_SIZE), repeat=2):
+        if src != dst:
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):  # entropy beyond the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hashmix = _HashMix(_INIT_B, _MULT_B)  # generate_state's
+    return np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+
+
+def window_states(rng_seed: int, noise_seeds, bs_ids) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of np.random.default_rng([rng_seed, seed, bs_id])
+    for every seed in noise_seeds and, within it, every bs_id.
+
+    The seeds are split into uint32 words as Python ints, since a dataset's
+    exceed int64; windows are mixed together when their entropy has the
+    same number of words.
+    """
+    tails = [_uint32_words(bs_id) for bs_id in bs_ids]
+    head = _uint32_words(rng_seed)
+    entropy = [head + words + tail for words in map(_uint32_words, noise_seeds) for tail in tails]
+    by_length: dict[int, list[int]] = {}
+    for w, words in enumerate(entropy):
+        by_length.setdefault(len(words), []).append(w)
+    states = [(0, 0)] * len(entropy)
+    for windows in by_length.values():
+        state_words = _seed_words(np.array([entropy[w] for w in windows], dtype=np.uint32))
+        # generate_state's uint64 words are little-endian uint32 pairs:
+        # (seed high, seed low, sequence high, sequence low).
+        state_words = state_words.astype(np.uint64)
+        halves = (state_words[:, 0::2] | state_words[:, 1::2] << np.uint64(32)).tolist()
+        for w, (seed_hi, seed_lo, seq_hi, seq_lo) in zip(windows, halves):
+            # PCG64's srandom: inc = 2 seq + 1, then two LCG steps from 0
+            # with the seed added in between.
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            states[w] = (((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc)
+    return states
+
+
+def measured_windows(links: Link, dests, params: ChannelParams, noise_seeds, bs_ids) -> np.ndarray:
+    """Noisy path loss the stations report along a batch of windows, as a
+    (rows, stations, samples) array.
+
+    links holds (destinations, stations, samples) arrays, station j being
+    bs_ids[j], and row i flies to destination dests[i]. Window (i, j) draws
+    from the stream of
+    np.random.default_rng([params.rng_seed, noise_seeds[i], bs_ids[j]]),
+    in the order every dataset depends on: the LoS branch of every sample
+    (sampled_los only), then every shadow-fading value, then every
+    measurement-noise value. One generator is re-seeded per window, and
+    the path loss is assembled once per batch.
+    """
+    rows, (stations, n) = len(dests), links.los_prob.shape[1:]
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    draws = np.empty((rows * stations, 3 if params.sampled_los else 2, n))
+    for window, (state, inc) in zip(draws, window_states(params.rng_seed, noise_seeds, bs_ids)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        if params.sampled_los:
+            gen.random(out=window[0])
+        gen.standard_normal(out=window[-2:])
+    draws = draws.reshape(rows, stations, -1, n)
+    if params.sampled_los:
+        los = draws[:, :, 0] < links.los_prob[dests]
+    else:
+        los = (links.los_prob >= 0.5)[dests]
+    pl, sigma = links.branch(los, dests)
+    # pl + sigma * shadow + meas_noise_sigma * noise without temporaries;
+    # IEEE addition commutes, so the sums are bit for bit the same. And
     # sigma * standard_normal() is normal(0, sigma) bit for bit, without the
     # per-call scale checks that normal() makes on an array sigma.
-    return pl + sigma * rng.standard_normal(n) + params.meas_noise_sigma * rng.standard_normal(n)
+    measured = sigma * draws[:, :, -2]
+    measured += pl
+    noise = draws[:, :, -1]
+    noise *= params.meas_noise_sigma
+    measured += noise
+    return measured
 
 
 def check_finite(values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features
-from .channel import ChannelParams, Link, check_finite, measured_window, window_rng
+from .channel import ChannelParams, Link, check_finite, measured_windows
 from .configio import ConfigError, config_from_dict, config_to_dict, typed
 from .features import FEATURES_PER_BS, check_method
 from .scenario import ScenarioConfig, destination_grid, flight_positions
@@ -141,9 +141,9 @@ def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, dests, 
     every chunk. measured is a (rows, stations, samples) array of the path
     loss each station reports along the row's true flight. Stations come in
     bs_ids order. The noise-free path loss is computed once per
-    (destination, station); per row only the window's random draws are made.
+    (destination, station); per window only its generator is re-seeded and
+    its draws made (channel.measured_windows).
     """
-    n = config.window_size
     stations = [config.base_station_by_id(i) for i in bs_ids]
     positions = flight_positions(config, destination_grid(config))
     # Destination 0 is the reported flight; every other one is flown spoofed.
@@ -151,16 +151,14 @@ def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, dests, 
     if np.any(never_diverge):
         k = 1 + int(np.argmax(never_diverge))
         raise ValueError(f"spoofed flight to destination {k} never diverges from the planned one")
-    links = [[Link.along(p, bs, channel) for bs in stations] for p in positions]  # [destination][station]
-    theoretical = check_finite(np.stack([lk.theoretical() for lk in links[0]]))
-    dests = np.asarray(dests).tolist()
+    # (destinations, stations, samples) arrays of every path's noise-free link
+    links = Link.stack([[Link.along(p, bs, channel) for bs in stations] for p in positions])
+    theoretical = check_finite(links.theoretical()[0])
+    dests = np.asarray(dests)
     for start in range(0, len(dests), CHUNK_ROWS):
         rows = range(start, min(start + CHUNK_ROWS, len(dests)))
-        measured = np.empty((len(rows), len(stations), n))
-        for i, k in enumerate(rows):
-            for j, lk in enumerate(links[dests[k]]):
-                rng = window_rng(channel, first_seed + k, stations[j].id)
-                measured[i, j] = measured_window(lk, channel, rng)
+        seeds = range(first_seed + rows.start, first_seed + rows.stop)
+        measured = measured_windows(links, dests[rows.start : rows.stop], channel, seeds, bs_ids)
         yield rows, theoretical, check_finite(measured)
 
 

@@ -39,12 +39,16 @@ def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
     if n < 2:
         raise ValueError("mvsk needs series of length >= 2")
     x = _sorted_lanes(x)
-    mean = np.mean(x, axis=-1)
-    centered = x - mean[..., None]
-    sum_sq = np.sum(centered**2, axis=-1)
-    m2 = sum_sq / n
-    m3 = np.sum(centered**3, axis=-1) / n
-    m4 = np.sum(centered**4, axis=-1) / n
+    # A power that overflows is refused below, with the error naming mvsk.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(x, axis=-1)
+        centered = x - mean[..., None]
+        sum_sq = np.sum(centered**2, axis=-1)
+        m2 = sum_sq / n
+        m3 = np.sum(centered**3, axis=-1) / n
+        m4 = np.sum(centered**4, axis=-1) / n
+    if not all(np.all(np.isfinite(m)) for m in (m2, m3, m4)):
+        raise _mvsk_overflow(m2)
     # g1 and g2 lane by lane in Python floats: numpy's vectorized pow rounds
     # m2**1.5 differently from the C library in the last bit.
     try:
@@ -53,12 +57,16 @@ def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
             for c2, c3, c4 in zip(m2.ravel().tolist(), m3.ravel().tolist(), m4.ravel().tolist())
         ]
     except OverflowError:
-        raise ValueError(
-            f"mvsk skewness and kurtosis overflow: a window's variance reaches {np.max(m2):.3g} dB^2"
-        ) from None
+        raise _mvsk_overflow(m2) from None
     variance = np.where(m2 == 0.0, 0.0, sum_sq / (n - 1))
     return np.concatenate(
         [np.stack([mean, variance], axis=-1), np.reshape(shape_moments, m2.shape + (2,))], axis=-1
+    )
+
+
+def _mvsk_overflow(m2: np.ndarray) -> ValueError:
+    return ValueError(
+        f"mvsk skewness and kurtosis overflow: a window's variance reaches {np.max(m2):.3g} dB^2"
     )
 
 

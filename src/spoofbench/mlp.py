@@ -479,6 +479,8 @@ def tune(
     trains all its learning rates in one `train_stack`; with jobs > 1,
     architectures train on that many threads.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     X = np.asarray(inputs, dtype=float)
     learning_rates = tuple(learning_rates)
     shapes = [(depth, width) for depth in hidden_layers for width in neurons]

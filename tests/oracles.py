@@ -4,13 +4,13 @@ These deliberately avoid the library's own code paths: plain Python
 summation for the moments, CDF-area integration and the sorted-difference
 formula for the transport distance, central finite differences for the
 gradients, one sample at a time for the flight positions and the simulated
-path loss, one row at a time for the row plan, and one model with one Adam
-update per tensor for training.
+path loss, one generator per window for the noise, one row at a time for
+the row plan, and one model with one Adam update per tensor for training.
 """
 
 import numpy as np
 
-from spoofbench.channel import Link, window_rng
+from spoofbench.channel import Link
 from spoofbench.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EpochStats, accuracy, forward_batch, init_model, loss_mse
 from spoofbench.scenario import destination_grid
 
@@ -28,6 +28,23 @@ def position_at(config, destination, t: float) -> np.ndarray:
 def path_loss(position, bs, params) -> float:
     """Noise-free model path loss in dB at one UAV position."""
     return float(Link.along(position, bs, params).theoretical()[0])
+
+
+def window_rng(params, noise_seed: int, bs_id: int) -> np.random.Generator:
+    """One window's noise stream, seeded on its own: a fresh generator per
+    (channel seed, flight, station)."""
+    return np.random.default_rng([params.rng_seed, noise_seed, bs_id])
+
+
+def measured_window(link, params, rng) -> np.ndarray:
+    """Noisy path loss a station reports along one window of a Link of
+    (samples,) arrays, drawn from rng in the channel's order: the LoS branch
+    of every sample (sampled_los only), then every shadow-fading value, then
+    every measurement-noise value."""
+    n = len(link.los_prob)
+    los = rng.random(n) < link.los_prob if params.sampled_los else link.los_prob >= 0.5
+    pl, sigma = link.branch(los)
+    return pl + sigma * rng.standard_normal(n) + params.meas_noise_sigma * rng.standard_normal(n)
 
 
 def reference_row_plan(spec, split):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,9 @@ def test_decide_is_monotone_in_threshold():
 def test_detector_validation():
     with pytest.raises(ValueError):
         ThresholdDetector(-0.5)
+    with pytest.raises(ValueError, match="threshold_db must be >= 0, got nan"):
+        ThresholdDetector(math.nan)
+    assert ThresholdDetector(math.inf).threshold_db == math.inf
     with pytest.raises(ValueError):
         ThresholdDetector(1.0, "average")
 

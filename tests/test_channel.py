@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_3d, path_loss, position_at
+from oracles import distance_3d, measured_window, path_loss, position_at, window_rng
 from spoofbench.channel import (
     ChannelParams,
     Link,
     check_finite,
     los_probability,
-    measured_window,
-    window_rng,
+    measured_windows,
+    window_states,
 )
-from spoofbench.dataset import DatasetSpec, archive_plan, generate
+from spoofbench.dataset import DatasetSpec, archive_plan, generate, row_plan
 from spoofbench.scenario import BaseStation, default_config, destination_grid, flight_positions
 
 PARAMS = ChannelParams(carrier_frequency=2.0, rng_seed=1)
@@ -125,9 +125,14 @@ def test_los_shadow_sigma_at_150m():
     assert sigma == pytest.approx(1.724115846342292, rel=1e-12)
 
 
+def one_window(link, params, noise_seed, bs_id):
+    """The library's measured path loss of a single (samples,) Link's window."""
+    return measured_windows(Link.stack([[link]]), [0], params, [noise_seed], [bs_id])[0, 0]
+
+
 def test_measured_equals_theoretical_without_noise():
     uav = [150.0, 150.0, 150.0]
-    measured = measured_window(Link.along(uav, BS1, QUIET), QUIET, np.random.default_rng(0))
+    measured = one_window(Link.along(uav, BS1, QUIET), QUIET, 0, BS1.id)
     assert measured[0] == path_loss(uav, BS1, QUIET)
 
 
@@ -156,8 +161,7 @@ def sample_window(flight, bs, params, positions=POSITIONS):
     """(measured, theoretical) path loss of one station's window of a
     (destination index, noise seed) pair."""
     dest_index, noise_seed = flight
-    rng = window_rng(params, noise_seed, bs.id)
-    measured = measured_window(Link.along(positions[dest_index], bs, params), params, rng)
+    measured = one_window(Link.along(positions[dest_index], bs, params), params, noise_seed, bs.id)
     return measured, Link.along(positions[0], bs, params).theoretical()
 
 
@@ -244,3 +248,52 @@ def test_window_rng_is_stable_derivation():
     c = window_rng(PARAMS, 8, 1).normal(size=3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _default_rng_state(params, noise_seed, bs_id):
+    state = window_rng(params, noise_seed, bs_id).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def _first_seed(rng_seed, split):
+    spec = DatasetSpec(CONFIG, PARAMS, "wd", n_bs=3, rng_seed=rng_seed)
+    return row_plan(spec, split)[1]
+
+
+# A low pass 2 km from station 1 at 60 m: LoS with probability about 0.6,
+# so sampled_los draws both branches.
+LOW_PASS = np.column_stack([np.arange(2000.0, 2100.0), np.zeros(100), np.full(100, 60.0)])
+
+
+@pytest.mark.parametrize(
+    "channel_seed, noise_seeds",
+    [
+        (1, range(40)),  # archive seeds from 0: one word each
+        (0, range(40)),  # channel seed 0 is the word 0
+        (1, range(_first_seed(1, "train"), _first_seed(1, "train") + 40)),  # two words
+        (1, range(_first_seed(1, "test"), _first_seed(1, "test") + 40)),
+        (1, range(2**32 - 20, 2**32 + 20)),  # one and two words in one batch
+        (2**31, range(_first_seed(2**31, "test"), _first_seed(2**31, "test") + 40)),  # 5 words
+        (2**40, range(_first_seed(2**40, "train"), _first_seed(2**40, "train") + 40)),  # 6 words
+    ],
+)
+@pytest.mark.parametrize("sampled_los", [False, True])
+def test_batched_windows_are_default_rng_bit_for_bit(channel_seed, noise_seeds, sampled_los):
+    """Batched seeding gives every window default_rng's PCG64 (state, inc),
+    and the windows drawn from them are the one-generator-per-window
+    reference's, the LoS draw (sampled_los) coming first."""
+    params = ChannelParams(rng_seed=channel_seed, sampled_los=sampled_los)
+    bs_ids = (1, 2, 3)
+    expected = [_default_rng_state(params, seed, bs_id) for seed in noise_seeds for bs_id in bs_ids]
+    assert window_states(channel_seed, noise_seeds, bs_ids) == expected
+    links = [Link.along(LOW_PASS, CONFIG.base_station_by_id(bs_id), params) for bs_id in bs_ids]
+    dests = np.zeros(len(noise_seeds), dtype=int)
+    measured = measured_windows(Link.stack([links]), dests, params, noise_seeds, bs_ids)
+    assert measured.shape == (len(noise_seeds), len(bs_ids), 100)
+    for row, seed in zip(measured, noise_seeds):
+        for window, link, bs_id in zip(row, links, bs_ids):
+            reference = measured_window(link, params, window_rng(params, seed, bs_id))
+            assert window.tolist() == reference.tolist()
+    if sampled_los:  # the windows draw both branches
+        los = window_rng(params, noise_seeds[0], 1).random(100) < links[0].los_prob
+        assert 0 < np.sum(los) < 100

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -125,11 +126,19 @@ def test_generate_names_mvsk_when_its_moments_overflow(workdir, capsys):
     spec = json.loads((workdir / "spec.json").read_text())
     spec["scenario"]["meas_noise_sigma_db"] = 1e120
     (workdir / "spec.json").write_text(json.dumps(spec))
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy prints none of its own
         code = run("generate", "--spec", workdir / "spec.json", "--out", workdir / "data",
                    "--method", "mvsk", "--n-bs", "1")
     assert code == 1
-    assert "error: mvsk skewness and kurtosis overflow" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: mvsk skewness and kurtosis overflow")
+
+
+def test_evaluate_refuses_a_nan_threshold(workdir, data_dir, capsys):
+    out = workdir / "thr.json"
+    assert run("evaluate", data_dir, "--detector", "threshold", "--t", "nan", "--out", out) == 1
+    assert "threshold_db must be >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_is_byte_deterministic(workdir, data_dir):

@@ -281,6 +281,13 @@ def test_tune_singleton_grid_returns_that_configuration():
     assert result.best_model.architecture == MlpArchitecture(2, 2, 4)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_tune_refuses_fewer_than_one_job(jobs):
+    X, y = blobs(n=20, seed=13)
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        tune(X, y, TrainConfig(learning_rate=0.01, max_epochs=1), neurons=(3,), jobs=jobs)
+
+
 def test_tune_explores_the_whole_grid_and_is_parallel_safe():
     X, y = blobs(n=150, seed=13)
     base = TrainConfig(learning_rate=0.01, max_epochs=10, rng_seed=1)
