@@ -17,7 +17,6 @@ import numpy as np
 
 from spoofbench.cli import main as cli
 from spoofbench import baseline, dataset
-from spoofbench.features import extract
 from spoofbench.presets import BEST_SETTINGS
 
 
@@ -39,11 +38,10 @@ def run(seed: int, workdir: Path) -> dict:
     report = json.loads((workdir / "report.json").read_text())
     elapsed = time.perf_counter() - t0
 
-    # Threshold baseline on the same windows, best T over a fine grid.
-    spec = dataset.spec_from_dict(json.loads((workdir / "spec.json").read_text()))
-    means = np.concatenate([extract(d, "wd") for _, d in dataset.iter_delta_chunks(spec, "test")])
-    labels = dataset.row_plan(spec, "test")[0] != 0
-    curve = baseline.sweep_threshold(means, labels, np.linspace(0.0, 6.0, 121))
+    # Threshold baseline on the saved test rows, best T over a fine grid: the
+    # wd features are the window means of Δ the baseline compares with T.
+    test = dataset.load(workdir / "data" / "test.csv")
+    curve = baseline.sweep_threshold(test.features, test.labels, np.linspace(0.0, 6.0, 121))
     best = baseline.best_operating_point(curve)
 
     print(f"\nWD-MLP (3 BS) test accuracy : {report['test_accuracy']:.4f}")

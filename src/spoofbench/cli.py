@@ -31,7 +31,7 @@ FORMAT_VERSION = 1
 
 
 def _write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def _sha256(path) -> str:
@@ -100,9 +100,9 @@ def cmd_simulate(args) -> int:
 def _load_spec(args) -> dataset.DatasetSpec:
     doc = json.loads(Path(args.spec).read_text())
     spec = dataset.spec_from_dict(doc)
-    if getattr(args, "method", None):
+    if args.method:
         spec = replace(spec, method=args.method)
-    if getattr(args, "n_bs", None):
+    if args.n_bs:
         spec = replace(spec, n_bs=args.n_bs)
     if args.seed is not None:
         spec = replace(spec, rng_seed=args.seed, channel=replace(spec.channel, rng_seed=args.seed))
@@ -125,17 +125,22 @@ def cmd_generate(args) -> int:
 
 
 def _load_split(data_dir, split: str) -> dataset.LabeledDataset:
-    return dataset.load(Path(data_dir) / f"{split}.csv")
+    path = Path(data_dir) / f"{split}.csv"
+    ds = dataset.load(path)
+    if ds.split != split:
+        raise ValueError(f"{path} holds the {ds.split} split, not the {split} split")
+    return ds
+
+
+def _model_meta(train_ds: dataset.LabeledDataset) -> dict:
+    spec = train_ds.spec
+    return {"method": spec.method, "n_bs": spec.n_bs, "dataset_spec_hash": train_ds.provenance}
 
 
 def cmd_train(args) -> int:
     """Train one MLP on a generated dataset; write model JSON + history CSV."""
     train_ds = _load_split(args.data_dir, "train")
-    method = args.method or train_ds.method
-    if method != train_ds.method:
-        raise ValueError(f"dataset was extracted with {train_ds.method!r}, not {method!r}")
-    n_bs = len(train_ds.bs_ids)
-    preset = BEST_SETTINGS.get((method, n_bs), (0.001, 3, 32))
+    preset = BEST_SETTINGS[train_ds.spec.method, train_ds.spec.n_bs]
     lr = args.lr if args.lr is not None else preset[0]
     layers = args.layers if args.layers is not None else preset[1]
     neurons = args.neurons if args.neurons is not None else preset[2]
@@ -151,8 +156,7 @@ def cmd_train(args) -> int:
     model = mlp.train(arch, train_ds.features, train_ds.labels, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"method": method, "n_bs": n_bs, "dataset_spec_hash": train_ds.provenance}
-    mlp.save_model(model, out / "model.json", meta)
+    mlp.save_model(model, out / "model.json", _model_meta(train_ds))
     mlp.write_history_csv(model.history, out / "history.csv")
     print(
         f"wrote {out}/model.json: {len(model.history)} epochs, best {model.best_epoch} "
@@ -173,9 +177,6 @@ def _parse_grid(text: str | None, default, cast):
 def cmd_tune(args) -> int:
     """Grid-search hyperparameters; write the full grid report and the winner."""
     train_ds = _load_split(args.data_dir, "train")
-    method = args.method or train_ds.method
-    if method != train_ds.method:
-        raise ValueError(f"dataset was extracted with {train_ds.method!r}, not {method!r}")
     lrs = _parse_grid(args.lr_grid, mlp.GRID_LEARNING_RATES, float)
     layer_grid = _parse_grid(args.layers_grid, mlp.GRID_HIDDEN_LAYERS, int)
     neuron_grid = _parse_grid(args.neurons_grid, mlp.GRID_NEURONS, int)
@@ -203,14 +204,12 @@ def cmd_tune(args) -> int:
     lines = ["method,learning_rate,hidden_layers,neurons,param_count,epochs_run,best_epoch,val_mse,val_accuracy,rank"]
     for i, row in enumerate(result.results):
         lines.append(
-            f"{method},{row.learning_rate!r},{row.hidden_layers},{row.neurons},"
+            f"{train_ds.spec.method},{row.learning_rate!r},{row.hidden_layers},{row.neurons},"
             f"{row.param_count},{row.epochs_run},{row.best_epoch},"
             f"{row.val_mse!r},{row.val_accuracy!r},{rank[i]}"
         )
     (out / "grid_report.csv").write_text("\n".join(lines) + "\n")
-    n_bs = len(train_ds.bs_ids)
-    meta = {"method": method, "n_bs": n_bs, "dataset_spec_hash": train_ds.provenance}
-    mlp.save_model(result.best_model, out / "model.json", meta)
+    mlp.save_model(result.best_model, out / "model.json", _model_meta(train_ds))
     mlp.write_history_csv(result.best_model.history, out / "history.csv")
     best = result.results[result.best_index]
     print(
@@ -245,9 +244,9 @@ def cmd_evaluate(args) -> int:
     labels = ds.labels
     if args.model:
         model, meta = mlp.load_model(args.model)
-        if meta.get("method") and meta["method"] != ds.method:
+        if meta.get("method") and meta["method"] != ds.spec.method:
             raise ValueError(
-                f"model was trained on {meta['method']!r} features, dataset is {ds.method!r}"
+                f"model was trained on {meta['method']!r} features, dataset is {ds.spec.method!r}"
             )
         predictions = mlp.forward_batch(model, ds.features)
         detector = {
@@ -259,12 +258,12 @@ def cmd_evaluate(args) -> int:
         }
         history = model.history
     else:
-        if ds.spec is None:
-            raise ValueError("threshold evaluation needs the dataset sidecar to embed its spec")
         det = baseline.ThresholdDetector(args.t, args.aggregation)
-        means = [extract(deltas, "wd") for _, deltas in dataset.iter_delta_chunks(ds.spec, args.split)]
+        means = [extract(deltas, "wd") for _, deltas in dataset.iter_delta_chunks(ds.spec, ds.split)]
         predictions = baseline.decide(det, np.concatenate(means)).astype(float)
-        detector = {"kind": "threshold", "threshold_db": args.t, "aggregation": args.aggregation}
+        # JSON has no infinity; an infinite threshold is recorded as "inf".
+        threshold_db = "inf" if args.t == float("inf") else args.t
+        detector = {"kind": "threshold", "threshold_db": threshold_db, "aggregation": args.aggregation}
         history = []
     report = _confusion_report(predictions, labels, started, ds.provenance, detector, history)
     _write_json(args.out, report)
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one MLP detector")
     p.add_argument("data_dir", help="directory with train.csv from `generate`")
     p.add_argument("--out", required=True, help="output run directory")
-    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--layers", type=int, default=None)
     p.add_argument("--neurons", type=int, default=None)
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="hyperparameter grid search")
     p.add_argument("data_dir")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--lr-grid", default=None, help="comma-separated learning rates")
     p.add_argument("--layers-grid", default=None, help="comma-separated depths")
     p.add_argument("--neurons-grid", default=None, help="comma-separated widths")

@@ -178,25 +178,19 @@ def iter_delta_chunks(spec: DatasetSpec, split: str):
 
 @dataclass(eq=False)
 class LabeledDataset:
-    """One split: an (n, width) feature matrix and one label per row (True =
-    spoofed). Each row's blocks belong to bs_ids, in that order."""
+    """One split of a spec: an (n, width) feature matrix and one label per row
+    (True = spoofed). Each row's blocks belong to bs_ids, in that order."""
 
     features: np.ndarray
     labels: np.ndarray
-    bs_ids: tuple[int, ...]
-    method: str
     split: str
-    provenance: str  # hash of the generating DatasetSpec
-    spec: DatasetSpec | None = None
+    spec: DatasetSpec
 
     def __post_init__(self):
-        check_method(self.method)
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}")
         if self.features.ndim != 2 or len(self.features) == 0:
             raise ValueError("dataset has no rows")
-        if list(self.bs_ids) != sorted(set(self.bs_ids)):
-            raise ValueError(f"bs_ids must be unique and ascending, got {list(self.bs_ids)}")
         if len(self.bs_ids) * FEATURES_PER_BS[self.method] != self.width:
             raise ValueError(f"{len(self.bs_ids)} stations do not fit width {self.width} ({self.method})")
         if self.labels.shape != (len(self.features),):
@@ -208,12 +202,23 @@ class LabeledDataset:
     def width(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def bs_ids(self) -> tuple[int, ...]:
+        return select_bs_subset(self.spec.n_bs)
+
+    @property
+    def method(self) -> str:
+        return self.spec.method
+
+    @property
+    def provenance(self) -> str:
+        return spec_hash(self.spec)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDataset):
             return NotImplemented
         return (
-            (self.split, self.provenance, self.method, self.bs_ids)
-            == (other.split, other.provenance, other.method, other.bs_ids)
+            (self.split, self.provenance) == (other.split, other.provenance)
             and np.array_equal(self.features, other.features)
             and np.array_equal(self.labels, other.labels)
         )
@@ -221,21 +226,26 @@ class LabeledDataset:
 
 def generate(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Simulate, extract and label the train and test splits of a spec."""
-    digest = spec_hash(spec)
     splits = []
     for split in SPLITS:
         blocks = [features.extract(deltas, spec.method) for _, deltas in iter_delta_chunks(spec, split)]
-        splits.append(
-            LabeledDataset(
-                np.concatenate(blocks), row_plan(spec, split)[0] != 0, select_bs_subset(spec.n_bs),
-                spec.method, split, digest, spec,
-            )
-        )
+        splits.append(LabeledDataset(np.concatenate(blocks), row_plan(spec, split)[0] != 0, split, spec))
     return splits[0], splits[1]
 
 
 def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
+
+
+def _implied_keys(spec: DatasetSpec) -> dict:
+    """The sidecar keys that restate the spec, with the values it implies."""
+    return {
+        "spec_hash": spec_hash(spec),
+        "method": spec.method,
+        "bs_ids": list(select_bs_subset(spec.n_bs)),
+        "n_bs": spec.n_bs,
+        "width": spec.n_bs * FEATURES_PER_BS[spec.method],
+    }
 
 
 def save(dataset: LabeledDataset, path) -> None:
@@ -248,16 +258,11 @@ def save(dataset: LabeledDataset, path) -> None:
     ]
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
-        "spec_hash": dataset.provenance,
+        **_implied_keys(dataset.spec),
+        "spec": spec_to_dict(dataset.spec),
         "split": dataset.split,
         "n_rows": len(dataset.labels),
-        "width": dataset.width,
-        "method": dataset.method,
-        "bs_ids": list(dataset.bs_ids),
     }
-    if dataset.spec is not None:
-        sidecar["spec"] = spec_to_dict(dataset.spec)
-        sidecar["n_bs"] = dataset.spec.n_bs
     _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
@@ -265,42 +270,31 @@ class DatasetFormatError(ValueError):
     pass
 
 
-SIDECAR_FIELDS = {"spec_hash": str, "split": str, "method": str, "n_rows": int, "width": int}
+SIDECAR_KEYS = ("spec", "spec_hash", "split", "n_rows", "width", "method", "bs_ids", "n_bs")
 
 
-def _read_sidecar(sidecar_file: Path) -> tuple[dict, tuple[int, ...], DatasetSpec | None]:
-    """The sidecar's typed fields, station ids and spec; errors name the file
-    and the key."""
+def _read_sidecar(sidecar_file: Path) -> tuple[DatasetSpec, str, int]:
+    """The sidecar's spec, split and row count; every other key must be
+    written exactly as the spec implies. Errors name the file and the key."""
     try:
         doc = json.loads(sidecar_file.read_text())
         if not isinstance(doc, dict):
             raise ConfigError("sidecar must be a JSON object")
-        missing = [k for k in SIDECAR_FIELDS if k not in doc]
+        missing = [k for k in SIDECAR_KEYS if k not in doc]
         if missing:
             raise ConfigError(f"sidecar missing keys: {', '.join(missing)}")
-        fields = {k: typed(k, doc[k], kind) for k, kind in SIDECAR_FIELDS.items()}
-        spec = None
-        if "spec" in doc:
-            if not isinstance(doc["spec"], dict):
-                raise ConfigError(f"spec must be an object, got {doc['spec']!r:.40}")
-            spec = spec_from_dict(doc["spec"])
-            if spec_hash(spec) != fields["spec_hash"]:
-                raise ConfigError("spec_hash does not match the embedded spec (tampered?)")
-        if "bs_ids" in doc:
-            if not isinstance(doc["bs_ids"], list):
-                raise ConfigError(f"bs_ids must be a list, got {doc['bs_ids']!r:.40}")
-            bs_ids = tuple(typed("bs_ids", i, int) for i in doc["bs_ids"])
-            if spec is not None and bs_ids != select_bs_subset(spec.n_bs):
-                raise ConfigError(f"bs_ids {list(bs_ids)} disagree with the spec's n_bs")
-        elif spec is not None:
-            bs_ids = select_bs_subset(spec.n_bs)
-        else:
-            raise ConfigError("sidecar names neither bs_ids nor a spec")
-        if "n_bs" in doc and typed("n_bs", doc["n_bs"], int) != len(bs_ids):
-            raise ConfigError(f"n_bs {doc['n_bs']} disagrees with {len(bs_ids)} stations")
+        if not isinstance(doc["spec"], dict):
+            raise ConfigError(f"spec must be an object, got {doc['spec']!r:.40}")
+        spec = spec_from_dict(doc["spec"])
+        for key, implied in _implied_keys(spec).items():
+            # Compared as JSON text, so 3.0 or true do not pass for 3 or 1.
+            if json.dumps(doc[key]) != json.dumps(implied):
+                raise ConfigError(f"{key} {doc[key]!r:.70} disagrees with the spec's {implied!r}")
+        split = typed("split", doc["split"], str)
+        n_rows = typed("n_rows", doc["n_rows"], int)
     except ValueError as exc:  # ConfigError, or malformed JSON
         raise DatasetFormatError(f"{sidecar_file}: {exc}") from None
-    return fields, bs_ids, spec
+    return spec, split, n_rows
 
 
 def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -338,33 +332,28 @@ def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def load(path) -> LabeledDataset:
     """Reads a dataset CSV and its sidecar; errors name the file and the
-    offending key or cell. With an embedded spec, the labels must be that
-    spec's row plan."""
+    offending key or cell. The labels must be the spec's row plan."""
     path = Path(path)
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
         raise DatasetFormatError(f"{path}: missing sidecar {sidecar_file.name}")
-    fields, bs_ids, spec = _read_sidecar(sidecar_file)
+    spec, split, n_rows = _read_sidecar(sidecar_file)
     matrix, labels = _read_csv(path)
-    for key, found in (("n_rows", matrix.shape[0]), ("width", matrix.shape[1])):
-        if fields[key] != found:
-            raise DatasetFormatError(f"{sidecar_file}: {key} {fields[key]} disagrees with the CSV's {found}")
+    if n_rows != len(matrix):
+        raise DatasetFormatError(f"{sidecar_file}: n_rows {n_rows} disagrees with the CSV's {len(matrix)}")
     try:
-        ds = LabeledDataset(
-            matrix, labels, bs_ids, fields["method"], fields["split"], fields["spec_hash"], spec
-        )
+        ds = LabeledDataset(matrix, labels, split, spec)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
-    if spec is not None:
-        planned = row_plan(spec, ds.split)[0] != 0
-        if len(planned) != len(labels):
-            raise DatasetFormatError(
-                f"{path}: {len(labels)} rows, but the spec's {ds.split} split has {len(planned)}"
-            )
-        wrong = np.flatnonzero(planned != labels)
-        if len(wrong):
-            k = int(wrong[0])
-            raise DatasetFormatError(
-                f"{path}: row {k + 2}, column 1: label {int(labels[k])} disagrees with the spec's row plan"
-            )
+    planned = row_plan(spec, split)[0] != 0
+    if len(planned) != len(labels):
+        raise DatasetFormatError(
+            f"{path}: {len(labels)} rows, but the spec's {split} split has {len(planned)}"
+        )
+    wrong = np.flatnonzero(planned != labels)
+    if len(wrong):
+        k = int(wrong[0])
+        raise DatasetFormatError(
+            f"{path}: row {k + 2}, column 1: label {int(labels[k])} disagrees with the spec's row plan"
+        )
     return ds

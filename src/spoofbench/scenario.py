@@ -136,19 +136,15 @@ def spherical_point(
 
 
 def destination_layout(start: np.ndarray, radius: float, n: int) -> list[np.ndarray]:
-    """n destinations at exactly `radius` from start, evenly spread in angle.
-
-    n == 1 places a single point at zero azimuth / zero elevation. Even n
-    uses n/2 azimuths times two elevation rings at +/-ELEVATION_SPREAD_DEG.
+    """n destinations at exactly `radius` from start, evenly spread in angle:
+    n/2 azimuths times two elevation rings at +/-ELEVATION_SPREAD_DEG, so n
+    must be even and at least 2.
     """
-    if n == 1:
-        angles = [(0.0, 0.0)]
-    elif n >= 2 and n % 2 == 0:
-        el = math.radians(ELEVATION_SPREAD_DEG)
-        azimuths = [2.0 * math.pi * k / (n // 2) for k in range(n // 2)]
-        angles = [(az, e) for az in azimuths for e in (el, -el)]
-    else:
+    if n < 2 or n % 2:
         raise ValueError(f"cannot lay out {n} destinations on two elevation rings")
+    el = math.radians(ELEVATION_SPREAD_DEG)
+    azimuths = [2.0 * math.pi * k / (n // 2) for k in range(n // 2)]
+    angles = [(az, e) for az in azimuths for e in (el, -el)]
     points = [spherical_point(start, radius, az, el) for az, el in angles]
     for p in points:
         if p[2] <= 0:

@@ -1,9 +1,11 @@
+import argparse
 import json
+import shutil
 import warnings
 
 import pytest
 
-from spoofbench.cli import main
+from spoofbench.cli import build_parser, main
 
 SMALL = ["--train-size", "40", "--test-size", "20"]
 
@@ -139,6 +141,56 @@ def test_evaluate_refuses_a_nan_threshold(workdir, data_dir, capsys):
     assert run("evaluate", data_dir, "--detector", "threshold", "--t", "nan", "--out", out) == 1
     assert "threshold_db must be >= 0, got nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_evaluate_records_an_infinite_threshold_in_valid_json(workdir, data_dir):
+    out = workdir / "thr.json"
+    assert run("evaluate", data_dir, "--detector", "threshold", "--t", "inf", "--out", out) == 0
+    report = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert report["detector"]["threshold_db"] == "inf"
+    assert sum(report["confusion"].values()) == 20
+
+
+@pytest.mark.parametrize("detector", ["model", "threshold"])
+def test_evaluate_refuses_a_file_that_holds_another_split(workdir, data_dir, run_dir, capsys, detector):
+    for suffix in (".csv", ".meta.json"):
+        shutil.copyfile(data_dir / f"train{suffix}", data_dir / f"test{suffix}")
+    out = workdir / "r.json"
+    chosen = ["--model", run_dir / "model.json"] if detector == "model" else ["--detector", "threshold"]
+    assert run("evaluate", data_dir, *chosen, "--split", "test", "--out", out) == 1
+    assert f"{data_dir / 'test.csv'} holds the train split, not the test split" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Every command's arguments, in declaration order: adding or dropping one is an
+# edit here.
+FLAGS = {
+    "init": ["--out", "--seed", "--method", "--n-bs", "--train-size", "--test-size"],
+    "simulate": ["--config", "--out", "--seed"],
+    "generate": ["--spec", "--out", "--method", "--n-bs", "--seed"],
+    "train": ["data_dir", "--out", "--lr", "--layers", "--neurons",
+              "--epochs", "--patience", "--batch-size", "--val-fraction", "--seed"],
+    "tune": ["data_dir", "--out", "--lr-grid", "--layers-grid", "--neurons-grid", "--jobs",
+             "--epochs", "--patience", "--batch-size", "--val-fraction", "--seed"],
+    "evaluate": ["data_dir", "--model", "--detector", "--t", "--aggregation", "--split", "--out"],
+    "report": ["run_dirs", "--out"],
+}
+
+
+def test_every_command_has_exactly_its_pinned_flags():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [
+            s for a in sub._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings or [a.dest]
+        ]
+        for name, sub in commands.choices.items()
+    }
+    assert found == FLAGS
 
 
 def test_train_is_byte_deterministic(workdir, data_dir):

@@ -172,27 +172,6 @@ def test_save_load_round_trip(tmp_path):
         assert load(path) == ds
 
 
-def test_save_load_round_trip_without_spec(tmp_path):
-    train_ds, _ = generate(small_spec(method="mvsk", n_bs=2, train=10, test=6))
-    bare = replace(train_ds, spec=None)
-    path = tmp_path / "train.csv"
-    save(bare, path)
-    again = load(path)
-    assert again == bare
-    assert again.bs_ids == (1, 3) and again.spec is None
-
-    sidecar_path = tmp_path / "train.meta.json"
-    doc = json.loads(sidecar_path.read_text())
-    doc["bs_ids"] = [1, 2, 3]
-    sidecar_path.write_text(json.dumps(doc))
-    with pytest.raises(DatasetFormatError, match="3 stations"):
-        load(path)
-    del doc["bs_ids"]
-    sidecar_path.write_text(json.dumps(doc))
-    with pytest.raises(DatasetFormatError, match="neither bs_ids nor a spec"):
-        load(path)
-
-
 def test_load_reports_bad_cells(tmp_path):
     ds, _ = generate(small_spec(method="wd", n_bs=1, train=6, test=4))
     path = tmp_path / "train.csv"
@@ -256,11 +235,16 @@ def _saved_sidecar() -> dict:
         (lambda d: d.pop("split"), "sidecar missing keys: split"),
         (lambda d: d.pop("method"), "sidecar missing keys: method"),
         (lambda d: d.pop("spec_hash"), "sidecar missing keys: spec_hash"),
-        (lambda d: d.update(bs_ids=[1.7, 2, 3]), "bs_ids must be an integer, got 1.7"),
-        (lambda d: d.update(bs_ids=3), "bs_ids must be a list"),
+        (lambda d: d.pop("spec"), "sidecar missing keys: spec"),
+        (lambda d: d.update(spec_hash="abc"), "spec_hash 'abc' disagrees with the spec's"),
+        (lambda d: d.update(method="box"), "method 'box' disagrees with the spec's 'wd'"),
+        (lambda d: d.update(bs_ids=[1.7, 2, 3]), "bs_ids [1.7, 2, 3] disagrees with the spec's [1, 2, 3]"),
+        (lambda d: d.update(bs_ids=[1.0, 2, 3]), "bs_ids [1.0, 2, 3] disagrees with the spec's [1, 2, 3]"),
+        (lambda d: d.update(bs_ids=3), "bs_ids 3 disagrees with the spec's [1, 2, 3]"),
         (lambda d: d.update(n_rows=999), "n_rows 999 disagrees with the CSV's 40"),
-        (lambda d: d.update(width=7), "width 7 disagrees with the CSV's 3"),
-        (lambda d: d.update(n_bs=2), "n_bs 2 disagrees with 3 stations"),
+        (lambda d: d.update(width=7), "width 7 disagrees with the spec's 3"),
+        (lambda d: d.update(n_bs=2), "n_bs 2 disagrees with the spec's 3"),
+        (lambda d: d.update(n_bs=True), "n_bs True disagrees with the spec's 3"),
         (lambda d: d.update(split=1), "split must be a string"),
         (lambda d: d.update(spec=[]), "spec must be an object"),
     ],

@@ -40,16 +40,12 @@ def test_destination_grid_radius_and_distinctness():
             assert not np.allclose(a, b)
 
 
-def test_destination_layout_single_point_at_zero_angles():
-    (point,) = destination_layout(np.array([150.0, 150.0, 150.0]), 100.0, 1)
-    assert point == pytest.approx([250.0, 150.0, 150.0])
-
-
 def test_destination_layout_rejects_underground_and_odd_counts():
     with pytest.raises(ValueError, match="altitude"):
         destination_layout(np.array([0.0, 0.0, 10.0]), 100.0, 16)
-    with pytest.raises(ValueError):
-        destination_layout(np.array([0.0, 0.0, 500.0]), 100.0, 7)
+    for n in (1, 7):
+        with pytest.raises(ValueError, match=f"cannot lay out {n} destinations"):
+            destination_layout(np.array([0.0, 0.0, 500.0]), 100.0, n)
 
 
 def test_flight_positions_match_the_scalar_oracle_bit_for_bit():
