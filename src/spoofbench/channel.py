@@ -69,79 +69,60 @@ def los_probability(heights, d2d) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Link:
-    """Noise-free path loss of one station's link along one sampled flight path.
+    """Noise-free path loss of every station's link along every sampled
+    flight path, as (paths, stations, samples) arrays.
 
     Everything here depends only on (path, station, params), so a dataset
-    builds one Link per (destination, station) and every row that flies that
-    path shares it. Arrays hold one value per sample instant.
+    builds it once and every row that flies a path shares that path's links.
     """
 
     los_db: np.ndarray  # LoS-branch path loss
     nlos_db: np.ndarray  # NLoS-branch path loss
     los_prob: np.ndarray
     los_sigma: np.ndarray  # LoS shadow-fading sigma
-    nlos_sigma: float
-    heights: np.ndarray
 
     @classmethod
-    def along(cls, positions, bs: BaseStation, params: ChannelParams) -> Link:
-        """Link quantities for an (n, 3) array of UAV positions."""
-        positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        delta = positions - bs.position
-        d3d = np.linalg.norm(delta, axis=1)
+    def along(cls, positions, stations: list[BaseStation], params: ChannelParams) -> Link:
+        """Link quantities for a (paths, samples, 3) array of UAV positions
+        and every station."""
+        positions = np.asarray(positions, dtype=float)[:, None]  # (paths, 1, samples, 3)
+        delta = positions - np.array([bs.position for bs in stations])[:, None]
+        d3d = np.linalg.norm(delta, axis=-1)
         if np.any(d3d == 0.0):
             raise ValueError("UAV position coincides with the base station")
-        d2d = np.linalg.norm(delta[:, :2], axis=1)
-        heights = positions[:, 2]
+        d2d = np.linalg.norm(delta[..., :2], axis=-1)
+        heights = positions[..., 2]  # (paths, 1, samples): shared by every station
         fc = params.carrier_frequency
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero heights: see branch()
+        # A height <= 0 makes the NLoS loss non-finite, which check_finite
+        # refuses; no ScenarioConfig lays out such a flight.
+        with np.errstate(divide="ignore", invalid="ignore"):
             nlos_db = (
                 -17.5
                 + (46.0 - 7.0 * np.log10(heights)) * np.log10(d3d)
                 + 20.0 * np.log10(40.0 * math.pi * fc / 3.0)
             )
-        los_sigma = 4.64 * np.exp(-0.0066 * heights)
+        los_sigma = 4.64 * np.exp(-0.0066 * heights) if params.los_shadow_formula else 0.0
         return cls(
             los_db=28.0 + 22.0 * np.log10(d3d) + 20.0 * np.log10(fc),
             nlos_db=nlos_db,
             los_prob=los_probability(heights, d2d),
-            los_sigma=los_sigma if params.los_shadow_formula else np.zeros_like(heights),
-            nlos_sigma=params.nlos_shadow_sigma,
-            heights=heights,
+            los_sigma=np.broadcast_to(los_sigma, d3d.shape),
         )
 
-    @classmethod
-    def stack(cls, links) -> Link:
-        """The Links of a (destinations, stations) nested list as one Link of
-        (destinations, stations, samples) arrays."""
-
-        def stacked(name):
-            return np.array([[getattr(lk, name) for lk in row] for row in links])
-
-        return cls(
-            los_db=stacked("los_db"),
-            nlos_db=stacked("nlos_db"),
-            los_prob=stacked("los_prob"),
-            los_sigma=stacked("los_sigma"),
-            nlos_sigma=links[0][0].nlos_sigma,
-            heights=stacked("heights"),
-        )
-
-    def branch(self, los: np.ndarray, index=...) -> tuple[np.ndarray, np.ndarray]:
+    def branch(self, los: np.ndarray, nlos_sigma: float, index=...) -> tuple[np.ndarray, np.ndarray]:
         """Path loss and shadow-fading sigma per sample for a LoS mask over
         the links at index (along the leading axes of every array)."""
         if np.all(los):
             return self.los_db[index], self.los_sigma[index]
-        if np.any(self.heights[index][~los] <= 0):
-            raise ValueError("NLoS path loss undefined at zero height")
         return (
             np.where(los, self.los_db[index], self.nlos_db[index]),
-            np.where(los, self.los_sigma[index], self.nlos_sigma),
+            np.where(los, self.los_sigma[index], nlos_sigma),
         )
 
     def theoretical(self) -> np.ndarray:
-        """Noise-free path loss, LoS where its probability is at least one half."""
-        return self.branch(self.los_prob >= 0.5)[0]
+        """(stations, samples) noise-free path loss of path 0, LoS where its
+        probability is at least one half."""
+        return np.where(self.los_prob[0] >= 0.5, self.los_db[0], self.nlos_db[0])
 
 
 # NumPy's SeedSequence (NEP 19) pool size and hash constants, and PCG64's
@@ -267,7 +248,7 @@ def measured_windows(links: Link, dests, params: ChannelParams, noise_seeds, bs_
         los = draws[:, :, 0] < links.los_prob[dests]
     else:
         los = (links.los_prob >= 0.5)[dests]
-    pl, sigma = links.branch(los, dests)
+    pl, sigma = links.branch(los, params.nlos_shadow_sigma, dests)
     # pl + sigma * shadow + meas_noise_sigma * noise without temporaries;
     # IEEE addition commutes, so the sums are bit for bit the same. And
     # sigma * standard_normal() is normal(0, sigma) bit for bit, without the

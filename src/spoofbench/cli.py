@@ -75,8 +75,8 @@ def cmd_simulate(args) -> int:
                     "index": k,
                     "label": dests[k] != 0,
                     "noise_seed": k,
-                    "true_destination": list(destinations[dests[k]]),
-                    "reported_destination": list(destinations[0]),
+                    "true_destination": destinations[dests[k]].tolist(),
+                    "reported_destination": destinations[0].tolist(),
                     "windows": {
                         str(bs_id): {"measured_db": m.tolist(), "theoretical_db": t.tolist()}
                         for bs_id, m, t in zip(bs_ids, row, theoretical)
@@ -137,6 +137,26 @@ def _model_meta(train_ds: dataset.LabeledDataset) -> dict:
     return {"method": spec.method, "n_bs": spec.n_bs, "dataset_spec_hash": train_ds.provenance}
 
 
+def _train_flags(p) -> None:
+    """The training flags `train` and `tune` share; _train_config reads them."""
+    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--patience", type=int, default=15)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--seed", type=int, default=1)
+
+
+def _train_config(args, learning_rate: float) -> mlp.TrainConfig:
+    return mlp.TrainConfig(
+        learning_rate=learning_rate,
+        max_epochs=args.epochs,
+        patience=args.patience,
+        batch_size=args.batch_size,
+        validation_fraction=args.val_fraction,
+        rng_seed=args.seed,
+    )
+
+
 def cmd_train(args) -> int:
     """Train one MLP on a generated dataset; write model JSON + history CSV."""
     train_ds = _load_split(args.data_dir, "train")
@@ -144,14 +164,7 @@ def cmd_train(args) -> int:
     lr = args.lr if args.lr is not None else preset[0]
     layers = args.layers if args.layers is not None else preset[1]
     neurons = args.neurons if args.neurons is not None else preset[2]
-    config = mlp.TrainConfig(
-        learning_rate=lr,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        batch_size=args.batch_size,
-        validation_fraction=args.val_fraction,
-        rng_seed=args.seed if args.seed is not None else 1,
-    )
+    config = _train_config(args, lr)
     arch = mlp.MlpArchitecture(train_ds.width, layers, neurons)
     model = mlp.train(arch, train_ds.features, train_ds.labels, config)
     out = Path(args.out)
@@ -180,18 +193,10 @@ def cmd_tune(args) -> int:
     lrs = _parse_grid(args.lr_grid, mlp.GRID_LEARNING_RATES, float)
     layer_grid = _parse_grid(args.layers_grid, mlp.GRID_HIDDEN_LAYERS, int)
     neuron_grid = _parse_grid(args.neurons_grid, mlp.GRID_NEURONS, int)
-    base = mlp.TrainConfig(
-        learning_rate=lrs[0],
-        max_epochs=args.epochs,
-        patience=args.patience,
-        batch_size=args.batch_size,
-        validation_fraction=args.val_fraction,
-        rng_seed=args.seed if args.seed is not None else 1,
-    )
     result = mlp.tune(
         train_ds.features,
         train_ds.labels,
-        base,
+        _train_config(args, lrs[0]),
         learning_rates=lrs,
         hidden_layers=layer_grid,
         neurons=neuron_grid,
@@ -322,20 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override every rng seed")
     p.set_defaults(func=cmd_generate)
 
-    def train_flags(p):
-        p.add_argument("--epochs", type=int, default=500)
-        p.add_argument("--patience", type=int, default=15)
-        p.add_argument("--batch-size", type=int, default=32)
-        p.add_argument("--val-fraction", type=float, default=0.2)
-        p.add_argument("--seed", type=int, default=None)
-
     p = sub.add_parser("train", help="train one MLP detector")
     p.add_argument("data_dir", help="directory with train.csv from `generate`")
     p.add_argument("--out", required=True, help="output run directory")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--layers", type=int, default=None)
     p.add_argument("--neurons", type=int, default=None)
-    train_flags(p)
+    _train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tune", help="hyperparameter grid search")
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers-grid", default=None, help="comma-separated depths")
     p.add_argument("--neurons-grid", default=None, help="comma-separated widths")
     p.add_argument("--jobs", type=int, default=1, help="architectures trained at once, on threads")
-    train_flags(p)
+    _train_flags(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("evaluate", help="score a model or the threshold baseline")

@@ -151,9 +151,8 @@ def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, dests, 
     if np.any(never_diverge):
         k = 1 + int(np.argmax(never_diverge))
         raise ValueError(f"spoofed flight to destination {k} never diverges from the planned one")
-    # (destinations, stations, samples) arrays of every path's noise-free link
-    links = Link.stack([[Link.along(p, bs, channel) for bs in stations] for p in positions])
-    theoretical = check_finite(links.theoretical()[0])
+    links = Link.along(positions, stations, channel)
+    theoretical = check_finite(links.theoretical())
     dests = np.asarray(dests)
     for start in range(0, len(dests), CHUNK_ROWS):
         rows = range(start, min(start + CHUNK_ROWS, len(dests)))

@@ -19,11 +19,14 @@ ELEVATION_SPREAD_DEG = 15.0  # destinations sit at +/- this elevation angle
 
 
 def _as_vec3(p) -> np.ndarray:
-    v = np.asarray(p, dtype=float)
+    """A read-only copy of p as a finite 3-vector: a frozen config must not
+    share a buffer its caller can still write."""
+    v = np.array(p, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"coordinates must be finite, got {v.tolist()}")
+    v.flags.writeable = False
     return v
 
 
@@ -121,48 +124,41 @@ def default_config() -> ScenarioConfig:
     )
 
 
-def spherical_point(
-    start: np.ndarray, radius: float, azimuth: float, elevation: float
-) -> np.ndarray:
-    """Point at the given distance and angles from start (angles in radians)."""
-    start = _as_vec3(start)
-    return start + radius * np.array(
-        [
-            math.cos(elevation) * math.cos(azimuth),
-            math.cos(elevation) * math.sin(azimuth),
-            math.sin(elevation),
-        ]
-    )
-
-
-def destination_layout(start: np.ndarray, radius: float, n: int) -> list[np.ndarray]:
-    """n destinations at exactly `radius` from start, evenly spread in angle:
-    n/2 azimuths times two elevation rings at +/-ELEVATION_SPREAD_DEG, so n
-    must be even and at least 2.
+def destination_layout(start: np.ndarray, radius: float, n: int) -> np.ndarray:
+    """(n, 3) destinations at exactly `radius` from start, evenly spread in
+    angle: n/2 azimuths times two elevation rings at +/-ELEVATION_SPREAD_DEG,
+    so n must be even and at least 2.
     """
     if n < 2 or n % 2:
         raise ValueError(f"cannot lay out {n} destinations on two elevation rings")
     el = math.radians(ELEVATION_SPREAD_DEG)
     azimuths = [2.0 * math.pi * k / (n // 2) for k in range(n // 2)]
-    angles = [(az, e) for az in azimuths for e in (el, -el)]
-    points = [spherical_point(start, radius, az, el) for az, el in angles]
-    for p in points:
-        if p[2] <= 0:
-            raise ValueError("destination altitude would be <= 0")
+    # The math module's cos and sin, one angle at a time: NumPy's vectorized
+    # trigonometry may round differently on other CPUs.
+    units = [
+        (math.cos(e) * math.cos(az), math.cos(e) * math.sin(az), math.sin(e))
+        for az in azimuths
+        for e in (el, -el)
+    ]
+    points = _as_vec3(start) + radius * np.array(units)
+    if np.any(points[:, 2] <= 0):
+        raise ValueError("destination altitude would be <= 0")
     return points
 
 
-def destination_grid(config: ScenarioConfig) -> list[np.ndarray]:
-    """The config's destination set; index 0 is the planned (real) one."""
+def destination_grid(config: ScenarioConfig) -> np.ndarray:
+    """The config's (n_destinations, 3) destinations; row 0 is the planned
+    (real) one."""
     return destination_layout(config.start, config.mission_radius, config.n_destinations)
 
 
 def flight_positions(config: ScenarioConfig, destinations) -> np.ndarray:
     """(destinations, samples, 3) positions of straight flights from the
-    start to each destination, at the window's sample instants."""
+    start to each destination, at the window's sample instants.
+
+    slope * t + start is the arithmetic np.interp does on
+    [0, flight_duration], so the positions are its bit for bit.
+    """
     ts = np.arange(config.window_size) * config.sample_period
-    times = [0.0, config.flight_duration]
-    return np.stack(
-        [np.stack([np.interp(ts, times, [config.start[k], dest[k]]) for k in range(3)], axis=1)
-         for dest in destinations]
-    )
+    slope = (np.asarray(destinations, dtype=float) - config.start) / config.flight_duration
+    return slope[:, None, :] * ts[:, None] + config.start

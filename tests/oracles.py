@@ -25,9 +25,14 @@ def position_at(config, destination, t: float) -> np.ndarray:
     return np.array([np.interp(t, times, [config.start[k], destination[k]]) for k in range(3)])
 
 
+def link_at(position, bs, params) -> Link:
+    """The Link of one station at one UAV position, as (1, 1, 1) arrays."""
+    return Link.along(np.reshape(position, (1, 1, 3)), [bs], params)
+
+
 def path_loss(position, bs, params) -> float:
     """Noise-free model path loss in dB at one UAV position."""
-    return float(Link.along(position, bs, params).theoretical()[0])
+    return link_at(position, bs, params).theoretical().item()
 
 
 def window_rng(params, noise_seed: int, bs_id: int) -> np.random.Generator:
@@ -37,13 +42,14 @@ def window_rng(params, noise_seed: int, bs_id: int) -> np.random.Generator:
 
 
 def measured_window(link, params, rng) -> np.ndarray:
-    """Noisy path loss a station reports along one window of a Link of
-    (samples,) arrays, drawn from rng in the channel's order: the LoS branch
-    of every sample (sampled_los only), then every shadow-fading value, then
-    every measurement-noise value."""
-    n = len(link.los_prob)
-    los = rng.random(n) < link.los_prob if params.sampled_los else link.los_prob >= 0.5
-    pl, sigma = link.branch(los)
+    """Noisy path loss a station reports along one window of a Link of one
+    path and one station, drawn from rng in the channel's order: the LoS
+    branch of every sample (sampled_los only), then every shadow-fading
+    value, then every measurement-noise value."""
+    prob = link.los_prob[0, 0]
+    n = len(prob)
+    los = rng.random(n) < prob if params.sampled_los else prob >= 0.5
+    pl, sigma = link.branch(los, params.nlos_shadow_sigma, (0, 0))
     return pl + sigma * rng.standard_normal(n) + params.meas_noise_sigma * rng.standard_normal(n)
 
 
@@ -79,18 +85,18 @@ def reference_window(config, dest_index, noise_seed, bs, params):
     rng = window_rng(params, noise_seed, bs.id)
     destinations = destination_grid(config)
     instants = [k * config.sample_period for k in range(config.window_size)]
-    true = [Link.along(position_at(config, destinations[dest_index], t), bs, params) for t in instants]
-    reported = [Link.along(position_at(config, destinations[0], t), bs, params) for t in instants]
+    true = [link_at(position_at(config, destinations[dest_index], t), bs, params) for t in instants]
+    reported = [link_at(position_at(config, destinations[0], t), bs, params) for t in instants]
     if params.sampled_los:
-        los = [rng.random() < lk.los_prob[0] for lk in true]
+        los = [rng.random() < lk.los_prob.item() for lk in true]
     else:
-        los = [lk.los_prob[0] >= 0.5 for lk in true]
-    shadow = [rng.normal(0.0, lk.los_sigma[0] if k else params.nlos_shadow_sigma)
+        los = [lk.los_prob.item() >= 0.5 for lk in true]
+    shadow = [rng.normal(0.0, lk.los_sigma.item() if k else params.nlos_shadow_sigma)
               for lk, k in zip(true, los)]
     noise = [rng.normal(0.0, params.meas_noise_sigma) for _ in instants]
-    measured = [float((lk.los_db[0] if k else lk.nlos_db[0]) + s + e)
+    measured = [(lk.los_db.item() if k else lk.nlos_db.item()) + s + e
                 for lk, k, s, e in zip(true, los, shadow, noise)]
-    theoretical = [float(lk.los_db[0] if lk.los_prob[0] >= 0.5 else lk.nlos_db[0])
+    theoretical = [lk.los_db.item() if lk.los_prob.item() >= 0.5 else lk.nlos_db.item()
                    for lk in reported]
     return measured, theoretical, los
 

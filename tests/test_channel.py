@@ -121,18 +121,19 @@ def test_path_loss_translation_invariant(shift):
 
 
 def test_los_shadow_sigma_at_150m():
-    sigma = Link.along([150.0, 150.0, 150.0], BS1, PARAMS).los_sigma[0]
+    sigma = Link.along([[[150.0, 150.0, 150.0]]], [BS1], PARAMS).los_sigma[0, 0, 0]
     assert sigma == pytest.approx(1.724115846342292, rel=1e-12)
 
 
 def one_window(link, params, noise_seed, bs_id):
-    """The library's measured path loss of a single (samples,) Link's window."""
-    return measured_windows(Link.stack([[link]]), [0], params, [noise_seed], [bs_id])[0, 0]
+    """The library's measured path loss of the window of a Link of one path
+    and one station."""
+    return measured_windows(link, [0], params, [noise_seed], [bs_id])[0, 0]
 
 
 def test_measured_equals_theoretical_without_noise():
     uav = [150.0, 150.0, 150.0]
-    measured = one_window(Link.along(uav, BS1, QUIET), QUIET, 0, BS1.id)
+    measured = one_window(Link.along([[uav]], [BS1], QUIET), QUIET, 0, BS1.id)
     assert measured[0] == path_loss(uav, BS1, QUIET)
 
 
@@ -140,9 +141,9 @@ def test_measured_noise_is_zero_mean():
     uav = [150.0, 150.0, 150.0]
     n = 100_000
     pl = path_loss(uav, BS1, PARAMS)
-    link = Link.along(np.tile(uav, (n, 1)), BS1, PARAMS)
+    link = Link.along(np.tile(uav, (1, n, 1)), [BS1], PARAMS)
     draws = measured_window(link, PARAMS, np.random.default_rng(1234)) - pl
-    sigma = math.hypot(link.los_sigma[0], PARAMS.meas_noise_sigma)
+    sigma = math.hypot(link.los_sigma[0, 0, 0], PARAMS.meas_noise_sigma)
     assert abs(draws.mean()) <= 3.0 * sigma / math.sqrt(n)
     assert draws.std() == pytest.approx(sigma, rel=0.02)
 
@@ -161,8 +162,8 @@ def sample_window(flight, bs, params, positions=POSITIONS):
     """(measured, theoretical) path loss of one station's window of a
     (destination index, noise seed) pair."""
     dest_index, noise_seed = flight
-    measured = one_window(Link.along(positions[dest_index], bs, params), params, noise_seed, bs.id)
-    return measured, Link.along(positions[0], bs, params).theoretical()
+    measured = one_window(Link.along(positions[[dest_index]], [bs], params), params, noise_seed, bs.id)
+    return measured, Link.along(positions[:1], [bs], params).theoretical()[0]
 
 
 def test_sample_window_length_and_alignment():
@@ -286,14 +287,15 @@ def test_batched_windows_are_default_rng_bit_for_bit(channel_seed, noise_seeds, 
     bs_ids = (1, 2, 3)
     expected = [_default_rng_state(params, seed, bs_id) for seed in noise_seeds for bs_id in bs_ids]
     assert window_states(channel_seed, noise_seeds, bs_ids) == expected
-    links = [Link.along(LOW_PASS, CONFIG.base_station_by_id(bs_id), params) for bs_id in bs_ids]
+    stations = [CONFIG.base_station_by_id(bs_id) for bs_id in bs_ids]
+    links = [Link.along(LOW_PASS[None], [bs], params) for bs in stations]
     dests = np.zeros(len(noise_seeds), dtype=int)
-    measured = measured_windows(Link.stack([links]), dests, params, noise_seeds, bs_ids)
+    measured = measured_windows(Link.along(LOW_PASS[None], stations, params), dests, params, noise_seeds, bs_ids)
     assert measured.shape == (len(noise_seeds), len(bs_ids), 100)
     for row, seed in zip(measured, noise_seeds):
         for window, link, bs_id in zip(row, links, bs_ids):
             reference = measured_window(link, params, window_rng(params, seed, bs_id))
             assert window.tolist() == reference.tolist()
     if sampled_los:  # the windows draw both branches
-        los = window_rng(params, noise_seeds[0], 1).random(100) < links[0].los_prob
+        los = window_rng(params, noise_seeds[0], 1).random(100) < links[0].los_prob[0, 0]
         assert 0 < np.sum(los) < 100

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import position_at
 from spoofbench.channel import ChannelParams
-from spoofbench.dataset import archive_plan, iter_windows
+from spoofbench.dataset import DatasetSpec, archive_plan, iter_windows, spec_hash
 from spoofbench.scenario import (
+    ELEVATION_SPREAD_DEG,
     BaseStation,
     ScenarioConfig,
     default_config,
@@ -162,3 +165,42 @@ def test_config_layout_check_matches_destination_grid():
                 _config(start=start)
         else:
             assert len(destination_grid(_config(start=start))) == 16
+
+
+def test_configs_copy_their_vectors_and_keep_them_read_only():
+    start = np.array([150.0, 150.0, 150.0])
+    position = np.array([0.0, 0.0, 35.0])
+    station = BaseStation(1, position)
+    cfg = _config(base_stations=(station,), start=start)
+    spec = DatasetSpec(scenario=cfg, channel=ChannelParams(), method="wd", n_bs=1)
+    before = spec_hash(spec)
+    start[2] = -1000.0  # the caller's arrays stay the caller's
+    position[2] = -3.0
+    assert cfg.start.tolist() == [150.0, 150.0, 150.0]
+    assert station.position.tolist() == [0.0, 0.0, 35.0]
+    assert spec_hash(spec) == before
+    for frozen in (cfg.start, station.position, default_config().start):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[2] = -1000.0
+
+
+DROP = math.sin(math.radians(ELEVATION_SPREAD_DEG))  # lower ring, per meter of radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    z=st.floats(min_value=1e-3, max_value=1e4),
+    radius=st.floats(min_value=1e-3, max_value=1e4),
+    n_destinations=st.integers(min_value=1, max_value=16).map(lambda k: 2 * k),
+)
+@example(z=100.0 * DROP, radius=100.0, n_destinations=16)  # a destination on the ground
+def test_every_valid_config_flies_above_ground(z, radius, n_destinations):
+    # The invariant that makes the NLoS path loss's log10(height) finite:
+    # a config is refused exactly when its lower ring would touch the ground.
+    start = [150.0, 150.0, z]
+    if z - radius * DROP <= 0:
+        with pytest.raises(ValueError, match="altitude"):
+            _config(start=start, mission_radius=radius, n_destinations=n_destinations)
+        return
+    cfg = _config(start=start, mission_radius=radius, n_destinations=n_destinations)
+    assert flight_positions(cfg, destination_grid(cfg))[..., 2].min() > 0
