@@ -98,8 +98,7 @@ def cmd_simulate(args) -> int:
 
 
 def _load_spec(args) -> dataset.DatasetSpec:
-    doc = json.loads(Path(args.spec).read_text())
-    spec = dataset.spec_from_dict(doc)
+    spec = dataset.load_spec(args.spec)
     if args.method:
         spec = replace(spec, method=args.method)
     if args.n_bs:

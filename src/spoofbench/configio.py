@@ -1,4 +1,5 @@
-"""Reading and writing the human-editable scenario config file.
+"""The scenario config file, and the one JSON reader (typed, array, fields,
+load_json) that also reads the dataset spec, its sidecar and the model.
 
 One JSON document holds both the scene geometry (ScenarioConfig) and the
 channel settings (ChannelParams), under fixed keys:
@@ -8,9 +9,9 @@ channel settings (ChannelParams), under fixed keys:
     channel: carrier_frequency_ghz, rng_seed, nlos_shadow_sigma_db,
              los_shadow_formula, meas_noise_sigma_db, sampled_los
 
-Values must have their JSON type: booleans are true/false, counts, ids and
-seeds are integers. A wrong type or a value the constructors reject raises
-ConfigError.
+A document has exactly its keys, and a value its JSON type: booleans are
+true/false, counts, ids and seeds integers, and a number is read only if a
+double holds it exactly. Errors name the key path, and load_json's the file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .scenario import BaseStation, ScenarioConfig
 
 
 class ConfigError(ValueError):
-    """Malformed or incomplete config file."""
+    """Malformed or incomplete JSON document."""
 
 
 def config_to_dict(config: ScenarioConfig, channel: ChannelParams) -> dict:
@@ -53,64 +54,120 @@ _JSON_TYPES = {
     int: ("an integer", (int,)),
     float: ("a number", (int, float)),
     str: ("a string", (str,)),
+    list: ("a list", (list,)),
+    dict: ("an object", (dict,)),
+    object: ("a JSON value", (object,)),
 }
 
 
 def typed(key: str, value, kind):
-    """value converted to kind, if its JSON type is kind's; names key if not."""
+    """value, if its JSON type is kind's (object: any); ConfigError naming
+    key if not. A float is the number the document states, exactly: an
+    integer that no double holds raises ValueError, as a constructor's
+    check would (I-JSON, RFC 7493 section 2.2)."""
     name, types = _JSON_TYPES[kind]
     # bool is a subclass of int in Python, but true is no JSON number.
-    if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
-        raise ConfigError(f"{key} must be {name}, got {value!r}")
-    return kind(value)
-
-
-def _list(key: str, value) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
-
-
-def config_from_dict(doc: dict) -> tuple[ScenarioConfig, ChannelParams]:
-    required = [
-        "base_stations",
-        "start",
-        "mission_radius_m",
-        "n_destinations",
-        "carrier_frequency_ghz",
-        "window_size",
-        "rng_seed",
-    ]
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ConfigError(f"config missing keys: {', '.join(missing)}")
+    if not isinstance(value, types) or (kind in (int, float) and isinstance(value, bool)):
+        raise ConfigError(f"{key} must be {name}, got {value!r:.40}")
+    if kind is not float or isinstance(value, float):
+        return value
     try:
-        stations = []
-        for b in _list("base_stations", doc["base_stations"]):
-            if not isinstance(b, dict) or not {"id", "x", "y", "h"} <= b.keys():
-                raise ConfigError(f"base_stations entries need id, x, y and h, got {b!r}")
-            position = [typed(f"base_stations.{k}", b[k], float) for k in ("x", "y", "h")]
-            stations.append(BaseStation(typed("base_stations.id", b["id"], int), np.array(position)))
+        if float(value) == value:  # int == float compares exactly
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{key} must be finite and held exactly by a double, got {value!r:.40}")
+
+
+def array(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested JSON lists of finite numbers, of exactly this shape."""
+    try:
+        cells = np.array(value, dtype=object)
+    except ValueError:
+        cells = None
+    if cells is None or cells.shape != shape:
+        raise ConfigError(f"{key} must be a {' x '.join(map(str, shape))} array")
+    out = np.array([typed(key, v, float) for v in cells.flat], dtype=float).reshape(shape)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{key} must be finite")
+    return out
+
+
+def at(path: str, key: str) -> str:
+    """The key path of key in the object at path ("" for the top level)."""
+    return f"{path}.{key}" if path else key
+
+
+def fields(path: str, value, kinds: dict, name: str = "") -> dict:
+    """The values of a JSON object with exactly the keys of kinds, each read
+    as its kind; a (kind, default) pair makes a key optional. path is the
+    object's key path, or "" for the top level of the document called name,
+    where a missing key is reported as "<name> missing keys: ..."."""
+    value = typed(path or name, value, dict)
+    required = [k for k, kind in kinds.items() if not isinstance(kind, tuple)]
+    missing = [k for k in required if k not in value]
+    if missing:
+        need = ", ".join(required[:-1]) + " and " + required[-1] if len(required) > 1 else required[0]
+        nested = f"{path}: missing fields {missing}; need {need}"
+        raise ConfigError(nested if path else f"{name} missing keys: {', '.join(missing)}")
+    unknown = sorted(set(value) - set(kinds), key=str)
+    if unknown:
+        raise ConfigError(f"{path or name}: unknown fields {unknown}")
+    out = {}
+    for key, kind in kinds.items():
+        kind, default = kind if isinstance(kind, tuple) else (kind, None)
+        out[key] = typed(at(path, key), value[key], kind) if key in value else default
+    return out
+
+
+def load_json(path, read, error=ConfigError):
+    """read(document) for the JSON document in a file. Any ValueError, a
+    syntax error's line and column included, or a nesting too deep to parse
+    is re-raised as error prefixed with the path."""
+    try:
+        return read(json.loads(Path(path).read_text()))
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
+        raise error(f"{path}: {exc}") from None
+
+
+_STATION_KEYS = {"id": int, "x": float, "y": float, "h": float}
+_CONFIG_KEYS = {
+    "base_stations": list, "start": list, "mission_radius_m": float, "n_destinations": int,
+    "carrier_frequency_ghz": float, "window_size": int, "rng_seed": int,
+    "sample_period_s": (float, ScenarioConfig.sample_period),
+    "nlos_shadow_sigma_db": (float, ChannelParams.nlos_shadow_sigma),
+    "los_shadow_formula": (bool, ChannelParams.los_shadow_formula),
+    "meas_noise_sigma_db": (float, ChannelParams.meas_noise_sigma),
+    "sampled_los": (bool, ChannelParams.sampled_los),
+}
+
+
+def config_from_dict(doc: dict, path: str = "") -> tuple[ScenarioConfig, ChannelParams]:
+    """The scene and channel a `config_to_dict` document describes, at key
+    path path of its file; ConfigError, naming the key, if it is not one."""
+    try:
+        d = fields(path, doc, _CONFIG_KEYS, "config")
+        stations = [fields(at(path, "base_stations"), b, _STATION_KEYS) for b in d["base_stations"]]
         config = ScenarioConfig(
-            base_stations=tuple(stations),
-            start=np.array([typed("start", v, float) for v in _list("start", doc["start"])]),
-            mission_radius=typed("mission_radius_m", doc["mission_radius_m"], float),
-            n_destinations=typed("n_destinations", doc["n_destinations"], int),
-            window_size=typed("window_size", doc["window_size"], int),
-            sample_period=typed("sample_period_s", doc.get("sample_period_s", 1.0), float),
+            base_stations=tuple(BaseStation(b["id"], np.array([b["x"], b["y"], b["h"]])) for b in stations),
+            start=np.array([typed(at(path, "start"), v, float) for v in d["start"]]),
+            mission_radius=d["mission_radius_m"],
+            n_destinations=d["n_destinations"],
+            window_size=d["window_size"],
+            sample_period=d["sample_period_s"],
         )
         channel = ChannelParams(
-            carrier_frequency=typed("carrier_frequency_ghz", doc["carrier_frequency_ghz"], float),
-            los_shadow_formula=typed("los_shadow_formula", doc.get("los_shadow_formula", True), bool),
-            nlos_shadow_sigma=typed("nlos_shadow_sigma_db", doc.get("nlos_shadow_sigma_db", 6.0), float),
-            meas_noise_sigma=typed("meas_noise_sigma_db", doc.get("meas_noise_sigma_db", 0.5), float),
-            rng_seed=typed("rng_seed", doc["rng_seed"], int),
-            sampled_los=typed("sampled_los", doc.get("sampled_los", False), bool),
+            carrier_frequency=d["carrier_frequency_ghz"],
+            los_shadow_formula=d["los_shadow_formula"],
+            nlos_shadow_sigma=d["nlos_shadow_sigma_db"],
+            meas_noise_sigma=d["meas_noise_sigma_db"],
+            rng_seed=d["rng_seed"],
+            sampled_los=d["sampled_los"],
         )
     except ConfigError:
         raise
-    except (ValueError, OverflowError) as exc:  # a constructor's check, or an int too big for a float
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    except ValueError as exc:  # a constructor's check, or a number no double holds
+        raise ConfigError(f"invalid config value: {exc}") from None
     return config, channel
 
 
@@ -121,11 +178,4 @@ def save_config(path, config: ScenarioConfig, channel: ChannelParams) -> None:
 
 
 def load_config(path) -> tuple[ScenarioConfig, ChannelParams]:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return config_from_dict(doc)
+    return load_json(path, config_from_dict)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import features
 from .channel import ChannelParams, Link, check_finite, measured_windows
-from .configio import ConfigError, config_from_dict, config_to_dict, typed
+from .configio import ConfigError, at, config_from_dict, config_to_dict, fields, load_json
 from .features import FEATURES_PER_BS, check_method
 from .scenario import ScenarioConfig, destination_grid, flight_positions
 
@@ -63,6 +63,12 @@ class DatasetSpec:
             raise ValueError("rng_seed must be >= 0")
 
 
+_SPEC_KEYS = {
+    "scenario": dict, "method": str, "n_bs": int, "train_size": (int, DatasetSpec.train_size),
+    "test_size": (int, DatasetSpec.test_size), "rng_seed": (int, DatasetSpec.rng_seed),
+}
+
+
 def spec_to_dict(spec: DatasetSpec) -> dict:
     return {
         "scenario": config_to_dict(spec.scenario, spec.channel),
@@ -74,29 +80,21 @@ def spec_to_dict(spec: DatasetSpec) -> dict:
     }
 
 
-def spec_from_dict(doc: dict) -> DatasetSpec:
-    """The spec a `spec_to_dict` document describes; ConfigError, naming the
-    key, on a missing key, a value of the wrong JSON type or a bad value."""
-    missing = [k for k in ("scenario", "method", "n_bs") if k not in doc]
-    if missing:
-        raise ConfigError(f"spec missing keys: {', '.join(missing)}")
-    if not isinstance(doc["scenario"], dict):
-        raise ConfigError(f"scenario must be an object, got {doc['scenario']!r:.40}")
-    scenario, channel = config_from_dict(doc["scenario"])
+def spec_from_dict(doc: dict, path: str = "") -> DatasetSpec:
+    """The spec a `spec_to_dict` document describes, at key path path of its
+    file; ConfigError, naming the key, on a missing or unknown key, a value
+    of the wrong JSON type or a bad value."""
+    d = fields(path, doc, _SPEC_KEYS, "spec")
+    scenario, channel = config_from_dict(d.pop("scenario"), at(path, "scenario"))
     try:
-        return DatasetSpec(
-            scenario=scenario,
-            channel=channel,
-            method=typed("method", doc["method"], str),
-            n_bs=typed("n_bs", doc["n_bs"], int),
-            train_size=typed("train_size", doc.get("train_size", 2259), int),
-            test_size=typed("test_size", doc.get("test_size", 969), int),
-            rng_seed=typed("rng_seed", doc.get("rng_seed", 1), int),
-        )
-    except ConfigError:
-        raise
+        return DatasetSpec(scenario, channel, **d)
     except ValueError as exc:  # a DatasetSpec check
         raise ConfigError(f"invalid spec value: {exc}") from exc
+
+
+def load_spec(path) -> DatasetSpec:
+    """The spec in a spec.json file; errors name the file and the key."""
+    return load_json(path, spec_from_dict)
 
 
 def spec_hash(spec: DatasetSpec) -> str:
@@ -269,31 +267,23 @@ class DatasetFormatError(ValueError):
     pass
 
 
-SIDECAR_KEYS = ("spec", "spec_hash", "split", "n_rows", "width", "method", "bs_ids", "n_bs")
+# Any JSON value is read for a key that restates the spec; _implied_keys checks it.
+_SIDECAR_KEYS = {
+    "spec": dict, "spec_hash": object, "split": str, "n_rows": int,
+    "width": object, "method": object, "bs_ids": object, "n_bs": object,
+}
 
 
-def _read_sidecar(sidecar_file: Path) -> tuple[DatasetSpec, str, int]:
+def _sidecar_from_dict(doc: dict) -> tuple[DatasetSpec, str, int]:
     """The sidecar's spec, split and row count; every other key must be
-    written exactly as the spec implies. Errors name the file and the key."""
-    try:
-        doc = json.loads(sidecar_file.read_text())
-        if not isinstance(doc, dict):
-            raise ConfigError("sidecar must be a JSON object")
-        missing = [k for k in SIDECAR_KEYS if k not in doc]
-        if missing:
-            raise ConfigError(f"sidecar missing keys: {', '.join(missing)}")
-        if not isinstance(doc["spec"], dict):
-            raise ConfigError(f"spec must be an object, got {doc['spec']!r:.40}")
-        spec = spec_from_dict(doc["spec"])
-        for key, implied in _implied_keys(spec).items():
-            # Compared as JSON text, so 3.0 or true do not pass for 3 or 1.
-            if json.dumps(doc[key]) != json.dumps(implied):
-                raise ConfigError(f"{key} {doc[key]!r:.70} disagrees with the spec's {implied!r}")
-        split = typed("split", doc["split"], str)
-        n_rows = typed("n_rows", doc["n_rows"], int)
-    except ValueError as exc:  # ConfigError, or malformed JSON
-        raise DatasetFormatError(f"{sidecar_file}: {exc}") from None
-    return spec, split, n_rows
+    written exactly as the spec implies."""
+    d = fields("", doc, _SIDECAR_KEYS, "sidecar")
+    spec = spec_from_dict(d["spec"], "spec")
+    for key, implied in _implied_keys(spec).items():
+        # Compared as JSON text, so 3.0 or true do not pass for 3 or 1.
+        if json.dumps(d[key]) != json.dumps(implied):
+            raise ConfigError(f"{key} {d[key]!r:.70} disagrees with the spec's {implied!r}")
+    return spec, d["split"], d["n_rows"]
 
 
 def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +326,7 @@ def load(path) -> LabeledDataset:
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
         raise DatasetFormatError(f"{path}: missing sidecar {sidecar_file.name}")
-    spec, split, n_rows = _read_sidecar(sidecar_file)
+    spec, split, n_rows = load_json(sidecar_file, _sidecar_from_dict, DatasetFormatError)
     matrix, labels = _read_csv(path)
     if n_rows != len(matrix):
         raise DatasetFormatError(f"{sidecar_file}: n_rows {n_rows} disagrees with the CSV's {len(matrix)}")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import typed
+from .configio import array, fields, load_json, typed
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -533,7 +533,11 @@ def save_model(model: MlpModel, path, meta: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-_MODEL_KEYS = ("architecture", "weights", "biases", "norm_mean", "norm_std", "best_epoch", "train_config", "history")
+_MODEL_KEYS = {
+    "format": str, "format_version": int, "architecture": dict, "weights": list, "biases": list,
+    "norm_mean": object, "norm_std": object, "best_epoch": int, "train_config": object,
+    "history": list, "meta": (dict, {}),
+}
 _ARCHITECTURE_FIELDS = {"input_width": int, "hidden_layers": int, "neurons_per_hidden": int}
 _TRAIN_CONFIG_FIELDS = {
     "learning_rate": float,
@@ -545,46 +549,16 @@ _TRAIN_CONFIG_FIELDS = {
 }
 
 
-def _number(key: str, value) -> float:
-    """A finite JSON number as a float; true/false are not numbers."""
+def _record(key: str, value, kinds: dict, cls):
+    """cls built from the fields of a JSON object; errors name key."""
+    values = fields(key, value, kinds)
     try:
-        out = typed(key, value, float)
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise ValueError(f"{key} must be finite, got {value!r:.40}")
-    return out
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
-def _array(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """Nested JSON lists of finite numbers, of exactly this shape."""
-    try:
-        cells = np.array(value, dtype=object)
-    except ValueError:
-        cells = None
-    if cells is None or cells.shape != shape:
-        raise ValueError(f"{key} must be a {' x '.join(map(str, shape))} array")
-    return np.array([_number(key, v) for v in cells.flat], dtype=float).reshape(shape)
-
-
-def _fields(key: str, value, kinds: dict) -> dict:
-    """A JSON object with exactly these fields, each of its kind."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be an object, got {value!r:.40}")
-    unknown = sorted(set(value) - set(kinds), key=str)
-    missing = [name for name in kinds if name not in value]
-    if unknown or missing:
-        raise ValueError(f"{key}: unknown fields {unknown}, missing fields {missing}")
-    fields = {}
-    for name, kind in kinds.items():
-        where = f"{key}.{name}"
-        fields[name] = _number(where, value[name]) if kind is float else typed(where, value[name], kind)
-    return fields
-
-
-def _history(value) -> list[EpochStats]:
-    if not isinstance(value, list):
-        raise ValueError(f"history must be a list, got {value!r:.40}")
+def _history(value: list) -> list[EpochStats]:
     history = []
     for epoch, entry in enumerate(value, start=1):
         key = f"history[{epoch - 1}]"
@@ -592,60 +566,44 @@ def _history(value) -> list[EpochStats]:
             raise ValueError(f"{key} must be [epoch, train_mse, val_mse, val_accuracy]")
         if typed(f"{key}.epoch", entry[0], int) != epoch:
             raise ValueError(f"{key}.epoch must be {epoch}, got {entry[0]}")
-        history.append(EpochStats(epoch, *(_number(key, v) for v in entry[1:])))
+        history.append(EpochStats(epoch, *array(key, entry[1:], (3,)).tolist()))
     return history
 
 
-def _model_from_doc(doc: dict) -> MlpModel:
-    missing = [k for k in _MODEL_KEYS if k not in doc]
-    if missing:
-        raise ValueError(f"model missing keys: {', '.join(missing)}")
-    fields = _fields("architecture", doc["architecture"], _ARCHITECTURE_FIELDS)
-    try:
-        architecture = MlpArchitecture(**fields)
-    except ValueError as exc:
-        raise ValueError(f"architecture: {exc}") from None
+def _model_from_doc(doc) -> tuple[MlpModel, dict]:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        raise ValueError(f"not a {MODEL_FORMAT} file")
+    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {doc.get('format_version')!r:.40}")
+    d = fields("", doc, _MODEL_KEYS, "model")
+    architecture = _record("architecture", d["architecture"], _ARCHITECTURE_FIELDS, MlpArchitecture)
     layers = architecture.hidden_layers + 1
     for key in ("weights", "biases"):
-        if not isinstance(doc[key], list) or len(doc[key]) != layers:
+        if len(d[key]) != layers:
             raise ValueError(f"{key} must be a list of {layers} layers")
     sizes = architecture.layer_sizes()
-    weights = [_array(f"weights[{k}]", w, (sizes[k], sizes[k + 1])) for k, w in enumerate(doc["weights"])]
-    biases = [_array(f"biases[{k}]", b, (sizes[k + 1],)) for k, b in enumerate(doc["biases"])]
-    norm_mean = _array("norm_mean", doc["norm_mean"], (architecture.input_width,))
-    norm_std = _array("norm_std", doc["norm_std"], (architecture.input_width,))
-    history = _history(doc["history"])
-    best_epoch = typed("best_epoch", doc["best_epoch"], int)
+    weights = [array(f"weights[{k}]", w, (sizes[k], sizes[k + 1])) for k, w in enumerate(d["weights"])]
+    biases = [array(f"biases[{k}]", b, (sizes[k + 1],)) for k, b in enumerate(d["biases"])]
+    norm_mean = array("norm_mean", d["norm_mean"], (architecture.input_width,))
+    norm_std = array("norm_std", d["norm_std"], (architecture.input_width,))
+    history = _history(d["history"])
+    best_epoch = d["best_epoch"]
     if not 1 <= best_epoch <= len(history):
         raise ValueError(f"best_epoch {best_epoch} is not an epoch of the {len(history)}-epoch history")
     val_mses = [s.val_mse for s in history]
     if val_mses.index(min(val_mses)) != best_epoch - 1:
         raise ValueError(f"best_epoch {best_epoch} is not the first epoch of lowest val_mse in history")
-    train_config = None
-    if doc["train_config"] is not None:
-        fields = _fields("train_config", doc["train_config"], _TRAIN_CONFIG_FIELDS)
-        try:
-            train_config = TrainConfig(**fields)
-        except ValueError as exc:
-            raise ValueError(f"train_config: {exc}") from None
-    return MlpModel(architecture, weights, biases, norm_mean, norm_std, history, best_epoch, train_config)
+    train_config = d["train_config"]
+    if train_config is not None:
+        train_config = _record("train_config", train_config, _TRAIN_CONFIG_FIELDS, TrainConfig)
+    model = MlpModel(architecture, weights, biases, norm_mean, norm_std, history, best_epoch, train_config)
+    return model, dict(d["meta"])
 
 
 def load_model(path) -> tuple[MlpModel, dict]:
     """Read a `save_model` file. A document that is not one raises a
-    ValueError naming the path and the offending key."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-            raise ValueError(f"not a {MODEL_FORMAT} file")
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {doc.get('format_version')!r:.40}")
-        meta = doc.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError(f"meta must be an object, got {meta!r:.40}")
-        return _model_from_doc(doc), meta
-    except ValueError as exc:  # json.JSONDecodeError is one too
-        raise ValueError(f"{path}: {exc}") from None
+    ConfigError (a ValueError) naming the path and the offending key."""
+    return load_json(path, _model_from_doc)
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

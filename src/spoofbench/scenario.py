@@ -72,6 +72,8 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "base_stations", tuple(self.base_stations))
         object.__setattr__(self, "start", _as_vec3(self.start))
+        if not self.base_stations:
+            raise ValueError("base_stations must hold at least one station")
         ids = [bs.id for bs in self.base_stations]
         if len(set(ids)) != len(ids):
             raise ValueError("base station ids must be unique")

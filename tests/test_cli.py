@@ -72,6 +72,22 @@ def test_simulate_rejects_bad_config(tmp_path):
     assert run("simulate", "--config", bad, "--out", tmp_path / "a.json") == 1
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('"scenario method n_bs"', "spec must be an object, got 'scenario method n_bs'"),
+        ('{"scenario":\n', "Expecting value: line 2 column 1"),
+        ('{"method": "wd", "n_bs": 3, "scenario": {}, "train_sise": 10}', "spec: unknown fields ['train_sise']"),
+    ],
+)
+def test_generate_names_the_spec_file_and_the_key(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run("generate", "--spec", spec, "--out", tmp_path / "data") == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec}: {message}")
+    assert not (tmp_path / "data").exists()
+
+
 def test_generate_writes_datasets(data_dir):
     assert (data_dir / "train.csv").exists()
     assert (data_dir / "test.meta.json").exists()

@@ -1,8 +1,11 @@
+import ast
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spoofbench.channel import ChannelParams
@@ -53,6 +56,9 @@ def test_seed_and_frequency_keys_are_read_into_the_channel():
         ("base_stations", [{"id": 1.5, "x": 0, "y": 0, "h": 35}], "base_stations.id must be an integer"),
         ("base_stations", [{"id": 1, "x": 0, "y": 0}], "need id, x, y and h"),
         ("base_stations", [{"id": 1, "x": 0, "y": 0, "h": None}], "base_stations.h must be a number"),
+        ("carrier_frequency_ghz", 2**53 + 1, "carrier_frequency_ghz must be finite and held exactly by a double"),
+        ("start", [150.0, 150.0, 2**60 + 1], "start must be finite and held exactly by a double"),
+        ("base_stations", [], "base_stations must hold at least one station"),
     ],
 )
 def test_load_rejects_bad_values_naming_the_key(tmp_path, key, value, message):
@@ -62,6 +68,49 @@ def test_load_rejects_bad_values_naming_the_key(tmp_path, key, value, message):
     path.write_text(json.dumps(doc))  # NaN and Infinity are written as JSON extensions
     with pytest.raises(ConfigError, match=message):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.update(meas_noise_sigma=5.0), r"config: unknown fields \['meas_noise_sigma'\]"),
+        (lambda d: d["base_stations"][1].update(z=2.0), r"base_stations: unknown fields \['z'\]"),
+    ],
+)
+def test_load_refuses_unknown_keys_naming_them(tmp_path, edit, message):
+    doc = valid_doc()
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_load_names_the_file_and_the_line_of_a_syntax_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{\n  "start": [0, 0, 150],,\n}')
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: Expecting property name") + ".*line 2"):
+        load_config(path)
+
+
+def test_load_names_the_file_of_a_document_nested_too_deep_to_parse(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: maximum recursion depth")):
+        load_config(path)
+
+
+def test_only_configio_parses_json():
+    """One reader: no other module under src/spoofbench calls json.loads."""
+    package = Path(__file__).resolve().parents[1] / "src" / "spoofbench"
+    parsers = set()
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "loads" and getattr(node.value, "id", None) == "json":
+                parsers.add(source.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                parsers.add(source.name)
+    assert parsers == {"configio.py"}
 
 
 # -- fuzzing ------------------------------------------------------------------
@@ -124,6 +173,7 @@ def mutated_docs(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated_docs())
+@example(doc={**valid_doc(), "carrier_frequency_ghz": 2**53 + 1})  # read as 2**53 before
 def test_config_from_dict_fuzz_rejects_with_config_error_or_round_trips(doc):
     try:
         scenario, channel = config_from_dict(doc)

@@ -260,6 +260,26 @@ def test_load_rejects_bad_sidecars_naming_path_and_key(tmp_path, edit, message):
         load(path)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.update(note="x"), "sidecar: unknown fields ['note']"),
+        (lambda d: d["spec"].update(train_sise=10), "spec: unknown fields ['train_sise']"),
+        (lambda d: d["spec"]["scenario"].update(meas_noise_sigma=5.0),
+         "spec.scenario: unknown fields ['meas_noise_sigma']"),
+    ],
+)
+def test_load_refuses_unknown_sidecar_keys_naming_them(tmp_path, edit, message):
+    path = tmp_path / "train.csv"
+    save(_wd3_train(), path)
+    doc = copy.deepcopy(_saved_sidecar())
+    edit(doc)
+    sidecar = tmp_path / "train.meta.json"
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{sidecar}: {message}")):
+        load(path)
+
+
 def test_load_rejects_unparseable_sidecar_naming_the_path(tmp_path):
     path = tmp_path / "train.csv"
     save(_wd3_train(), path)
@@ -411,6 +431,21 @@ def test_spec_from_dict_rejects_bad_values_naming_the_key(key, value, message):
     else:
         doc[key] = value
     with pytest.raises(ConfigError, match=message):
+        spec_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["train_sise", "meas_noise_sigma"])
+def test_spec_from_dict_refuses_unknown_keys_naming_them(key):
+    doc = json.loads(json.dumps(spec_to_dict(small_spec(method="wd", n_bs=2))))
+    doc[key] = 10
+    with pytest.raises(ConfigError, match=re.escape(f"spec: unknown fields ['{key}']")):
+        spec_from_dict(doc)
+
+
+def test_spec_from_dict_names_the_key_path_of_a_nested_value():
+    doc = json.loads(json.dumps(spec_to_dict(small_spec(method="wd", n_bs=2))))
+    doc["scenario"]["base_stations"][0]["h"] = "35"
+    with pytest.raises(ConfigError, match=r"scenario\.base_stations\.h must be a number"):
         spec_from_dict(doc)
 
 

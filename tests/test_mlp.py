@@ -447,6 +447,9 @@ def _edited(edit):
         (lambda d: d["norm_std"].__setitem__(0, 0.0), "norm_std entries must be > 0"),
         (lambda d: d["norm_mean"].__setitem__(0, 10**400), "norm_mean must be finite"),
         (lambda d: d.update(meta=[]), "meta must be an object"),
+        (lambda d: d["train_config"].update(learning_rate=2**53 + 1),
+         "train_config.learning_rate must be finite and held exactly by a double"),
+        (lambda d: d.update(note="x"), r"model: unknown fields \['note'\]"),
     ],
 )
 def test_load_model_rejects_malformed_documents_naming_path_and_key(tmp_path, edit, message):
