@@ -52,7 +52,6 @@ def cmd_init(args) -> int:
         n_bs=args.n_bs,
         train_size=args.train_size,
         test_size=args.test_size,
-        rng_seed=args.seed,
     )
     _write_json(out / "spec.json", dataset.spec_to_dict(spec))
     print(f"wrote {out / 'config.json'} and {out / 'spec.json'}")
@@ -99,13 +98,8 @@ def cmd_simulate(args) -> int:
 
 def _load_spec(args) -> dataset.DatasetSpec:
     spec = dataset.load_spec(args.spec)
-    if args.method:
-        spec = replace(spec, method=args.method)
-    if args.n_bs:
-        spec = replace(spec, n_bs=args.n_bs)
-    if args.seed is not None:
-        spec = replace(spec, rng_seed=args.seed, channel=replace(spec.channel, rng_seed=args.seed))
-    return spec
+    channel = spec.channel if args.seed is None else replace(spec.channel, rng_seed=args.seed)
+    return replace(spec, method=args.method or spec.method, n_bs=args.n_bs or spec.n_bs, channel=channel)
 
 
 def cmd_generate(args) -> int:
@@ -203,14 +197,12 @@ def cmd_tune(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    order = sorted(range(len(result.results)), key=lambda i: (mlp.selection_key(result.results[i]), i))
-    rank = {i: r + 1 for r, i in enumerate(order)}
     lines = ["method,learning_rate,hidden_layers,neurons,param_count,epochs_run,best_epoch,val_mse,val_accuracy,rank"]
-    for i, row in enumerate(result.results):
+    for row, rank in zip(result.results, result.ranks):
         lines.append(
             f"{train_ds.spec.method},{row.learning_rate!r},{row.hidden_layers},{row.neurons},"
             f"{row.param_count},{row.epochs_run},{row.best_epoch},"
-            f"{row.val_mse!r},{row.val_accuracy!r},{rank[i]}"
+            f"{row.val_mse!r},{row.val_accuracy!r},{rank}"
         )
     (out / "grid_report.csv").write_text("\n".join(lines) + "\n")
     mlp.save_model(result.best_model, out / "model.json", _model_meta(train_ds))
@@ -315,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a scenario + window archive")
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--out", required=True, help="archive JSON path")
-    p.add_argument("--seed", type=int, default=None, help="override every rng seed")
+    p.add_argument("--seed", type=int, default=None, help="override the rng seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="generate labeled train/test datasets")
@@ -323,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=METHODS, default=None, help="override spec method")
     p.add_argument("--n-bs", type=int, choices=(1, 2, 3), default=None, help="override spec n_bs")
-    p.add_argument("--seed", type=int, default=None, help="override every rng seed")
+    p.add_argument("--seed", type=int, default=None, help="override the rng seed")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train one MLP detector")

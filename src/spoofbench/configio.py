@@ -5,7 +5,7 @@ One JSON document holds both the scene geometry (ScenarioConfig) and the
 channel settings (ChannelParams), under fixed keys:
 
     scene:   base_stations, start, mission_radius_m, n_destinations,
-             window_size, sample_period_s
+             window_size
     channel: carrier_frequency_ghz, rng_seed, nlos_shadow_sigma_db,
              los_shadow_formula, meas_noise_sigma_db, sampled_los
 
@@ -41,7 +41,6 @@ def config_to_dict(config: ScenarioConfig, channel: ChannelParams) -> dict:
         "carrier_frequency_ghz": channel.carrier_frequency,
         "window_size": config.window_size,
         "rng_seed": channel.rng_seed,
-        "sample_period_s": config.sample_period,
         "nlos_shadow_sigma_db": channel.nlos_shadow_sigma,
         "los_shadow_formula": channel.los_shadow_formula,
         "meas_noise_sigma_db": channel.meas_noise_sigma,
@@ -134,7 +133,6 @@ _STATION_KEYS = {"id": int, "x": float, "y": float, "h": float}
 _CONFIG_KEYS = {
     "base_stations": list, "start": list, "mission_radius_m": float, "n_destinations": int,
     "carrier_frequency_ghz": float, "window_size": int, "rng_seed": int,
-    "sample_period_s": (float, ScenarioConfig.sample_period),
     "nlos_shadow_sigma_db": (float, ChannelParams.nlos_shadow_sigma),
     "los_shadow_formula": (bool, ChannelParams.los_shadow_formula),
     "meas_noise_sigma_db": (float, ChannelParams.meas_noise_sigma),
@@ -154,7 +152,6 @@ def config_from_dict(doc: dict, path: str = "") -> tuple[ScenarioConfig, Channel
             mission_radius=d["mission_radius_m"],
             n_destinations=d["n_destinations"],
             window_size=d["window_size"],
-            sample_period=d["sample_period_s"],
         )
         channel = ChannelParams(
             carrier_frequency=d["carrier_frequency_ghz"],

@@ -50,22 +50,20 @@ class DatasetSpec:
     n_bs: int
     train_size: int = 2259
     test_size: int = 969
-    rng_seed: int = 1
 
     def __post_init__(self):
         check_method(self.method)
         subset = select_bs_subset(self.n_bs)
         for bs_id in subset:
             self.scenario.base_station_by_id(bs_id)
-        if self.train_size < 1 or self.test_size < 1:
-            raise ValueError("split sizes must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        for name, size in (("train_size", self.train_size), ("test_size", self.test_size)):
+            if size < 2:  # the row plan's row 0 is spoofed and row 1 legitimate
+                raise ValueError(f"{name} must be >= 2 for a spoofed and a legitimate row, got {size}")
 
 
 _SPEC_KEYS = {
     "scenario": dict, "method": str, "n_bs": int, "train_size": (int, DatasetSpec.train_size),
-    "test_size": (int, DatasetSpec.test_size), "rng_seed": (int, DatasetSpec.rng_seed),
+    "test_size": (int, DatasetSpec.test_size),
 }
 
 
@@ -76,7 +74,6 @@ def spec_to_dict(spec: DatasetSpec) -> dict:
         "n_bs": spec.n_bs,
         "train_size": spec.train_size,
         "test_size": spec.test_size,
-        "rng_seed": spec.rng_seed,
     }
 
 
@@ -107,7 +104,7 @@ def row_plan(spec: DatasetSpec, split: str) -> tuple[np.ndarray, int]:
     seeded first_seed + k, and spoofed exactly when its destination is not 0.
 
     Even rows are spoofed and cycle the non-planned destinations; odd rows
-    are legitimate replays. Seeds encode (dataset seed, split, row) so the
+    are legitimate replays. Seeds encode (channel seed, split, row) so the
     two splits can never share a noise stream. They stay Python ints: from
     rng_seed 2**30 on they exceed int64.
     """
@@ -116,7 +113,7 @@ def row_plan(spec: DatasetSpec, split: str) -> tuple[np.ndarray, int]:
     size = spec.train_size if split == "train" else spec.test_size
     k = np.arange(size)
     dests = np.where(k % 2 == 0, 1 + (k // 2) % (spec.scenario.n_destinations - 1), 0)
-    return dests, (spec.rng_seed * 2 + SPLITS.index(split)) << 32
+    return dests, (spec.channel.rng_seed * 2 + SPLITS.index(split)) << 32
 
 
 def archive_plan(n_destinations: int) -> np.ndarray:

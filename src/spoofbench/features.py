@@ -31,9 +31,10 @@ def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
     """Mean, sample variance (n-1), skewness g1 and excess kurtosis g2 of
     every series along the last axis; shape (..., 4).
 
-    g1 = m3 / m2^1.5 and g2 = m4 / m2^2 - 3 with central moments m_k taken
-    over n. A constant series has zero variance; its skewness and kurtosis
-    are defined as 0.
+    g1 = m3 / (m2 sqrt(m2)) and g2 = m4 / (m2 m2) - 3 with central moments
+    m_k taken over n: IEEE sqrt, multiply and divide are correctly rounded,
+    so the bytes do not depend on the platform's pow. A constant series has
+    zero variance; its skewness and kurtosis are defined as 0.
     """
     n = x.shape[-1]
     if n < 2:
@@ -48,26 +49,16 @@ def _mvsk_lanes(x: np.ndarray) -> np.ndarray:
         m3 = np.sum(centered**3, axis=-1) / n
         m4 = np.sum(centered**4, axis=-1) / n
     if not all(np.all(np.isfinite(m)) for m in (m2, m3, m4)):
-        raise _mvsk_overflow(m2)
-    # g1 and g2 lane by lane in Python floats: numpy's vectorized pow rounds
-    # m2**1.5 differently from the C library in the last bit.
-    try:
-        shape_moments = [
-            (c3 / c2**1.5, c4 / c2**2 - 3.0) if c2 != 0.0 else (0.0, 0.0)
-            for c2, c3, c4 in zip(m2.ravel().tolist(), m3.ravel().tolist(), m4.ravel().tolist())
-        ]
-    except OverflowError:
-        raise _mvsk_overflow(m2) from None
-    variance = np.where(m2 == 0.0, 0.0, sum_sq / (n - 1))
-    return np.concatenate(
-        [np.stack([mean, variance], axis=-1), np.reshape(shape_moments, m2.shape + (2,))], axis=-1
-    )
-
-
-def _mvsk_overflow(m2: np.ndarray) -> ValueError:
-    return ValueError(
-        f"mvsk skewness and kurtosis overflow: a window's variance reaches {np.max(m2):.3g} dB^2"
-    )
+        raise ValueError(f"mvsk skewness and kurtosis overflow: a window's variance reaches {np.max(m2):.3g} dB^2")
+    spread = m2 != 0.0
+    # m2 * m2 below the normal range has lost its precision, or all of it.
+    if np.any(spread & (m2 * m2 < np.finfo(float).tiny)):
+        raise ValueError(f"mvsk skewness and kurtosis underflow: a window's variance is {m2[spread].min():.3g} dB^2")
+    m2 = np.where(spread, m2, 1.0)  # no division by zero; those lanes are 0
+    g1 = np.where(spread, m3 / (m2 * np.sqrt(m2)), 0.0)
+    g2 = np.where(spread, m4 / (m2 * m2) - 3.0, 0.0)
+    variance = np.where(spread, sum_sq / (n - 1), 0.0)
+    return np.stack([mean, variance, g1, g2], axis=-1)
 
 
 def _box_lanes(x: np.ndarray) -> np.ndarray:

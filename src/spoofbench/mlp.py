@@ -453,8 +453,12 @@ class GridResult:
 @dataclass
 class TuneResult:
     best_model: MlpModel
-    best_index: int
     results: list[GridResult]
+    ranks: list[int]  # each result's place in selection order, 1 for the best
+
+    @property
+    def best_index(self) -> int:
+        return self.ranks.index(1)
 
 
 def selection_key(result: GridResult) -> tuple:
@@ -471,9 +475,9 @@ def tune(
     neurons=GRID_NEURONS,
     jobs: int = 1,
 ) -> TuneResult:
-    """Train every (learning rate, depth, width) combination and keep the
-    best by validation MSE; ties go to the higher validation accuracy, then
-    to the smaller parameter count, then to grid order.
+    """Train every (learning rate, depth, width) combination, rank them all
+    and keep the best by validation MSE; ties go to the higher validation
+    accuracy, then to the smaller parameter count, then to grid order.
 
     Results are in grid order, learning rate outermost. Each architecture
     trains all its learning rates in one `train_stack`; with jobs > 1,
@@ -492,6 +496,10 @@ def tune(
         return arch, train_stack(arch, X, labels, base_config, learning_rates)
 
     results: list[GridResult | None] = [None] * (len(learning_rates) * len(shapes))
+
+    def key(i):
+        return selection_key(results[i]), i
+
     best_model, best = None, None
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for s, (arch, models) in enumerate((pool.map if pool else map)(run, shapes)):
@@ -507,9 +515,10 @@ def tune(
                     val_mse=model.val_mse,
                     val_accuracy=model.val_accuracy,
                 )
-                if best is None or (selection_key(results[i]), i) < best:
-                    best_model, best = model, (selection_key(results[i]), i)
-    return TuneResult(best_model=best_model, best_index=best[1], results=results)
+                if best is None or key(i) < key(best):
+                    best_model, best = model, i
+    order = sorted(range(len(results)), key=key)
+    return TuneResult(best_model=best_model, results=results, ranks=[order.index(i) + 1 for i in range(len(order))])
 
 
 def save_model(model: MlpModel, path, meta: dict | None = None) -> None:

@@ -45,6 +45,9 @@ class BaseStation:
 
     def __post_init__(self):
         object.__setattr__(self, "position", _as_vec3(self.position))
+        # Ids seed noise streams (default_rng takes non-negative entropy only).
+        if self.id < 0:
+            raise ValueError(f"base station {self.id} id must be >= 0")
         if self.position[2] <= 0:
             raise ValueError(f"base station {self.id} height must be > 0")
 
@@ -56,7 +59,7 @@ class BaseStation:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """The mission's geometry and sampling, serializable to a config file.
+    """The mission's geometry, serializable to a config file.
 
     The carrier frequency and the noise seed belong to the channel
     (ChannelParams), which the same file also holds.
@@ -66,8 +69,7 @@ class ScenarioConfig:
     start: np.ndarray
     mission_radius: float  # meters from start to every destination
     n_destinations: int
-    window_size: int  # samples per decision window
-    sample_period: float = 1.0  # seconds between path-loss samples
+    window_size: int  # samples per decision window, one per flight
 
     def __post_init__(self):
         object.__setattr__(self, "base_stations", tuple(self.base_stations))
@@ -82,7 +84,6 @@ class ScenarioConfig:
         if self.window_size < 2:
             raise ValueError("window_size must be >= 2")
         check_positive_finite("mission_radius", self.mission_radius)
-        check_positive_finite("sample_period", self.sample_period)
         # Two destinations span both elevation rings, and a destination's
         # height does not depend on its azimuth: this fails exactly when the
         # full layout would put a destination underground.
@@ -94,8 +95,8 @@ class ScenarioConfig:
         return (
             self.base_stations == other.base_stations
             and np.array_equal(self.start, other.start)
-            and (self.mission_radius, self.n_destinations, self.window_size, self.sample_period)
-            == (other.mission_radius, other.n_destinations, other.window_size, other.sample_period)
+            and (self.mission_radius, self.n_destinations, self.window_size)
+            == (other.mission_radius, other.n_destinations, other.window_size)
         )
 
     def base_station_by_id(self, bs_id: int) -> BaseStation:
@@ -103,11 +104,6 @@ class ScenarioConfig:
             if bs.id == bs_id:
                 return bs
         raise KeyError(f"no base station with id {bs_id}")
-
-    @property
-    def flight_duration(self) -> float:
-        # One full decision window per flight.
-        return self.window_size * self.sample_period
 
 
 def default_config() -> ScenarioConfig:
@@ -156,11 +152,12 @@ def destination_grid(config: ScenarioConfig) -> np.ndarray:
 
 def flight_positions(config: ScenarioConfig, destinations) -> np.ndarray:
     """(destinations, samples, 3) positions of straight flights from the
-    start to each destination, at the window's sample instants.
+    start to each destination: sample k of a window of W sits at k / W of
+    the way.
 
-    slope * t + start is the arithmetic np.interp does on
-    [0, flight_duration], so the positions are its bit for bit.
+    slope * k + start is the arithmetic np.interp does on [0, W], so the
+    positions are its bit for bit.
     """
-    ts = np.arange(config.window_size) * config.sample_period
-    slope = (np.asarray(destinations, dtype=float) - config.start) / config.flight_duration
-    return slope[:, None, :] * ts[:, None] + config.start
+    ks = np.arange(config.window_size, dtype=float)
+    slope = (np.asarray(destinations, dtype=float) - config.start) / config.window_size
+    return slope[:, None, :] * ks[:, None] + config.start

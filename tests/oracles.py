@@ -19,10 +19,11 @@ def distance_3d(p, q) -> float:
     return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
 
 
-def position_at(config, destination, t: float) -> np.ndarray:
-    """Position at time t of the straight flight from the start to destination."""
-    times = [0.0, config.flight_duration]
-    return np.array([np.interp(t, times, [config.start[k], destination[k]]) for k in range(3)])
+def position_at(config, destination, k: float) -> np.ndarray:
+    """Position at sample k of the straight flight from the start to
+    destination, which reaches it at sample window_size."""
+    samples = [0.0, float(config.window_size)]
+    return np.array([np.interp(k, samples, [config.start[i], destination[i]]) for i in range(3)])
 
 
 def link_at(position, bs, params) -> Link:
@@ -57,14 +58,14 @@ def reference_row_plan(spec, split):
     """(label, destination, noise seed) of every row of a split, one row at a
     time in Python ints: even rows are spoofed and cycle the non-planned
     destinations, odd rows replay the planned one, and the seed packs
-    (dataset seed, split, row)."""
+    (channel seed, split, row)."""
     split_id = ("train", "test").index(split)
     size = spec.train_size if split == "train" else spec.test_size
     rows = []
     for k in range(size):
         spoofed = k % 2 == 0
         dest = 1 + (k // 2) % (spec.scenario.n_destinations - 1) if spoofed else 0
-        rows.append((spoofed, dest, ((spec.rng_seed * 2 + split_id) << 32) + k))
+        rows.append((spoofed, dest, ((spec.channel.rng_seed * 2 + split_id) << 32) + k))
     return rows
 
 
@@ -84,9 +85,9 @@ def reference_window(config, dest_index, noise_seed, bs, params):
     """
     rng = window_rng(params, noise_seed, bs.id)
     destinations = destination_grid(config)
-    instants = [k * config.sample_period for k in range(config.window_size)]
-    true = [link_at(position_at(config, destinations[dest_index], t), bs, params) for t in instants]
-    reported = [link_at(position_at(config, destinations[0], t), bs, params) for t in instants]
+    instants = range(config.window_size)
+    true = [link_at(position_at(config, destinations[dest_index], k), bs, params) for k in instants]
+    reported = [link_at(position_at(config, destinations[0], k), bs, params) for k in instants]
     if params.sampled_los:
         los = [rng.random() < lk.los_prob.item() for lk in true]
     else:

@@ -49,7 +49,7 @@ def check(num: int, ok: bool, detail: str) -> None:
 def make_spec(method: str, n_bs: int, **overrides) -> DatasetSpec:
     return DatasetSpec(
         scenario=default_config(), channel=ChannelParams(rng_seed=SEED), method=method, n_bs=n_bs,
-        rng_seed=SEED, **overrides,
+        **overrides,
     )
 
 
@@ -322,7 +322,7 @@ def test_criterion_09_baseline_sanity(bench):
             carrier_frequency=2.0, los_shadow_formula=False,
             nlos_shadow_sigma=0.0, meas_noise_sigma=0.0, rng_seed=SEED,
         ),
-        method="wd", n_bs=3, train_size=60, test_size=30, rng_seed=SEED,
+        method="wd", n_bs=3, train_size=60, test_size=30,
     )
     curve = sweep_threshold(*split_means(quiet, "test"), np.linspace(0.0, 2.0, 41))
     quiet_best = best_operating_point(curve)

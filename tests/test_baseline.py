@@ -94,9 +94,8 @@ def test_zero_noise_spoofed_flight_exceeds_1db():
 
     oracle = []
     for j in range(cfg.window_size):
-        t = j * cfg.sample_period
-        pl_true = path_loss(position_at(cfg, true, t), bs, QUIET)
-        pl_rep = path_loss(position_at(cfg, reported, t), bs, QUIET)
+        pl_true = path_loss(position_at(cfg, true, j), bs, QUIET)
+        pl_rep = path_loss(position_at(cfg, reported, j), bs, QUIET)
         oracle.append(abs(pl_true - pl_rep))
     assert np.allclose(deltas[k, 0], oracle, rtol=1e-12)
     assert float(np.mean(oracle)) > 1.0

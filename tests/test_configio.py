@@ -59,6 +59,7 @@ def test_seed_and_frequency_keys_are_read_into_the_channel():
         ("carrier_frequency_ghz", 2**53 + 1, "carrier_frequency_ghz must be finite and held exactly by a double"),
         ("start", [150.0, 150.0, 2**60 + 1], "start must be finite and held exactly by a double"),
         ("base_stations", [], "base_stations must hold at least one station"),
+        ("base_stations", [{"id": -1, "x": 0, "y": 0, "h": 35}], "base station -1 id must be >= 0"),
     ],
 )
 def test_load_rejects_bad_values_naming_the_key(tmp_path, key, value, message):

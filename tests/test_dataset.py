@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_row_plan, reference_window
 from spoofbench.channel import ChannelParams
-from spoofbench.configio import ConfigError
+from spoofbench.configio import ConfigError, load_config, save_config
 from spoofbench.dataset import (
     DatasetFormatError,
     DatasetSpec,
@@ -22,6 +22,7 @@ from spoofbench.dataset import (
     CHUNK_ROWS,
     iter_delta_chunks,
     load,
+    load_spec,
     row_plan,
     save,
     select_bs_subset,
@@ -41,7 +42,6 @@ def small_spec(method="mvsk", n_bs=3, seed=1, train=40, test=20):
         n_bs=n_bs,
         train_size=train,
         test_size=test,
-        rng_seed=seed,
     )
 
 
@@ -415,7 +415,7 @@ _DROP = object()
         ("n_bs", 2.9, "n_bs must be an integer"),
         ("n_bs", 2.0, "n_bs must be an integer"),
         ("n_bs", 4, "invalid spec value: n_bs must be one of"),
-        ("rng_seed", True, "rng_seed must be an integer"),
+        ("scenario.rng_seed", True, "scenario.rng_seed must be an integer"),
         ("train_size", "40", "train_size must be an integer"),
         ("test_size", None, "test_size must be an integer"),
         ("method", 3, "method must be a string"),
@@ -426,10 +426,12 @@ _DROP = object()
 )
 def test_spec_from_dict_rejects_bad_values_naming_the_key(key, value, message):
     doc = json.loads(json.dumps(spec_to_dict(small_spec(method="wd", n_bs=2))))
+    *path, key = key.split(".")
+    owner = doc[path[0]] if path else doc
     if value is _DROP:
-        del doc[key]
+        del owner[key]
     else:
-        doc[key] = value
+        owner[key] = value
     with pytest.raises(ConfigError, match=message):
         spec_from_dict(doc)
 
@@ -449,6 +451,35 @@ def test_spec_from_dict_names_the_key_path_of_a_nested_value():
         spec_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        ("config.json", lambda d: d.update(sample_period_s=1.0), "config: unknown fields ['sample_period_s']"),
+        ("spec.json", lambda d: d["scenario"].update(sample_period_s=1.0),
+         "scenario: unknown fields ['sample_period_s']"),
+        ("spec.json", lambda d: d.update(rng_seed=1), "spec: unknown fields ['rng_seed']"),
+        ("train.meta.json", lambda d: d["spec"]["scenario"].update(sample_period_s=1.0),
+         "spec.scenario: unknown fields ['sample_period_s']"),
+        ("train.meta.json", lambda d: d["spec"].update(rng_seed=1), "spec: unknown fields ['rng_seed']"),
+    ],
+)
+def test_documents_with_a_sample_period_or_a_spec_level_seed_are_refused(tmp_path, name, edit, message):
+    """A spec has one seed, the channel's, and no sample period: documents
+    written with either are refused, naming the file and the key."""
+    spec = small_spec(method="wd", n_bs=1, train=6, test=4)
+    save_config(tmp_path / "config.json", spec.scenario, spec.channel)
+    (tmp_path / "spec.json").write_text(json.dumps(spec_to_dict(spec)))
+    csv = tmp_path / "train.csv"
+    save(generate(spec)[0], csv)
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    read = {"config.json": load_config, "spec.json": load_spec, "train.meta.json": lambda _: load(csv)}
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read[name](path)
+
+
 # One changed valid value for every field a spec is built from.
 CHANGES = {
     ScenarioConfig: {
@@ -457,7 +488,6 @@ CHANGES = {
         "mission_radius": 99.0,
         "n_destinations": 8,
         "window_size": 50,
-        "sample_period": 0.5,
     },
     ChannelParams: {
         "carrier_frequency": 3.5,
@@ -467,7 +497,7 @@ CHANGES = {
         "rng_seed": 2,
         "sampled_los": True,
     },
-    DatasetSpec: {"method": "box", "n_bs": 2, "train_size": 41, "test_size": 21, "rng_seed": 2},
+    DatasetSpec: {"method": "box", "n_bs": 2, "train_size": 41, "test_size": 21},
 }
 
 
@@ -514,3 +544,8 @@ def test_spec_validation():
         small_spec(n_bs=5)
     with pytest.raises(ValueError):
         small_spec(train=0)
+    # Row 0 is spoofed and row 1 legitimate: a split of one row has one class.
+    for train, test, name in ((1, 20, "train_size"), (40, 1, "test_size")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 2 .*, got 1$"):
+            small_spec(train=train, test=test)
+    assert small_spec(train=2, test=2).test_size == 2

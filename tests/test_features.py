@@ -217,5 +217,8 @@ def test_extract_errors():
         extract(np.ones((2, 10)), "mvsk")
     with pytest.raises(ValueError, match="length >= 2"):
         extract(np.ones((1, 1, 1)), "mvsk")
+    # A variance of 2.5e-241 has no square at double precision.
+    with pytest.raises(ValueError, match="^mvsk skewness and kurtosis underflow: .* 2.5e-241 dB"):
+        extract(np.array([[[0.0, 1e-120]]]), "mvsk")
     with pytest.raises(ValueError, match="unknown feature method"):
         extract(synthetic_deltas(1), "pca")

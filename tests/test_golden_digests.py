@@ -2,14 +2,17 @@
 files, the default `simulate` archives and two trained models' outputs.
 
 The CSV digests were recorded from the per-sample simulation that preceded
-the array pipeline. They pin the exact bytes of train.csv and test.csv for
-every (method, station count) pair, so a change to the simulation, the
-feature arithmetic or the CSV writer that moves any value by even one ulp
-fails here. Criterion 10 only replays the current code against itself.
+the array pipeline; the mvsk ones were re-recorded when skewness and
+kurtosis became array arithmetic (sqrt, multiply and divide, no pow), which
+moved some of those cells by a few ulps. They pin the exact bytes of
+train.csv and test.csv for every (method, station count) pair, so a change
+to the simulation, the feature arithmetic or the CSV writer that moves any
+value by even one ulp fails here. Criterion 10 only replays the current code against itself.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +22,12 @@ from spoofbench.dataset import DatasetSpec, generate, save
 from spoofbench.scenario import default_config
 
 GOLDEN_CSV_SHA256 = {
-    ("mvsk", 1): ("e93f3b9634cd010cd7db9a99ce2cb1c9a8a296a3377db86b9c9bc1fbf6298245",
-                  "83c1da1685b35be3d11813100ec0d1010109471feadb5d4959896579c333eccc"),
-    ("mvsk", 2): ("6726beec2675de59436af20426e5109975c56ba7f191142d3eb2f3c720432412",
-                  "5c1d1d822c6879701736946aca02edd33c65e3bc5fd7e4d6f76e0ff297778406"),
-    ("mvsk", 3): ("fa31d5c057266c5e66878e2ec74644c264f443866c6103a3539e9e2f8436a01a",
-                  "9b170d670b98453e15ec6b948a7e6d14df9b3ddacb7ab6806ec8f160c7c38817"),
+    ("mvsk", 1): ("4854a35ff5537535640d3ecb4ea3ddcecc6d12ec42364bf502e1bbf3aa96970c",
+                  "f183ffdecb800ff9235c9c8a743dd4d8b308479778b15b148e6985b1d4819396"),
+    ("mvsk", 2): ("1cbd8a02cbe01feed9bcfcdd66d9e3ed9042bf8fdb9a0dda50f653b2a92d2411",
+                  "6ee8f86b0efe2aa823644a39ff2bb7efe0e00d85af7f3bd4d4a9bd69c0057a76"),
+    ("mvsk", 3): ("9e319cd1d25ce4f22e9176a27c3748c452963d2b1d6025f196501638be7b7354",
+                  "2c47764f9e21eaa6a439c3a0f9f73296e0b42f9c4268949055e103e05ad2db8f"),
     ("box", 1): ("98b5843e67f1761d83f3de6cfe5b341bd2d4e8268a308de20d34322ea6e8a512",
                  "58091ec4d0fcbbeab4a9abcd54c575ef6bd5be7e94faaf1b13befdef34ec7402"),
     ("box", 2): ("9445cd2f3776e0b37fa107df2fbfded29735569f6f2b27a2c951bfe90eca5acc",
@@ -47,7 +50,6 @@ def test_seed1_dataset_csvs_match_golden_digests(tmp_path, method, n_bs):
         channel=ChannelParams(carrier_frequency=2.0, rng_seed=1),
         method=method,
         n_bs=n_bs,
-        rng_seed=1,
     )
     digests = []
     for ds in generate(spec):
@@ -57,16 +59,29 @@ def test_seed1_dataset_csvs_match_golden_digests(tmp_path, method, n_bs):
     assert tuple(digests) == GOLDEN_CSV_SHA256[(method, n_bs)]
 
 
+def test_benchmark_goldens_pin_the_wd3_csvs_pinned_here():
+    """The benchmark's headline and tune-grid runs generate the seed-1 wd/3
+    split: a change that moves those bytes fails here too, not only in the
+    benchmark's output check."""
+    goldens = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text())
+    for workload in ("headline", "tune-grid"):
+        (entry,) = goldens[workload]
+        outputs = (entry["outputs"]["train_csv_sha256"], entry["outputs"]["test_csv_sha256"])
+        assert (entry["seed"], outputs) == (1, GOLDEN_CSV_SHA256[("wd", 3)]), workload
+
+
 # `init --seed 1` writes these two files; `simulate` on that config.json
-# writes the archives, with no --seed (1) and with --seed 7. Recorded before
-# the scene model moved the seed and carrier frequency onto the channel.
+# writes the archives, with no --seed (1) and with --seed 7. Re-recorded when
+# the config lost sample_period_s and the spec its second rng_seed; the
+# archives' scenarios are the ones recorded before the scene model moved the
+# seed and carrier frequency onto the channel.
 GOLDEN_INIT_SHA256 = {
-    "config.json": "a86d1ae19d2e5c4545fd87fd54f672e146fda11393708509bcdc43c3fd2c98b3",
-    "spec.json": "5543259a08d03330f81c9c7c1c12cfe73f012ba93a0e27dfc315a6ded5120920",
+    "config.json": "466a66655c191f39d7e63231cf43df5e4b3dccbe139666134f134b50776eabf1",
+    "spec.json": "636a46b3b690701f3d3fee1269df77ed0290a98060530f0c4685eb83c8de0762",
 }
 GOLDEN_ARCHIVE_SHA256 = {
-    None: "af407bd5c6194b6b6b98340f8b4ca27a01d0b216343cd1fa2525ddeee183de73",
-    7: "50d9155574277ae6a763a58e21f7ee5fdd490c83d691c113370d759058b8181f",
+    None: "a5e02e0c245e19e134dd6d59cc1cebd32085f0f3ab91ff2054ef7a8207d47640",
+    7: "415b16286c19b6dba289b61700d8e991e3c842b4e0767b7e2d8d4fda0ee84e84",
 }
 
 

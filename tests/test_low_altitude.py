@@ -3,8 +3,9 @@
 The default scene flies at 124-176 m, where every link is line-of-sight, so
 it never reaches the LoS-probability height rule, the NLoS path loss or the
 sampled_los draws. Starting at 50 m (destinations at 24-76 m) reaches all
-three. The archive digests were recorded from the per-sample simulation
-that preceded the array pipeline.
+three. The archives' scenarios are those of the per-sample simulation that
+preceded the array pipeline; their digests were re-recorded when the config
+lost sample_period_s.
 """
 
 import hashlib
@@ -20,8 +21,8 @@ from spoofbench.dataset import iter_delta_chunks, spec_from_dict
 START_HEIGHT_M = 50.0
 
 PARENT_ARCHIVE_SHA256 = {
-    False: "f9e5475963258cd817525b39a387745be05b63f95089dd309f837af520a08896",
-    True: "af7082696e7d46c03542ac2ed02bdbaea1fbe4b3b729317448c9824492bd3582",
+    False: "9331bff7734cb791e88cbd7ead440c3690a45d5e828f7ca48704ad24836df2fd",
+    True: "4eccaa7ce798815d08c1d88f21a82a6809291341915d430372f02f330c9c4b17",
 }
 
 

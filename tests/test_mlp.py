@@ -277,7 +277,7 @@ def test_tune_singleton_grid_returns_that_configuration():
         learning_rates=(0.01,), hidden_layers=(2,), neurons=(4,),
     )
     assert len(result.results) == 1
-    assert result.best_index == 0
+    assert (result.ranks, result.best_index) == ([1], 0)
     assert result.best_model.architecture == MlpArchitecture(2, 2, 4)
 
 
@@ -357,7 +357,9 @@ def test_tune_equals_one_train_per_configuration_bit_for_bit(jobs):
         for (lr, depth, width), m in zip(combos, models)
     ]
     assert result.results == expected
-    winner = min(range(len(expected)), key=lambda i: (selection_key(expected[i]), i))
+    order = sorted(range(len(expected)), key=lambda i: (selection_key(expected[i]), i))
+    assert result.ranks == [order.index(i) + 1 for i in range(len(expected))]
+    winner = order[0]
     assert result.best_index == winner
     assert _same_model(result.best_model, models[winner])
 

@@ -58,7 +58,7 @@ def test_flight_positions_match_the_scalar_oracle_bit_for_bit():
     assert positions.shape == (16, 100, 3)
     for d, dest in enumerate(dests):
         for k in range(cfg.window_size):
-            assert positions[d, k].tolist() == position_at(cfg, dest, k * cfg.sample_period).tolist()
+            assert positions[d, k].tolist() == position_at(cfg, dest, k).tolist()
 
 
 def test_flight_positions_leave_the_start_at_constant_speed():
@@ -66,9 +66,9 @@ def test_flight_positions_leave_the_start_at_constant_speed():
     (positions,) = flight_positions(cfg, [cfg.start + [100.0, 0.0, 0.0]])
     assert positions[0].tolist() == [150.0, 150.0, 150.0]
     assert positions[25] == pytest.approx([175.0, 150.0, 150.0])
-    speed = cfg.mission_radius / cfg.flight_duration
+    step = cfg.mission_radius / cfg.window_size
     steps = np.linalg.norm(np.diff(flight_positions(cfg, destination_grid(cfg)), axis=1), axis=-1)
-    assert steps == pytest.approx(np.full(steps.shape, speed * cfg.sample_period), rel=1e-9)
+    assert steps == pytest.approx(np.full(steps.shape, step), rel=1e-9)
 
 
 def test_archive_plan_counts_and_balance():
@@ -126,6 +126,8 @@ def _config(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError):
         BaseStation(1, [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="base station -1 id must be >= 0"):
+        BaseStation(-1, [0.0, 0.0, 35.0])
     cfg = default_config()
     assert _config() == cfg
     with pytest.raises(ValueError):
@@ -140,7 +142,7 @@ def test_config_validation():
         ({"mission_radius": math.nan}, "mission_radius must be finite"),
         ({"mission_radius": math.inf}, "mission_radius must be finite"),
         ({"mission_radius": 0.0}, "mission_radius"),
-        ({"sample_period": math.nan}, "sample_period must be finite"),
+        ({"window_size": 1}, "window_size must be >= 2"),
         ({"n_destinations": 7}, "even"),
         ({"n_destinations": 0}, "even"),
         ({"start": [150.0, 150.0, 20.0]}, "altitude"),
