@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from dataclasses import asdict, replace
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import baseline, dataset, mlp
 from .channel import ChannelParams
-from .configio import config_to_dict, load_config, save_config
+from .configio import config_to_dict, load_config, save_config, save_json
 from .features import METHODS, extract
 from .presets import BEST_SETTINGS
 from .scenario import default_config, destination_grid
@@ -28,10 +27,6 @@ from .scenario import default_config, destination_grid
 ARCHIVE_FORMAT = "spoofbench-archive"
 REPORT_FORMAT = "spoofbench-report"
 FORMAT_VERSION = 1
-
-
-def _write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def _sha256(path) -> str:
@@ -53,7 +48,7 @@ def cmd_init(args) -> int:
         train_size=args.train_size,
         test_size=args.test_size,
     )
-    _write_json(out / "spec.json", dataset.spec_to_dict(spec))
+    save_json(out / "spec.json", dataset.spec_to_dict(spec))
     print(f"wrote {out / 'config.json'} and {out / 'spec.json'}")
     return 0
 
@@ -82,7 +77,7 @@ def cmd_simulate(args) -> int:
                     },
                 }
             )
-    _write_json(
+    save_json(
         args.out,
         {
             "format": ARCHIVE_FORMAT,
@@ -111,7 +106,7 @@ def cmd_generate(args) -> int:
     dataset.save(train_ds, out / "train.csv")
     dataset.save(test_ds, out / "test.csv")
     print(
-        f"wrote {out}/{{train,test}}.csv: {len(train_ds.labels)}/{len(test_ds.labels)} rows, "
+        f"wrote {out}/{{train,test}}.csv: {spec.train_size}/{spec.test_size} rows, "
         f"width {train_ds.width} ({spec.method}, {spec.n_bs} BS), spec {train_ds.provenance[:12]}"
     )
     return 0
@@ -262,7 +257,7 @@ def cmd_evaluate(args) -> int:
         detector = {"kind": "threshold", "threshold_db": threshold_db, "aggregation": args.aggregation}
         history = []
     report = _confusion_report(predictions, labels, started, ds.provenance, detector, history)
-    _write_json(args.out, report)
+    save_json(args.out, report)
     print(
         f"wrote {args.out}: accuracy {report['test_accuracy']:.4f}, "
         f"mse {report['test_mse']:.5f} on {len(labels)} {args.split} rows"

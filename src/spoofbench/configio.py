@@ -1,5 +1,6 @@
-"""The scenario config file, and the one JSON reader (typed, array, fields,
-load_json) that also reads the dataset spec, its sidecar and the model.
+"""The scenario config file, the one JSON reader (typed, array, fields,
+load_json) that also reads the dataset spec, its sidecar and the model, and
+the one JSON writer (save_json) of every document the tools write.
 
 One JSON document holds both the scene geometry (ScenarioConfig) and the
 channel settings (ChannelParams), under fixed keys:
@@ -119,6 +120,11 @@ def fields(path: str, value, kinds: dict, name: str = "") -> dict:
     return out
 
 
+def save_json(path, doc, indent: int = 1) -> None:
+    """doc as strict JSON, keys sorted: a NaN or infinity raises ValueError."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False) + "\n")
+
+
 def load_json(path, read, error=ConfigError):
     """read(document) for the JSON document in a file. Any ValueError, a
     syntax error's line and column included, or a nesting too deep to parse
@@ -169,9 +175,7 @@ def config_from_dict(doc: dict, path: str = "") -> tuple[ScenarioConfig, Channel
 
 
 def save_config(path, config: ScenarioConfig, channel: ChannelParams) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(config, channel), sort_keys=True, indent=2) + "\n"
-    )
+    save_json(path, config_to_dict(config, channel), indent=2)
 
 
 def load_config(path) -> tuple[ScenarioConfig, ChannelParams]:

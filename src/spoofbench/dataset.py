@@ -19,7 +19,7 @@ import numpy as np
 
 from . import features
 from .channel import ChannelParams, Link, check_finite, measured_windows
-from .configio import ConfigError, at, config_from_dict, config_to_dict, fields, load_json
+from .configio import ConfigError, at, config_from_dict, config_to_dict, fields, load_json, save_json
 from .features import FEATURES_PER_BS, check_method
 from .scenario import ScenarioConfig, destination_grid, flight_positions
 
@@ -53,9 +53,9 @@ class DatasetSpec:
 
     def __post_init__(self):
         check_method(self.method)
-        subset = select_bs_subset(self.n_bs)
-        for bs_id in subset:
-            self.scenario.base_station_by_id(bs_id)
+        missing = set(select_bs_subset(self.n_bs)) - {bs.id for bs in self.scenario.base_stations}
+        if missing:
+            raise ValueError(f"n_bs {self.n_bs} uses base station {min(missing)}, which the scenario lacks")
         for name, size in (("train_size", self.train_size), ("test_size", self.test_size)):
             if size < 2:  # the row plan's row 0 is spoofed and row 1 legitimate
                 raise ValueError(f"{name} must be >= 2 for a spoofed and a legitimate row, got {size}")
@@ -99,6 +99,12 @@ def spec_hash(spec: DatasetSpec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def split_size(spec: DatasetSpec, split: str) -> int:
+    if split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r:.40}")
+    return spec.train_size if split == "train" else spec.test_size
+
+
 def row_plan(spec: DatasetSpec, split: str) -> tuple[np.ndarray, int]:
     """Every row's destination in a split, and row 0's noise seed; row k is
     seeded first_seed + k, and spoofed exactly when its destination is not 0.
@@ -108,10 +114,7 @@ def row_plan(spec: DatasetSpec, split: str) -> tuple[np.ndarray, int]:
     two splits can never share a noise stream. They stay Python ints: from
     rng_seed 2**30 on they exceed int64.
     """
-    if split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}")
-    size = spec.train_size if split == "train" else spec.test_size
-    k = np.arange(size)
+    k = np.arange(split_size(spec, split))
     dests = np.where(k % 2 == 0, 1 + (k // 2) % (spec.scenario.n_destinations - 1), 0)
     return dests, (spec.channel.rng_seed * 2 + SPLITS.index(split)) << 32
 
@@ -170,27 +173,27 @@ def iter_delta_chunks(spec: DatasetSpec, split: str):
         yield rows, np.abs(measured, out=measured)
 
 
+def spec_width(spec: DatasetSpec) -> int:
+    return spec.n_bs * FEATURES_PER_BS[spec.method]
+
+
 @dataclass(eq=False)
 class LabeledDataset:
-    """One split of a spec: an (n, width) feature matrix and one label per row
-    (True = spoofed). Each row's blocks belong to bs_ids, in that order."""
+    """One split of a spec: an (n, width) feature matrix, labelled by the row
+    plan (True = spoofed). Each row's blocks belong to bs_ids, in that order."""
 
     features: np.ndarray
-    labels: np.ndarray
     split: str
     spec: DatasetSpec
 
     def __post_init__(self):
-        if self.split not in SPLITS:
-            raise ValueError(f"split must be one of {SPLITS}")
-        if self.features.ndim != 2 or len(self.features) == 0:
-            raise ValueError("dataset has no rows")
-        if len(self.bs_ids) * FEATURES_PER_BS[self.method] != self.width:
-            raise ValueError(f"{len(self.bs_ids)} stations do not fit width {self.width} ({self.method})")
-        if self.labels.shape != (len(self.features),):
-            raise ValueError(f"{len(self.labels)} labels for {len(self.features)} rows")
-        if len(np.unique(self.labels)) != 2:
-            raise ValueError("dataset must contain both classes")
+        shape = (split_size(self.spec, self.split), spec_width(self.spec))
+        if self.features.shape != shape:
+            raise ValueError(f"features of shape {self.features.shape}, but the {self.split} split is {shape}")
+
+    @property
+    def labels(self) -> np.ndarray:
+        return row_plan(self.spec, self.split)[0] != 0
 
     @property
     def width(self) -> int:
@@ -211,19 +214,16 @@ class LabeledDataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDataset):
             return NotImplemented
-        return (
-            (self.split, self.provenance) == (other.split, other.provenance)
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
-        )
+        same = (self.split, self.provenance) == (other.split, other.provenance)
+        return same and np.array_equal(self.features, other.features)
 
 
 def generate(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
-    """Simulate, extract and label the train and test splits of a spec."""
+    """Simulate and extract the train and test splits of a spec."""
     splits = []
     for split in SPLITS:
         blocks = [features.extract(deltas, spec.method) for _, deltas in iter_delta_chunks(spec, split)]
-        splits.append(LabeledDataset(np.concatenate(blocks), row_plan(spec, split)[0] != 0, split, spec))
+        splits.append(LabeledDataset(np.concatenate(blocks), split, spec))
     return splits[0], splits[1]
 
 
@@ -231,33 +231,36 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
-def _implied_keys(spec: DatasetSpec) -> dict:
-    """The sidecar keys that restate the spec, with the values it implies."""
+def _implied_keys(spec: DatasetSpec, split: str) -> dict:
+    """The sidecar keys that restate the spec and split, with their values."""
     return {
         "spec_hash": spec_hash(spec),
         "method": spec.method,
         "bs_ids": list(select_bs_subset(spec.n_bs)),
         "n_bs": spec.n_bs,
-        "width": spec.n_bs * FEATURES_PER_BS[spec.method],
+        "width": spec_width(spec),
+        "n_rows": split_size(spec, split),
     }
+
+
+def _header(width: int) -> str:
+    return "label," + ",".join(f"f{i + 1}" for i in range(width))
 
 
 def save(dataset: LabeledDataset, path) -> None:
     """CSV with full-precision features plus a JSON sidecar holding the spec."""
     path = Path(path)
-    header = "label," + ",".join(f"f{i + 1}" for i in range(dataset.width))
-    lines = [header] + [
+    lines = [_header(dataset.width)] + [
         f"{int(label)}," + ",".join(map(repr, row))
         for label, row in zip(dataset.labels.tolist(), dataset.features.tolist())
     ]
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
-        **_implied_keys(dataset.spec),
+        **_implied_keys(dataset.spec, dataset.split),
         "spec": spec_to_dict(dataset.spec),
         "split": dataset.split,
-        "n_rows": len(dataset.labels),
     }
-    _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    save_json(_sidecar_path(path), sidecar, indent=2)
 
 
 class DatasetFormatError(ValueError):
@@ -266,37 +269,37 @@ class DatasetFormatError(ValueError):
 
 # Any JSON value is read for a key that restates the spec; _implied_keys checks it.
 _SIDECAR_KEYS = {
-    "spec": dict, "spec_hash": object, "split": str, "n_rows": int,
+    "spec": dict, "spec_hash": object, "split": str, "n_rows": object,
     "width": object, "method": object, "bs_ids": object, "n_bs": object,
 }
 
 
-def _sidecar_from_dict(doc: dict) -> tuple[DatasetSpec, str, int]:
-    """The sidecar's spec, split and row count; every other key must be
-    written exactly as the spec implies."""
+def _sidecar_from_dict(doc: dict) -> tuple[DatasetSpec, str]:
+    """The sidecar's spec and split; every other key must be written exactly
+    as they imply."""
     d = fields("", doc, _SIDECAR_KEYS, "sidecar")
     spec = spec_from_dict(d["spec"], "spec")
-    for key, implied in _implied_keys(spec).items():
+    for key, implied in _implied_keys(spec, d["split"]).items():
         # Compared as JSON text, so 3.0 or true do not pass for 3 or 1.
         if json.dumps(d[key]) != json.dumps(implied):
             raise ConfigError(f"{key} {d[key]!r:.70} disagrees with the spec's {implied!r}")
-    return spec, d["split"], d["n_rows"]
+    return spec, d["split"]
 
 
-def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, width) feature matrix and the labels of a dataset CSV; errors
-    name the row and the column."""
+def _read_csv(path: Path, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, width) feature matrix and the labels of a dataset CSV whose
+    header is _header(width); errors name the row and the column."""
     lines = path.read_text().splitlines()
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[0] != "label" or len(header) < 2:
-        raise DatasetFormatError(f"{path}: row 1: bad header {lines[0]!r}")
+    header = _header(width)
+    if lines[0] != header:
+        raise DatasetFormatError(f"{path}: row 1: bad header {lines[0]!r:.70}, expected {header!r}")
     labels, rows = [], []
     for i, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != len(header):
-            raise DatasetFormatError(f"{path}: row {i}: expected {len(header)} columns, found {len(cells)}")
+        if len(cells) != width + 1:
+            raise DatasetFormatError(f"{path}: row {i}: expected {width + 1} columns, found {len(cells)}")
         if cells[0] not in ("0", "1"):
             raise DatasetFormatError(f"{path}: row {i}, column 1: bad label {cells[0]!r}")
         labels.append(cells[0] == "1")
@@ -307,7 +310,7 @@ def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
             except ValueError:
                 raise DatasetFormatError(f"{path}: row {i}, column {j}: {cell!r} is not a number") from None
         rows.append(row)
-    matrix = np.array(rows).reshape(len(rows), len(header) - 1)
+    matrix = np.array(rows).reshape(len(rows), width)
     bad = np.argwhere(~np.isfinite(matrix))
     if len(bad):
         r, c = bad[0].tolist()
@@ -323,20 +326,13 @@ def load(path) -> LabeledDataset:
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
         raise DatasetFormatError(f"{path}: missing sidecar {sidecar_file.name}")
-    spec, split, n_rows = load_json(sidecar_file, _sidecar_from_dict, DatasetFormatError)
-    matrix, labels = _read_csv(path)
-    if n_rows != len(matrix):
-        raise DatasetFormatError(f"{sidecar_file}: n_rows {n_rows} disagrees with the CSV's {len(matrix)}")
+    spec, split = load_json(sidecar_file, _sidecar_from_dict, DatasetFormatError)
+    matrix, labels = _read_csv(path, spec_width(spec))
     try:
-        ds = LabeledDataset(matrix, labels, split, spec)
+        ds = LabeledDataset(matrix, split, spec)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
-    planned = row_plan(spec, split)[0] != 0
-    if len(planned) != len(labels):
-        raise DatasetFormatError(
-            f"{path}: {len(labels)} rows, but the spec's {split} split has {len(planned)}"
-        )
-    wrong = np.flatnonzero(planned != labels)
+    wrong = np.flatnonzero(ds.labels != labels)
     if len(wrong):
         k = int(wrong[0])
         raise DatasetFormatError(

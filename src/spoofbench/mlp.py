@@ -10,8 +10,8 @@ best-validation snapshot. Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-import json
 import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import array, fields, load_json, typed
+from .configio import array, fields, load_json, save_json, typed
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -393,6 +393,7 @@ def train_stack(
             stack.adam_step(step)
 
         stopped = set()
+        # One model at a time: stacked, this full-split pass was 2-3x slower (ROADMAP item 6).
         for row, i in enumerate(active):
             weights, biases = stack.model(row)
             train_pred = _predict_norm(weights, biases, Xt)
@@ -539,7 +540,7 @@ def save_model(model: MlpModel, path, meta: dict | None = None) -> None:
         ],
         "meta": meta or {},
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    save_json(path, doc)
 
 
 _MODEL_KEYS = {
@@ -547,20 +548,12 @@ _MODEL_KEYS = {
     "norm_mean": object, "norm_std": object, "best_epoch": int, "train_config": object,
     "history": list, "meta": (dict, {}),
 }
-_ARCHITECTURE_FIELDS = {"input_width": int, "hidden_layers": int, "neurons_per_hidden": int}
-_TRAIN_CONFIG_FIELDS = {
-    "learning_rate": float,
-    "max_epochs": int,
-    "patience": int,
-    "batch_size": int,
-    "validation_fraction": float,
-    "rng_seed": int,
-}
 
 
-def _record(key: str, value, kinds: dict, cls):
-    """cls built from the fields of a JSON object; errors name key."""
-    values = fields(key, value, kinds)
+def _record(key: str, value, cls):
+    """cls built from a JSON object holding exactly its fields, each of the
+    type it is annotated with; errors name key."""
+    values = fields(key, value, typing.get_type_hints(cls))
     try:
         return cls(**values)
     except ValueError as exc:
@@ -585,7 +578,7 @@ def _model_from_doc(doc) -> tuple[MlpModel, dict]:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported format version {doc.get('format_version')!r:.40}")
     d = fields("", doc, _MODEL_KEYS, "model")
-    architecture = _record("architecture", d["architecture"], _ARCHITECTURE_FIELDS, MlpArchitecture)
+    architecture = _record("architecture", d["architecture"], MlpArchitecture)
     layers = architecture.hidden_layers + 1
     for key in ("weights", "biases"):
         if len(d[key]) != layers:
@@ -604,7 +597,7 @@ def _model_from_doc(doc) -> tuple[MlpModel, dict]:
         raise ValueError(f"best_epoch {best_epoch} is not the first epoch of lowest val_mse in history")
     train_config = d["train_config"]
     if train_config is not None:
-        train_config = _record("train_config", train_config, _TRAIN_CONFIG_FIELDS, TrainConfig)
+        train_config = _record("train_config", train_config, TrainConfig)
     model = MlpModel(architecture, weights, biases, norm_mean, norm_std, history, best_epoch, train_config)
     return model, dict(d["meta"])
 

@@ -5,9 +5,18 @@ import warnings
 
 import pytest
 
+from spoofbench.channel import ChannelParams
 from spoofbench.cli import build_parser, main
+from spoofbench.dataset import DatasetSpec, spec_to_dict
+from spoofbench.scenario import default_config
 
 SMALL = ["--train-size", "40", "--test-size", "20"]
+
+
+def _spec_without_station_2() -> str:
+    doc = spec_to_dict(DatasetSpec(default_config(), ChannelParams(), "wd", 3))
+    doc["scenario"]["base_stations"] = [b for b in doc["scenario"]["base_stations"] if b["id"] != 2]
+    return json.dumps(doc)
 
 
 def run(*argv):
@@ -78,6 +87,9 @@ def test_simulate_rejects_bad_config(tmp_path):
         ('"scenario method n_bs"', "spec must be an object, got 'scenario method n_bs'"),
         ('{"scenario":\n', "Expecting value: line 2 column 1"),
         ('{"method": "wd", "n_bs": 3, "scenario": {}, "train_sise": 10}', "spec: unknown fields ['train_sise']"),
+        pytest.param(_spec_without_station_2(),
+                     "invalid spec value: n_bs 3 uses base station 2, which the scenario lacks",
+                     id="station-2-missing"),
     ],
 )
 def test_generate_names_the_spec_file_and_the_key(tmp_path, capsys, text, message):

@@ -102,16 +102,27 @@ def test_load_names_the_file_of_a_document_nested_too_deep_to_parse(tmp_path):
 
 
 def test_only_configio_parses_json():
-    """One reader: no other module under src/spoofbench calls json.loads."""
+    """One reader and one writer: no other module under src/spoofbench calls
+    json.loads, or json.dumps with indent= (the writers' call; the canonical
+    text of spec_hash and of the sidecar comparison has no indent)."""
     package = Path(__file__).resolve().parents[1] / "src" / "spoofbench"
-    parsers = set()
+    parsers, writers = set(), set()
     for source in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text())):
             if isinstance(node, ast.Attribute) and node.attr == "loads" and getattr(node.value, "id", None) == "json":
                 parsers.add(source.name)
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 parsers.add(source.name)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dumps"
+                and getattr(node.func.value, "id", None) == "json"
+                and any(k.arg == "indent" for k in node.keywords)
+            ):
+                writers.add(source.name)
     assert parsers == {"configio.py"}
+    assert writers == {"configio.py"}
 
 
 # -- fuzzing ------------------------------------------------------------------

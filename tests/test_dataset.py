@@ -196,6 +196,12 @@ def test_load_reports_bad_cells(tmp_path):
     with pytest.raises(DatasetFormatError, match=r"row 2, column 1"):
         load(path)
 
+    # The header is exactly the label,f1..fK that save writes for the spec's width.
+    for header in ("label,speed", "label,f2", "label,f1,f2", "label, f1"):
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: row 1: bad header {header!r}")):
+            load(path)
+
     path.write_text("f1,f2\n1.0,2.0\n")
     with pytest.raises(DatasetFormatError, match="header"):
         load(path)
@@ -241,7 +247,7 @@ def _saved_sidecar() -> dict:
         (lambda d: d.update(bs_ids=[1.7, 2, 3]), "bs_ids [1.7, 2, 3] disagrees with the spec's [1, 2, 3]"),
         (lambda d: d.update(bs_ids=[1.0, 2, 3]), "bs_ids [1.0, 2, 3] disagrees with the spec's [1, 2, 3]"),
         (lambda d: d.update(bs_ids=3), "bs_ids 3 disagrees with the spec's [1, 2, 3]"),
-        (lambda d: d.update(n_rows=999), "n_rows 999 disagrees with the CSV's 40"),
+        (lambda d: d.update(n_rows=999), "n_rows 999 disagrees with the spec's 40"),
         (lambda d: d.update(width=7), "width 7 disagrees with the spec's 3"),
         (lambda d: d.update(n_bs=2), "n_bs 2 disagrees with the spec's 3"),
         (lambda d: d.update(n_bs=True), "n_bs True disagrees with the spec's 3"),
@@ -323,7 +329,7 @@ def mutated_sidecars(draw):
         elif action == "station" and isinstance(doc.get("bs_ids"), list) and doc["bs_ids"]:
             i = draw(st.integers(min_value=0, max_value=len(doc["bs_ids"]) - 1))
             doc["bs_ids"][i] = draw(st.one_of(st.integers(min_value=0, max_value=4), SIDECAR_SCALARS))
-        elif action == "spec" and isinstance(doc.get("spec"), dict):
+        elif action == "spec" and isinstance(doc.get("spec"), dict) and doc["spec"]:
             doc["spec"][draw(st.sampled_from(sorted(doc["spec"])))] = draw(SIDECAR_VALUES)
         elif action == "extra":
             doc[draw(st.text(max_size=6))] = draw(SIDECAR_VALUES)
@@ -364,11 +370,15 @@ def test_load_refuses_labels_that_disagree_with_the_row_plan(tmp_path):
     with pytest.raises(DatasetFormatError, match=re.escape(message)):
         load(path)
 
-    path.write_text("\n".join(lines[:-1]) + "\n")  # one row short, and the sidecar agrees
-    sidecar = tmp_path / "train.meta.json"
+    path.write_text("\n".join(lines[:-1]) + "\n")  # one row short, under the untouched sidecar
+    message = f"{path}: features of shape (39, 3), but the train split is (40, 3)"
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        load(path)
+
+    sidecar = tmp_path / "train.meta.json"  # and a sidecar that agrees with the short CSV
     doc = json.loads(sidecar.read_text())
     sidecar.write_text(json.dumps({**doc, "n_rows": 39}))
-    message = f"{path}: 39 rows, but the spec's train split has 40"
+    message = f"{sidecar}: n_rows 39 disagrees with the spec's 40"
     with pytest.raises(DatasetFormatError, match=re.escape(message)):
         load(path)
 
@@ -407,6 +417,8 @@ def test_spec_dict_round_trip():
 
 
 _DROP = object()
+# Stations 1 and 2 of the default scene: a 2-station spec also needs station 3.
+_WITHOUT_STATION_3 = [b for b in spec_to_dict(small_spec())["scenario"]["base_stations"] if b["id"] != 3]
 
 
 @pytest.mark.parametrize(
@@ -422,6 +434,8 @@ _DROP = object()
         ("method", _DROP, "spec missing keys: method"),
         ("n_bs", _DROP, "spec missing keys: n_bs"),
         ("scenario", [], "scenario must be an object"),
+        ("scenario.base_stations", _WITHOUT_STATION_3,
+         "invalid spec value: n_bs 2 uses base station 3, which the scenario lacks"),
     ],
 )
 def test_spec_from_dict_rejects_bad_values_naming_the_key(key, value, message):
@@ -531,10 +545,19 @@ def test_spec_hash_covers_every_field(owner, name):
         assert spec_from_dict(json.loads(json.dumps(spec_to_dict(s)))) == s
 
 
-def test_labeled_dataset_requires_both_classes():
-    ds, _ = generate(small_spec(train=6, test=4))
-    with pytest.raises(ValueError, match="both classes"):
-        replace(ds, features=ds.features[ds.labels], labels=ds.labels[ds.labels])
+def test_labels_are_the_row_plan_and_features_must_fit_the_split(tmp_path):
+    spec = small_spec(method="wd", n_bs=2, train=9, test=6)
+    for ds in generate(spec):
+        planned = [label for label, _, _ in reference_row_plan(spec, ds.split)]
+        path = tmp_path / f"{ds.split}.csv"
+        save(ds, path)
+        assert ds.labels.tolist() == planned
+        assert load(path).labels.tolist() == planned
+        n = len(planned)
+        for features in (ds.features[:-1], ds.features[:, :1], ds.features.ravel()):
+            message = f"features of shape {features.shape}, but the {ds.split} split is ({n}, 2)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                replace(ds, features=features)
 
 
 def test_spec_validation():

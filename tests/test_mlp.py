@@ -395,6 +395,17 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(forward_batch(loaded, X), forward_batch(model, X))
 
 
+def test_save_model_refuses_a_nan_it_cannot_write_as_json(tmp_path):
+    X, y = blobs(n=120, seed=14)
+    model = train(MlpArchitecture(2, 1, 4), X, y,
+                  TrainConfig(learning_rate=0.01, max_epochs=3, rng_seed=2))
+    model.history[1] = replace(model.history[1], val_mse=math.nan)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="JSON"):
+        save_model(model, path)
+    assert not path.exists()
+
+
 def test_load_model_rejects_other_files(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text('{"format": "something-else"}')
