@@ -12,6 +12,7 @@ import argparse
 from pathlib import Path
 
 from spoofbench.cli import main as cli
+from spoofbench.dataset import BS_SUBSETS
 from spoofbench.features import METHODS
 
 
@@ -37,6 +38,6 @@ if __name__ == "__main__":
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workdir", type=Path, default=Path("runs/tuning"))
     ap.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
-    ap.add_argument("--n-bs", nargs="+", type=int, choices=(1, 2, 3), default=[3, 2, 1])
+    ap.add_argument("--n-bs", nargs="+", type=int, choices=tuple(BS_SUBSETS), default=[3, 2, 1])
     ap.add_argument("--jobs", type=int, default=1)
     run(**vars(ap.parse_args()))

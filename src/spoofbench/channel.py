@@ -112,8 +112,6 @@ class Link:
     def branch(self, los: np.ndarray, nlos_sigma: float, index=...) -> tuple[np.ndarray, np.ndarray]:
         """Path loss and shadow-fading sigma per sample for a LoS mask over
         the links at index (along the leading axes of every array)."""
-        if np.all(los):
-            return self.los_db[index], self.los_sigma[index]
         return (
             np.where(los, self.los_db[index], self.nlos_db[index]),
             np.where(los, self.los_sigma[index], nlos_sigma),

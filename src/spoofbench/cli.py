@@ -12,14 +12,14 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baseline, dataset, mlp
 from .channel import ChannelParams
-from .configio import config_to_dict, load_config, save_config, save_json
+from .configio import config_to_dict, load_config, save_config, save_csv, save_json
 from .features import METHODS, extract
 from .presets import BEST_SETTINGS
 from .scenario import default_config, destination_grid
@@ -127,11 +127,11 @@ def _model_meta(train_ds: dataset.LabeledDataset) -> dict:
 
 def _train_flags(p) -> None:
     """The training flags `train` and `tune` share; _train_config reads them."""
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--epochs", type=int, default=mlp.TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=mlp.TrainConfig.patience)
+    p.add_argument("--batch-size", type=int, default=mlp.TrainConfig.batch_size)
+    p.add_argument("--val-fraction", type=float, default=mlp.TrainConfig.validation_fraction)
+    p.add_argument("--seed", type=int, default=mlp.TrainConfig.rng_seed)
 
 
 def _train_config(args, learning_rate: float) -> mlp.TrainConfig:
@@ -192,14 +192,9 @@ def cmd_tune(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["method,learning_rate,hidden_layers,neurons,param_count,epochs_run,best_epoch,val_mse,val_accuracy,rank"]
-    for row, rank in zip(result.results, result.ranks):
-        lines.append(
-            f"{train_ds.spec.method},{row.learning_rate!r},{row.hidden_layers},{row.neurons},"
-            f"{row.param_count},{row.epochs_run},{row.best_epoch},"
-            f"{row.val_mse!r},{row.val_accuracy!r},{rank}"
-        )
-    (out / "grid_report.csv").write_text("\n".join(lines) + "\n")
+    header = ["method", *mlp.column_names(mlp.GridResult), "rank"]
+    rows = ((train_ds.spec.method, *astuple(r), rank) for r, rank in zip(result.results, result.ranks))
+    save_csv(out / "grid_report.csv", header, rows)
     mlp.save_model(result.best_model, out / "model.json", _model_meta(train_ds))
     mlp.write_history_csv(result.best_model.history, out / "history.csv")
     best = result.results[result.best_index]
@@ -223,7 +218,7 @@ def _confusion_report(predictions, labels, started: float, spec_hash_: str, dete
         "test_accuracy": mlp.accuracy(predictions, labels),
         "test_mse": mlp.loss_mse(predictions, labels),
         "confusion": counts,
-        "history": [[s.epoch, s.train_mse, s.val_mse, s.val_accuracy] for s in history],
+        "history": [astuple(s) for s in history],
         "wall_clock_s": time.perf_counter() - started,
     }
 
@@ -275,10 +270,7 @@ def cmd_report(args) -> int:
         for s in model.history:
             rows.append((scenario, method, s.epoch, s.val_accuracy, s.val_mse))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    lines = ["scenario,method,epoch,accuracy,mse"]
-    for scenario, method, epoch, acc, mse in rows:
-        lines.append(f"{scenario},{method},{epoch},{acc!r},{mse!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    save_csv(args.out, ["scenario", "method", "epoch", "accuracy", "mse"], rows)
     print(f"wrote {args.out}: {len(rows)} rows from {len(args.run_dirs)} runs")
     return 0
 
@@ -292,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init", help="write default config.json and spec.json")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=ChannelParams.rng_seed)
     p.add_argument("--method", choices=METHODS, default="wd")
-    p.add_argument("--n-bs", type=int, choices=(1, 2, 3), default=3)
-    p.add_argument("--train-size", type=int, default=2259)
-    p.add_argument("--test-size", type=int, default=969)
+    p.add_argument("--n-bs", type=int, choices=tuple(dataset.BS_SUBSETS), default=3)
+    p.add_argument("--train-size", type=int, default=dataset.DatasetSpec.train_size)
+    p.add_argument("--test-size", type=int, default=dataset.DatasetSpec.test_size)
     p.set_defaults(func=cmd_init)
 
     p = sub.add_parser("simulate", help="write a scenario + window archive")
@@ -309,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="dataset spec file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=METHODS, default=None, help="override spec method")
-    p.add_argument("--n-bs", type=int, choices=(1, 2, 3), default=None, help="override spec n_bs")
+    p.add_argument("--n-bs", type=int, choices=tuple(dataset.BS_SUBSETS), default=None, help="override spec n_bs")
     p.add_argument("--seed", type=int, default=None, help="override the rng seed")
     p.set_defaults(func=cmd_generate)
 
@@ -338,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=("threshold",), default=None)
     p.add_argument("--t", type=float, default=1.0, help="threshold in dB")
     p.add_argument("--aggregation", choices=baseline.AGGREGATIONS, default="mean-delta")
-    p.add_argument("--split", choices=("train", "test"), default="test")
+    p.add_argument("--split", choices=dataset.SPLITS, default="test")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)
 

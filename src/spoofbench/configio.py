@@ -1,6 +1,7 @@
 """The scenario config file, the one JSON reader (typed, array, fields,
-load_json) that also reads the dataset spec, its sidecar and the model, and
-the one JSON writer (save_json) of every document the tools write.
+load_json) that also reads the dataset spec, its sidecar and the model, the
+one JSON writer (save_json) of every document the tools write, and the one
+CSV writer (save_csv) of every table.
 
 One JSON document holds both the scene geometry (ScenarioConfig) and the
 channel settings (ChannelParams), under fixed keys:
@@ -120,6 +121,13 @@ def fields(path: str, value, kinds: dict, name: str = "") -> dict:
     return out
 
 
+def save_csv(path, header, rows) -> None:
+    """A header line, then a line per row, each cell written with str: a
+    float, np.float64 too, as the shortest digits that read back exactly."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def save_json(path, doc, indent: int = 1) -> None:
     """doc as strict JSON, keys sorted: a NaN or infinity raises ValueError."""
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False) + "\n")
@@ -153,8 +161,8 @@ def config_from_dict(doc: dict, path: str = "") -> tuple[ScenarioConfig, Channel
         d = fields(path, doc, _CONFIG_KEYS, "config")
         stations = [fields(at(path, "base_stations"), b, _STATION_KEYS) for b in d["base_stations"]]
         config = ScenarioConfig(
-            base_stations=tuple(BaseStation(b["id"], np.array([b["x"], b["y"], b["h"]])) for b in stations),
-            start=np.array([typed(at(path, "start"), v, float) for v in d["start"]]),
+            base_stations=tuple(BaseStation(b["id"], (b["x"], b["y"], b["h"])) for b in stations),
+            start=[typed(at(path, "start"), v, float) for v in d["start"]],
             mission_radius=d["mission_radius_m"],
             n_destinations=d["n_destinations"],
             window_size=d["window_size"],

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import features
 from .channel import ChannelParams, Link, check_finite, measured_windows
-from .configio import ConfigError, at, config_from_dict, config_to_dict, fields, load_json, save_json
+from .configio import ConfigError, at, config_from_dict, config_to_dict, fields, load_json, save_csv, save_json
 from .features import FEATURES_PER_BS, check_method
 from .scenario import ScenarioConfig, destination_grid, flight_positions
 
@@ -180,7 +180,8 @@ def spec_width(spec: DatasetSpec) -> int:
 @dataclass(eq=False)
 class LabeledDataset:
     """One split of a spec: an (n, width) feature matrix, labelled by the row
-    plan (True = spoofed). Each row's blocks belong to bs_ids, in that order."""
+    plan (True = spoofed). Each row's blocks belong to the spec's stations,
+    in select_bs_subset order."""
 
     features: np.ndarray
     split: str
@@ -198,14 +199,6 @@ class LabeledDataset:
     @property
     def width(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def bs_ids(self) -> tuple[int, ...]:
-        return select_bs_subset(self.spec.n_bs)
-
-    @property
-    def method(self) -> str:
-        return self.spec.method
 
     @property
     def provenance(self) -> str:
@@ -243,18 +236,16 @@ def _implied_keys(spec: DatasetSpec, split: str) -> dict:
     }
 
 
-def _header(width: int) -> str:
-    return "label," + ",".join(f"f{i + 1}" for i in range(width))
+def _header(width: int) -> list[str]:
+    return ["label"] + [f"f{i + 1}" for i in range(width)]
 
 
 def save(dataset: LabeledDataset, path) -> None:
     """CSV with full-precision features plus a JSON sidecar holding the spec."""
     path = Path(path)
-    lines = [_header(dataset.width)] + [
-        f"{int(label)}," + ",".join(map(repr, row))
-        for label, row in zip(dataset.labels.tolist(), dataset.features.tolist())
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    labels = dataset.labels.astype(int).tolist()
+    rows = ([label, *row] for label, row in zip(labels, dataset.features.tolist()))
+    save_csv(path, _header(dataset.width), rows)
     sidecar = {
         **_implied_keys(dataset.spec, dataset.split),
         "spec": spec_to_dict(dataset.spec),
@@ -292,7 +283,7 @@ def _read_csv(path: Path, width: int) -> tuple[np.ndarray, np.ndarray]:
     lines = path.read_text().splitlines()
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
-    header = _header(width)
+    header = ",".join(_header(width))
     if lines[0] != header:
         raise DatasetFormatError(f"{path}: row 1: bad header {lines[0]!r:.70}, expected {header!r}")
     labels, rows = [], []

@@ -10,16 +10,16 @@ best-validation snapshot. Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
-from .configio import array, fields, load_json, save_json, typed
+from .configio import array, fields, load_json, save_csv, save_json, typed
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -76,6 +76,11 @@ class EpochStats:
     train_mse: float
     val_mse: float
     val_accuracy: float
+
+
+def column_names(cls) -> list[str]:
+    """A record dataclass's field names, in order: the columns of its rows."""
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 @dataclass
@@ -535,9 +540,7 @@ def save_model(model: MlpModel, path, meta: dict | None = None) -> None:
         "norm_std": model.norm_std.tolist(),
         "best_epoch": model.best_epoch,
         "train_config": asdict(model.train_config) if model.train_config else None,
-        "history": [
-            [s.epoch, s.train_mse, s.val_mse, s.val_accuracy] for s in model.history
-        ],
+        "history": [astuple(s) for s in model.history],
         "meta": meta or {},
     }
     save_json(path, doc)
@@ -561,14 +564,15 @@ def _record(key: str, value, cls):
 
 
 def _history(value: list) -> list[EpochStats]:
+    names = column_names(EpochStats)
     history = []
     for epoch, entry in enumerate(value, start=1):
         key = f"history[{epoch - 1}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise ValueError(f"{key} must be [epoch, train_mse, val_mse, val_accuracy]")
+        if not isinstance(entry, list) or len(entry) != len(names):
+            raise ValueError(f"{key} must be [{', '.join(names)}]")
         if typed(f"{key}.epoch", entry[0], int) != epoch:
             raise ValueError(f"{key}.epoch must be {epoch}, got {entry[0]}")
-        history.append(EpochStats(epoch, *array(key, entry[1:], (3,)).tolist()))
+        history.append(EpochStats(epoch, *array(key, entry[1:], (len(names) - 1,)).tolist()))
     return history
 
 
@@ -609,7 +613,4 @@ def load_model(path) -> tuple[MlpModel, dict]:
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:
-    lines = ["epoch,train_mse,val_mse,val_accuracy"]
-    for s in history:
-        lines.append(f"{s.epoch},{s.train_mse!r},{s.val_mse!r},{s.val_accuracy!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_csv(path, column_names(EpochStats), map(astuple, history))

@@ -18,16 +18,15 @@ import numpy as np
 ELEVATION_SPREAD_DEG = 15.0  # destinations sit at +/- this elevation angle
 
 
-def _as_vec3(p) -> np.ndarray:
-    """A read-only copy of p as a finite 3-vector: a frozen config must not
-    share a buffer its caller can still write."""
+def _as_vec3(p) -> tuple[float, float, float]:
+    """p as a tuple of three finite floats: a value, so a frozen config
+    shares nothing its caller can still write."""
     v = np.array(p, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"coordinates must be finite, got {v.tolist()}")
-    v.flags.writeable = False
-    return v
+    return tuple(v.tolist())
 
 
 def check_positive_finite(name: str, value: float) -> None:
@@ -36,12 +35,12 @@ def check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BaseStation:
     """A fixed ground station at (x, y, h) meters, h above ground."""
 
     id: int
-    position: np.ndarray
+    position: tuple[float, float, float]
 
     def __post_init__(self):
         object.__setattr__(self, "position", _as_vec3(self.position))
@@ -51,13 +50,8 @@ class BaseStation:
         if self.position[2] <= 0:
             raise ValueError(f"base station {self.id} height must be > 0")
 
-    def __eq__(self, other):
-        if not isinstance(other, BaseStation):
-            return NotImplemented
-        return self.id == other.id and np.array_equal(self.position, other.position)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScenarioConfig:
     """The mission's geometry, serializable to a config file.
 
@@ -66,7 +60,7 @@ class ScenarioConfig:
     """
 
     base_stations: tuple[BaseStation, ...]
-    start: np.ndarray
+    start: tuple[float, float, float]
     mission_radius: float  # meters from start to every destination
     n_destinations: int
     window_size: int  # samples per decision window, one per flight
@@ -89,16 +83,6 @@ class ScenarioConfig:
         # full layout would put a destination underground.
         destination_layout(self.start, self.mission_radius, 2)
 
-    def __eq__(self, other):
-        if not isinstance(other, ScenarioConfig):
-            return NotImplemented
-        return (
-            self.base_stations == other.base_stations
-            and np.array_equal(self.start, other.start)
-            and (self.mission_radius, self.n_destinations, self.window_size)
-            == (other.mission_radius, other.n_destinations, other.window_size)
-        )
-
     def base_station_by_id(self, bs_id: int) -> BaseStation:
         for bs in self.base_stations:
             if bs.id == bs_id:
@@ -111,18 +95,18 @@ def default_config() -> ScenarioConfig:
     destinations 100 m away, 100-sample windows."""
     return ScenarioConfig(
         base_stations=(
-            BaseStation(1, np.array([0.0, 0.0, 35.0])),
-            BaseStation(2, np.array([150.0, 150.0, 35.0])),
-            BaseStation(3, np.array([300.0, 150.0, 35.0])),
+            BaseStation(1, (0.0, 0.0, 35.0)),
+            BaseStation(2, (150.0, 150.0, 35.0)),
+            BaseStation(3, (300.0, 150.0, 35.0)),
         ),
-        start=np.array([150.0, 150.0, 150.0]),
+        start=(150.0, 150.0, 150.0),
         mission_radius=100.0,
         n_destinations=16,
         window_size=100,
     )
 
 
-def destination_layout(start: np.ndarray, radius: float, n: int) -> np.ndarray:
+def destination_layout(start, radius: float, n: int) -> np.ndarray:
     """(n, 3) destinations at exactly `radius` from start, evenly spread in
     angle: n/2 azimuths times two elevation rings at +/-ELEVATION_SPREAD_DEG,
     so n must be even and at least 2.
@@ -138,7 +122,7 @@ def destination_layout(start: np.ndarray, radius: float, n: int) -> np.ndarray:
         for az in azimuths
         for e in (el, -el)
     ]
-    points = _as_vec3(start) + radius * np.array(units)
+    points = np.asarray(_as_vec3(start)) + radius * np.array(units)
     if np.any(points[:, 2] <= 0):
         raise ValueError("destination altitude would be <= 0")
     return points
@@ -159,5 +143,6 @@ def flight_positions(config: ScenarioConfig, destinations) -> np.ndarray:
     positions are its bit for bit.
     """
     ks = np.arange(config.window_size, dtype=float)
-    slope = (np.asarray(destinations, dtype=float) - config.start) / config.window_size
-    return slope[:, None, :] * ks[:, None] + config.start
+    start = np.asarray(config.start)
+    slope = (np.asarray(destinations, dtype=float) - start) / config.window_size
+    return slope[:, None, :] * ks[:, None] + start

@@ -5,9 +5,12 @@ import warnings
 
 import pytest
 
+from spoofbench.baseline import ThresholdDetector
 from spoofbench.channel import ChannelParams
-from spoofbench.cli import build_parser, main
-from spoofbench.dataset import DatasetSpec, spec_to_dict
+from spoofbench.cli import _load_spec, _train_config, build_parser, main
+from spoofbench.configio import load_config
+from spoofbench.dataset import DatasetSpec, load_spec, spec_to_dict
+from spoofbench.mlp import TrainConfig
 from spoofbench.scenario import default_config
 
 SMALL = ["--train-size", "40", "--test-size", "20"]
@@ -219,6 +222,22 @@ def test_every_command_has_exactly_its_pinned_flags():
         for name, sub in commands.choices.items()
     }
     assert found == FLAGS
+
+
+def test_commands_without_optional_flags_take_the_library_defaults(tmp_path):
+    assert run("init", "--out", tmp_path) == 0
+    spec = DatasetSpec(default_config(), ChannelParams(), "wd", 3)
+    assert load_spec(tmp_path / "spec.json") == spec
+    assert load_config(tmp_path / "config.json") == (spec.scenario, spec.channel)
+    parser = build_parser()
+    args = parser.parse_args(["generate", "--spec", str(tmp_path / "spec.json"), "--out", "data"])
+    assert _load_spec(args) == spec
+    assert parser.parse_args(["simulate", "--config", "config.json", "--out", "a.json"]).seed is None
+    for command in ("train", "tune"):
+        args = parser.parse_args([command, "data", "--out", "run"])
+        assert _train_config(args, 0.01) == TrainConfig(0.01)
+    args = parser.parse_args(["evaluate", "data", "--out", "report.json"])
+    assert (args.split, args.aggregation) == ("test", ThresholdDetector.aggregation)
 
 
 def test_train_is_byte_deterministic(workdir, data_dir):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_row_plan, reference_window
 from spoofbench.channel import ChannelParams
-from spoofbench.configio import ConfigError, load_config, save_config
+from spoofbench.configio import ConfigError, load_config, save_config, save_csv
 from spoofbench.dataset import (
     DatasetFormatError,
     DatasetSpec,
@@ -71,7 +71,7 @@ def test_generate_shapes_and_balance():
     for ds in (train_ds, test_ds):
         spoofed = int(ds.labels.sum())
         assert abs(spoofed - (len(ds.labels) - spoofed)) <= 1
-        assert ds.bs_ids == (1, 2, 3) and ds.method == "mvsk"
+        assert ds.spec == spec
     assert train_ds.split == "train" and test_ds.split == "test"
     assert train_ds.provenance == spec_hash(spec)
 
@@ -170,6 +170,21 @@ def test_save_load_round_trip(tmp_path):
         path = tmp_path / name
         save(ds, path)
         assert load(path) == ds
+
+
+def test_save_csv_writes_numpy_floats_as_digits_that_load_reads_back(tmp_path):
+    ds, _ = generate(small_spec(method="mvsk", n_bs=2, train=10, test=6))
+    path = tmp_path / "train.csv"
+    save(ds, path)
+    written = path.read_bytes()
+    # The same rows as numpy scalars, not Python floats: str gives their digits.
+    rows = [[int(label), *row] for label, row in zip(ds.labels, ds.features)]
+    assert type(rows[0][1]) is np.float64
+    save_csv(path, ["label"] + [f"f{i + 1}" for i in range(ds.width)], rows)
+    assert path.read_bytes() == written
+    assert load(path) == ds
+    save_csv(tmp_path / "cells.csv", ["a", "b", "c"], [(np.float64(0.1), np.float64(1e-05), 1e16)])
+    assert (tmp_path / "cells.csv").read_text() == "a,b,c\n0.1,1e-05,1e+16\n"
 
 
 def test_load_reports_bad_cells(tmp_path):

@@ -22,10 +22,10 @@ from spoofbench.scenario import (
 def test_default_config_reference_values():
     cfg = default_config()
     assert [bs.id for bs in cfg.base_stations] == [1, 2, 3]
-    assert cfg.base_stations[0].position.tolist() == [0.0, 0.0, 35.0]
-    assert cfg.base_stations[1].position.tolist() == [150.0, 150.0, 35.0]
-    assert cfg.base_stations[2].position.tolist() == [300.0, 150.0, 35.0]
-    assert cfg.start.tolist() == [150.0, 150.0, 150.0]
+    assert cfg.base_stations[0].position == (0.0, 0.0, 35.0)
+    assert cfg.base_stations[1].position == (150.0, 150.0, 35.0)
+    assert cfg.base_stations[2].position == (300.0, 150.0, 35.0)
+    assert cfg.start == (150.0, 150.0, 150.0)
     assert cfg.mission_radius == 100.0
     assert cfg.n_destinations == 16
     assert ChannelParams().carrier_frequency == 2.0
@@ -63,7 +63,7 @@ def test_flight_positions_match_the_scalar_oracle_bit_for_bit():
 
 def test_flight_positions_leave_the_start_at_constant_speed():
     cfg = default_config()
-    (positions,) = flight_positions(cfg, [cfg.start + [100.0, 0.0, 0.0]])
+    (positions,) = flight_positions(cfg, [np.add(cfg.start, [100.0, 0.0, 0.0])])
     assert positions[0].tolist() == [150.0, 150.0, 150.0]
     assert positions[25] == pytest.approx([175.0, 150.0, 150.0])
     step = cfg.mission_radius / cfg.window_size
@@ -169,21 +169,35 @@ def test_config_layout_check_matches_destination_grid():
             assert len(destination_grid(_config(start=start))) == 16
 
 
-def test_configs_copy_their_vectors_and_keep_them_read_only():
+def test_configs_copy_their_vectors_into_immutable_tuples():
     start = np.array([150.0, 150.0, 150.0])
-    position = np.array([0.0, 0.0, 35.0])
+    position = [0.0, 0.0, 35]
     station = BaseStation(1, position)
     cfg = _config(base_stations=(station,), start=start)
     spec = DatasetSpec(scenario=cfg, channel=ChannelParams(), method="wd", n_bs=1)
     before = spec_hash(spec)
-    start[2] = -1000.0  # the caller's arrays stay the caller's
+    start[2] = -1000.0  # the caller's array and list stay the caller's
     position[2] = -3.0
-    assert cfg.start.tolist() == [150.0, 150.0, 150.0]
-    assert station.position.tolist() == [0.0, 0.0, 35.0]
+    assert cfg.start == (150.0, 150.0, 150.0)
+    assert station.position == (0.0, 0.0, 35.0)
+    assert all(type(v) is float for v in cfg.start + station.position)
     assert spec_hash(spec) == before
     for frozen in (cfg.start, station.position, default_config().start):
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError):
             frozen[2] = -1000.0
+
+
+def test_equal_scenes_compare_and_hash_equal():
+    # Built from arrays, lists or tuples, the same scene is one value.
+    a = DatasetSpec(default_config(), ChannelParams(), "wd", 3)
+    stations = [BaseStation(bs.id, np.array(bs.position)) for bs in default_config().base_stations]
+    b = DatasetSpec(_config(base_stations=stations, start=[150, 150, 150]), ChannelParams(), "wd", 3)
+    assert a == b and hash(a) == hash(b)
+    assert a.scenario == b.scenario and hash(a.scenario) == hash(b.scenario)
+    assert {a: "wd/3"}[b] == "wd/3"
+    moved = _config(start=(150.0, 150.0, 150.5))
+    assert moved != a.scenario and _config(base_stations=stations[:2]) != a.scenario
+    assert len({a, b, DatasetSpec(moved, ChannelParams(), "wd", 3)}) == 2
 
 
 DROP = math.sin(math.radians(ELEVATION_SPREAD_DEG))  # lower ring, per meter of radius
