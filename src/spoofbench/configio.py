@@ -31,21 +31,28 @@ class ConfigError(ValueError):
     """Malformed or incomplete JSON document."""
 
 
+def _float(x) -> float:
+    """x written as the float it equals: -0.0 as 0.0 (as RFC 8785 writes
+    -0) and an int as a float. Configs that compare equal then write the
+    same document, and so get the same spec hash."""
+    return float(x) + 0.0
+
+
 def config_to_dict(config: ScenarioConfig, channel: ChannelParams) -> dict:
     return {
         "base_stations": [
-            {"id": bs.id, "x": bs.position[0], "y": bs.position[1], "h": bs.position[2]}
+            {"id": bs.id, "x": _float(bs.position[0]), "y": _float(bs.position[1]), "h": _float(bs.position[2])}
             for bs in config.base_stations
         ],
-        "start": list(config.start),
-        "mission_radius_m": config.mission_radius,
+        "start": [_float(v) for v in config.start],
+        "mission_radius_m": _float(config.mission_radius),
         "n_destinations": config.n_destinations,
-        "carrier_frequency_ghz": channel.carrier_frequency,
+        "carrier_frequency_ghz": _float(channel.carrier_frequency),
         "window_size": config.window_size,
         "rng_seed": channel.rng_seed,
-        "nlos_shadow_sigma_db": channel.nlos_shadow_sigma,
+        "nlos_shadow_sigma_db": _float(channel.nlos_shadow_sigma),
         "los_shadow_formula": channel.los_shadow_formula,
-        "meas_noise_sigma_db": channel.meas_noise_sigma,
+        "meas_noise_sigma_db": _float(channel.meas_noise_sigma),
         "sampled_los": channel.sampled_los,
     }
 

@@ -207,7 +207,7 @@ class LabeledDataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDataset):
             return NotImplemented
-        same = (self.split, self.provenance) == (other.split, other.provenance)
+        same = (self.split, self.spec) == (other.split, other.spec)
         return same and np.array_equal(self.features, other.features)
 
 

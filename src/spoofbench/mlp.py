@@ -112,9 +112,10 @@ class MlpModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without overflow."""
+    """z <- 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, in place and
+    without overflow."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
 
 
 def init_model(architecture: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
@@ -136,24 +137,34 @@ def init_model(architecture: MlpArchitecture, rng: np.random.Generator) -> MlpMo
     )
 
 
-def _activations(weights, biases, x_norm: np.ndarray) -> list[np.ndarray]:
-    """Inputs, then the activation of every layer, for normalized inputs.
+def _forward(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
+    """The output layer's activation for normalized inputs; layer k's
+    activation is written into outs[k], and the last of them is returned.
 
-    Takes one model's (fan_in, fan_out) weights and (fan_out,) biases, or a
-    stack's (L, fan_in, fan_out) weights and (L, 1, fan_out) biases; with a
-    stack, every activation after the inputs has a leading L axis.
+    Takes one model's (fan_in, fan_out) weights and (fan_out,) biases with
+    (rows, fan_out) buffers, or a stack's (L, fan_in, fan_out) weights and
+    (L, 1, fan_out) biases with (L, rows, fan_out) buffers. A layer's buffer
+    may be reused two layers later, never by the next one: a product is not
+    written over its own input.
     """
-    activations = [x_norm]
+    a = x_norm
     last = len(weights) - 1
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        z = activations[-1] @ w
-        z += b
-        activations.append(_sigmoid(z) if k == last else np.maximum(z, 0.0, out=z))
-    return activations
+    for k, (w, b, out) in enumerate(zip(weights, biases, outs)):
+        a = np.matmul(a, w, out=out)
+        a += b
+        if k == last:
+            _sigmoid(a)
+        else:
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
-def _predict_norm(weights, biases, x_norm: np.ndarray) -> np.ndarray:
-    return _activations(weights, biases, x_norm)[-1][:, 0]
+def _pass_buffers(architecture: MlpArchitecture, rows: int) -> list[np.ndarray]:
+    """`_forward` buffers for one model on `rows` rows, when no activation is
+    kept: the hidden layers alternate two buffers, so depth adds none."""
+    width, depth = architecture.neurons_per_hidden, architecture.hidden_layers
+    hidden = [np.empty((rows, width)) for _ in range(min(2, depth))]
+    return [hidden[k % 2] for k in range(depth)] + [np.empty((rows, 1))]
 
 
 def normalize(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -167,7 +178,8 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {inputs.shape[1]} != model width {model.architecture.input_width}"
         )
-    return _predict_norm(model.weights, model.biases, normalize(model, inputs))
+    outs = _pass_buffers(model.architecture, len(inputs))
+    return _forward(model.weights, model.biases, normalize(model, inputs), outs)[:, 0]
 
 
 def loss_mse(predictions, labels) -> float:
@@ -201,12 +213,27 @@ def confusion_matrix(predictions, labels, cut: float = 0.5) -> dict[str, int]:
     }
 
 
+class _Workspace:
+    """What a stack of L models' gradient on an n-row batch writes: every
+    layer's (L, n, fan_out) activation, and for each hidden layer its
+    back-propagated delta and ReLU mask; `d` and `t` are the output layer's
+    delta and a temporary of it."""
+
+    def __init__(self, n_models: int, n: int, sizes: list[int]):
+        self.acts = [np.empty((n_models, n, size)) for size in sizes[1:]]
+        self.deltas = [np.empty((n_models, n, size)) for size in sizes[1:-1]]
+        self.masks = [np.empty((n_models, n, size), dtype=bool) for size in sizes[1:-1]]
+        self.d, self.t = np.empty((n_models, n, 1)), np.empty((n_models, n, 1))
+
+
 class _Stack:
     """Parameters, gradients and Adam moments of L models of one architecture.
 
     Each is one flat (L, P) buffer, laid out layer by layer as the weights,
     then the biases; `weights`, `biases`, `grad_w` and `grad_b` are per-layer
-    (L, fan_in, fan_out) and (L, 1, fan_out) views into them.
+    (L, fan_in, fan_out) and (L, 1, fan_out) views into them. The learning
+    rate is (L, P) too: Adam's multiply by it is then one array by another,
+    which is faster than a multiply by an (L, 1) broadcast.
     """
 
     def __init__(self, sizes: list[int], params: np.ndarray, learning_rates: np.ndarray):
@@ -215,7 +242,7 @@ class _Stack:
         self.grads = np.empty_like(params)
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self.lr = learning_rates[:, None]
+        self.lr = np.repeat(learning_rates[:, None], params.shape[1], axis=1)
         self._views()
 
     def _views(self) -> None:
@@ -223,12 +250,20 @@ class _Stack:
         self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self.grad_w, self.grad_b = _layer_views(self.grads, self.sizes)
         self._temps = (np.empty_like(self.params), np.empty_like(self.params))
+        self._workspaces: dict[int, _Workspace] = {}
 
     def keep(self, rows: list[int]) -> None:
         """Drop every row not in `rows`, in one copy of each buffer."""
         self.params, self.m, self.v, self.lr = (a[rows] for a in (self.params, self.m, self.v, self.lr))
         self.grads = np.empty_like(self.params)
         self._views()
+
+    def workspace(self, n: int) -> _Workspace:
+        """The buffers of a gradient on an n-row batch, made on first use."""
+        ws = self._workspaces.get(n)
+        if ws is None:
+            ws = self._workspaces[n] = _Workspace(len(self.params), n, self.sizes)
+        return ws
 
     def model(self, row: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Row views of one model's weights and biases."""
@@ -276,17 +311,24 @@ def _gradients(stack: _Stack, x_norm: np.ndarray, y: np.ndarray) -> None:
 
     The ReLU subgradient at exactly 0 is taken as 0.
     """
-    activations = _activations(stack.weights, stack.biases, x_norm)
-    y_hat = activations[-1][..., 0]
     n = len(y)
-    # d(mean squared error)/d(logit) through the logistic output
-    delta = (2.0 * (y_hat - y) / n * y_hat * (1.0 - y_hat))[..., None]
+    ws = stack.workspace(n)
+    y_hat = _forward(stack.weights, stack.biases, x_norm, ws.acts)
+    activations = [x_norm, *ws.acts]
+    # d(mean squared error)/d(logit) through the logistic output:
+    # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time
+    delta = np.subtract(y_hat, y[:, None], out=ws.d)
+    delta *= 2.0
+    delta /= n
+    delta *= y_hat
+    delta *= np.subtract(1.0, y_hat, out=ws.t)
     for k in range(len(activations) - 2, -1, -1):
         np.matmul(activations[k].swapaxes(-1, -2), delta, out=stack.grad_w[k])
         np.add.reduce(delta, axis=-2, keepdims=True, out=stack.grad_b[k])
         if k > 0:
             # ReLU'(z) is 1 exactly where ReLU(z) > 0
-            delta = (delta @ stack.weights_t[k]) * (activations[k] > 0.0)
+            delta = np.matmul(delta, stack.weights_t[k], out=ws.deltas[k - 1])
+            delta *= np.greater(activations[k], 0.0, out=ws.masks[k - 1])
 
 
 def backprop_gradients(
@@ -389,20 +431,27 @@ def train_stack(
     best_params = stack.params.copy()  # row i: model i's best snapshot
     bad_epochs = [0] * n_models
 
+    # This epoch's rows in batch order; each step's batch is a slice of them.
+    X_epoch, y_epoch = np.empty_like(Xt), np.empty_like(y_train)
+    train_outs, val_outs = _pass_buffers(architecture, len(Xt)), _pass_buffers(architecture, len(Xv))
+
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(Xt))
+        np.take(Xt, order, axis=0, out=X_epoch)
+        np.take(y_train, order, out=y_epoch)
         for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            _gradients(stack, Xt[batch], y_train[batch])
+            hi = lo + config.batch_size
+            _gradients(stack, X_epoch[lo:hi], y_epoch[lo:hi])
             step += 1
             stack.adam_step(step)
 
         stopped = set()
-        # One model at a time: stacked, this full-split pass was 2-3x slower (ROADMAP item 6).
+        # One model at a time: a stack's (L, rows, width) buffers do not fit
+        # the cache, and stacked, this pass was 2-3x slower per model.
         for row, i in enumerate(active):
             weights, biases = stack.model(row)
-            train_pred = _predict_norm(weights, biases, Xt)
-            val_pred = _predict_norm(weights, biases, Xv)
+            train_pred = _forward(weights, biases, Xt, train_outs)[:, 0]
+            val_pred = _forward(weights, biases, Xv, val_outs)[:, 0]
             val_mse = loss_mse(val_pred, y_val)
             histories[i].append(
                 EpochStats(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_row_plan, reference_window
@@ -18,6 +18,7 @@ from spoofbench.configio import ConfigError, load_config, save_config, save_csv
 from spoofbench.dataset import (
     DatasetFormatError,
     DatasetSpec,
+    LabeledDataset,
     generate,
     CHUNK_ROWS,
     iter_delta_chunks,
@@ -29,6 +30,7 @@ from spoofbench.dataset import (
     spec_from_dict,
     spec_hash,
     spec_to_dict,
+    spec_width,
 )
 from spoofbench.features import FEATURES_PER_BS
 from spoofbench.scenario import BaseStation, ScenarioConfig, default_config
@@ -558,6 +560,58 @@ def test_spec_hash_covers_every_field(owner, name):
     assert spec_hash(changed) != spec_hash(spec)
     for s in (spec, changed):
         assert spec_from_dict(json.loads(json.dumps(spec_to_dict(s)))) == s
+
+
+# Each number of a spec, as the values it is drawn from; each value as the
+# spellings that compare equal to it: the float, the other zero, the int.
+_ZERO = (0.0, -0.0, 0)
+_SIGMAS = (_ZERO, (0.5,), (6.0, 6))
+_SLOTS = (
+    *[(_ZERO, (160.0, 160)), (_ZERO, (150.5,)), ((35.0, 35), (0.5,))] * 3,  # stations
+    (_ZERO, (150.0, 150)), (_ZERO, (150.0, 150)), ((150.0, 150), (200.0,)),  # start
+    ((100.0, 100), (99.5,)),  # mission radius
+    ((2.0, 2), (3.5,)),  # carrier frequency
+    _SIGMAS, _SIGMAS,  # NLoS shadowing and measurement noise
+)
+
+
+def _spec_of(numbers) -> DatasetSpec:
+    """A 4/2-row wd/3 spec whose numbers are `numbers`, in _SLOTS order."""
+    stations = tuple(BaseStation(i + 1, numbers[3 * i : 3 * i + 3]) for i in range(3))
+    scenario = ScenarioConfig(stations, numbers[9:12], numbers[12], n_destinations=4, window_size=5)
+    channel = ChannelParams(numbers[13], nlos_shadow_sigma=numbers[14], meas_noise_sigma=numbers[15])
+    return DatasetSpec(scenario, channel, "wd", 3, train_size=4, test_size=2)
+
+
+@st.composite
+def spec_pairs(draw):
+    """Two specs, equal in value or apart in one number, each number spelled
+    on each side independently."""
+    values = [draw(st.integers(0, len(slot) - 1)) for slot in _SLOTS]
+    other = list(values)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(_SLOTS) - 1))
+        other[k] = draw(st.integers(0, len(_SLOTS[k]) - 1))
+    return tuple(
+        _spec_of([draw(st.sampled_from(slot[v])) for slot, v in zip(_SLOTS, picks)]) for picks in (values, other)
+    )
+
+
+_FLOATS = [0.0, 0.0, 35.0] * 3 + [0.0, 0.0, 150.0, 100.0, 2.0, 6.0, 0.5]
+# The same spec with station 1 at x = -0.0 and a carrier frequency of int 2.
+_TWIN = [-0.0, *_FLOATS[1:13], 2, *_FLOATS[14:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=spec_pairs())
+@example(pair=(_spec_of(_FLOATS), _spec_of(_TWIN)))
+def test_specs_are_equal_exactly_when_their_hashes_are(pair):
+    a, b = pair
+    assert (a == b) == (spec_hash(a) == spec_hash(b))
+    features = np.zeros((a.train_size, spec_width(a)))
+    assert (LabeledDataset(features, "train", a) == LabeledDataset(features, "train", b)) == (a == b)
+    for spec in pair:
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
 def test_labels_are_the_row_plan_and_features_must_fit_the_split(tmp_path):

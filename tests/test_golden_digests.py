@@ -59,13 +59,19 @@ def test_seed1_dataset_csvs_match_golden_digests(tmp_path, method, n_bs):
     assert tuple(digests) == GOLDEN_CSV_SHA256[(method, n_bs)]
 
 
+def _benchmark_golden(workload):
+    """The seed-1 entry of a workload in the benchmark's goldens."""
+    goldens = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text())
+    (entry,) = goldens[workload]
+    return entry
+
+
 def test_benchmark_goldens_pin_the_wd3_csvs_pinned_here():
     """The benchmark's headline and tune-grid runs generate the seed-1 wd/3
     split: a change that moves those bytes fails here too, not only in the
     benchmark's output check."""
-    goldens = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text())
     for workload in ("headline", "tune-grid"):
-        (entry,) = goldens[workload]
+        entry = _benchmark_golden(workload)
         outputs = (entry["outputs"]["train_csv_sha256"], entry["outputs"]["test_csv_sha256"])
         assert (entry["seed"], outputs) == (1, GOLDEN_CSV_SHA256[("wd", 3)]), workload
 
@@ -139,3 +145,17 @@ def test_seed1_small_grid_report_matches_golden_digest(tmp_path, wd3_data):
                 "--lr-grid", "0.05,0.001", "--layers-grid", "1,2", "--neurons-grid", "8",
                 "--epochs", "12", "--patience", "2"]) == 0
     assert _sha256(tmp_path / "grid_report.csv") == GOLDEN_SMALL_GRID_REPORT_SHA256
+
+
+def test_seed1_wd3_tune_grid_matches_the_benchmark_golden(tmp_path, wd3_data):
+    """The benchmark's tune-grid step: every grid learning rate at depth 3
+    and widths 16 and 32, 43 epochs with no early stop. Its models run long
+    enough that a training change which moves a bit only late in a run shows
+    here, where the shorter runs above can miss it."""
+    entry = _benchmark_golden("tune-grid")
+    assert entry["seed"] == 1
+    assert cli(["tune", str(wd3_data), "--out", str(tmp_path), "--seed", "1",
+                "--layers-grid", "3", "--neurons-grid", "16,32", "--jobs", "1",
+                "--epochs", "43", "--patience", "43"]) == 0
+    assert _sha256(tmp_path / "grid_report.csv") == entry["outputs"]["grid_report_sha256"]
+    assert _model_digest(tmp_path / "model.json") == entry["outputs"]["model_digest"]

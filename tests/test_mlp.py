@@ -103,6 +103,18 @@ def test_forward_outputs_stay_in_unit_interval():
         assert np.all((out > 0.0) & (out < 1.0))
 
 
+def test_forward_batch_results_share_no_buffer():
+    """forward_batch keeps no buffer between calls: each result is a new
+    array that no later call, on this thread or another, writes over."""
+    model = init_model(MlpArchitecture(3, 2, 4), np.random.default_rng(0))
+    X = np.random.default_rng(1).normal(size=(5, 3))
+    first = forward_batch(model, X)
+    expected = first.copy()
+    second = forward_batch(model, -X)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, expected)
+
+
 # --------------------------------------------------------------- loss/accuracy
 
 
