@@ -18,7 +18,6 @@ import numpy as np
 
 from spoofbench.cli import main as cli
 from spoofbench import baseline, dataset
-from spoofbench.presets import BEST_SETTINGS
 
 T_GRID = np.linspace(0.0, 6.0, 121)  # candidate thresholds, dB
 
@@ -31,9 +30,8 @@ def run(seed: int, workdir: Path) -> dict:
                 "--seed", str(seed)]) == 0
     assert cli(["generate", "--spec", str(workdir / "spec.json"),
                 "--out", str(workdir / "data")]) == 0
-    lr, layers, neurons = BEST_SETTINGS[("wd", 3)]
+    # `train` reads the wd/3 reference settings from the presets.
     assert cli(["train", str(workdir / "data"), "--out", str(workdir / "run"),
-                "--lr", str(lr), "--layers", str(layers), "--neurons", str(neurons),
                 "--seed", str(seed)]) == 0
     assert cli(["evaluate", str(workdir / "data"),
                 "--model", str(workdir / "run" / "model.json"),

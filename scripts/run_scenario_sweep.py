@@ -13,7 +13,6 @@ from pathlib import Path
 
 from spoofbench.cli import main as cli
 from spoofbench.features import METHODS
-from spoofbench.presets import BEST_SETTINGS
 
 
 def run(seed: int, workdir: Path) -> None:
@@ -27,11 +26,10 @@ def run(seed: int, workdir: Path) -> None:
         for method in METHODS:
             assert cli(["generate", "--spec", spec, "--out", str(data / method),
                         "--method", method, "--n-bs", str(n_bs)]) == 0
-            lr, layers, neurons = BEST_SETTINGS[(method, n_bs)]
             run_dir = workdir / f"run_{method}_{n_bs}bs"
+            # `train` reads this scenario's reference settings from the presets.
             assert cli(["train", str(data / method), "--out", str(run_dir),
-                        "--lr", str(lr), "--layers", str(layers),
-                        "--neurons", str(neurons), "--seed", str(seed)]) == 0
+                        "--seed", str(seed)]) == 0
             report = run_dir / "report.json"
             assert cli(["evaluate", str(data / method),
                         "--model", str(run_dir / "model.json"),

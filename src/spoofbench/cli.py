@@ -206,7 +206,7 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _confusion_report(predictions, labels, started: float, spec_hash_: str, detector: dict, history) -> dict:
+def _confusion_report(predictions, labels, started: float, spec_hash_: str, detector: dict) -> dict:
     counts = mlp.confusion_matrix(predictions, labels)
     if sum(counts.values()) != len(labels):
         raise AssertionError("confusion matrix does not sum to the dataset size")
@@ -218,7 +218,6 @@ def _confusion_report(predictions, labels, started: float, spec_hash_: str, dete
         "test_accuracy": mlp.accuracy(predictions, labels),
         "test_mse": mlp.loss_mse(predictions, labels),
         "confusion": counts,
-        "history": [astuple(s) for s in history],
         "wall_clock_s": time.perf_counter() - started,
     }
 
@@ -230,7 +229,7 @@ def cmd_evaluate(args) -> int:
     labels = ds.labels
     if args.model:
         model, meta = mlp.load_model(args.model)
-        if meta.get("method") and meta["method"] != ds.spec.method:
+        if meta["method"] != ds.spec.method:
             raise ValueError(
                 f"model was trained on {meta['method']!r} features, dataset is {ds.spec.method!r}"
             )
@@ -238,11 +237,10 @@ def cmd_evaluate(args) -> int:
         detector = {
             "kind": "mlp",
             "architecture": asdict(model.architecture),
-            "train_config": asdict(model.train_config) if model.train_config else None,
-            "method": meta.get("method"),
+            "train_config": asdict(model.train_config),
+            "method": meta["method"],
             "model_sha256": _sha256(args.model),
         }
-        history = model.history
     else:
         det = baseline.ThresholdDetector(args.t, args.aggregation)
         means = [extract(deltas, "wd") for _, deltas in dataset.iter_delta_chunks(ds.spec, ds.split)]
@@ -250,8 +248,7 @@ def cmd_evaluate(args) -> int:
         # JSON has no infinity; an infinite threshold is recorded as "inf".
         threshold_db = "inf" if args.t == float("inf") else args.t
         detector = {"kind": "threshold", "threshold_db": threshold_db, "aggregation": args.aggregation}
-        history = []
-    report = _confusion_report(predictions, labels, started, ds.provenance, detector, history)
+    report = _confusion_report(predictions, labels, started, ds.provenance, detector)
     save_json(args.out, report)
     print(
         f"wrote {args.out}: accuracy {report['test_accuracy']:.4f}, "
@@ -265,10 +262,8 @@ def cmd_report(args) -> int:
     rows = []
     for run_dir in args.run_dirs:
         model, meta = mlp.load_model(Path(run_dir) / "model.json")
-        scenario = f"{meta.get('n_bs', '?')}bs"
-        method = meta.get("method", "?")
         for s in model.history:
-            rows.append((scenario, method, s.epoch, s.val_accuracy, s.val_mse))
+            rows.append((f"{meta['n_bs']}bs", meta["method"], s.epoch, s.val_accuracy, s.val_mse))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     save_csv(args.out, ["scenario", "method", "epoch", "accuracy", "mse"], rows)
     print(f"wrote {args.out}: {len(rows)} rows from {len(args.run_dirs)} runs")

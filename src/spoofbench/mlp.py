@@ -331,23 +331,6 @@ def _gradients(stack: _Stack, x_norm: np.ndarray, y: np.ndarray) -> None:
             delta *= np.greater(activations[k], 0.0, out=ws.masks[k - 1])
 
 
-def backprop_gradients(
-    model: MlpModel, inputs: np.ndarray, labels: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Analytic gradients of the batch MSE w.r.t. every weight and bias.
-
-    The ReLU subgradient at exactly 0 is taken as 0.
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(labels, dtype=float)
-    if len(y) == 0:
-        raise ValueError("empty batch")
-    params = _flatten(model.weights, model.biases)[None]
-    stack = _Stack(model.architecture.layer_sizes(), params, np.zeros(1))
-    _gradients(stack, normalize(model, inputs), y)
-    return [g[0] for g in stack.grad_w], [g[0, 0] for g in stack.grad_b]
-
-
 def _check_training_labels(labels: np.ndarray) -> None:
     values = set(np.unique(labels).tolist())
     if not values <= {0.0, 1.0}:
@@ -429,7 +412,6 @@ def train_stack(
     best_val = [np.inf] * n_models
     best_epoch = [0] * n_models
     best_params = stack.params.copy()  # row i: model i's best snapshot
-    bad_epochs = [0] * n_models
 
     # This epoch's rows in batch order; each step's batch is a slice of them.
     X_epoch, y_epoch = np.empty_like(Xt), np.empty_like(y_train)
@@ -465,11 +447,8 @@ def train_stack(
                 best_val[i] = val_mse
                 best_epoch[i] = epoch
                 best_params[i] = stack.params[row]
-                bad_epochs[i] = 0
-            else:
-                bad_epochs[i] += 1
-                if bad_epochs[i] >= config.patience:
-                    stopped.add(row)
+            elif epoch - best_epoch[i] >= config.patience:
+                stopped.add(row)
         if stopped:
             rows = [row for row in range(len(active)) if row not in stopped]
             if not rows:
@@ -556,6 +535,8 @@ def tune(
         return selection_key(results[i]), i
 
     best_model, best = None, None
+    # jobs == 1 stays on this thread: a one-worker pool was no faster, held
+    # ~1 MB more peak memory, and contends for the GIL with the main thread.
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for s, (arch, models) in enumerate((pool.map if pool else map)(run, shapes)):
             for j, model in enumerate(models):
@@ -576,9 +557,12 @@ def tune(
     return TuneResult(best_model=best_model, results=results, ranks=[order.index(i) + 1 for i in range(len(order))])
 
 
-def save_model(model: MlpModel, path, meta: dict | None = None) -> None:
+def save_model(model: MlpModel, path, meta: dict) -> None:
     """Versioned JSON: architecture, row-major weights, normalization stats,
-    per-epoch history and any caller metadata."""
+    training config, per-epoch history and the `_META_KEYS` record. An
+    untrained model, which `load_model` would refuse, raises ValueError."""
+    if model.train_config is None or not model.history:
+        raise ValueError("cannot save an untrained model: it needs a train_config and a history")
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
@@ -588,18 +572,20 @@ def save_model(model: MlpModel, path, meta: dict | None = None) -> None:
         "norm_mean": model.norm_mean.tolist(),
         "norm_std": model.norm_std.tolist(),
         "best_epoch": model.best_epoch,
-        "train_config": asdict(model.train_config) if model.train_config else None,
+        "train_config": asdict(model.train_config),
         "history": [astuple(s) for s in model.history],
-        "meta": meta or {},
+        "meta": fields("meta", meta, _META_KEYS),
     }
     save_json(path, doc)
 
 
 _MODEL_KEYS = {
     "format": str, "format_version": int, "architecture": dict, "weights": list, "biases": list,
-    "norm_mean": object, "norm_std": object, "best_epoch": int, "train_config": object,
-    "history": list, "meta": (dict, {}),
+    "norm_mean": object, "norm_std": object, "best_epoch": int, "train_config": dict,
+    "history": list, "meta": dict,
 }
+# What a model was trained on: its dataset's feature method, stations, spec.
+_META_KEYS = {"method": str, "n_bs": int, "dataset_spec_hash": str}
 
 
 def _record(key: str, value, cls):
@@ -648,11 +634,9 @@ def _model_from_doc(doc) -> tuple[MlpModel, dict]:
     val_mses = [s.val_mse for s in history]
     if val_mses.index(min(val_mses)) != best_epoch - 1:
         raise ValueError(f"best_epoch {best_epoch} is not the first epoch of lowest val_mse in history")
-    train_config = d["train_config"]
-    if train_config is not None:
-        train_config = _record("train_config", train_config, TrainConfig)
+    train_config = _record("train_config", d["train_config"], TrainConfig)
     model = MlpModel(architecture, weights, biases, norm_mean, norm_std, history, best_epoch, train_config)
-    return model, dict(d["meta"])
+    return model, fields("meta", d["meta"], _META_KEYS)
 
 
 def load_model(path) -> tuple[MlpModel, dict]:

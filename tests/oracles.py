@@ -6,11 +6,14 @@ formula for the transport distance, central finite differences for the
 gradients, one sample at a time for the flight positions and the simulated
 path loss, one generator per window for the noise, one row at a time for
 the row plan, and one model with one Adam update per tensor for training.
+`backprop_gradients` is the one exception: it runs the library's own batch
+gradient on one model, so that the oracles above can check it.
 """
 
 import numpy as np
 
 from spoofbench.channel import Link
+from spoofbench import mlp
 from spoofbench.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EpochStats, accuracy, forward_batch, init_model, loss_mse
 from spoofbench.scenario import destination_grid
 
@@ -154,6 +157,15 @@ def finite_difference_gradients(model, inputs, labels, step=1e-5):
                 g[idx] = (up - down) / (2.0 * step)
             grads.append(g)
     return grads_w, grads_b
+
+
+def backprop_gradients(model, inputs, labels):
+    """The trainer's analytic batch-MSE gradients, as (weights, biases)
+    lists, from `mlp._gradients` on a stack of this one model."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    stack = mlp._Stack(model.architecture.layer_sizes(), mlp._flatten(model.weights, model.biases)[None], np.zeros(1))
+    mlp._gradients(stack, mlp.normalize(model, inputs), np.asarray(labels, dtype=float))
+    return [g[0] for g in stack.grad_w], [g[0, 0] for g in stack.grad_b]
 
 
 def max_relative_gradient_error(analytic, numeric, floor=1e-6):

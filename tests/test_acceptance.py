@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    backprop_gradients,
     cdf_area_distance,
     finite_difference_gradients,
     max_relative_gradient_error,
@@ -29,7 +30,6 @@ from spoofbench.mlp import (
     MlpArchitecture,
     TrainConfig,
     accuracy,
-    backprop_gradients,
     forward_batch,
     init_model,
     train,

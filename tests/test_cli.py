@@ -261,6 +261,8 @@ def test_evaluate_model_report(workdir, data_dir, run_dir):
         (data_dir / "test.meta.json").read_text()
     )["spec_hash"]
     assert report["detector"]["kind"] == "mlp"
+    assert report["detector"]["method"] == "wd"
+    assert "history" not in report  # the model file, named by model_sha256, holds it
     assert report["wall_clock_s"] > 0
 
 
@@ -281,9 +283,18 @@ def test_evaluate_threshold_detector(workdir, data_dir):
     assert report["detector"] == {
         "kind": "threshold", "threshold_db": 1.5, "aggregation": "mean-delta",
     }
-    assert report["history"] == []
+    assert "history" not in report
     counts = report["confusion"]
     assert sum(counts.values()) == 20
+
+
+def test_evaluate_refuses_a_model_trained_on_another_feature_method(workdir, run_dir, capsys):
+    mvsk = workdir / "data_mvsk"
+    assert run("generate", "--spec", workdir / "spec.json", "--out", mvsk, "--method", "mvsk") == 0
+    capsys.readouterr()
+    assert run("evaluate", mvsk, "--model", run_dir / "model.json", "--out", workdir / "r.json") == 1
+    assert "model was trained on 'wd' features" in capsys.readouterr().err
+    assert not (workdir / "r.json").exists()
 
 
 def test_evaluate_requires_exactly_one_detector(data_dir, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    backprop_gradients,
     finite_difference_gradients,
     max_relative_gradient_error,
     min_hidden_preactivation,
@@ -23,7 +24,6 @@ from spoofbench.mlp import (
     MlpModel,
     TrainConfig,
     accuracy,
-    backprop_gradients,
     confusion_matrix,
     forward_batch,
     init_model,
@@ -390,14 +390,17 @@ def test_selection_prefers_mse_then_accuracy_then_size():
 # ------------------------------------------------------------------------- io
 
 
+META = {"method": "wd", "n_bs": 3, "dataset_spec_hash": "0" * 64}
+
+
 def test_model_json_round_trip(tmp_path):
     X, y = blobs(n=120, seed=14)
     model = train(MlpArchitecture(2, 1, 4), X, y,
                   TrainConfig(learning_rate=0.01, max_epochs=15, rng_seed=2))
     path = tmp_path / "model.json"
-    save_model(model, path, meta={"method": "wd"})
+    save_model(model, path, META)
     loaded, meta = load_model(path)
-    assert meta == {"method": "wd"}
+    assert meta == META
     assert loaded.architecture == model.architecture
     assert loaded.best_epoch == model.best_epoch
     assert loaded.train_config == model.train_config
@@ -414,7 +417,15 @@ def test_save_model_refuses_a_nan_it_cannot_write_as_json(tmp_path):
     model.history[1] = replace(model.history[1], val_mse=math.nan)
     path = tmp_path / "model.json"
     with pytest.raises(ValueError, match="JSON"):
-        save_model(model, path)
+        save_model(model, path, META)
+    assert not path.exists()
+
+
+def test_save_model_refuses_an_untrained_model_it_could_not_load(tmp_path):
+    model = init_model(MlpArchitecture(3, 1, 4), np.random.default_rng(0))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="untrained model"):
+        save_model(model, path, META)
     assert not path.exists()
 
 
@@ -432,11 +443,19 @@ def _model_doc():
                   TrainConfig(learning_rate=0.05, max_epochs=12, patience=2, rng_seed=2))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        save_model(model, path, meta={"method": "wd"})
+        save_model(model, path, META)
         return json.loads(path.read_text())
 
 
 VALID_MODEL_DOC = _model_doc()
+
+
+def test_the_valid_model_document_loads(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(VALID_MODEL_DOC))
+    model, meta = load_model(path)
+    assert meta == META
+    assert model.train_config == TrainConfig(learning_rate=0.05, max_epochs=12, patience=2, rng_seed=2)
 
 
 def _edited(edit):
@@ -472,6 +491,10 @@ def _edited(edit):
         (lambda d: d["norm_std"].__setitem__(0, 0.0), "norm_std entries must be > 0"),
         (lambda d: d["norm_mean"].__setitem__(0, 10**400), "norm_mean must be finite"),
         (lambda d: d.update(meta=[]), "meta must be an object"),
+        (lambda d: d.update(train_config=None), "train_config must be an object"),
+        (lambda d: d["meta"].pop("n_bs"), r"meta: missing fields \['n_bs'\]"),
+        (lambda d: d["meta"].update(n_bs="3"), "meta.n_bs must be an integer"),
+        (lambda d: d["meta"].update(scenario="3bs"), r"meta: unknown fields \['scenario'\]"),
         (lambda d: d["train_config"].update(learning_rate=2**53 + 1),
          "train_config.learning_rate must be finite and held exactly by a double"),
         (lambda d: d.update(note="x"), r"model: unknown fields \['note'\]"),
