@@ -39,14 +39,14 @@ def run(seed: int, workdir: Path) -> dict:
     report = json.loads((workdir / "report.json").read_text())
     elapsed = time.perf_counter() - t0
 
-    # Threshold baseline on the saved rows: the wd features are the window
-    # means of Δ the baseline compares with T. T is picked on the training
-    # split, as the MLP's settings are, and scored on the test split.
+    # Threshold baseline on the saved rows' window means of Δ, which the
+    # baseline compares with T. T is picked on the training split, as the
+    # MLP's settings are, and scored on the test split.
     train = dataset.load(workdir / "data" / "train.csv")
     test = dataset.load(workdir / "data" / "test.csv")
-    train_curve = baseline.sweep_threshold(train.features, train.labels, T_GRID)
+    train_curve = baseline.sweep_threshold(dataset.window_means(train), train.labels, T_GRID)
     t = baseline.best_operating_point(train_curve).threshold_db
-    (best,) = baseline.sweep_threshold(test.features, test.labels, [t])
+    (best,) = baseline.sweep_threshold(dataset.window_means(test), test.labels, [t])
 
     print(f"\nWD-MLP (3 BS) test accuracy : {report['test_accuracy']:.4f}")
     print(f"WD-MLP test MSE             : {report['test_mse']:.5f}")

@@ -15,12 +15,10 @@ import time
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import baseline, dataset, mlp
 from .channel import ChannelParams
 from .configio import config_to_dict, load_config, save_config, save_csv, save_json
-from .features import METHODS, extract
+from .features import METHODS
 from .presets import BEST_SETTINGS
 from .scenario import default_config, destination_grid
 
@@ -243,8 +241,7 @@ def cmd_evaluate(args) -> int:
         }
     else:
         det = baseline.ThresholdDetector(args.t, args.aggregation)
-        means = [extract(deltas, "wd") for _, deltas in dataset.iter_delta_chunks(ds.spec, ds.split)]
-        predictions = baseline.decide(det, np.concatenate(means)).astype(float)
+        predictions = baseline.decide(det, dataset.window_means(ds)).astype(float)
         # JSON has no infinity; an infinite threshold is recorded as "inf".
         threshold_db = "inf" if args.t == float("inf") else args.t
         detector = {"kind": "threshold", "threshold_db": threshold_db, "aggregation": args.aggregation}

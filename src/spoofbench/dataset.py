@@ -220,6 +220,18 @@ def generate(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     return splits[0], splits[1]
 
 
+def window_means(ds: LabeledDataset) -> np.ndarray:
+    """The (rows, stations) window means of |measured - theoretical| path loss
+    that the threshold baseline tests. They are the wd features, and the
+    mean that leads each station's mvsk block, bit for bit. A box row holds
+    no mean, so a box split is re-simulated from its spec."""
+    if ds.spec.method == "wd":
+        return ds.features
+    if ds.spec.method == "mvsk":
+        return ds.features[:, :: FEATURES_PER_BS["mvsk"]]
+    return np.concatenate([features.extract(deltas, "wd") for _, deltas in iter_delta_chunks(ds.spec, ds.split)])
+
+
 def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 

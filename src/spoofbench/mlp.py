@@ -137,7 +137,7 @@ def init_model(architecture: MlpArchitecture, rng: np.random.Generator) -> MlpMo
     )
 
 
-def _forward(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
+def _forward(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray], product=np.matmul) -> np.ndarray:
     """The output layer's activation for normalized inputs; layer k's
     activation is written into outs[k], and the last of them is returned.
 
@@ -145,12 +145,14 @@ def _forward(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray]) -> np.
     (rows, fan_out) buffers, or a stack's (L, fan_in, fan_out) weights and
     (L, 1, fan_out) biases with (L, rows, fan_out) buffers. A layer's buffer
     may be reused two layers later, never by the next one: a product is not
-    written over its own input.
+    written over its own input. `product` defaults to `np.matmul`, which
+    beat `np.dot` on a full split's rows (11 against 17 us for 1807 rows by
+    (3, 16) weights).
     """
     a = x_norm
     last = len(weights) - 1
     for k, (w, b, out) in enumerate(zip(weights, biases, outs)):
-        a = np.matmul(a, w, out=out)
+        a = product(a, w, out=out)
         a += b
         if k == last:
             _sigmoid(a)
@@ -217,13 +219,14 @@ class _Workspace:
     """What a stack of L models' gradient on an n-row batch writes: every
     layer's (L, n, fan_out) activation, and for each hidden layer its
     back-propagated delta and ReLU mask; `d` and `t` are the output layer's
-    delta and a temporary of it."""
+    delta and a temporary of it. A stack of one model drops the L axis."""
 
     def __init__(self, n_models: int, n: int, sizes: list[int]):
-        self.acts = [np.empty((n_models, n, size)) for size in sizes[1:]]
-        self.deltas = [np.empty((n_models, n, size)) for size in sizes[1:-1]]
-        self.masks = [np.empty((n_models, n, size), dtype=bool) for size in sizes[1:-1]]
-        self.d, self.t = np.empty((n_models, n, 1)), np.empty((n_models, n, 1))
+        lead = (n_models,) if n_models > 1 else ()
+        self.acts = [np.empty((*lead, n, size)) for size in sizes[1:]]
+        self.deltas = [np.empty((*lead, n, size)) for size in sizes[1:-1]]
+        self.masks = [np.empty((*lead, n, size), dtype=bool) for size in sizes[1:-1]]
+        self.d, self.t = np.empty((*lead, n, 1)), np.empty((*lead, n, 1))
 
 
 class _Stack:
@@ -231,9 +234,12 @@ class _Stack:
 
     Each is one flat (L, P) buffer, laid out layer by layer as the weights,
     then the biases; `weights`, `biases`, `grad_w` and `grad_b` are per-layer
-    (L, fan_in, fan_out) and (L, 1, fan_out) views into them. The learning
-    rate is (L, P) too: Adam's multiply by it is then one array by another,
-    which is faster than a multiply by an (L, 1) broadcast.
+    (L, fan_in, fan_out) and (L, 1, fan_out) views into them, multiplied
+    with `np.matmul`. A stack of one model, which every `train` is, drops
+    the L axis and multiplies with `np.dot`: on a batch's rows it costs less
+    per call and gives the same bits. The learning rate is (L, P) too:
+    Adam's multiply by it is then one array by another, which is faster
+    than a multiply by an (L, 1) broadcast.
     """
 
     def __init__(self, sizes: list[int], params: np.ndarray, learning_rates: np.ndarray):
@@ -246,9 +252,13 @@ class _Stack:
         self._views()
 
     def _views(self) -> None:
-        self.weights, self.biases = _layer_views(self.params, self.sizes)
+        views = [*_layer_views(self.params, self.sizes), *_layer_views(self.grads, self.sizes)]
+        self.product = np.matmul
+        if len(self.params) == 1:
+            views = [[t[0] for t in layers] for layers in views]
+            self.product = np.dot
+        self.weights, self.biases, self.grad_w, self.grad_b = views
         self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
-        self.grad_w, self.grad_b = _layer_views(self.grads, self.sizes)
         self._temps = (np.empty_like(self.params), np.empty_like(self.params))
         self._workspaces: dict[int, _Workspace] = {}
 
@@ -267,6 +277,8 @@ class _Stack:
 
     def model(self, row: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Row views of one model's weights and biases."""
+        if len(self.params) == 1:
+            return self.weights, self.biases
         return [w[row] for w in self.weights], [b[row] for b in self.biases]
 
     def adam_step(self, step: int) -> None:
@@ -313,7 +325,8 @@ def _gradients(stack: _Stack, x_norm: np.ndarray, y: np.ndarray) -> None:
     """
     n = len(y)
     ws = stack.workspace(n)
-    y_hat = _forward(stack.weights, stack.biases, x_norm, ws.acts)
+    product = stack.product
+    y_hat = _forward(stack.weights, stack.biases, x_norm, ws.acts, product)
     activations = [x_norm, *ws.acts]
     # d(mean squared error)/d(logit) through the logistic output:
     # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time
@@ -323,11 +336,11 @@ def _gradients(stack: _Stack, x_norm: np.ndarray, y: np.ndarray) -> None:
     delta *= y_hat
     delta *= np.subtract(1.0, y_hat, out=ws.t)
     for k in range(len(activations) - 2, -1, -1):
-        np.matmul(activations[k].swapaxes(-1, -2), delta, out=stack.grad_w[k])
+        product(activations[k].swapaxes(-1, -2), delta, out=stack.grad_w[k])
         np.add.reduce(delta, axis=-2, keepdims=True, out=stack.grad_b[k])
         if k > 0:
             # ReLU'(z) is 1 exactly where ReLU(z) > 0
-            delta = np.matmul(delta, stack.weights_t[k], out=ws.deltas[k - 1])
+            delta = product(delta, stack.weights_t[k], out=ws.deltas[k - 1])
             delta *= np.greater(activations[k], 0.0, out=ws.masks[k - 1])
 
 

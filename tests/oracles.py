@@ -165,7 +165,8 @@ def backprop_gradients(model, inputs, labels):
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     stack = mlp._Stack(model.architecture.layer_sizes(), mlp._flatten(model.weights, model.biases)[None], np.zeros(1))
     mlp._gradients(stack, mlp.normalize(model, inputs), np.asarray(labels, dtype=float))
-    return [g[0] for g in stack.grad_w], [g[0, 0] for g in stack.grad_b]
+    grad_w, grad_b = mlp._layer_views(stack.grads, stack.sizes)  # (L, ...) whatever the stack's views
+    return [g[0] for g in grad_w], [g[0, 0] for g in grad_b]
 
 
 def max_relative_gradient_error(analytic, numeric, floor=1e-6):

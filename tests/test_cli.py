@@ -288,6 +288,18 @@ def test_evaluate_threshold_detector(workdir, data_dir):
     assert sum(counts.values()) == 20
 
 
+def test_evaluate_threshold_scores_the_rows_in_the_file(workdir, data_dir):
+    csv = data_dir / "test.csv"
+    header, *rows = csv.read_text().splitlines()
+    zeroed = [row.split(",", 1)[0] + ",0.0,0.0,0.0" for row in rows]  # labels kept, wd/3 means 0
+    csv.write_text("\n".join([header, *zeroed]) + "\n")
+    out = workdir / "thr.json"
+    assert run("evaluate", data_dir, "--detector", "threshold", "--t", "1.5", "--out", out) == 0
+    counts = json.loads(out.read_text())["confusion"]
+    assert counts["tp"] == counts["fp"] == 0
+    assert sum(counts.values()) == 20
+
+
 def test_evaluate_refuses_a_model_trained_on_another_feature_method(workdir, run_dir, capsys):
     mvsk = workdir / "data_mvsk"
     assert run("generate", "--spec", workdir / "spec.json", "--out", mvsk, "--method", "mvsk") == 0

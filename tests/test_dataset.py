@@ -31,8 +31,9 @@ from spoofbench.dataset import (
     spec_hash,
     spec_to_dict,
     spec_width,
+    window_means,
 )
-from spoofbench.features import FEATURES_PER_BS
+from spoofbench.features import FEATURES_PER_BS, extract
 from spoofbench.scenario import BaseStation, ScenarioConfig, default_config
 
 
@@ -145,6 +146,17 @@ def test_delta_rows_agree_with_mvsk_mean_feature():
     assert train_ds.labels.tolist() == [label for label, _, _ in reference_row_plan(spec, "train")]
     means = train_ds.features.reshape(6, 2, 4)[..., 0]  # (rows, stations) window means
     assert np.mean(deltas, axis=-1) == pytest.approx(means, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["wd", "mvsk", "box"])
+@pytest.mark.parametrize("n_bs", [1, 2, 3])
+def test_window_means_of_saved_rows_equal_the_resimulated_means(tmp_path, method, n_bs):
+    for ds in generate(small_spec(method=method, n_bs=n_bs, train=30, test=20)):
+        save(ds, tmp_path / f"{ds.split}.csv")
+        resimulated = np.concatenate([extract(d, "wd") for _, d in iter_delta_chunks(ds.spec, ds.split)])
+        means = window_means(load(tmp_path / f"{ds.split}.csv"))
+        assert means.shape == (len(ds.labels), n_bs)
+        assert means.tobytes() == resimulated.tobytes()
 
 
 def test_delta_chunks_cover_the_split_in_order():

@@ -337,15 +337,30 @@ def test_train_equals_the_per_tensor_reference_bit_for_bit(arch, config):
     assert all(np.array_equal(a, b) for a, b in zip(model.weights + model.biases, weights + biases))
 
 
-def test_train_stack_equals_one_train_per_learning_rate():
-    X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
-    config = TrainConfig(learning_rate=0.01, patience=3, max_epochs=60, rng_seed=2)
-    arch = MlpArchitecture(2, 2, 6)
+@pytest.mark.parametrize(
+    "arch,rows,batch_size",
+    [
+        (MlpArchitecture(2, 2, 6), 300, 32),
+        (MlpArchitecture(1, 2, 6), 300, 32),  # input width 1, as a 1-station wd row
+        (MlpArchitecture(2, 1, 1), 300, 32),  # hidden width 1
+        (MlpArchitecture(2, 2, 6), 301, 8),  # 241 training rows: a last batch of one row
+    ],
+)
+def test_train_stack_equals_one_train_per_learning_rate(arch, rows, batch_size):
+    X, y = blobs(n=rows, seed=4, sep=0.6, std=1.0)
+    X = X[:, : arch.input_width]
+    config = TrainConfig(learning_rate=0.01, patience=3, max_epochs=60, batch_size=batch_size, rng_seed=2)
     rates = (0.002, 0.05, 0.01)  # the fastest to stop sits mid-stack
     models = train_stack(arch, X, y, config, rates)
-    assert len({len(m.history) for m in models}) == len(rates)  # each stops at its own epoch
+    # Each stops at its own epoch, so the stack shrinks to one model and
+    # the last one trains on its 2-D path.
+    assert len({len(m.history) for m in models}) == len(rates)
     for lr, model in zip(rates, models):
-        assert _same_model(model, train(arch, X, y, replace(config, learning_rate=lr)))
+        lr_config = replace(config, learning_rate=lr)
+        assert _same_model(model, train(arch, X, y, lr_config))
+        weights, biases, history, best_epoch = reference_train(arch, X, y, lr_config)
+        assert (model.history, model.best_epoch) == (history, best_epoch)
+        assert all(np.array_equal(a, b) for a, b in zip(model.weights + model.biases, weights + biases))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
