@@ -113,9 +113,12 @@ class MlpModel:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """z <- 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, in place and
-    without overflow."""
-    e = np.exp(-np.abs(z))
-    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=z)
+    without overflow. e^min(z, 0) is 1 or e^-|z|, so both branches are the
+    one division e^min(z, 0) / (1 + e^-|z|)."""
+    e = np.exp(np.copysign(z, -1.0))
+    e += 1.0
+    np.exp(np.minimum(z, 0.0, out=z), out=z)
+    return np.divide(z, e, out=z)
 
 
 def init_model(architecture: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
@@ -218,12 +221,14 @@ def confusion_matrix(predictions, labels, cut: float = 0.5) -> dict[str, int]:
 class _Workspace:
     """What a stack of L models' gradient on an n-row batch writes: every
     layer's (L, n, fan_out) activation, and for each hidden layer its
-    back-propagated delta and ReLU mask; `d` and `t` are the output layer's
-    delta and a temporary of it. A stack of one model drops the L axis."""
+    transposed view, back-propagated delta and ReLU mask; `d` and `t` are
+    the output layer's delta and a temporary of it. A stack of one model
+    drops the L axis."""
 
     def __init__(self, n_models: int, n: int, sizes: list[int]):
         lead = (n_models,) if n_models > 1 else ()
         self.acts = [np.empty((*lead, n, size)) for size in sizes[1:]]
+        self.acts_t = [a.swapaxes(-1, -2) for a in self.acts[:-1]]
         self.deltas = [np.empty((*lead, n, size)) for size in sizes[1:-1]]
         self.masks = [np.empty((*lead, n, size), dtype=bool) for size in sizes[1:-1]]
         self.d, self.t = np.empty((*lead, n, 1)), np.empty((*lead, n, 1))
@@ -284,7 +289,9 @@ class _Stack:
     def adam_step(self, step: int) -> None:
         """One Adam update of every parameter. Each element goes through the
         operations of a per-tensor update in the same order, so stacking
-        changes no bit of any model."""
+        changes no bit of any model. A bias correction that has rounded to
+        exactly 1.0 (corr1 from step 356) is not divided by: x / 1.0
+        is x."""
         corr1 = 1.0 - ADAM_BETA1**step
         corr2 = 1.0 - ADAM_BETA2**step
         g, m, v = self.grads, self.m, self.v
@@ -296,9 +303,9 @@ class _Stack:
         np.multiply(g, 1.0 - ADAM_BETA2, out=t)
         v += np.multiply(t, g, out=t)
         # p -= (lr (m / corr1)) / (sqrt(v / corr2) + eps)
-        np.sqrt(np.divide(v, corr2, out=t), out=t)
+        np.sqrt(v if corr2 == 1.0 else np.divide(v, corr2, out=t), out=t)
         t += ADAM_EPS
-        np.multiply(np.divide(m, corr1, out=u), self.lr, out=u)
+        np.multiply(m if corr1 == 1.0 else np.divide(m, corr1, out=u), self.lr, out=u)
         self.params -= np.divide(u, t, out=u)
 
 
@@ -318,30 +325,33 @@ def _flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
 
 
-def _gradients(stack: _Stack, x_norm: np.ndarray, y: np.ndarray) -> None:
-    """Batch MSE gradients of every model in the stack, into stack.grads.
+def _gradients(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> None:
+    """Batch MSE gradients of every model in the stack, into stack.grads,
+    for (n, d) normalized inputs x, their (d, n) transpose x_t and (n, 1)
+    labels y.
 
     The ReLU subgradient at exactly 0 is taken as 0.
     """
     n = len(y)
     ws = stack.workspace(n)
-    product = stack.product
-    y_hat = _forward(stack.weights, stack.biases, x_norm, ws.acts, product)
-    activations = [x_norm, *ws.acts]
+    product, grad_w, grad_b = stack.product, stack.grad_w, stack.grad_b
+    y_hat = _forward(stack.weights, stack.biases, x, ws.acts, product)
     # d(mean squared error)/d(logit) through the logistic output:
-    # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time
-    delta = np.subtract(y_hat, y[:, None], out=ws.d)
-    delta *= 2.0
-    delta /= n
+    # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time.
+    # Doubling is exact and so is n / 2, so (y_hat - y) / (n / 2) rounds
+    # the same real quotient as (2 (y_hat - y)) / n.
+    delta = np.subtract(y_hat, y, out=ws.d)
+    delta /= n / 2
     delta *= y_hat
     delta *= np.subtract(1.0, y_hat, out=ws.t)
-    for k in range(len(activations) - 2, -1, -1):
-        product(activations[k].swapaxes(-1, -2), delta, out=stack.grad_w[k])
-        np.add.reduce(delta, axis=-2, keepdims=True, out=stack.grad_b[k])
-        if k > 0:
-            # ReLU'(z) is 1 exactly where ReLU(z) > 0
-            delta = product(delta, stack.weights_t[k], out=ws.deltas[k - 1])
-            delta *= np.greater(activations[k], 0.0, out=ws.masks[k - 1])
+    for k in range(len(ws.acts) - 1, 0, -1):
+        product(ws.acts_t[k - 1], delta, out=grad_w[k])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b[k])
+        # ReLU'(z) is 1 exactly where ReLU(z) > 0
+        delta = product(delta, stack.weights_t[k], out=ws.deltas[k - 1])
+        delta *= np.greater(ws.acts[k - 1], 0.0, out=ws.masks[k - 1])
+    product(x_t, delta, out=grad_w[0])
+    np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b[0])
 
 
 def _check_training_labels(labels: np.ndarray) -> None:
@@ -426,17 +436,22 @@ def train_stack(
     best_epoch = [0] * n_models
     best_params = stack.params.copy()  # row i: model i's best snapshot
 
-    # This epoch's rows in batch order; each step's batch is a slice of them.
-    X_epoch, y_epoch = np.empty_like(Xt), np.empty_like(y_train)
+    # This epoch's rows and (n, 1) labels in batch order; each step's batch
+    # is a fixed set of (x, x transposed, y) views of them, listed once.
+    X_epoch, y_epoch = np.empty_like(Xt), np.empty((len(Xt), 1))
+    b = config.batch_size
+    batches = [
+        (X_epoch[lo : lo + b], X_epoch[lo : lo + b].T, y_epoch[lo : lo + b])
+        for lo in range(0, len(Xt), b)
+    ]
     train_outs, val_outs = _pass_buffers(architecture, len(Xt)), _pass_buffers(architecture, len(Xv))
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(Xt))
         np.take(Xt, order, axis=0, out=X_epoch)
-        np.take(y_train, order, out=y_epoch)
-        for lo in range(0, len(order), config.batch_size):
-            hi = lo + config.batch_size
-            _gradients(stack, X_epoch[lo:hi], y_epoch[lo:hi])
+        np.take(y_train, order, out=y_epoch[:, 0])
+        for x, x_t, y_batch in batches:
+            _gradients(stack, x, x_t, y_batch)
             step += 1
             stack.adam_step(step)
 

@@ -164,7 +164,8 @@ def backprop_gradients(model, inputs, labels):
     lists, from `mlp._gradients` on a stack of this one model."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     stack = mlp._Stack(model.architecture.layer_sizes(), mlp._flatten(model.weights, model.biases)[None], np.zeros(1))
-    mlp._gradients(stack, mlp.normalize(model, inputs), np.asarray(labels, dtype=float))
+    x = mlp.normalize(model, inputs)
+    mlp._gradients(stack, x, x.T, np.asarray(labels, dtype=float)[:, None])
     grad_w, grad_b = mlp._layer_views(stack.grads, stack.sizes)  # (L, ...) whatever the stack's views
     return [g[0] for g in grad_w], [g[0, 0] for g in grad_b]
 
@@ -200,16 +201,35 @@ def _reference_forward(weights, biases, x):
     for k, (w, b) in enumerate(zip(weights, biases)):
         z = activations[-1] @ w + b
         zs.append(z)
-        if k < len(weights) - 1:
-            activations.append(np.maximum(z, 0.0))
-        else:
-            a = np.empty_like(z)
-            pos = z >= 0
-            a[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-            e = np.exp(z[~pos])
-            a[~pos] = e / (1.0 + e)
-            activations.append(a)
+        activations.append(np.maximum(z, 0.0) if k < len(weights) - 1 else reference_sigmoid(z))
     return zs, activations
+
+
+def reference_sigmoid(z):
+    """The logistic function in two branches: 1 / (1 + e^-z) where z >= 0,
+    e^z / (1 + e^z) elsewhere."""
+    a = np.empty_like(z)
+    pos = z >= 0
+    a[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    a[~pos] = e / (1.0 + e)
+    return a
+
+
+def reference_gradients(weights, biases, x, y):
+    """One model's batch-MSE gradients on rows x with 1-D labels y, as
+    (weights, biases) lists: 2-D matmuls, and the output delta doubled
+    before it is divided by the row count."""
+    zs, acts = _reference_forward(weights, biases, x)
+    y_hat = acts[-1][:, 0]
+    delta = (2.0 * (y_hat - y) / len(y) * y_hat * (1.0 - y_hat))[:, None]
+    grads_w, grads_b = [None] * len(zs), [None] * len(zs)
+    for k in range(len(zs) - 1, -1, -1):
+        grads_w[k] = acts[k].T @ delta
+        grads_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ weights[k].T) * (zs[k - 1] > 0.0)
+    return grads_w, grads_b
 
 
 def reference_train(architecture, X, y, config):
@@ -231,15 +251,7 @@ def reference_train(architecture, X, y, config):
         order = rng.permutation(len(Xt))
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            zs, acts = _reference_forward(model.weights, model.biases, Xt[batch])
-            y_hat = acts[-1][:, 0]
-            delta = (2.0 * (y_hat - yt[batch]) / len(batch) * y_hat * (1.0 - y_hat))[:, None]
-            grads_w, grads_b = [None] * len(zs), [None] * len(zs)
-            for k in range(len(zs) - 1, -1, -1):
-                grads_w[k] = acts[k].T @ delta
-                grads_b[k] = delta.sum(axis=0)
-                if k > 0:
-                    delta = (delta @ model.weights[k].T) * (zs[k - 1] > 0.0)
+            grads_w, grads_b = reference_gradients(model.weights, model.biases, Xt[batch], yt[batch])
             step += 1
             corr1, corr2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
             for p, g, (m, v) in zip(params, grads_w + grads_b, moments):

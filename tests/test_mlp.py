@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import re
@@ -16,9 +17,13 @@ from oracles import (
     finite_difference_gradients,
     max_relative_gradient_error,
     min_hidden_preactivation,
+    reference_gradients,
+    reference_sigmoid,
     reference_train,
 )
+from spoofbench import mlp
 from spoofbench.mlp import (
+    ADAM_BETA1,
     GridResult,
     MlpArchitecture,
     MlpModel,
@@ -115,6 +120,19 @@ def test_forward_batch_results_share_no_buffer():
     assert np.array_equal(first, expected)
 
 
+def test_sigmoid_equals_the_two_branch_formula_with_its_sign_bits():
+    """The branch-free sigmoid rounds the quotient each branch rounds, and
+    raises no overflow, division or invalid-value error at any extreme."""
+    magnitudes = [0.0, 5e-324, 1e-310, 1e-20, 1.0, 36.0, 40.0, 700.0, 745.0, 800.0, np.inf]
+    z = np.array([v for m in magnitudes for v in (m, -m)])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        expected = reference_sigmoid(z)
+        got = mlp._sigmoid(z.copy())
+        nan = mlp._sigmoid(np.array([np.nan, -np.nan]))
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.all(np.isnan(nan))
+
+
 # --------------------------------------------------------------- loss/accuracy
 
 
@@ -200,6 +218,26 @@ def test_gradients_match_finite_differences():
         numeric = finite_difference_gradients(model, X, y)
         assert max_relative_gradient_error(analytic, numeric) <= 1e-4
         checked += 1
+
+
+@pytest.mark.parametrize("n_models", [1, 3])
+@pytest.mark.parametrize("lo,hi", [(0, 1), (1792, 1807), (0, 32)])  # 1807 rows: a last batch of 15
+def test_trainer_gradient_equals_the_reference_gradient_bit_for_bit(n_models, lo, hi):
+    """`_gradients` on a batch view of an epoch's rows, as the trainer
+    passes it, against the per-model reference on the same rows."""
+    rng = np.random.default_rng(7)
+    arch = MlpArchitecture(3, 3, 16)  # the wd/3 preset's shape
+    models = [init_model(arch, rng) for _ in range(n_models)]
+    X_epoch, y_epoch = rng.normal(size=(1807, 3)), rng.integers(0, 2, size=(1807, 1)).astype(float)
+    x, y = X_epoch[lo:hi], y_epoch[lo:hi]
+    params = np.stack([mlp._flatten(m.weights, m.biases) for m in models])
+    stack = mlp._Stack(arch.layer_sizes(), params, np.zeros(n_models))
+    mlp._gradients(stack, x, x.T, y)
+    grad_w, grad_b = mlp._layer_views(stack.grads, stack.sizes)
+    for i, model in enumerate(models):
+        ref_w, ref_b = reference_gradients(model.weights, model.biases, x, y[:, 0])
+        assert all(np.array_equal(g[i], r) for g, r in zip(grad_w, ref_w))
+        assert all(np.array_equal(g[i, 0], r) for g, r in zip(grad_b, ref_b))
 
 
 # ---------------------------------------------------------------------- train
@@ -332,6 +370,23 @@ def _same_model(a, b):
 def test_train_equals_the_per_tensor_reference_bit_for_bit(arch, config):
     X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
     model = train(arch, X, y, config)
+    weights, biases, history, best_epoch = reference_train(arch, X, y, config)
+    assert (model.history, model.best_epoch) == (history, best_epoch)
+    assert all(np.array_equal(a, b) for a, b in zip(model.weights + model.biases, weights + biases))
+
+
+def test_train_equals_the_per_tensor_reference_past_adams_last_bias_correction():
+    """From the first step at which 1 - beta1^step rounds to 1.0, the trainer
+    no longer divides by it; the reference divides at every step."""
+    cutoff = next(step for step in itertools.count(1) if 1.0 - ADAM_BETA1**step == 1.0)
+    arch = MlpArchitecture(2, 1, 8)
+    config = TrainConfig(learning_rate=0.001, max_epochs=60, patience=60, batch_size=32, rng_seed=1)
+    X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
+    model = train(arch, X, y, config)
+    train_rows = len(X) - round(config.validation_fraction * len(X))
+    steps_per_epoch = math.ceil(train_rows / config.batch_size)
+    # 480 steps, and the snapshot compared below is the last epoch's
+    assert model.best_epoch * steps_per_epoch > cutoff
     weights, biases, history, best_epoch = reference_train(arch, X, y, config)
     assert (model.history, model.best_epoch) == (history, best_epoch)
     assert all(np.array_equal(a, b) for a, b in zip(model.weights + model.biases, weights + biases))
