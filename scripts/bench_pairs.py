@@ -7,7 +7,10 @@ the host's speed does not favour one side. Each pair's metrics are printed
 as one JSON line as it finishes; the last line is the summary: per metric,
 each side's runs, median and quartiles (``statistics.quantiles(n=4)``),
 and the pairs the change won or tied. Which way is better comes from
-``BENCHMARK.json``.
+``BENCHMARK.json``. An untraced run also reports, from run.py's record,
+its ``raw_wall_s`` (the median iteration's wall time less the pace
+handler's, before pace scaling) and its ``pace_factor`` (the reference
+kernel time over the mean measured one), as run.py prints them.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload headline
            [--seeds 1-10] [--seconds 46] [--trace 0]
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import runpy
 import statistics
 import subprocess
 import sys
@@ -24,12 +28,15 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 SIDES = ("parent", "change")
+# A pace factor is the host's speed, better neither way.
+RAW_METRICS = {"raw_wall_s": ("s", "lower"), "pace_factor": ("ratio", None)}
 
 
-def better_directions(path: Path = BENCHMARK) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", end-to-end and per-layer."""
+def better_directions(path: Path = BENCHMARK) -> dict[str, str | None]:
+    """Metric name -> "lower", "higher" or None, end-to-end, per-layer and raw."""
     doc = json.loads(path.read_text())
-    return {m["name"]: m["better"] for m in doc["end_to_end"] + doc["per_layer"]}
+    directions = {m["name"]: m["better"] for m in doc["end_to_end"] + doc["per_layer"]}
+    return {**directions, **{name: better for name, (_, better) in RAW_METRICS.items()}}
 
 
 def run_order(seed: int) -> tuple[str, str]:
@@ -52,7 +59,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not trace:
+        record = checkout / ".perfbench" / f"result-{workload}-seed{seed}-trace0.json"
+        reference_s = runpy.run_path(str(checkout / "perfbench" / "pace.py"))["REFERENCE_S"]
+        result["metrics"].update(raw_metrics(json.loads(record.read_text()), reference_s))
+    return result
+
+
+def raw_metrics(record: dict, reference_s: float) -> dict:
+    """raw_wall_s and pace_factor of a run's complete iterations, from the
+    record run.py writes, in its result line's metric layout."""
+    iterations = [it for it in record["iterations"] if it["wall_s"] is not None]
+    raw = statistics.median(it["wall_s"] - it["pace"]["handler_s"] for it in iterations)
+    samples = sum(it["pace"]["samples"] for it in iterations)
+    factor = reference_s * samples / sum(it["pace"]["kernel_s"] for it in iterations) if samples else 1.0
+    values = {"raw_wall_s": raw, "pace_factor": factor}
+    return {name: {"value": values[name], "unit": unit} for name, (unit, _) in RAW_METRICS.items()}
 
 
 def _stats(runs: list[float]) -> dict:
@@ -61,7 +84,7 @@ def _stats(runs: list[float]) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "runs": runs}
 
 
-def summarize(pairs: list[tuple[int, dict, dict]], better: dict[str, str]) -> dict:
+def summarize(pairs: list[tuple[int, dict, dict]], better: dict[str, str | None]) -> dict:
     """pairs: (seed, parent result, change result) -> medians, quartiles
     and wins per metric, in BENCH_*.json's end_to_end layout."""
     summary = {
@@ -71,15 +94,16 @@ def summarize(pairs: list[tuple[int, dict, dict]], better: dict[str, str]) -> di
     }
     for name, first in pairs[0][1]["metrics"].items():
         runs = {side: [round(p[1 + k]["metrics"][name]["value"], 6) for p in pairs] for k, side in enumerate(SIDES)}
-        sign = 1 if better[name] == "lower" else -1
-        gaps = [sign * (p - c) for p, c in zip(runs["parent"], runs["change"])]
         summary[name] = {
             "unit": first["unit"],
             "better": better[name],
             **{side: _stats(runs[side]) for side in SIDES},
-            "change_better_pairs": sum(g > 0 for g in gaps),
-            "tied_pairs": sum(g == 0 for g in gaps),
         }
+        if better[name] is not None:
+            sign = 1 if better[name] == "lower" else -1
+            gaps = [sign * (p - c) for p, c in zip(runs["parent"], runs["change"])]
+            summary[name]["change_better_pairs"] = sum(g > 0 for g in gaps)
+            summary[name]["tied_pairs"] = sum(g == 0 for g in gaps)
     return summary
 
 

@@ -64,7 +64,7 @@ def los_probability(heights, d2d) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         far = d1 / d2d + np.exp(-d2d / p1) * (1.0 - d1 / d2d)
     prob = np.where(d2d <= d1, 1.0, far)
-    return np.where(heights > 100.0, 1.0, np.clip(prob, 0.0, 1.0))
+    return np.where(h > 100.0, 1.0, np.clip(prob, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)

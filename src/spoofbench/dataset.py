@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +34,11 @@ SPLITS = ("train", "test")
 # simulation did, against 41.2 MB with 256 and 43.5 MB with 512, which also
 # grew on each repeat. Per-chunk overhead is already negligible at 64 rows.
 CHUNK_ROWS = 64
+
+# The fewest rows worth a process of their own. A forked part also pays for
+# the fork and the wait (about 4 ms) and each split's noise-free links
+# (about 2.5 ms), while 256 wd/3 rows simulate in about 19 ms (2-vCPU Xeon).
+PART_MIN_ROWS = 256
 
 BS_SUBSETS = {1: (1,), 2: (1, 3), 3: (1, 2, 3)}
 
@@ -159,18 +168,132 @@ def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, dests, 
         yield rows, theoretical, check_finite(measured)
 
 
-def iter_delta_chunks(spec: DatasetSpec, split: str):
-    """Yields (rows, deltas) for consecutive chunks of at most CHUNK_ROWS rows.
+def iter_delta_chunks(spec: DatasetSpec, split: str, rows: range | None = None):
+    """Yields (rows, deltas) for consecutive chunks of at most CHUNK_ROWS rows
+    of a split, or of its rows in range rows. rows must start on a chunk
+    boundary, so every chunk is one that the whole split yields.
 
     rows is the chunk's range of row indices, and deltas a (rows, stations,
     samples) array of |measured - theoretical| path loss, stations in
     select_bs_subset order.
     """
     dests, first_seed = row_plan(spec, split)
-    windows = iter_windows(spec.scenario, spec.channel, select_bs_subset(spec.n_bs), dests, first_seed)
-    for rows, theoretical, measured in windows:
+    rows = range(len(dests)) if rows is None else rows
+    if rows.start % CHUNK_ROWS:
+        raise ValueError(f"rows must start on a multiple of {CHUNK_ROWS}, got {rows.start}")
+    bs_ids = select_bs_subset(spec.n_bs)
+    windows = iter_windows(spec.scenario, spec.channel, bs_ids, dests[rows.start : rows.stop], first_seed + rows.start)
+    for chunk, theoretical, measured in windows:
         measured -= theoretical  # in place: |measured - theoretical| without temporaries
-        yield rows, np.abs(measured, out=measured)
+        yield range(rows.start + chunk.start, rows.start + chunk.stop), np.abs(measured, out=measured)
+
+
+def _parts(spec: DatasetSpec, splits) -> list[list[tuple[str, range]]]:
+    """The rows of splits, taken in order, as k contiguous parts of whole
+    chunks, each a list of (split, rows) segments; a chunk starting at row r
+    of the splits joined goes to part r * k // (their rows).
+
+    k is one per usable CPU, with at least PART_MIN_ROWS rows a part. It is
+    one where the usable CPUs are unknown, or where another thread runs,
+    since a fork copies only the calling thread.
+    """
+    sizes = [split_size(spec, split) for split in splits]
+    total = sum(sizes)
+    k = 1
+    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        k = max(1, min(len(os.sched_getaffinity(0)), total // PART_MIN_ROWS))
+    parts: list[list[tuple[str, range]]] = [[] for _ in range(k)]
+    offset = 0
+    for split, size in zip(splits, sizes):
+        for start in range(0, size, CHUNK_ROWS):
+            segments = parts[(offset + start) * k // total]
+            rows = range(start, min(start + CHUNK_ROWS, size))
+            if segments and segments[-1][0] == split:  # the part's segment of this split grows
+                rows = range(segments.pop()[1].start, rows.stop)
+            segments.append((split, rows))
+        offset += size
+    return [part for part in parts if part]
+
+
+def _simulate_part(spec: DatasetSpec, method: str, part) -> list[np.ndarray]:
+    """The feature block of each (split, rows) segment of a part."""
+    return [
+        np.concatenate([features.extract(deltas, method) for _, deltas in iter_delta_chunks(spec, split, rows)])
+        for split, rows in part
+    ]
+
+
+def _fork_part(spec: DatasetSpec, method: str, part):
+    """Simulates a part in a forked child. Returns the child's pid and the
+    read end of a pipe that carries the pickled (True, blocks) or (False,
+    error)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child leaves only through os._exit, so none of the parent's
+        # exit handlers or cleanups (atexit, a test runner's) runs twice.
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, _simulate_part(spec, method, part))
+            except Exception as exc:
+                outcome = (False, exc)
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _join(live: list) -> list[np.ndarray]:
+    """The result of the first forked part in live, once its process has
+    exited and left live; raises the part's error, or RuntimeError if the
+    process sent none."""
+    pid, pipe = live[0]
+    with pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    del live[0]
+    if status != 0:  # the child sets 0 only once it has sent the whole result
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"simulation process {pid} exited with status {code} and sent no result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _simulate_features(spec: DatasetSpec, method: str, splits) -> list[np.ndarray]:
+    """The (rows, width) feature matrix by method of each split in splits.
+
+    The rows are simulated in parts (_parts): the first in this process,
+    every other in a forked child that sends its blocks back through a pipe.
+    Each part runs the chunks that one part would, so neither the bytes nor
+    the error, that of the first failing chunk, depend on the part count.
+    No child outlives the call.
+    """
+    parts = _parts(spec, splits)
+    live: list = []  # (pid, pipe) of every forked part not yet reaped, in part order
+    try:
+        for part in parts[1:]:
+            live.append(_fork_part(spec, method, part))
+        results = [_simulate_part(spec, method, parts[0])]
+        while live:
+            results.append(_join(live))
+    finally:
+        for pid, pipe in live:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    blocks: dict[str, list] = {split: [] for split in splits}
+    for part, result in zip(parts, results):
+        for (split, _), block in zip(part, result):
+            blocks[split].append(block)
+    return [np.concatenate(blocks[split]) for split in splits]
 
 
 def spec_width(spec: DatasetSpec) -> int:
@@ -212,12 +335,10 @@ class LabeledDataset:
 
 
 def generate(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
-    """Simulate and extract the train and test splits of a spec."""
-    splits = []
-    for split in SPLITS:
-        blocks = [features.extract(deltas, spec.method) for _, deltas in iter_delta_chunks(spec, split)]
-        splits.append(LabeledDataset(np.concatenate(blocks), split, spec))
-    return splits[0], splits[1]
+    """Simulate and extract the train and test splits of a spec, on every
+    usable CPU (_simulate_features)."""
+    train, test = _simulate_features(spec, spec.method, SPLITS)
+    return LabeledDataset(train, "train", spec), LabeledDataset(test, "test", spec)
 
 
 def window_means(ds: LabeledDataset) -> np.ndarray:
@@ -229,7 +350,7 @@ def window_means(ds: LabeledDataset) -> np.ndarray:
         return ds.features
     if ds.spec.method == "mvsk":
         return ds.features[:, :: FEATURES_PER_BS["mvsk"]]
-    return np.concatenate([features.extract(deltas, "wd") for _, deltas in iter_delta_chunks(ds.spec, ds.split)])
+    return _simulate_features(ds.spec, "wd", (ds.split,))[0]
 
 
 def _sidecar_path(csv_path: Path) -> Path:

@@ -51,6 +51,16 @@ def test_los_probability_mid_heights():
     assert los_probability(30.0, 5000.0) < 0.5
 
 
+def test_los_probability_takes_lists_as_it_takes_arrays():
+    # Heights on both sides of 100 m and of the 22.5 m clamp; NaN stays NaN.
+    heights, d2d = [50.0, 150.0, 10.0, 100.0, math.nan], [10.0, 500.0, 3000.0, 4000.0, 10.0]
+    from_lists = los_probability(heights, d2d)
+    from_arrays = los_probability(np.array(heights), np.array(d2d))
+    assert from_lists.tobytes() == from_arrays.tobytes()
+    assert from_lists[1] == 1.0 and 0.0 < from_lists[3] < 1.0 and math.isnan(from_lists[4])
+    assert los_probability([50.0, 150.0], [10.0, 500.0]).tolist() == [1.0, 1.0]
+
+
 @settings(max_examples=200)
 @given(
     h=st.floats(min_value=0.1, max_value=300.0),

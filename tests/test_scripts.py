@@ -60,6 +60,33 @@ def test_bench_pairs_summary_counts_wins_by_each_metrics_direction():
     assert (accuracy["change_better_pairs"], accuracy["tied_pairs"]) == (1, 2)
 
 
+def test_bench_pairs_reads_raw_wall_time_and_pace_factor_from_the_record():
+    script = load_script("bench_pairs")
+
+    def iteration(wall_s, samples, kernel_s, handler_s):
+        return {"wall_s": wall_s, "pace": {"samples": samples, "kernel_s": kernel_s, "handler_s": handler_s}}
+
+    record = {"iterations": [iteration(1.0, 10, 0.02, 0.1), iteration(1.3, 20, 0.03, 0.2),
+                             iteration(1.2, 10, 0.01, 0.1), {"wall_s": None, "pace": None}]}
+    raw = script.raw_metrics(record, reference_s=0.0012)
+    assert raw["raw_wall_s"] == {"value": pytest.approx(1.1), "unit": "s"}
+    assert raw["pace_factor"] == {"value": pytest.approx(0.0012 * 40 / 0.06), "unit": "ratio"}
+
+    def with_raw(wall_s, raw_wall_s, factor):
+        result = _result(wall_s, 0.95)
+        result["metrics"].update({"raw_wall_s": {"value": raw_wall_s, "unit": "s"},
+                                  "pace_factor": {"value": factor, "unit": "ratio"}})
+        return result
+
+    pairs = [(1, with_raw(1.0, 1.2, 0.8), with_raw(0.9, 1.1, 0.9)),
+             (2, with_raw(1.0, 1.2, 0.8), with_raw(0.9, 1.3, 1.1))]
+    summary = script.summarize(pairs, script.better_directions())
+    assert (summary["raw_wall_s"]["better"], summary["raw_wall_s"]["change_better_pairs"]) == ("lower", 1)
+    pace = summary["pace_factor"]
+    assert pace["better"] is None and "change_better_pairs" not in pace
+    assert pace["change"]["runs"] == [0.9, 1.1]
+
+
 def test_bench_pairs_runs_the_parent_first_on_odd_seeds(monkeypatch, capsys):
     script = load_script("bench_pairs")
     calls = []
