@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Full hyperparameter search: 6 learning rates x 6 depths x 6 widths = 216
 configurations per (method, station count). Long-running; restrict with
---methods/--n-bs or parallelize with --jobs.
+--methods/--n-bs. tune trains architectures in one process per usable CPU;
+--jobs N caps that at N processes, and the outputs do not depend on it.
 
-Usage: python scripts/run_full_tuning.py --methods wd --n-bs 3 --jobs 4
+Usage: python scripts/run_full_tuning.py --methods wd --n-bs 3 [--jobs N]
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from spoofbench.dataset import BS_SUBSETS
 from spoofbench.features import METHODS
 
 
-def run(seed: int, workdir: Path, methods: list[str], n_bs: list[int], jobs: int) -> None:
+def run(seed: int, workdir: Path, methods: list[str], n_bs: list[int], jobs: int | None) -> None:
     workdir.mkdir(parents=True, exist_ok=True)
     assert cli(["init", "--out", str(workdir), "--seed", str(seed)]) == 0
     spec = str(workdir / "spec.json")
@@ -26,8 +27,8 @@ def run(seed: int, workdir: Path, methods: list[str], n_bs: list[int], jobs: int
             assert cli(["generate", "--spec", spec, "--out", str(data),
                         "--method", method, "--n-bs", str(k)]) == 0
             out = workdir / f"tuned_{method}_{k}bs"
-            assert cli(["tune", str(data), "--out", str(out),
-                        "--jobs", str(jobs), "--seed", str(seed)]) == 0
+            jobs_flag = [] if jobs is None else ["--jobs", str(jobs)]
+            assert cli(["tune", str(data), "--out", str(out), *jobs_flag, "--seed", str(seed)]) == 0
             assert cli(["evaluate", str(data), "--model", str(out / "model.json"),
                         "--out", str(out / "report.json")]) == 0
             print(f"-> {out}/grid_report.csv")
@@ -39,5 +40,5 @@ if __name__ == "__main__":
     ap.add_argument("--workdir", type=Path, default=Path("runs/tuning"))
     ap.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
     ap.add_argument("--n-bs", nargs="+", type=int, choices=tuple(BS_SUBSETS), default=[3, 2, 1])
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=None)
     run(**vars(ap.parse_args()))

@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-grid", default=None, help="comma-separated learning rates")
     p.add_argument("--layers-grid", default=None, help="comma-separated depths")
     p.add_argument("--neurons-grid", default=None, help="comma-separated widths")
-    p.add_argument("--jobs", type=int, default=1, help="architectures trained at once, on threads")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="training processes, at most the usable CPUs (default: all); outputs do not depend on it")
     _train_flags(p)
     p.set_defaults(func=cmd_tune)
 

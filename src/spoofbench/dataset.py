@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import features
+from . import features, forks
 from .channel import ChannelParams, Link, check_finite, measured_windows
 from .configio import ConfigError, at, config_from_dict, config_to_dict, fields, load_json, save_csv, save_json
 from .features import FEATURES_PER_BS, check_method
@@ -191,17 +187,12 @@ def iter_delta_chunks(spec: DatasetSpec, split: str, rows: range | None = None):
 def _parts(spec: DatasetSpec, splits) -> list[list[tuple[str, range]]]:
     """The rows of splits, taken in order, as k contiguous parts of whole
     chunks, each a list of (split, rows) segments; a chunk starting at row r
-    of the splits joined goes to part r * k // (their rows).
-
-    k is one per usable CPU, with at least PART_MIN_ROWS rows a part. It is
-    one where the usable CPUs are unknown, or where another thread runs,
-    since a fork copies only the calling thread.
+    of the splits joined goes to part r * k // (their rows). k is one per
+    usable CPU (forks.workers), with at least PART_MIN_ROWS rows a part.
     """
     sizes = [split_size(spec, split) for split in splits]
     total = sum(sizes)
-    k = 1
-    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        k = max(1, min(len(os.sched_getaffinity(0)), total // PART_MIN_ROWS))
+    k = forks.workers(total // PART_MIN_ROWS)
     parts: list[list[tuple[str, range]]] = [[] for _ in range(k)]
     offset = 0
     for split, size in zip(splits, sizes):
@@ -215,85 +206,22 @@ def _parts(spec: DatasetSpec, splits) -> list[list[tuple[str, range]]]:
     return [part for part in parts if part]
 
 
-def _simulate_part(spec: DatasetSpec, method: str, part) -> list[np.ndarray]:
-    """The feature block of each (split, rows) segment of a part."""
-    return [
-        np.concatenate([features.extract(deltas, method) for _, deltas in iter_delta_chunks(spec, split, rows)])
-        for split, rows in part
-    ]
-
-
-def _fork_part(spec: DatasetSpec, method: str, part):
-    """Simulates a part in a forked child. Returns the child's pid and the
-    read end of a pipe that carries the pickled (True, blocks) or (False,
-    error)."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # The child leaves only through os._exit, so none of the parent's
-        # exit handlers or cleanups (atexit, a test runner's) runs twice.
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, _simulate_part(spec, method, part))
-            except Exception as exc:
-                outcome = (False, exc)
-            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _join(live: list) -> list[np.ndarray]:
-    """The result of the first forked part in live, once its process has
-    exited and left live; raises the part's error, or RuntimeError if the
-    process sent none."""
-    pid, pipe = live[0]
-    with pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    del live[0]
-    if status != 0:  # the child sets 0 only once it has sent the whole result
-        code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(f"simulation process {pid} exited with status {code} and sent no result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
+def _simulate_part(spec: DatasetSpec, method: str, part) -> np.ndarray:
+    """The feature rows of a part's (split, rows) segments, in order."""
+    return np.concatenate([
+        features.extract(deltas, method) for split, rows in part for _, deltas in iter_delta_chunks(spec, split, rows)
+    ])
 
 
 def _simulate_features(spec: DatasetSpec, method: str, splits) -> list[np.ndarray]:
     """The (rows, width) feature matrix by method of each split in splits.
 
-    The rows are simulated in parts (_parts): the first in this process,
-    every other in a forked child that sends its blocks back through a pipe.
+    The rows are simulated in parts (_parts), one process each (fork_map).
     Each part runs the chunks that one part would, so neither the bytes nor
     the error, that of the first failing chunk, depend on the part count.
-    No child outlives the call.
     """
-    parts = _parts(spec, splits)
-    live: list = []  # (pid, pipe) of every forked part not yet reaped, in part order
-    try:
-        for part in parts[1:]:
-            live.append(_fork_part(spec, method, part))
-        results = [_simulate_part(spec, method, parts[0])]
-        while live:
-            results.append(_join(live))
-    finally:
-        for pid, pipe in live:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    blocks: dict[str, list] = {split: [] for split in splits}
-    for part, result in zip(parts, results):
-        for (split, _), block in zip(part, result):
-            blocks[split].append(block)
-    return [np.concatenate(blocks[split]) for split in splits]
+    parts = forks.fork_map(lambda part: _simulate_part(spec, method, part), _parts(spec, splits))
+    return np.split(np.concatenate(parts), np.cumsum([split_size(spec, split) for split in splits])[:-1])
 
 
 def spec_width(spec: DatasetSpec) -> int:

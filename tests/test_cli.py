@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shutil
 import warnings
 
@@ -332,14 +333,20 @@ def test_report_merges_runs_grouped_by_scenario(workdir, data_dir, run_dir):
     assert epochs == sorted(epochs)
 
 
-def test_tune_writes_grid_report(workdir, data_dir):
-    out = workdir / "tuned"
-    assert run("tune", data_dir, "--out", out, "--lr-grid", "0.01,0.005",
-               "--layers-grid", "1", "--neurons-grid", "4", "--epochs", "15",
-               "--seed", "3", "--jobs", "2") == 0
-    lines = (out / "grid_report.csv").read_text().splitlines()
-    assert len(lines) == 3  # header + 2 configurations
+def test_tune_writes_grid_report(monkeypatch, forks, workdir, data_dir):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    outputs = []
+    for jobs in (1, 2, 3):
+        forks.clear()
+        out = workdir / f"tuned_{jobs}"
+        assert run("tune", data_dir, "--out", out, "--lr-grid", "0.01,0.005",
+                   "--layers-grid", "1,2", "--neurons-grid", "3,4", "--epochs", "15",
+                   "--seed", "3", "--jobs", jobs) == 0
+        assert len(forks) == jobs - 1
+        outputs.append([(out / name).read_bytes() for name in ("grid_report.csv", "model.json")])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    lines = (workdir / "tuned_1" / "grid_report.csv").read_text().splitlines()
+    assert len(lines) == 9  # header + 2 rates x 2 depths x 2 widths
     assert lines[0].startswith("method,learning_rate,hidden_layers")
     ranks = sorted(int(line.split(",")[-1]) for line in lines[1:])
-    assert ranks == [1, 2]
-    assert (out / "model.json").exists()
+    assert ranks == list(range(1, 9))

@@ -50,21 +50,6 @@ def refuse_fork(monkeypatch) -> None:
     monkeypatch.setattr(os, "fork", fork)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes forked during the test."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
 @pytest.fixture(autouse=True)
 def no_child_left():
     yield
@@ -161,7 +146,12 @@ def test_a_failing_child_part_raises_its_error_in_the_caller(monkeypatch, forks)
     set_cpus(monkeypatch, 2)  # part 0 is train rows 0-255, part 1 the rest
     with pytest.raises(ValueError) as error:
         generate(spec)
+    assert type(error.value) is ValueError
     assert str(error.value) == message and len(forks) == 1
+    # The pickled error lost its traceback; its cause carries the child's.
+    cause = str(error.value.__cause__)
+    assert cause.startswith(f"in forked process {forks[0]}:")
+    assert "in _mvsk_lanes" in cause and message in cause
 
 
 def test_of_several_failing_parts_the_lowest_one_raises(monkeypatch, forks):
@@ -186,7 +176,7 @@ def test_a_child_that_sends_no_result_is_named_with_its_exit_status(monkeypatch,
 
     monkeypatch.setattr(features, "extract", exit_in_children)
     set_cpus(monkeypatch, 3)
-    with pytest.raises(RuntimeError, match=r"simulation process \d+ exited with status 3 and sent no result"):
+    with pytest.raises(RuntimeError, match=r"forked process \d+ exited with status 3 and sent no result"):
         generate(spec_of("wd"))
     assert len(forks) == 2
 

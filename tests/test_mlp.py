@@ -2,8 +2,10 @@ import copy
 import itertools
 import json
 import math
+import os
 import re
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -418,12 +420,26 @@ def test_train_stack_equals_one_train_per_learning_rate(arch, rows, batch_size):
         assert all(np.array_equal(a, b) for a, b in zip(model.weights + model.biases, weights + biases))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_tune_equals_one_train_per_configuration_bit_for_bit(jobs):
+def three_cpus(monkeypatch) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+
+
+def refuse_fork(monkeypatch) -> None:
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_tune_equals_one_train_per_configuration_bit_for_bit(monkeypatch, forks, jobs):
     X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
     base = TrainConfig(learning_rate=0.01, patience=3, max_epochs=60, rng_seed=2)
     rates, depths, widths = (0.01, 0.05, 0.002), (1, 2), (3, 6)
+    three_cpus(monkeypatch)
+    if jobs == 1:  # the grid trains in this process
+        refuse_fork(monkeypatch)
     result = tune(X, y, base, learning_rates=rates, hidden_layers=depths, neurons=widths, jobs=jobs)
+    assert len(forks) == jobs - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     combos = [(lr, depth, width) for lr in rates for depth in depths for width in widths]
     models = [
         train(MlpArchitecture(2, depth, width), X, y, replace(base, learning_rate=lr))
@@ -444,6 +460,47 @@ def test_tune_equals_one_train_per_configuration_bit_for_bit(jobs):
     winner = order[0]
     assert result.best_index == winner
     assert _same_model(result.best_model, models[winner])
+
+
+@pytest.mark.parametrize("where", ["caller", "child"])
+def test_a_failing_architecture_raises_its_error_and_leaves_no_child(monkeypatch, forks, where):
+    X, y = blobs(n=150, seed=13)
+    base = TrainConfig(learning_rate=0.01, max_epochs=10, rng_seed=1)
+    depths = (1, 2, 3)
+    three_cpus(monkeypatch)
+    groups = mlp._deal([MlpArchitecture(2, depth, 3) for depth in depths], 2)
+    failing = depths[groups[0 if where == "caller" else 1][0]]
+    train_stack = mlp.train_stack
+
+    def fail_one(arch, *args):
+        if arch.hidden_layers == failing:
+            raise ValueError(f"depth {failing} fails")
+        return train_stack(arch, *args)
+
+    monkeypatch.setattr(mlp, "train_stack", fail_one)
+    with pytest.raises(ValueError) as error:
+        tune(X, y, base, learning_rates=(0.01,), hidden_layers=depths, neurons=(3,), jobs=2)
+    assert type(error.value) is ValueError and str(error.value) == f"depth {failing} fails"
+    assert len(forks) == 1
+    # Only a child's error comes with the child's traceback as its cause.
+    assert (error.value.__cause__ is not None) == (where == "child")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_running_thread_keeps_tune_in_one_process(monkeypatch):
+    X, y = blobs(n=150, seed=13)
+    three_cpus(monkeypatch)
+    refuse_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        tune(X, y, TrainConfig(learning_rate=0.01, max_epochs=5), learning_rates=(0.01,),
+             hidden_layers=(1, 2), neurons=(3,), jobs=3)
+    finally:
+        release.set()
+        thread.join()
 
 
 def test_selection_prefers_mse_then_accuracy_then_size():
