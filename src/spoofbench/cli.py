@@ -52,21 +52,21 @@ def cmd_init(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    """Deterministic archive of every scenario's per-station windows."""
+    """Archive every station's windows of the first 2n - 2 rows of the train
+    split, n the scene's destinations: each non-planned one spoofed once."""
     scenario_cfg, channel = load_config(args.config)
-    if args.seed is not None:
-        channel = replace(channel, rng_seed=args.seed)
     bs_ids = [bs.id for bs in scenario_cfg.base_stations]
     destinations = destination_grid(scenario_cfg)
-    dests = dataset.archive_plan(scenario_cfg.n_destinations).tolist()
+    n = scenario_cfg.n_destinations
+    dests, first_seed = dataset.plan_rows(n, channel.rng_seed, "train", 2 * n - 2)
     entries = []
-    for rows, theoretical, measured in dataset.iter_windows(scenario_cfg, channel, bs_ids, dests, 0):
+    for rows, theoretical, measured in dataset.iter_windows(scenario_cfg, channel, bs_ids, dests, first_seed):
         for k, row in zip(rows, measured):
             entries.append(
                 {
                     "index": k,
-                    "label": dests[k] != 0,
-                    "noise_seed": k,
+                    "label": bool(dests[k]),
+                    "noise_seed": first_seed + k,
                     "true_destination": destinations[dests[k]].tolist(),
                     "reported_destination": destinations[0].tolist(),
                     "windows": {
@@ -91,8 +91,7 @@ def cmd_simulate(args) -> int:
 
 def _load_spec(args) -> dataset.DatasetSpec:
     spec = dataset.load_spec(args.spec)
-    channel = spec.channel if args.seed is None else replace(spec.channel, rng_seed=args.seed)
-    return replace(spec, method=args.method or spec.method, n_bs=args.n_bs or spec.n_bs, channel=channel)
+    return replace(spec, method=args.method or spec.method, n_bs=args.n_bs or spec.n_bs)
 
 
 def cmd_generate(args) -> int:
@@ -286,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a scenario + window archive")
     p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--out", required=True, help="archive JSON path")
-    p.add_argument("--seed", type=int, default=None, help="override the rng seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="generate labeled train/test datasets")
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=METHODS, default=None, help="override spec method")
     p.add_argument("--n-bs", type=int, choices=tuple(dataset.BS_SUBSETS), default=None, help="override spec n_bs")
-    p.add_argument("--seed", type=int, default=None, help="override the rng seed")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train one MLP detector")

@@ -110,27 +110,24 @@ def split_size(spec: DatasetSpec, split: str) -> int:
     return spec.train_size if split == "train" else spec.test_size
 
 
-def row_plan(spec: DatasetSpec, split: str) -> tuple[np.ndarray, int]:
-    """Every row's destination in a split, and row 0's noise seed; row k is
-    seeded first_seed + k, and spoofed exactly when its destination is not 0.
+def plan_rows(n_destinations: int, rng_seed: int, split: str, n_rows: int) -> tuple[np.ndarray, int]:
+    """The destinations of a split's first n_rows rows, and row 0's noise
+    seed; row k is seeded first_seed + k, and spoofed exactly when its
+    destination is not 0.
 
     Even rows are spoofed and cycle the non-planned destinations; odd rows
     are legitimate replays. Seeds encode (channel seed, split, row) so the
     two splits can never share a noise stream. They stay Python ints: from
     rng_seed 2**30 on they exceed int64.
     """
-    k = np.arange(split_size(spec, split))
-    dests = np.where(k % 2 == 0, 1 + (k // 2) % (spec.scenario.n_destinations - 1), 0)
-    return dests, (spec.channel.rng_seed * 2 + SPLITS.index(split)) << 32
+    k = np.arange(n_rows)
+    dests = np.where(k % 2 == 0, 1 + (k // 2) % (n_destinations - 1), 0)
+    return dests, (rng_seed * 2 + SPLITS.index(split)) << 32
 
 
-def archive_plan(n_destinations: int) -> np.ndarray:
-    """The destinations of a `simulate` archive's rows, each seeded with its
-    index: one flight per destination (only destination 0, the planned one,
-    is legitimate), then n - 2 legitimate replays, so the classes come out
-    balanced.
-    """
-    return np.concatenate([np.arange(n_destinations), np.zeros(n_destinations - 2, dtype=int)])
+def row_plan(spec: DatasetSpec, split: str) -> tuple[np.ndarray, int]:
+    """Every row's destination in a split of spec, and row 0's noise seed."""
+    return plan_rows(spec.scenario.n_destinations, spec.channel.rng_seed, split, split_size(spec, split))
 
 
 def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, dests, first_seed: int):

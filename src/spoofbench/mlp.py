@@ -186,28 +186,28 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     return _forward(model.weights, model.biases, normalize(model, inputs), outs)[:, 0]
 
 
-def loss_mse(predictions, labels) -> float:
+def _pair(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
+    """predictions and labels as float arrays, checked to pair up."""
     p = np.asarray(predictions, dtype=float)
     y = np.asarray(labels, dtype=float)
     if len(p) == 0 or len(p) != len(y):
         raise ValueError("predictions and labels must be equal-length and non-empty")
+    return p, y
+
+
+def loss_mse(predictions, labels) -> float:
+    p, y = _pair(predictions, labels)
     return float(np.mean((y - p) ** 2))
 
 
 def accuracy(predictions, labels, cut: float = 0.5) -> float:
     """Fraction of correct spoofed/legitimate calls; positive means spoofed."""
-    p = np.asarray(predictions, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if len(p) == 0 or len(p) != len(y):
-        raise ValueError("predictions and labels must be equal-length and non-empty")
+    p, y = _pair(predictions, labels)
     return float(np.mean((p >= cut) == (y >= 0.5)))
 
 
 def confusion_matrix(predictions, labels, cut: float = 0.5) -> dict[str, int]:
-    p = np.asarray(predictions, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if len(p) == 0 or len(p) != len(y):
-        raise ValueError("predictions and labels must be equal-length and non-empty")
+    p, y = _pair(predictions, labels)
     p, y = p >= cut, y >= 0.5
     return {
         "tp": int(np.sum(p & y)),
@@ -562,7 +562,12 @@ def tune(
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     X = np.asarray(inputs, dtype=float)
-    learning_rates = tuple(learning_rates)
+    grid = {"learning rate": tuple(learning_rates), "hidden layers": tuple(hidden_layers), "neurons": tuple(neurons)}
+    learning_rates, hidden_layers, neurons = grid.values()
+    for axis, values in grid.items():
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"the {axis} grid repeats {value!r}")
     archs = [MlpArchitecture(X.shape[1], depth, width) for depth in hidden_layers for width in neurons]
     if not learning_rates or not archs:
         raise ValueError("empty hyperparameter grid")

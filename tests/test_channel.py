@@ -15,7 +15,7 @@ from spoofbench.channel import (
     measured_windows,
     window_states,
 )
-from spoofbench.dataset import DatasetSpec, archive_plan, generate, row_plan
+from spoofbench.dataset import DatasetSpec, generate, plan_rows, row_plan
 from spoofbench.scenario import BaseStation, default_config, destination_grid, flight_positions
 
 PARAMS = ChannelParams(carrier_frequency=2.0, rng_seed=1)
@@ -165,8 +165,11 @@ POSITIONS = flight_positions(CONFIG, DESTINATIONS)
 
 
 def _flights():
-    """The `simulate` archive's flights, as (destination index, noise seed) pairs."""
-    return [(dest, seed) for seed, dest in enumerate(archive_plan(CONFIG.n_destinations).tolist())]
+    """The `simulate` archive's flights, the first 2n - 2 rows of the seed-1
+    train split, as (destination index, noise seed) pairs: even rows spoofed,
+    odd rows legitimate."""
+    dests, first_seed = plan_rows(CONFIG.n_destinations, PARAMS.rng_seed, "train", 2 * CONFIG.n_destinations - 2)
+    return [(dest, first_seed + k) for k, dest in enumerate(dests.tolist())]
 
 
 def sample_window(flight, bs, params, positions=POSITIONS):
@@ -178,7 +181,7 @@ def sample_window(flight, bs, params, positions=POSITIONS):
 
 
 def test_sample_window_length_and_alignment():
-    flight = _flights()[3]
+    flight = _flights()[4]  # row 4 flies to destination 3
     measured, theoretical = sample_window(flight, BS1, QUIET)
     assert measured.shape == theoretical.shape == (100,)
     for k in (0, 1, 50, 99):
@@ -187,12 +190,12 @@ def test_sample_window_length_and_alignment():
 
 
 def test_sample_window_legitimate_zero_noise_is_exact():
-    measured, theoretical = sample_window(_flights()[0], BS1, QUIET)
+    measured, theoretical = sample_window(_flights()[1], BS1, QUIET)
     assert np.array_equal(measured, theoretical)
 
 
 def test_sample_window_spoofed_zero_noise_diverges():
-    measured, theoretical = sample_window(_flights()[1], BS1, QUIET)
+    measured, theoretical = sample_window(_flights()[0], BS1, QUIET)
     assert np.any(measured != theoretical)
 
 
@@ -207,10 +210,10 @@ def test_sample_window_seeded_determinism():
 
 def test_sample_window_streams_differ_across_stations_and_flights():
     s = _flights()
-    m1, t1 = sample_window(s[0], BS1, PARAMS)
-    m2, t2 = sample_window(s[0], BS2, PARAMS)
+    m1, t1 = sample_window(s[1], BS1, PARAMS)
+    m2, t2 = sample_window(s[1], BS2, PARAMS)
     assert np.any(m1 - t1 != m2 - t2)
-    m3, _ = sample_window(s[16], BS1, PARAMS)  # legitimate replica, fresh seed
+    m3, _ = sample_window(s[3], BS1, PARAMS)  # legitimate replica, fresh seed
     assert np.any(m1 != m3)
 
 
@@ -279,7 +282,7 @@ LOW_PASS = np.column_stack([np.arange(2000.0, 2100.0), np.zeros(100), np.full(10
 @pytest.mark.parametrize(
     "channel_seed, noise_seeds",
     [
-        (1, range(40)),  # archive seeds from 0: one word each
+        (1, range(40)),  # seeds from 0: one word each
         (0, range(40)),  # channel seed 0 is the word 0
         (1, range(_first_seed(1, "train"), _first_seed(1, "train") + 40)),  # two words
         (1, range(_first_seed(1, "test"), _first_seed(1, "test") + 40)),

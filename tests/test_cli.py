@@ -1,8 +1,10 @@
 import argparse
 import json
 import os
+import shlex
 import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from spoofbench.baseline import ThresholdDetector
 from spoofbench.channel import ChannelParams
 from spoofbench.cli import _load_spec, _train_config, build_parser, main
 from spoofbench.configio import load_config
-from spoofbench.dataset import DatasetSpec, load_spec, spec_to_dict
+from spoofbench.dataset import DatasetSpec, load_spec, row_plan, spec_to_dict
 from spoofbench.mlp import TrainConfig
 from spoofbench.scenario import default_config
 
@@ -64,8 +66,10 @@ def test_simulate_archive_is_deterministic(workdir):
     archive = json.loads(a.read_text())
     assert archive["base_stations"] == [1, 2, 3]
     assert len(archive["scenarios"]) == 30
-    # Each archive row is seeded with its index.
-    assert [(s["index"], s["noise_seed"]) for s in archive["scenarios"]] == [(k, k) for k in range(30)]
+    # Archive row k is train row k: seeded first_seed + k, spoofed when even.
+    (first_seed,) = {s["noise_seed"] - s["index"] for s in archive["scenarios"]}
+    assert first_seed == row_plan(load_spec(workdir / "spec.json"), "train")[1]
+    assert [(s["index"], s["label"]) for s in archive["scenarios"]] == [(k, k % 2 == 0) for k in range(30)]
     first = archive["scenarios"][0]
     assert len(first["windows"]["1"]["measured_db"]) == 100
 
@@ -73,7 +77,8 @@ def test_simulate_archive_is_deterministic(workdir):
 def test_simulate_seed_changes_archive(workdir):
     a, b = workdir / "a.json", workdir / "b.json"
     assert run("simulate", "--config", workdir / "config.json", "--out", a) == 0
-    assert run("simulate", "--config", workdir / "config.json", "--out", b, "--seed", "99") == 0
+    assert run("init", "--out", workdir / "seed99", "--seed", "99") == 0
+    assert run("simulate", "--config", workdir / "seed99" / "config.json", "--out", b) == 0
     assert a.read_bytes() != b.read_bytes()
 
 
@@ -202,8 +207,8 @@ def test_evaluate_refuses_a_file_that_holds_another_split(workdir, data_dir, run
 # edit here.
 FLAGS = {
     "init": ["--out", "--seed", "--method", "--n-bs", "--train-size", "--test-size"],
-    "simulate": ["--config", "--out", "--seed"],
-    "generate": ["--spec", "--out", "--method", "--n-bs", "--seed"],
+    "simulate": ["--config", "--out"],
+    "generate": ["--spec", "--out", "--method", "--n-bs"],
     "train": ["data_dir", "--out", "--lr", "--layers", "--neurons",
               "--epochs", "--patience", "--batch-size", "--val-fraction", "--seed"],
     "tune": ["data_dir", "--out", "--lr-grid", "--layers-grid", "--neurons-grid", "--jobs",
@@ -225,6 +230,33 @@ def test_every_command_has_exactly_its_pinned_flags():
     assert found == FLAGS
 
 
+def _readme_commands() -> list[str]:
+    """Every `spoofbench ...` line of README.md's code blocks, fenced or indented."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands, fenced = [], False
+    for line in readme.read_text().splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif (fenced or line.startswith("    ")) and line.strip().startswith("spoofbench "):
+            commands.append(line.strip())
+    return commands
+
+
+def test_readme_commands_parse():
+    """A flag removed from the parser but still documented fails here; no
+    command is run."""
+    parser = build_parser()
+    documented = set()
+    for line in _readme_commands():
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        documented.add(argv[0])
+    assert documented == set(FLAGS)
+
+
 def test_commands_without_optional_flags_take_the_library_defaults(tmp_path):
     assert run("init", "--out", tmp_path) == 0
     spec = DatasetSpec(default_config(), ChannelParams(), "wd", 3)
@@ -233,7 +265,6 @@ def test_commands_without_optional_flags_take_the_library_defaults(tmp_path):
     parser = build_parser()
     args = parser.parse_args(["generate", "--spec", str(tmp_path / "spec.json"), "--out", "data"])
     assert _load_spec(args) == spec
-    assert parser.parse_args(["simulate", "--config", "config.json", "--out", "a.json"]).seed is None
     for command in ("train", "tune"):
         args = parser.parse_args([command, "data", "--out", "run"])
         assert _train_config(args, 0.01) == TrainConfig(0.01)
@@ -350,3 +381,18 @@ def test_tune_writes_grid_report(monkeypatch, forks, workdir, data_dir):
     assert lines[0].startswith("method,learning_rate,hidden_layers")
     ranks = sorted(int(line.split(",")[-1]) for line in lines[1:])
     assert ranks == list(range(1, 9))
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--lr-grid", "0.01,1e-2"], "the learning rate grid repeats 0.01"),
+        (["--layers-grid", "1,1"], "the hidden layers grid repeats 1"),
+    ],
+)
+def test_tune_refuses_a_grid_that_repeats_a_value(capsys, workdir, data_dir, grid, message):
+    out = workdir / "tuned"
+    argv = ["--lr-grid", "0.01", "--layers-grid", "1", "--neurons-grid", "4", "--epochs", "3", *grid]
+    assert run("tune", data_dir, "--out", out, *argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -8,12 +8,20 @@ moved some of those cells by a few ulps. They pin the exact bytes of
 train.csv and test.csv for every (method, station count) pair, so a change
 to the simulation, the feature arithmetic or the CSV writer that moves any
 value by even one ulp fails here. Criterion 10 only replays the current code against itself.
+
+The bytes are those of one arithmetic profile: numpy dispatching to its
+AVX-512 paths (AVX512_SPR) and OpenBLAS running its SkylakeX kernel. Other
+dispatch targets and kernels round some log10, exp and matrix products
+differently, so every failure message names the profile of the host it ran
+on.
 """
 
+import ctypes
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spoofbench.channel import ChannelParams
@@ -43,6 +51,27 @@ GOLDEN_CSV_SHA256 = {
 }
 
 
+def _profile_note() -> str:
+    """A failure message naming numpy's highest enabled dispatch target and
+    the OpenBLAS core in use ("unknown" where numpy bundles no scipy-openblas
+    library). Only evaluated when an assertion fails."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    target = (["unknown"] + umath.__cpu_baseline__ + enabled)[-1]
+    return f"golden digest differs on this host (numpy dispatch {target}, OpenBLAS core {core})"
+
+
 @pytest.mark.parametrize("method,n_bs", sorted(GOLDEN_CSV_SHA256))
 def test_seed1_dataset_csvs_match_golden_digests(tmp_path, method, n_bs):
     spec = DatasetSpec(
@@ -56,7 +85,7 @@ def test_seed1_dataset_csvs_match_golden_digests(tmp_path, method, n_bs):
         path = tmp_path / f"{ds.split}.csv"
         save(ds, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-    assert tuple(digests) == GOLDEN_CSV_SHA256[(method, n_bs)]
+    assert tuple(digests) == GOLDEN_CSV_SHA256[(method, n_bs)], _profile_note()
 
 
 def _benchmark_golden(workload):
@@ -76,18 +105,18 @@ def test_benchmark_goldens_pin_the_wd3_csvs_pinned_here():
         assert (entry["seed"], outputs) == (1, GOLDEN_CSV_SHA256[("wd", 3)]), workload
 
 
-# `init --seed 1` writes these two files; `simulate` on that config.json
-# writes the archives, with no --seed (1) and with --seed 7. Re-recorded when
-# the config lost sample_period_s and the spec its second rng_seed; the
-# archives' scenarios are the ones recorded before the scene model moved the
-# seed and carrier frequency onto the channel.
+# `init --seed 1` writes these two files; `simulate` on the config.json of
+# `init` with no --seed (1) and with --seed 7 writes the archives. Re-recorded
+# when the config lost sample_period_s and the spec its second rng_seed. An
+# archive holds the first 30 rows of its seed's train split (2n - 2 for the
+# 16 destinations): each row's windows are those behind that train.csv row.
 GOLDEN_INIT_SHA256 = {
     "config.json": "466a66655c191f39d7e63231cf43df5e4b3dccbe139666134f134b50776eabf1",
     "spec.json": "636a46b3b690701f3d3fee1269df77ed0290a98060530f0c4685eb83c8de0762",
 }
 GOLDEN_ARCHIVE_SHA256 = {
-    None: "a5e02e0c245e19e134dd6d59cc1cebd32085f0f3ab91ff2054ef7a8207d47640",
-    7: "415b16286c19b6dba289b61700d8e991e3c842b4e0767b7e2d8d4fda0ee84e84",
+    None: "35798206ffe2f0ead8f9cd075d373658cb6657a528dfb85ae6c299a6703d4123",
+    7: "d8fb298f2e5de9e514fffc3b0059d150201608fe0f918d6368974e6e4290003e",
 }
 
 
@@ -97,18 +126,15 @@ def _sha256(path):
 
 def test_seed1_init_files_match_golden_digests(tmp_path):
     assert cli(["init", "--out", str(tmp_path), "--seed", "1"]) == 0
-    assert {name: _sha256(tmp_path / name) for name in GOLDEN_INIT_SHA256} == GOLDEN_INIT_SHA256
+    assert {name: _sha256(tmp_path / name) for name in GOLDEN_INIT_SHA256} == GOLDEN_INIT_SHA256, _profile_note()
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_ARCHIVE_SHA256, key=str))
 def test_default_simulate_archive_matches_golden_digest(tmp_path, seed):
-    assert cli(["init", "--out", str(tmp_path), "--seed", "1"]) == 0
+    assert cli(["init", "--out", str(tmp_path)] + ([] if seed is None else ["--seed", str(seed)])) == 0
     archive = tmp_path / "archive.json"
-    argv = ["simulate", "--config", str(tmp_path / "config.json"), "--out", str(archive)]
-    if seed is not None:
-        argv += ["--seed", str(seed)]
-    assert cli(argv) == 0
-    assert _sha256(archive) == GOLDEN_ARCHIVE_SHA256[seed]
+    assert cli(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(archive)]) == 0
+    assert _sha256(archive) == GOLDEN_ARCHIVE_SHA256[seed], _profile_note()
 
 
 # Training goldens, recorded before the trainer went lockstep: the seed-1
@@ -137,14 +163,14 @@ def wd3_data(tmp_path_factory):
 
 def test_seed1_wd3_preset_model_matches_golden_digest(tmp_path, wd3_data):
     assert cli(["train", str(wd3_data), "--out", str(tmp_path), "--seed", "1"]) == 0
-    assert _model_digest(tmp_path / "model.json") == GOLDEN_PRESET_MODEL_SHA256
+    assert _model_digest(tmp_path / "model.json") == GOLDEN_PRESET_MODEL_SHA256, _profile_note()
 
 
 def test_seed1_small_grid_report_matches_golden_digest(tmp_path, wd3_data):
     assert cli(["tune", str(wd3_data), "--out", str(tmp_path), "--seed", "1",
                 "--lr-grid", "0.05,0.001", "--layers-grid", "1,2", "--neurons-grid", "8",
                 "--epochs", "12", "--patience", "2"]) == 0
-    assert _sha256(tmp_path / "grid_report.csv") == GOLDEN_SMALL_GRID_REPORT_SHA256
+    assert _sha256(tmp_path / "grid_report.csv") == GOLDEN_SMALL_GRID_REPORT_SHA256, _profile_note()
 
 
 def test_seed1_wd3_tune_grid_matches_the_benchmark_golden(tmp_path, wd3_data):
@@ -157,5 +183,5 @@ def test_seed1_wd3_tune_grid_matches_the_benchmark_golden(tmp_path, wd3_data):
     assert cli(["tune", str(wd3_data), "--out", str(tmp_path), "--seed", "1",
                 "--layers-grid", "3", "--neurons-grid", "16,32", "--jobs", "1",
                 "--epochs", "43", "--patience", "43"]) == 0
-    assert _sha256(tmp_path / "grid_report.csv") == entry["outputs"]["grid_report_sha256"]
-    assert _model_digest(tmp_path / "model.json") == entry["outputs"]["model_digest"]
+    assert _sha256(tmp_path / "grid_report.csv") == entry["outputs"]["grid_report_sha256"], _profile_note()
+    assert _model_digest(tmp_path / "model.json") == entry["outputs"]["model_digest"], _profile_note()

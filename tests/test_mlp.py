@@ -340,6 +340,22 @@ def test_tune_refuses_fewer_than_one_job(jobs):
         tune(X, y, TrainConfig(learning_rate=0.01, max_epochs=1), neurons=(3,), jobs=jobs)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"learning_rates": (0.01, 0.05, 1e-2)}, "the learning rate grid repeats 0.01"),
+        ({"hidden_layers": (1, 2, 1)}, "the hidden layers grid repeats 1"),
+        ({"neurons": [4, 4]}, "the neurons grid repeats 4"),
+    ],
+)
+def test_tune_refuses_a_grid_that_repeats_a_value(forks, grid, message):
+    X, y = blobs(n=20, seed=13)
+    grid = {"learning_rates": (0.01,), "hidden_layers": (1,), "neurons": (3,), **grid}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tune(X, y, TrainConfig(learning_rate=0.01, max_epochs=1), **grid)
+    assert forks == []  # refused before any training
+
+
 def test_tune_explores_the_whole_grid_and_is_parallel_safe():
     X, y = blobs(n=150, seed=13)
     base = TrainConfig(learning_rate=0.01, max_epochs=10, rng_seed=1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import position_at
 from spoofbench.channel import ChannelParams
-from spoofbench.dataset import DatasetSpec, archive_plan, iter_windows, spec_hash
+from spoofbench.dataset import DatasetSpec, iter_windows, plan_rows, spec_hash
 from spoofbench.scenario import (
     ELEVATION_SPREAD_DEG,
     BaseStation,
@@ -71,31 +71,18 @@ def test_flight_positions_leave_the_start_at_constant_speed():
     assert steps == pytest.approx(np.full(steps.shape, step), rel=1e-9)
 
 
-def test_archive_plan_counts_and_balance():
-    labels = (archive_plan(16) != 0).tolist()
-    # one flight per destination first: 1 legitimate then 15 spoofed
-    assert labels[0] is False
-    assert all(labels[1:16])
-    assert abs(sum(labels) - (len(labels) - sum(labels))) <= 1
-
-
-def test_archive_plan_spoofs_exactly_the_unplanned_destinations():
-    dests = archive_plan(16)
-    assert dests[:16].tolist() == list(range(16))
-    assert not np.any(dests[16:])
-
-
-def test_archive_plan_keeps_the_archive_seed_scheme():
-    # Destination i flies with seed i, then n - 2 replays take n ... 2n - 3:
-    # the seeds every `simulate` archive was written with, one per row index.
-    for n in (2, 4, 16):
-        assert archive_plan(n).tolist() == list(range(n)) + [0] * (n - 2)
+def _archive_plan(cfg):
+    """The destinations of a default-channel `simulate` archive's rows, the
+    first 2n - 2 of the train split, and row 0's noise seed."""
+    return plan_rows(cfg.n_destinations, ChannelParams().rng_seed, "train", 2 * cfg.n_destinations - 2)
 
 
 def test_archive_scenarios_diverge_exactly_when_spoofed():
     cfg = default_config()
     positions = flight_positions(cfg, destination_grid(cfg))
-    for dest in archive_plan(cfg.n_destinations):
+    dests, _ = _archive_plan(cfg)
+    assert sorted(dests[::2].tolist()) == list(range(1, cfg.n_destinations))
+    for dest in dests:
         diverged = np.any(positions[dest] != positions[0], axis=1)
         if dest != 0:
             assert not diverged[0]  # both paths leave the start together
@@ -108,7 +95,7 @@ def test_windows_refuse_a_spoofed_flight_that_never_diverges():
     # A radius this small rounds every destination onto the start.
     cfg = _config(mission_radius=1e-300)
     with pytest.raises(ValueError, match="destination 1 never diverges"):
-        next(iter_windows(cfg, ChannelParams(), [1], archive_plan(cfg.n_destinations), 0))
+        next(iter_windows(cfg, ChannelParams(), [1], *_archive_plan(cfg)))
 
 
 def _config(**overrides):
