@@ -7,13 +7,20 @@ the host's speed does not favour one side. Each pair's metrics are printed
 as one JSON line as it finishes; the last line is the summary: per metric,
 each side's runs, median and quartiles (``statistics.quantiles(n=4)``),
 and the pairs the change won or tied. Which way is better comes from
-``BENCHMARK.json``. An untraced run also reports, from run.py's record,
-its ``raw_wall_s`` (the median iteration's wall time less the pace
-handler's, before pace scaling) and its ``pace_factor`` (the reference
-kernel time over the mean measured one), as run.py prints them.
+``BENCHMARK.json``. Each end-to-end metric also gets its verdict
+``worse_by_more_than_bound``: whether the change's median is worse than the
+parent's by more than the metric's ``BENCHMARK.json`` bound, as a share of
+the parent's median (``perfbench/steadiness.py``'s ``worsening``). With
+``--claim METRIC``, that metric gets ``claim_met``: the change won at least
+nine tenths of the pairs, ties counting for neither, and its median beats
+the parent's by more than the distance between the parent's quartiles.
+An untraced run also reports, from run.py's record, its ``raw_wall_s``
+(the median iteration's wall time less the pace handler's, before pace
+scaling) and its ``pace_factor`` (the reference kernel time over the mean
+measured one), as run.py prints them.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload headline
-           [--seeds 1-10] [--seconds 46] [--trace 0]
+           [--seeds 1-10] [--seconds 46] [--trace 0] [--claim wall_s]
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
+STEADINESS = ROOT / "perfbench" / "steadiness.py"
 SIDES = ("parent", "change")
 # A pace factor is the host's speed, better neither way.
 RAW_METRICS = {"raw_wall_s": ("s", "lower"), "pace_factor": ("ratio", None)}
@@ -37,6 +46,11 @@ def better_directions(path: Path = BENCHMARK) -> dict[str, str | None]:
     doc = json.loads(path.read_text())
     directions = {m["name"]: m["better"] for m in doc["end_to_end"] + doc["per_layer"]}
     return {**directions, **{name: better for name, (_, better) in RAW_METRICS.items()}}
+
+
+def bounds(path: Path = BENCHMARK) -> dict[str, float]:
+    """End-to-end metric name -> the share by which it may worsen."""
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def run_order(seed: int) -> tuple[str, str]:
@@ -84,9 +98,11 @@ def _stats(runs: list[float]) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "runs": runs}
 
 
-def summarize(pairs: list[tuple[int, dict, dict]], better: dict[str, str | None]) -> dict:
-    """pairs: (seed, parent result, change result) -> medians, quartiles
-    and wins per metric, in BENCH_*.json's end_to_end layout."""
+def summarize(pairs: list[tuple[int, dict, dict]], better: dict[str, str | None],
+              bound: dict[str, float], claim: str | None = None) -> dict:
+    """pairs: (seed, parent result, change result) -> medians, quartiles,
+    wins and verdicts per metric, in BENCH_*.json's end_to_end layout."""
+    worsening = runpy.run_path(str(STEADINESS))["worsening"]
     summary = {
         "pairs": len(pairs),
         "seeds": [seed for seed, _, _ in pairs],
@@ -102,8 +118,15 @@ def summarize(pairs: list[tuple[int, dict, dict]], better: dict[str, str | None]
         if better[name] is not None:
             sign = 1 if better[name] == "lower" else -1
             gaps = [sign * (p - c) for p, c in zip(runs["parent"], runs["change"])]
-            summary[name]["change_better_pairs"] = sum(g > 0 for g in gaps)
-            summary[name]["tied_pairs"] = sum(g == 0 for g in gaps)
+            entry = summary[name]
+            entry["change_better_pairs"] = sum(g > 0 for g in gaps)
+            entry["tied_pairs"] = sum(g == 0 for g in gaps)
+            parent, change = entry["parent"], entry["change"]
+            if name in bound:
+                entry["worse_by_more_than_bound"] = worsening(parent["median"], change["median"], better[name]) > bound[name]
+            if name == claim:
+                gap = sign * (parent["median"] - change["median"])
+                entry["claim_met"] = entry["change_better_pairs"] >= 0.9 * len(pairs) and gap > parent["q3"] - parent["q1"]
     return summary
 
 
@@ -115,7 +138,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
     ap.add_argument("--seconds", type=int, default=46)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--claim", metavar="METRIC", help="the metric the change claims to improve")
     args = ap.parse_args(argv)
+    better = better_directions()
+    if args.claim is not None and better.get(args.claim) is None:
+        ap.error(f"--claim {args.claim}: not a metric that is better one way")
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
     for seed in args.seeds:
@@ -123,7 +150,7 @@ def main(argv=None) -> int:
                    for side in run_order(seed)}
         pairs.append((seed, results["parent"], results["change"]))
         print(json.dumps({"seed": seed, "order": run_order(seed), **results}), flush=True)
-    print(json.dumps(summarize(pairs, better_directions())))
+    print(json.dumps(summarize(pairs, better, bounds(), args.claim)))
     return 0
 
 

@@ -163,21 +163,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_grid(text: str | None, default, cast):
+def _parse_grid(text: str | None, default, cast, flag: str):
+    """The comma-separated values of a grid flag, each read by cast; an
+    empty or unreadable cell raises ValueError naming the flag and the
+    cell's 1-based place."""
     if text is None:
         return default
-    values = tuple(cast(v) for v in text.split(",") if v)
-    if not values:
-        raise ValueError("empty grid")
-    return values
+    values = []
+    for i, cell in enumerate(text.split(","), start=1):
+        try:
+            values.append(cast(cell))
+        except ValueError:
+            raise ValueError(f"{flag}: cannot read cell {i} ({cell!r}) as {cast.__name__}") from None
+    return tuple(values)
 
 
 def cmd_tune(args) -> int:
     """Grid-search hyperparameters; write the full grid report and the winner."""
     train_ds = _load_split(args.data_dir, "train")
-    lrs = _parse_grid(args.lr_grid, mlp.GRID_LEARNING_RATES, float)
-    layer_grid = _parse_grid(args.layers_grid, mlp.GRID_HIDDEN_LAYERS, int)
-    neuron_grid = _parse_grid(args.neurons_grid, mlp.GRID_NEURONS, int)
+    lrs = _parse_grid(args.lr_grid, mlp.GRID_LEARNING_RATES, float, "--lr-grid")
+    layer_grid = _parse_grid(args.layers_grid, mlp.GRID_HIDDEN_LAYERS, int, "--layers-grid")
+    neuron_grid = _parse_grid(args.neurons_grid, mlp.GRID_NEURONS, int, "--neurons-grid")
     result = mlp.tune(
         train_ds.features,
         train_ds.labels,

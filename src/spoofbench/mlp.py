@@ -218,30 +218,38 @@ def confusion_matrix(predictions, labels, cut: float = 0.5) -> dict[str, int]:
 
 
 class _Workspace:
-    """What a stack of L models' gradient on an n-row batch writes: every
-    layer's (L, n, fan_out) activation, and for each hidden layer its
-    transposed view, back-propagated delta and ReLU mask; `d` and `t` are
-    the output layer's delta and a temporary of it. A stack of one model
-    drops the L axis."""
+    """What a stack of L models' gradient on an n-row batch writes. The
+    hidden layers' activations, back-propagated deltas and ReLU masks are
+    each one (depth, L, n, width) buffer, so one call covers every hidden
+    layer; `acts`, `deltas` and `masks` are its per-layer (L, n, width)
+    views, `acts` ending with the output layer's (L, n, 1) activation, and
+    `acts_t` the hidden activations transposed. `d` and `t` are the output
+    layer's delta and a temporary of it. A stack of one model drops the L
+    axis."""
 
     def __init__(self, n_models: int, n: int, sizes: list[int]):
         lead = (n_models,) if n_models > 1 else ()
-        self.acts = [np.empty((*lead, n, size)) for size in sizes[1:]]
-        self.acts_t = [a.swapaxes(-1, -2) for a in self.acts[:-1]]
-        self.deltas = [np.empty((*lead, n, size)) for size in sizes[1:-1]]
-        self.masks = [np.empty((*lead, n, size), dtype=bool) for size in sizes[1:-1]]
+        self.hidden = np.empty((len(sizes) - 2, *lead, n, sizes[1]))
+        self.delta = np.empty_like(self.hidden)
+        self.mask = np.empty(self.hidden.shape, dtype=bool)
+        self.acts = [*self.hidden, np.empty((*lead, n, 1))]
+        self.acts_t = [a.swapaxes(-1, -2) for a in self.hidden]
+        self.deltas, self.masks = list(self.delta), list(self.mask)
         self.d, self.t = np.empty((*lead, n, 1)), np.empty((*lead, n, 1))
 
 
 class _Stack:
     """Parameters, gradients and Adam moments of L models of one architecture.
 
-    Each is one flat (L, P) buffer, laid out layer by layer as the weights,
-    then the biases; `weights`, `biases`, `grad_w` and `grad_b` are per-layer
-    (L, fan_in, fan_out) and (L, 1, fan_out) views into them, multiplied
-    with `np.matmul`. A stack of one model, which every `train` is, drops
-    the L axis and multiplies with `np.dot`: on a batch's rows it costs less
-    per call and gives the same bits. The learning rate is (L, P) too:
+    Each is one flat (L, P) buffer, laid out as every layer's weights, then
+    every layer's biases; `weights`, `biases`, `grad_w` and `grad_b` are
+    per-layer (L, fan_in, fan_out) and (L, 1, fan_out) views into them,
+    multiplied with `np.matmul`. The hidden layers' bias gradients are one
+    contiguous block, and `grad_b_hidden` views it as (depth, L, 1, width),
+    the shape of one bias-gradient reduce over the workspace's delta buffer.
+    A stack of one model, which every `train` is, drops the L axis and
+    multiplies with `np.dot`: on a batch's rows it costs less per call and
+    gives the same bits. The learning rate is (L, P) too:
     Adam's multiply by it is then one array by another, which is faster
     than a multiply by an (L, 1) broadcast.
     """
@@ -262,6 +270,9 @@ class _Stack:
             views = [[t[0] for t in layers] for layers in views]
             self.product = np.dot
         self.weights, self.biases, self.grad_w, self.grad_b = views
+        depth, width = len(self.sizes) - 2, self.sizes[1]
+        hidden = self.grads[:, -1 - depth * width : -1].reshape(len(self.grads), depth, 1, width).swapaxes(0, 1)
+        self.grad_b_hidden = hidden[:, 0] if len(self.params) == 1 else hidden
         self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self._temps = (np.empty_like(self.params), np.empty_like(self.params))
         self._workspaces: dict[int, _Workspace] = {}
@@ -309,19 +320,24 @@ class _Stack:
 
 
 def _layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (L, fan_in, fan_out) weight and (L, 1, fan_out) bias views
+    of an (L, P) buffer laid out as `_flatten` lays out each row."""
     rows = len(flat)
     weights, biases = [], []
     lo = 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         weights.append(flat[:, lo : lo + fan_in * fan_out].reshape(rows, fan_in, fan_out))
         lo += fan_in * fan_out
+    for fan_out in sizes[1:]:
         biases.append(flat[:, lo : lo + fan_out].reshape(rows, 1, fan_out))
         lo += fan_out
     return weights, biases
 
 
 def _flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
+    """One model's parameters as every layer's weights, row-major, then
+    every layer's biases: the hidden biases end up side by side."""
+    return np.concatenate([t.ravel() for t in (*weights, *biases)])
 
 
 def _gradients(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> None:
@@ -333,8 +349,10 @@ def _gradients(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> 
     """
     n = len(y)
     ws = stack.workspace(n)
-    product, grad_w, grad_b = stack.product, stack.grad_w, stack.grad_b
+    product, grad_w = stack.product, stack.grad_w
     y_hat = _forward(stack.weights, stack.biases, x, ws.acts, product)
+    # ReLU'(z) is 1 exactly where ReLU(z) > 0, in every hidden layer at once
+    np.greater(ws.hidden, 0.0, out=ws.mask)
     # d(mean squared error)/d(logit) through the logistic output:
     # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time.
     # Doubling is exact and so is n / 2, so (y_hat - y) / (n / 2) rounds
@@ -343,14 +361,15 @@ def _gradients(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> 
     delta /= n / 2
     delta *= y_hat
     delta *= np.subtract(1.0, y_hat, out=ws.t)
+    np.add.reduce(delta, axis=-2, keepdims=True, out=stack.grad_b[-1])
     for k in range(len(ws.acts) - 1, 0, -1):
         product(ws.acts_t[k - 1], delta, out=grad_w[k])
-        np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b[k])
-        # ReLU'(z) is 1 exactly where ReLU(z) > 0
         delta = product(delta, stack.weights_t[k], out=ws.deltas[k - 1])
-        delta *= np.greater(ws.acts[k - 1], 0.0, out=ws.masks[k - 1])
+        delta *= ws.masks[k - 1]
     product(x_t, delta, out=grad_w[0])
-    np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b[0])
+    # every hidden layer's bias gradient: each element sums its n rows in
+    # the order a per-layer reduce would
+    np.add.reduce(ws.delta, axis=-2, keepdims=True, out=stack.grad_b_hidden)
 
 
 def _check_training_labels(labels: np.ndarray) -> None:

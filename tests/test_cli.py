@@ -388,9 +388,14 @@ def test_tune_writes_grid_report(monkeypatch, forks, workdir, data_dir):
     [
         (["--lr-grid", "0.01,1e-2"], "the learning rate grid repeats 0.01"),
         (["--layers-grid", "1,1"], "the hidden layers grid repeats 1"),
+        (["--lr-grid", "0.01,,0.05,"], "--lr-grid: cannot read cell 2 ('') as float"),
+        (["--layers-grid", ",1"], "--layers-grid: cannot read cell 1 ('') as int"),
+        (["--neurons-grid", "4,"], "--neurons-grid: cannot read cell 2 ('') as int"),
+        (["--lr-grid", "0.01,fast"], "--lr-grid: cannot read cell 2 ('fast') as float"),
+        (["--neurons-grid", "4,1.5"], "--neurons-grid: cannot read cell 2 ('1.5') as int"),
     ],
 )
-def test_tune_refuses_a_grid_that_repeats_a_value(capsys, workdir, data_dir, grid, message):
+def test_tune_refuses_a_bad_grid(capsys, workdir, data_dir, grid, message):
     out = workdir / "tuned"
     argv = ["--lr-grid", "0.01", "--layers-grid", "1", "--neurons-grid", "4", "--epochs", "3", *grid]
     assert run("tune", data_dir, "--out", out, *argv) == 1

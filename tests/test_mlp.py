@@ -223,12 +223,14 @@ def test_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("n_models", [1, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])  # depth 1: each merged hidden-layer call covers one layer
+@pytest.mark.parametrize("width", [1, 16, 32])
 @pytest.mark.parametrize("lo,hi", [(0, 1), (1792, 1807), (0, 32)])  # 1807 rows: a last batch of 15
-def test_trainer_gradient_equals_the_reference_gradient_bit_for_bit(n_models, lo, hi):
+def test_trainer_gradient_equals_the_reference_gradient_bit_for_bit(n_models, depth, width, lo, hi):
     """`_gradients` on a batch view of an epoch's rows, as the trainer
     passes it, against the per-model reference on the same rows."""
     rng = np.random.default_rng(7)
-    arch = MlpArchitecture(3, 3, 16)  # the wd/3 preset's shape
+    arch = MlpArchitecture(3, depth, width)  # (3, 3, 16) is the wd/3 preset's shape
     models = [init_model(arch, rng) for _ in range(n_models)]
     X_epoch, y_epoch = rng.normal(size=(1807, 3)), rng.integers(0, 2, size=(1807, 1)).astype(float)
     x, y = X_epoch[lo:hi], y_epoch[lo:hi]
@@ -240,6 +242,38 @@ def test_trainer_gradient_equals_the_reference_gradient_bit_for_bit(n_models, lo
         ref_w, ref_b = reference_gradients(model.weights, model.biases, x, y[:, 0])
         assert all(np.array_equal(g[i], r) for g, r in zip(grad_w, ref_w))
         assert all(np.array_equal(g[i, 0], r) for g, r in zip(grad_b, ref_b))
+
+
+def test_flatten_lays_out_every_layers_weights_then_every_layers_biases():
+    sizes = MlpArchitecture(3, 2, 4).layer_sizes()
+    weights = [100.0 * k + np.arange(a * b).reshape(a, b) for k, (a, b) in enumerate(zip(sizes, sizes[1:]))]
+    biases = [-100.0 * k - np.arange(b) - 1.0 for k, b in enumerate(sizes[1:])]
+    flat = mlp._flatten(weights, biases)
+    assert flat.tolist() == [v for w in weights for v in w.ravel()] + [v for b in biases for v in b]
+    views_w, views_b = mlp._layer_views(np.stack([flat, 2.0 * flat]), sizes)
+    for row, scale in enumerate([1.0, 2.0]):
+        assert all(np.array_equal(v[row], scale * w) for v, w in zip(views_w, weights, strict=True))
+        assert all(np.array_equal(v[row, 0], scale * b) for v, b in zip(views_b, biases, strict=True))
+
+
+@pytest.mark.parametrize("n_models,kept", [(1, [0]), (3, [0, 2]), (3, [1])])
+def test_hidden_bias_gradients_are_one_view_of_the_gradient_buffer(n_models, kept):
+    """Before and after `keep`, the merged (depth, [L,] 1, width) view is the
+    hidden layers' bias-gradient views of `stack.grads`."""
+    arch = MlpArchitecture(3, 3, 16)
+    model = init_model(arch, np.random.default_rng(1))
+    params = np.tile(mlp._flatten(model.weights, model.biases), (n_models, 1))
+    stack = mlp._Stack(arch.layer_sizes(), params, np.full(n_models, 0.01))
+
+    def check(rows):
+        assert stack.grad_b_hidden.shape == (3, *((rows,) if rows > 1 else ()), 1, 16)
+        assert np.shares_memory(stack.grad_b_hidden, stack.grads)
+        stack.grads[:] = np.arange(stack.grads.size).reshape(stack.grads.shape)
+        assert all(np.array_equal(h, b) for h, b in zip(stack.grad_b_hidden, stack.grad_b[:-1], strict=True))
+
+    check(n_models)
+    stack.keep(kept)
+    check(len(kept))
 
 
 # ---------------------------------------------------------------------- train

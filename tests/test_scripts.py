@@ -48,7 +48,7 @@ def test_bench_pairs_summary_counts_wins_by_each_metrics_direction():
         (3, _result(1.1, 0.95), _result(1.1, 0.94)),
         (4, _result(0.9, 0.95), _result(1.0, 0.95, correct=False)),
     ]
-    summary = script.summarize(pairs, script.better_directions())
+    summary = script.summarize(pairs, script.better_directions(), script.bounds())
     assert (summary["pairs"], summary["seeds"], summary["correct"]) == (4, [1, 2, 3, 4], False)
     wall = summary["wall_s"]
     assert (wall["unit"], wall["better"]) == ("s", "lower")
@@ -80,11 +80,42 @@ def test_bench_pairs_reads_raw_wall_time_and_pace_factor_from_the_record():
 
     pairs = [(1, with_raw(1.0, 1.2, 0.8), with_raw(0.9, 1.1, 0.9)),
              (2, with_raw(1.0, 1.2, 0.8), with_raw(0.9, 1.3, 1.1))]
-    summary = script.summarize(pairs, script.better_directions())
+    summary = script.summarize(pairs, script.better_directions(), script.bounds())
     assert (summary["raw_wall_s"]["better"], summary["raw_wall_s"]["change_better_pairs"]) == ("lower", 1)
     pace = summary["pace_factor"]
     assert pace["better"] is None and "change_better_pairs" not in pace
     assert pace["change"]["runs"] == [0.9, 1.1]
+
+
+@pytest.mark.parametrize("change_wall, claim_met", [
+    ([0.9] * 9 + [1.2], True),  # 9 of 10 pairs, median gap 0.1 > quartile spread 0.025
+    ([0.9] * 8 + [1.2] * 2, False),  # 8 of 10 pairs
+    ([0.99] * 10, False),  # 10 of 10, but a gap of 0.01 is inside the parent's spread
+])
+def test_bench_pairs_gives_the_bound_and_claim_verdicts(change_wall, claim_met):
+    script = load_script("bench_pairs")
+    parent_wall = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.02, 0.98, 1.01, 0.99]
+    pairs = [(seed, _result(p, 0.95), _result(c, 0.92)) for seed, p, c in zip(range(1, 11), parent_wall, change_wall)]
+    summary = script.summarize(pairs, script.better_directions(), script.bounds(), claim="wall_s")
+    wall, accuracy = summary["wall_s"], summary["test_accuracy"]
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] == pytest.approx(0.025)
+    assert (wall["claim_met"], wall["worse_by_more_than_bound"]) == (claim_met, False)
+    # 0.95 -> 0.92 is 3.2 % worse, past test_accuracy's bound of 0.03
+    assert accuracy["worse_by_more_than_bound"] is True and "claim_met" not in accuracy
+    pairs = [(seed, _result(1.0, 0.95), _result(1.24, 0.93)) for seed in range(1, 11)]
+    summary = script.summarize(pairs, script.better_directions(), script.bounds())
+    assert not summary["wall_s"]["worse_by_more_than_bound"] and not summary["test_accuracy"]["worse_by_more_than_bound"]
+    assert "claim_met" not in summary["wall_s"]
+    pairs = [(seed, _result(1.0, 0.95), _result(1.26, 0.95)) for seed in range(1, 11)]
+    assert script.summarize(pairs, script.better_directions(), script.bounds())["wall_s"]["worse_by_more_than_bound"]
+
+
+def test_bench_pairs_refuses_a_claim_on_a_metric_without_a_direction(capsys):
+    script = load_script("bench_pairs")
+    for metric in ("pace_factor", "no_such_metric"):
+        with pytest.raises(SystemExit):
+            script.main(["old", "new", "--workload", "headline", "--claim", metric])
+        assert f"--claim {metric}" in capsys.readouterr().err
 
 
 def test_bench_pairs_runs_the_parent_first_on_odd_seeds(monkeypatch, capsys):
