@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Full hyperparameter search: 6 learning rates x 6 depths x 6 widths = 216
 configurations per (method, station count). Long-running; restrict with
---methods/--n-bs. tune trains architectures in one process per usable CPU;
---jobs N caps that at N processes, and the outputs do not depend on it.
+--methods/--n-bs. Each dataset has its own directory: `init --method M
+--n-bs K` writes its spec.json, and `generate` makes the data from it.
+tune trains architectures in one process per usable CPU; --jobs N caps
+that at N processes, and the outputs do not depend on it.
 
 Usage: python scripts/run_full_tuning.py --methods wd --n-bs 3 [--jobs N]
 """
@@ -18,21 +20,19 @@ from spoofbench.features import METHODS
 
 
 def run(seed: int, workdir: Path, methods: list[str], n_bs: list[int], jobs: int | None) -> None:
-    workdir.mkdir(parents=True, exist_ok=True)
-    assert cli(["init", "--out", str(workdir), "--seed", str(seed)]) == 0
-    spec = str(workdir / "spec.json")
+    jobs_flag = [] if jobs is None else ["--jobs", str(jobs)]
     for k in n_bs:
         for method in methods:
-            data = workdir / f"data_{method}_{k}bs"
-            assert cli(["generate", "--spec", spec, "--out", str(data),
+            root = workdir / f"{method}_{k}bs"
+            assert cli(["init", "--out", str(root), "--seed", str(seed),
                         "--method", method, "--n-bs", str(k)]) == 0
-            out = workdir / f"tuned_{method}_{k}bs"
-            jobs_flag = [] if jobs is None else ["--jobs", str(jobs)]
+            data = root / "data"
+            assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(data)]) == 0
+            out = root / "tuned"
             assert cli(["tune", str(data), "--out", str(out), *jobs_flag, "--seed", str(seed)]) == 0
             assert cli(["evaluate", str(data), "--model", str(out / "model.json"),
                         "--out", str(out / "report.json")]) == 0
             print(f"-> {out}/grid_report.csv")
-
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()

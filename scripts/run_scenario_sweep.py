@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Train all nine (feature method, station count) detectors at the shipped
 reference settings and merge their training curves into one report CSV.
+Each dataset has its own directory: `init --method M --n-bs K` writes its
+spec.json, and `generate` makes the data from it.
 
 Usage: python scripts/run_scenario_sweep.py [--seed 1] [--workdir runs/sweep]
 """
@@ -16,23 +18,20 @@ from spoofbench.features import METHODS
 
 
 def run(seed: int, workdir: Path) -> None:
-    workdir.mkdir(parents=True, exist_ok=True)
-    assert cli(["init", "--out", str(workdir), "--seed", str(seed)]) == 0
-    spec = str(workdir / "spec.json")
     run_dirs = []
     results = {}
     for n_bs in (3, 2, 1):
-        data = workdir / f"data_{n_bs}bs"
         for method in METHODS:
-            assert cli(["generate", "--spec", spec, "--out", str(data / method),
+            root = workdir / f"{method}_{n_bs}bs"
+            assert cli(["init", "--out", str(root), "--seed", str(seed),
                         "--method", method, "--n-bs", str(n_bs)]) == 0
-            run_dir = workdir / f"run_{method}_{n_bs}bs"
+            data = root / "data"
+            assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(data)]) == 0
+            run_dir = root / "run"
             # `train` reads this scenario's reference settings from the presets.
-            assert cli(["train", str(data / method), "--out", str(run_dir),
-                        "--seed", str(seed)]) == 0
+            assert cli(["train", str(data), "--out", str(run_dir), "--seed", str(seed)]) == 0
             report = run_dir / "report.json"
-            assert cli(["evaluate", str(data / method),
-                        "--model", str(run_dir / "model.json"),
+            assert cli(["evaluate", str(data), "--model", str(run_dir / "model.json"),
                         "--out", str(report)]) == 0
             results[(method, n_bs)] = json.loads(report.read_text())["test_accuracy"]
             run_dirs.append(str(run_dir))
@@ -43,7 +42,6 @@ def run(seed: int, workdir: Path) -> None:
     for n_bs in (3, 2, 1):
         print(f"{n_bs} BS    " + "".join(f"{results[(m, n_bs)]:8.4f}" for m in METHODS))
     print(f"\ncurves: {workdir / 'curves.csv'}")
-
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import asdict, astuple, replace
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import baseline, dataset, mlp
@@ -89,14 +89,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_spec(args) -> dataset.DatasetSpec:
-    spec = dataset.load_spec(args.spec)
-    return replace(spec, method=args.method or spec.method, n_bs=args.n_bs or spec.n_bs)
-
-
 def cmd_generate(args) -> int:
     """Wrap dataset.generate: write train/test CSVs plus spec sidecars."""
-    spec = _load_spec(args)
+    spec = dataset.load_spec(args.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_ds, test_ds = dataset.generate(spec)
@@ -126,8 +121,6 @@ def _train_flags(p) -> None:
     """The training flags `train` and `tune` share; _train_config reads them."""
     p.add_argument("--epochs", type=int, default=mlp.TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=mlp.TrainConfig.patience)
-    p.add_argument("--batch-size", type=int, default=mlp.TrainConfig.batch_size)
-    p.add_argument("--val-fraction", type=float, default=mlp.TrainConfig.validation_fraction)
     p.add_argument("--seed", type=int, default=mlp.TrainConfig.rng_seed)
 
 
@@ -136,8 +129,6 @@ def _train_config(args, learning_rate: float) -> mlp.TrainConfig:
         learning_rate=learning_rate,
         max_epochs=args.epochs,
         patience=args.patience,
-        batch_size=args.batch_size,
-        validation_fraction=args.val_fraction,
         rng_seed=args.seed,
     )
 
@@ -226,15 +217,16 @@ def _confusion_report(predictions, labels, started: float, spec_hash_: str, dete
 
 
 def cmd_evaluate(args) -> int:
-    """Score an MLP model file or the threshold baseline on a dataset split."""
+    """Score an MLP model file or the threshold baseline on a dataset's test split."""
     started = time.perf_counter()
-    ds = _load_split(args.data_dir, args.split)
+    ds = _load_split(args.data_dir, "test")
     labels = ds.labels
     if args.model:
         model, meta = mlp.load_model(args.model)
-        if meta["method"] != ds.spec.method:
+        if (meta["method"], meta["n_bs"]) != (ds.spec.method, ds.spec.n_bs):
             raise ValueError(
-                f"model was trained on {meta['method']!r} features, dataset is {ds.spec.method!r}"
+                f"model was trained on {meta['method']!r} features of {meta['n_bs']} stations, "
+                f"dataset is {ds.spec.method!r} of {ds.spec.n_bs}"
             )
         predictions = mlp.forward_batch(model, ds.features)
         detector = {
@@ -247,27 +239,33 @@ def cmd_evaluate(args) -> int:
     else:
         det = baseline.ThresholdDetector(args.t, args.aggregation)
         predictions = baseline.decide(det, dataset.window_means(ds)).astype(float)
-        # JSON has no infinity; an infinite threshold is recorded as "inf".
-        threshold_db = "inf" if args.t == float("inf") else args.t
+        # JSON has no infinity; an infinite threshold is recorded as "inf",
+        # and -0.0 as 0.0, as configio writes it: one threshold, one report.
+        threshold_db = "inf" if args.t == float("inf") else args.t + 0.0
         detector = {"kind": "threshold", "threshold_db": threshold_db, "aggregation": args.aggregation}
     report = _confusion_report(predictions, labels, started, ds.provenance, detector)
     save_json(args.out, report)
     print(
         f"wrote {args.out}: accuracy {report['test_accuracy']:.4f}, "
-        f"mse {report['test_mse']:.5f} on {len(labels)} {args.split} rows"
+        f"mse {report['test_mse']:.5f} on {len(labels)} test rows"
     )
     return 0
 
 
 def cmd_report(args) -> int:
-    """Merge run histories into one scenario,method,epoch,accuracy,mse CSV."""
+    """Merge run histories into one scenario,method,run,epoch,accuracy,mse
+    CSV, run being the run directory as given."""
     rows = []
     for run_dir in args.run_dirs:
+        if any(c in run_dir for c in ",\n\r"):
+            raise ValueError(f"run directory {run_dir!r}: a CSV cell cannot hold a comma or a line break")
         model, meta = mlp.load_model(Path(run_dir) / "model.json")
         for s in model.history:
-            rows.append((f"{meta['n_bs']}bs", meta["method"], s.epoch, s.val_accuracy, s.val_mse))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    save_csv(args.out, ["scenario", "method", "epoch", "accuracy", "mse"], rows)
+            rows.append((f"{meta['n_bs']}bs", meta["method"], run_dir, s.epoch, s.val_accuracy, s.val_mse))
+    # A stable sort: a scenario and method's runs keep the order they were
+    # given in, and a history holds its epochs in order.
+    rows.sort(key=lambda r: r[:2])
+    save_csv(args.out, ["scenario", "method", "run", "epoch", "accuracy", "mse"], rows)
     print(f"wrote {args.out}: {len(rows)} rows from {len(args.run_dirs)} runs")
     return 0
 
@@ -296,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate labeled train/test datasets")
     p.add_argument("--spec", required=True, help="dataset spec file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--method", choices=METHODS, default=None, help="override spec method")
-    p.add_argument("--n-bs", type=int, choices=tuple(dataset.BS_SUBSETS), default=None, help="override spec n_bs")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train one MLP detector")
@@ -320,13 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     _train_flags(p)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("evaluate", help="score a model or the threshold baseline")
+    p = sub.add_parser("evaluate", help="score a model or the threshold baseline on test.csv")
     p.add_argument("data_dir")
     p.add_argument("--model", default=None, help="model.json from `train`/`tune`")
     p.add_argument("--detector", choices=("threshold",), default=None)
     p.add_argument("--t", type=float, default=1.0, help="threshold in dB")
     p.add_argument("--aggregation", choices=baseline.AGGREGATIONS, default="mean-delta")
-    p.add_argument("--split", choices=dataset.SPLITS, default="test")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)
 

@@ -13,10 +13,11 @@ from spoofbench.dataset import BS_SUBSETS, load, select_bs_subset
 from spoofbench.features import METHODS, extract
 
 
-def _init(workdir, seed, start_height):
-    """`init` at seed with 40/2 rows; the scene starts at start_height with
-    sampled LoS unless start_height is None."""
-    assert cli(["init", "--out", str(workdir), "--seed", str(seed), "--train-size", "40", "--test-size", "2"]) == 0
+def _init(workdir, seed, start_height, method="wd", n_bs=3):
+    """`init` of method and n_bs at seed with 40/2 rows; the scene starts at
+    start_height with sampled LoS unless start_height is None."""
+    assert cli(["init", "--out", str(workdir), "--seed", str(seed), "--method", method, "--n-bs", str(n_bs),
+                "--train-size", "40", "--test-size", "2"]) == 0
     if start_height is None:
         return
     for name in ("config.json", "spec.json"):
@@ -38,10 +39,10 @@ def test_archive_rows_are_the_first_train_rows(tmp_path, seed, start_height):
     assert len(scenarios) == 2 * 16 - 2
     for method in METHODS:
         for n_bs in BS_SUBSETS:
-            out = tmp_path / f"{method}{n_bs}"
-            assert cli(["generate", "--spec", str(tmp_path / "spec.json"), "--out", str(out),
-                        "--method", method, "--n-bs", str(n_bs)]) == 0
-            train = load(out / "train.csv")
+            root = tmp_path / f"{method}{n_bs}"
+            _init(root, seed, start_height, method, n_bs)
+            assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
+            train = load(root / "data" / "train.csv")
             windows = [[s["windows"][str(i)] for i in select_bs_subset(n_bs)] for s in scenarios]
             deltas = np.abs([[np.subtract(w["measured_db"], w["theoretical_db"]) for w in row] for row in windows])
             assert extract(deltas, method).tobytes() == train.features[: len(scenarios)].tobytes(), (method, n_bs)

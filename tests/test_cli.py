@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from spoofbench.baseline import ThresholdDetector
+from spoofbench.baseline import ThresholdDetector, decide
 from spoofbench.channel import ChannelParams
-from spoofbench.cli import _load_spec, _train_config, build_parser, main
+from spoofbench.cli import _train_config, build_parser, main
 from spoofbench.configio import load_config
-from spoofbench.dataset import DatasetSpec, load_spec, row_plan, spec_to_dict
-from spoofbench.mlp import TrainConfig
+from spoofbench.dataset import DatasetSpec, load, load_spec, row_plan, spec_to_dict
+from spoofbench.mlp import TrainConfig, confusion_matrix
 from spoofbench.scenario import default_config
 
 SMALL = ["--train-size", "40", "--test-size", "20"]
@@ -29,18 +29,26 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _init(out, method, n_bs):
+    """`init` of the test scene, seed 3 at 40/20 rows, for method and n_bs."""
+    assert run("init", "--out", out, "--method", method, "--n-bs", n_bs, "--seed", "3", *SMALL) == 0
+    return out
+
+
+def _generate(root):
+    """`generate` from root's spec.json into root/data."""
+    assert run("generate", "--spec", root / "spec.json", "--out", root / "data") == 0
+    return root / "data"
+
+
 @pytest.fixture()
 def workdir(tmp_path):
-    assert run("init", "--out", tmp_path, "--method", "wd", "--n-bs", "3",
-               "--seed", "3", *SMALL) == 0
-    return tmp_path
+    return _init(tmp_path, "wd", 3)
 
 
 @pytest.fixture()
 def data_dir(workdir):
-    out = workdir / "data"
-    assert run("generate", "--spec", workdir / "spec.json", "--out", out) == 0
-    return out
+    return _generate(workdir)
 
 
 @pytest.fixture()
@@ -117,11 +125,11 @@ def test_generate_writes_datasets(data_dir):
     assert len((data_dir / "train.csv").read_text().splitlines()) == 41
 
 
-def test_generate_overrides_method_and_stations(workdir):
-    out = workdir / "data_box1"
-    assert run("generate", "--spec", workdir / "spec.json", "--out", out,
-               "--method", "box", "--n-bs", "1") == 0
-    header = (out / "train.csv").read_text().splitlines()[0]
+def test_init_sets_the_method_and_stations_of_the_generated_data(tmp_path):
+    root = _init(tmp_path, "box", 1)
+    spec = json.loads((root / "spec.json").read_text())
+    assert (spec["method"], spec["n_bs"]) == ("box", 1)
+    header = (_generate(root) / "train.csv").read_text().splitlines()[0]
     assert header == "label,f1,f2,f3,f4,f5"
 
 
@@ -161,14 +169,14 @@ def test_evaluate_refuses_an_edited_label(workdir, data_dir, capsys):
     assert not (workdir / "thr.json").exists()
 
 
-def test_generate_names_mvsk_when_its_moments_overflow(workdir, capsys):
+def test_generate_names_mvsk_when_its_moments_overflow(tmp_path, capsys):
+    workdir = _init(tmp_path, "mvsk", 1)
     spec = json.loads((workdir / "spec.json").read_text())
     spec["scenario"]["meas_noise_sigma_db"] = 1e120
     (workdir / "spec.json").write_text(json.dumps(spec))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # numpy prints none of its own
-        code = run("generate", "--spec", workdir / "spec.json", "--out", workdir / "data",
-                   "--method", "mvsk", "--n-bs", "1")
+        code = run("generate", "--spec", workdir / "spec.json", "--out", workdir / "data")
     assert code == 1
     assert capsys.readouterr().err.startswith("error: mvsk skewness and kurtosis overflow")
 
@@ -198,7 +206,7 @@ def test_evaluate_refuses_a_file_that_holds_another_split(workdir, data_dir, run
         shutil.copyfile(data_dir / f"train{suffix}", data_dir / f"test{suffix}")
     out = workdir / "r.json"
     chosen = ["--model", run_dir / "model.json"] if detector == "model" else ["--detector", "threshold"]
-    assert run("evaluate", data_dir, *chosen, "--split", "test", "--out", out) == 1
+    assert run("evaluate", data_dir, *chosen, "--out", out) == 1
     assert f"{data_dir / 'test.csv'} holds the train split, not the test split" in capsys.readouterr().err
     assert not out.exists()
 
@@ -208,12 +216,11 @@ def test_evaluate_refuses_a_file_that_holds_another_split(workdir, data_dir, run
 FLAGS = {
     "init": ["--out", "--seed", "--method", "--n-bs", "--train-size", "--test-size"],
     "simulate": ["--config", "--out"],
-    "generate": ["--spec", "--out", "--method", "--n-bs"],
-    "train": ["data_dir", "--out", "--lr", "--layers", "--neurons",
-              "--epochs", "--patience", "--batch-size", "--val-fraction", "--seed"],
+    "generate": ["--spec", "--out"],
+    "train": ["data_dir", "--out", "--lr", "--layers", "--neurons", "--epochs", "--patience", "--seed"],
     "tune": ["data_dir", "--out", "--lr-grid", "--layers-grid", "--neurons-grid", "--jobs",
-             "--epochs", "--patience", "--batch-size", "--val-fraction", "--seed"],
-    "evaluate": ["data_dir", "--model", "--detector", "--t", "--aggregation", "--split", "--out"],
+             "--epochs", "--patience", "--seed"],
+    "evaluate": ["data_dir", "--model", "--detector", "--t", "--aggregation", "--out"],
     "report": ["run_dirs", "--out"],
 }
 
@@ -263,13 +270,11 @@ def test_commands_without_optional_flags_take_the_library_defaults(tmp_path):
     assert load_spec(tmp_path / "spec.json") == spec
     assert load_config(tmp_path / "config.json") == (spec.scenario, spec.channel)
     parser = build_parser()
-    args = parser.parse_args(["generate", "--spec", str(tmp_path / "spec.json"), "--out", "data"])
-    assert _load_spec(args) == spec
     for command in ("train", "tune"):
         args = parser.parse_args([command, "data", "--out", "run"])
         assert _train_config(args, 0.01) == TrainConfig(0.01)
     args = parser.parse_args(["evaluate", "data", "--out", "report.json"])
-    assert (args.split, args.aggregation) == ("test", ThresholdDetector.aggregation)
+    assert args.aggregation == ThresholdDetector.aggregation
 
 
 def test_train_is_byte_deterministic(workdir, data_dir):
@@ -320,6 +325,32 @@ def test_evaluate_threshold_detector(workdir, data_dir):
     assert sum(counts.values()) == 20
 
 
+def test_evaluate_records_a_negative_zero_threshold_as_zero(workdir, data_dir):
+    reports = []
+    for t in ("-0", "0"):
+        out = workdir / f"thr{t}.json"
+        assert run("evaluate", data_dir, "--detector", "threshold", "--t", t, "--out", out) == 0
+        report = json.loads(out.read_text())
+        report.pop("wall_clock_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert repr(reports[0]["detector"]["threshold_db"]) == "0.0"
+
+
+def test_evaluate_threshold_majority_vote_on_a_box_split(tmp_path, data_dir):
+    """A box split holds no window means, so they are re-simulated: the
+    verdicts are the ones the wd/3 rows of the same scene give."""
+    box = _generate(_init(tmp_path / "box", "box", 3))
+    out = tmp_path / "thr.json"
+    assert run("evaluate", box, "--detector", "threshold", "--t", "1.45",
+               "--aggregation", "majority-vote", "--out", out) == 0
+    wd = load(data_dir / "test.csv")
+    verdicts = decide(ThresholdDetector(1.45, "majority-vote"), wd.features)
+    expected = confusion_matrix(verdicts.astype(float), wd.labels)
+    assert json.loads(out.read_text())["confusion"] == expected
+    assert 0 < expected["tp"] + expected["fp"] < 20  # both verdicts occur
+
+
 def test_evaluate_threshold_scores_the_rows_in_the_file(workdir, data_dir):
     csv = data_dir / "test.csv"
     header, *rows = csv.read_text().splitlines()
@@ -333,12 +364,14 @@ def test_evaluate_threshold_scores_the_rows_in_the_file(workdir, data_dir):
 
 
 def test_evaluate_refuses_a_model_trained_on_another_feature_method(workdir, run_dir, capsys):
-    mvsk = workdir / "data_mvsk"
-    assert run("generate", "--spec", workdir / "spec.json", "--out", mvsk, "--method", "mvsk") == 0
-    capsys.readouterr()
-    assert run("evaluate", mvsk, "--model", run_dir / "model.json", "--out", workdir / "r.json") == 1
-    assert "model was trained on 'wd' features" in capsys.readouterr().err
-    assert not (workdir / "r.json").exists()
+    for method, n_bs in (("mvsk", 3), ("wd", 1)):
+        other = _generate(_init(workdir / f"{method}{n_bs}", method, n_bs))
+        capsys.readouterr()
+        assert run("evaluate", other, "--model", run_dir / "model.json", "--out", workdir / "r.json") == 1
+        err = capsys.readouterr().err
+        assert "model was trained on 'wd' features" in err
+        assert f"of 3 stations, dataset is '{method}' of {n_bs}" in err
+        assert not (workdir / "r.json").exists()
 
 
 def test_evaluate_requires_exactly_one_detector(data_dir, tmp_path):
@@ -355,13 +388,27 @@ def test_evaluate_missing_model_fails(data_dir, tmp_path):
 
 def test_report_merges_runs_grouped_by_scenario(workdir, data_dir, run_dir):
     out = workdir / "curves.csv"
-    assert run("report", run_dir, run_dir, "--out", out) == 0
+    copy = workdir / "a_run"  # sorts before run_dir, but is given after it
+    shutil.copytree(run_dir, copy)
+    assert run("report", run_dir, copy, run_dir, "--out", out) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "scenario,method,epoch,accuracy,mse"
+    assert lines[0] == "scenario,method,run,epoch,accuracy,mse"
     rows = [line.split(",") for line in lines[1:]]
-    assert all(r[0] == "3bs" and r[1] == "wd" for r in rows)
-    epochs = [int(r[2]) for r in rows]
-    assert epochs == sorted(epochs)
+    assert all(r[:2] == ["3bs", "wd"] for r in rows)
+    # The runs in the order given, each run's epochs in order.
+    epochs = range(1, len(json.loads((run_dir / "model.json").read_text())["history"]) + 1)
+    expected = [(str(d), e) for d in (run_dir, copy, run_dir) for e in epochs]
+    assert [(r[2], int(r[3])) for r in rows] == expected
+
+
+def test_report_refuses_a_run_directory_its_csv_cannot_hold(tmp_path, run_dir, capsys):
+    named = tmp_path / "wd,3"
+    shutil.copytree(run_dir, named)
+    out = tmp_path / "curves.csv"
+    assert run("report", run_dir, named, "--out", out) == 1
+    message = f"run directory {str(named)!r}: a CSV cell cannot hold a comma or a line break"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_tune_writes_grid_report(monkeypatch, forks, workdir, data_dir):

@@ -155,9 +155,8 @@ def _model_digest(path):
 @pytest.fixture(scope="module")
 def wd3_data(tmp_path_factory):
     root = tmp_path_factory.mktemp("wd3")
-    assert cli(["init", "--out", str(root), "--seed", "1"]) == 0
-    assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data"),
-                "--method", "wd", "--n-bs", "3"]) == 0
+    assert cli(["init", "--out", str(root), "--seed", "1", "--method", "wd", "--n-bs", "3"]) == 0
+    assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
     return root / "data"
 
 
