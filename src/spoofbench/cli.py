@@ -23,8 +23,9 @@ from .presets import BEST_SETTINGS
 from .scenario import default_config, destination_grid
 
 ARCHIVE_FORMAT = "spoofbench-archive"
+ARCHIVE_FORMAT_VERSION = 2
 REPORT_FORMAT = "spoofbench-report"
-FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 1
 
 
 def _sha256(path) -> str:
@@ -33,19 +34,17 @@ def _sha256(path) -> str:
 
 def cmd_init(args) -> int:
     """Write the default scenario config and dataset spec to a directory."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    scenario = default_config()
-    channel = ChannelParams(rng_seed=args.seed)
-    save_config(out / "config.json", scenario, channel)
     spec = dataset.DatasetSpec(
-        scenario=scenario,
-        channel=channel,
+        scenario=default_config(),
+        channel=ChannelParams(rng_seed=args.seed),
         method=args.method,
         n_bs=args.n_bs,
         train_size=args.train_size,
         test_size=args.test_size,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(out / "config.json", spec.scenario, spec.channel)
     save_json(out / "spec.json", dataset.spec_to_dict(spec))
     print(f"wrote {out / 'config.json'} and {out / 'spec.json'}")
     return 0
@@ -53,7 +52,11 @@ def cmd_init(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Archive every station's windows of the first 2n - 2 rows of the train
-    split, n the scene's destinations: each non-planned one spoofed once."""
+    split, n the scene's destinations: each non-planned one spoofed once.
+    Every row reports the planned flight, so the reported destination and
+    each station's path loss along it (iter_windows' one theoretical array)
+    are written once; a row's label and noise seed follow from its true
+    destination and index."""
     scenario_cfg, channel = load_config(args.config)
     bs_ids = [bs.id for bs in scenario_cfg.base_stations]
     destinations = destination_grid(scenario_cfg)
@@ -65,23 +68,19 @@ def cmd_simulate(args) -> int:
             entries.append(
                 {
                     "index": k,
-                    "label": bool(dests[k]),
-                    "noise_seed": first_seed + k,
                     "true_destination": destinations[dests[k]].tolist(),
-                    "reported_destination": destinations[0].tolist(),
-                    "windows": {
-                        str(bs_id): {"measured_db": m.tolist(), "theoretical_db": t.tolist()}
-                        for bs_id, m, t in zip(bs_ids, row, theoretical)
-                    },
+                    "measured_db": {str(bs_id): m.tolist() for bs_id, m in zip(bs_ids, row)},
                 }
             )
     save_json(
         args.out,
         {
             "format": ARCHIVE_FORMAT,
-            "format_version": FORMAT_VERSION,
+            "format_version": ARCHIVE_FORMAT_VERSION,
             "config": config_to_dict(scenario_cfg, channel),
             "base_stations": bs_ids,
+            "reported_destination": destinations[0].tolist(),
+            "theoretical_db": {str(bs_id): t.tolist() for bs_id, t in zip(bs_ids, theoretical)},
             "scenarios": entries,
         },
     )
@@ -92,9 +91,9 @@ def cmd_simulate(args) -> int:
 def cmd_generate(args) -> int:
     """Wrap dataset.generate: write train/test CSVs plus spec sidecars."""
     spec = dataset.load_spec(args.spec)
+    train_ds, test_ds = dataset.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = dataset.generate(spec)
     dataset.save(train_ds, out / "train.csv")
     dataset.save(test_ds, out / "test.csv")
     print(
@@ -206,7 +205,7 @@ def _confusion_report(predictions, labels, started: float, spec_hash_: str, dete
         raise AssertionError("confusion matrix does not sum to the dataset size")
     return {
         "format": REPORT_FORMAT,
-        "format_version": FORMAT_VERSION,
+        "format_version": REPORT_FORMAT_VERSION,
         "dataset_spec_hash": spec_hash_,
         "detector": detector,
         "test_accuracy": mlp.accuracy(predictions, labels),
@@ -221,7 +220,7 @@ def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     ds = _load_split(args.data_dir, "test")
     labels = ds.labels
-    if args.model:
+    if args.model is not None:
         model, meta = mlp.load_model(args.model)
         if (meta["method"], meta["n_bs"]) != (ds.spec.method, ds.spec.n_bs):
             raise ValueError(
@@ -318,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a model or the threshold baseline on test.csv")
     p.add_argument("data_dir")
-    p.add_argument("--model", default=None, help="model.json from `train`/`tune`")
-    p.add_argument("--detector", choices=("threshold",), default=None)
+    detector = p.add_mutually_exclusive_group(required=True)
+    detector.add_argument("--model", default=None, help="model.json from `train`/`tune`")
+    detector.add_argument("--detector", choices=("threshold",), default=None)
     p.add_argument("--t", type=float, default=1.0, help="threshold in dB")
     p.add_argument("--aggregation", choices=baseline.AGGREGATIONS, default="mean-delta")
     p.add_argument("--out", required=True, help="report JSON path")
@@ -334,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "evaluate" and bool(args.model) == bool(args.detector):
-        print("error: evaluate needs exactly one of --model or --detector", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -11,9 +11,10 @@ channel settings (ChannelParams), under fixed keys:
     channel: carrier_frequency_ghz, rng_seed, nlos_shadow_sigma_db,
              los_shadow_formula, meas_noise_sigma_db, sampled_los
 
-A document has exactly its keys, and a value its JSON type: booleans are
-true/false, counts, ids and seeds integers, and a number is read only if a
-double holds it exactly. Errors name the key path, and load_json's the file.
+A document has exactly its keys, once each, and a value its JSON type:
+booleans are true/false, counts, ids and seeds integers, and a number is
+read only if a double holds it exactly. Errors name the key path, and
+load_json's the file.
 """
 
 from __future__ import annotations
@@ -108,24 +109,20 @@ def at(path: str, key: str) -> str:
 
 def fields(path: str, value, kinds: dict, name: str = "") -> dict:
     """The values of a JSON object with exactly the keys of kinds, each read
-    as its kind; a (kind, default) pair makes a key optional. path is the
-    object's key path, or "" for the top level of the document called name,
-    where a missing key is reported as "<name> missing keys: ..."."""
+    as its kind. path is the object's key path, or "" for the top level of
+    the document called name, where a missing key is reported as "<name>
+    missing keys: ..."."""
     value = typed(path or name, value, dict)
-    required = [k for k, kind in kinds.items() if not isinstance(kind, tuple)]
-    missing = [k for k in required if k not in value]
+    keys = list(kinds)
+    missing = [k for k in keys if k not in value]
     if missing:
-        need = ", ".join(required[:-1]) + " and " + required[-1] if len(required) > 1 else required[0]
+        need = ", ".join(keys[:-1]) + " and " + keys[-1] if len(keys) > 1 else keys[0]
         nested = f"{path}: missing fields {missing}; need {need}"
         raise ConfigError(nested if path else f"{name} missing keys: {', '.join(missing)}")
     unknown = sorted(set(value) - set(kinds), key=str)
     if unknown:
         raise ConfigError(f"{path or name}: unknown fields {unknown}")
-    out = {}
-    for key, kind in kinds.items():
-        kind, default = kind if isinstance(kind, tuple) else (kind, None)
-        out[key] = typed(at(path, key), value[key], kind) if key in value else default
-    return out
+    return {key: typed(at(path, key), value[key], kind) for key, kind in kinds.items()}
 
 
 def save_csv(path, header, rows) -> None:
@@ -140,12 +137,23 @@ def save_json(path, doc, indent: int = 1) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a name given twice raises
+    ConfigError naming it (I-JSON, RFC 7493 section 2.3)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated key {key!r:.40}")
+        doc[key] = value
+    return doc
+
+
 def load_json(path, read, error=ConfigError):
     """read(document) for the JSON document in a file. Any ValueError, a
-    syntax error's line and column included, or a nesting too deep to parse
-    is re-raised as error prefixed with the path."""
+    syntax error's line and column or a repeated key included, or a nesting
+    too deep to parse is re-raised as error prefixed with the path."""
     try:
-        return read(json.loads(Path(path).read_text()))
+        return read(json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys))
     except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         raise error(f"{path}: {exc}") from None
 
@@ -153,11 +161,8 @@ def load_json(path, read, error=ConfigError):
 _STATION_KEYS = {"id": int, "x": float, "y": float, "h": float}
 _CONFIG_KEYS = {
     "base_stations": list, "start": list, "mission_radius_m": float, "n_destinations": int,
-    "carrier_frequency_ghz": float, "window_size": int, "rng_seed": int,
-    "nlos_shadow_sigma_db": (float, ChannelParams.nlos_shadow_sigma),
-    "los_shadow_formula": (bool, ChannelParams.los_shadow_formula),
-    "meas_noise_sigma_db": (float, ChannelParams.meas_noise_sigma),
-    "sampled_los": (bool, ChannelParams.sampled_los),
+    "carrier_frequency_ghz": float, "window_size": int, "rng_seed": int, "nlos_shadow_sigma_db": float,
+    "los_shadow_formula": bool, "meas_noise_sigma_db": float, "sampled_los": bool,
 }
 
 

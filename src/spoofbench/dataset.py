@@ -66,10 +66,7 @@ class DatasetSpec:
                 raise ValueError(f"{name} must be >= 2 for a spoofed and a legitimate row, got {size}")
 
 
-_SPEC_KEYS = {
-    "scenario": dict, "method": str, "n_bs": int, "train_size": (int, DatasetSpec.train_size),
-    "test_size": (int, DatasetSpec.test_size),
-}
+_SPEC_KEYS = {"scenario": dict, "method": str, "n_bs": int, "train_size": int, "test_size": int}
 
 
 def spec_to_dict(spec: DatasetSpec) -> dict:

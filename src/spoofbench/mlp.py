@@ -23,9 +23,11 @@ from .configio import array, fields, load_json, save_csv, save_json, typed
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+BATCH_SIZE = 32  # rows a step; an epoch's last batch may be shorter
+VALIDATION_FRACTION = 0.2  # of the rows, held out for early stopping
 
 MODEL_FORMAT = "spoofbench-mlp"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Hyperparameter search space for full tuning runs.
 GRID_LEARNING_RATES = (0.05, 0.01, 0.005, 0.001, 0.0005, 0.0001)
@@ -56,17 +58,13 @@ class TrainConfig:
     learning_rate: float
     max_epochs: int = 500
     patience: int = 15
-    batch_size: int = 32
-    validation_fraction: float = 0.2
     rng_seed: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate!r}")
-        if self.max_epochs < 1 or self.patience < 1 or self.batch_size < 1:
-            raise ValueError("max_epochs, patience and batch_size must be >= 1")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1)")
+        if self.max_epochs < 1 or self.patience < 1:
+            raise ValueError("max_epochs and patience must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -200,15 +198,15 @@ def loss_mse(predictions, labels) -> float:
     return float(np.mean((y - p) ** 2))
 
 
-def accuracy(predictions, labels, cut: float = 0.5) -> float:
+def accuracy(predictions, labels) -> float:
     """Fraction of correct spoofed/legitimate calls; positive means spoofed."""
     p, y = _pair(predictions, labels)
-    return float(np.mean((p >= cut) == (y >= 0.5)))
+    return float(np.mean((p >= 0.5) == (y >= 0.5)))
 
 
-def confusion_matrix(predictions, labels, cut: float = 0.5) -> dict[str, int]:
+def confusion_matrix(predictions, labels) -> dict[str, int]:
     p, y = _pair(predictions, labels)
-    p, y = p >= cut, y >= 0.5
+    p, y = p >= 0.5, y >= 0.5
     return {
         "tp": int(np.sum(p & y)),
         "fp": int(np.sum(p & ~y)),
@@ -388,7 +386,7 @@ def train(
 ) -> MlpModel:
     """Adam training with early stopping on validation MSE.
 
-    Splits off config.validation_fraction of the rows for validation,
+    Splits off VALIDATION_FRACTION of the rows for validation,
     standardizes inputs with training-split statistics, and returns the
     model snapshot from the epoch with the lowest validation MSE. The full
     per-epoch history stays attached to the returned model.
@@ -426,7 +424,7 @@ def train_stack(
         )
     rng = np.random.default_rng(config.rng_seed)
     perm = rng.permutation(len(X))
-    n_val = max(1, int(round(config.validation_fraction * len(X))))
+    n_val = max(1, int(round(VALIDATION_FRACTION * len(X))))
     if n_val >= len(X):
         raise ValueError("validation split leaves no training rows")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -457,7 +455,7 @@ def train_stack(
     # This epoch's rows and (n, 1) labels in batch order; each step's batch
     # is a fixed set of (x, x transposed, y) views of them, listed once.
     X_epoch, y_epoch = np.empty_like(Xt), np.empty((len(Xt), 1))
-    b = config.batch_size
+    b = BATCH_SIZE
     batches = [
         (X_epoch[lo : lo + b], X_epoch[lo : lo + b].T, y_epoch[lo : lo + b])
         for lo in range(0, len(Xt), b)

@@ -14,7 +14,18 @@ import numpy as np
 
 from spoofbench.channel import Link
 from spoofbench import mlp
-from spoofbench.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EpochStats, accuracy, forward_batch, init_model, loss_mse
+from spoofbench.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    BATCH_SIZE,
+    VALIDATION_FRACTION,
+    EpochStats,
+    accuracy,
+    forward_batch,
+    init_model,
+    loss_mse,
+)
 from spoofbench.scenario import destination_grid
 
 
@@ -237,7 +248,7 @@ def reference_train(architecture, X, y, config):
     algorithm without stacking. Returns (weights, biases, history, best_epoch)."""
     rng = np.random.default_rng(config.rng_seed)
     perm = rng.permutation(len(X))
-    n_val = max(1, int(round(config.validation_fraction * len(X))))
+    n_val = max(1, int(round(VALIDATION_FRACTION * len(X))))
     train_idx, val_idx = perm[n_val:], perm[:n_val]
     mean, std = X[train_idx].mean(axis=0), X[train_idx].std(axis=0)
     std[std == 0.0] = 1.0
@@ -249,8 +260,8 @@ def reference_train(architecture, X, y, config):
     history, best, best_val, bad, step = [], ([p.copy() for p in params], 0), np.inf, 0, 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(Xt))
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
+        for lo in range(0, len(order), BATCH_SIZE):
+            batch = order[lo : lo + BATCH_SIZE]
             grads_w, grads_b = reference_gradients(model.weights, model.biases, Xt[batch], yt[batch])
             step += 1
             corr1, corr2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step

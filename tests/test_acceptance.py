@@ -27,6 +27,7 @@ from spoofbench.cli import main as cli
 from spoofbench.dataset import DatasetSpec, generate, iter_delta_chunks, row_plan
 from spoofbench.features import FEATURES_PER_BS, METHODS, extract
 from spoofbench.mlp import (
+    VALIDATION_FRACTION,
     MlpArchitecture,
     TrainConfig,
     accuracy,
@@ -201,7 +202,7 @@ def test_criterion_05_mse_accuracy_inverse_trend(bench):
     details, ok = [], True
     for (method, n_bs), run in sorted(bench.items(), key=lambda kv: (-kv[0][1], kv[0][0])):
         # validation rows, rounded as mlp.train rounds them
-        n_val = max(1, int(round(run.model.train_config.validation_fraction * run.train_rows)))
+        n_val = max(1, int(round(VALIDATION_FRACTION * run.train_rows)))
         run_ok, detail = mse_accuracy_trend(
             [h.val_mse for h in run.model.history],
             [h.val_accuracy for h in run.model.history],

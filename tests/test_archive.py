@@ -1,7 +1,9 @@
 """A `simulate` archive holds the first 2n - 2 rows of its scene's train
 split, n the scene's destinations: the archived windows of a spec's
 stations, through features.extract, are the first rows of `generate`'s
-train.csv, features and labels bit for bit."""
+train.csv, features and labels bit for bit. The archive holds each
+station's theoretical path loss once, and a row is spoofed exactly when
+its true destination is not the reported one."""
 
 import json
 
@@ -35,15 +37,17 @@ def test_archive_rows_are_the_first_train_rows(tmp_path, seed, start_height):
     _init(tmp_path, seed, start_height)
     archive = tmp_path / "archive.json"
     assert cli(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(archive)]) == 0
-    scenarios = json.loads(archive.read_text())["scenarios"]
+    doc = json.loads(archive.read_text())
+    scenarios, theoretical = doc["scenarios"], doc["theoretical_db"]
     assert len(scenarios) == 2 * 16 - 2
+    labels = [s["true_destination"] != doc["reported_destination"] for s in scenarios]
     for method in METHODS:
         for n_bs in BS_SUBSETS:
             root = tmp_path / f"{method}{n_bs}"
             _init(root, seed, start_height, method, n_bs)
             assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
             train = load(root / "data" / "train.csv")
-            windows = [[s["windows"][str(i)] for i in select_bs_subset(n_bs)] for s in scenarios]
-            deltas = np.abs([[np.subtract(w["measured_db"], w["theoretical_db"]) for w in row] for row in windows])
+            stations = [str(i) for i in select_bs_subset(n_bs)]
+            deltas = np.abs([[np.subtract(s["measured_db"][i], theoretical[i]) for i in stations] for s in scenarios])
             assert extract(deltas, method).tobytes() == train.features[: len(scenarios)].tobytes(), (method, n_bs)
-            assert [s["label"] for s in scenarios] == train.labels[: len(scenarios)].tolist()
+            assert labels == train.labels[: len(scenarios)].tolist()

@@ -12,7 +12,7 @@ from spoofbench.baseline import ThresholdDetector, decide
 from spoofbench.channel import ChannelParams
 from spoofbench.cli import _train_config, build_parser, main
 from spoofbench.configio import load_config
-from spoofbench.dataset import DatasetSpec, load, load_spec, row_plan, spec_to_dict
+from spoofbench.dataset import DatasetSpec, load, load_spec, spec_to_dict
 from spoofbench.mlp import TrainConfig, confusion_matrix
 from spoofbench.scenario import default_config
 
@@ -73,13 +73,16 @@ def test_simulate_archive_is_deterministic(workdir):
     assert a.read_bytes() == b.read_bytes()
     archive = json.loads(a.read_text())
     assert archive["base_stations"] == [1, 2, 3]
-    assert len(archive["scenarios"]) == 30
-    # Archive row k is train row k: seeded first_seed + k, spoofed when even.
-    (first_seed,) = {s["noise_seed"] - s["index"] for s in archive["scenarios"]}
-    assert first_seed == row_plan(load_spec(workdir / "spec.json"), "train")[1]
-    assert [(s["index"], s["label"]) for s in archive["scenarios"]] == [(k, k % 2 == 0) for k in range(30)]
-    first = archive["scenarios"][0]
-    assert len(first["windows"]["1"]["measured_db"]) == 100
+    assert archive["format_version"] == 2
+    rows = archive["scenarios"]
+    assert len(rows) == 30
+    # Archive row k is train row k: spoofed when even, when its true
+    # destination is not the one every row reports.
+    spoofed = [s["true_destination"] != archive["reported_destination"] for s in rows]
+    assert [(s["index"], label) for s, label in zip(rows, spoofed)] == [(k, k % 2 == 0) for k in range(30)]
+    assert set(rows[0]) == {"index", "true_destination", "measured_db"}
+    assert set(archive["theoretical_db"]) == set(rows[0]["measured_db"]) == {"1", "2", "3"}
+    assert len(rows[0]["measured_db"]["1"]) == len(archive["theoretical_db"]["1"]) == 100
 
 
 def test_simulate_seed_changes_archive(workdir):
@@ -103,7 +106,8 @@ def test_simulate_rejects_bad_config(tmp_path):
     [
         ('"scenario method n_bs"', "spec must be an object, got 'scenario method n_bs'"),
         ('{"scenario":\n', "Expecting value: line 2 column 1"),
-        ('{"method": "wd", "n_bs": 3, "scenario": {}, "train_sise": 10}', "spec: unknown fields ['train_sise']"),
+        ('{"method": "wd", "n_bs": 3, "scenario": {}, "train_size": 10, "test_size": 10, "train_sise": 10}',
+         "spec: unknown fields ['train_sise']"),
         pytest.param(_spec_without_station_2(),
                      "invalid spec value: n_bs 3 uses base station 2, which the scenario lacks",
                      id="station-2-missing"),
@@ -115,6 +119,13 @@ def test_generate_names_the_spec_file_and_the_key(tmp_path, capsys, text, messag
     assert run("generate", "--spec", spec, "--out", tmp_path / "data") == 1
     assert capsys.readouterr().err.startswith(f"error: {spec}: {message}")
     assert not (tmp_path / "data").exists()
+
+
+def test_init_writes_nothing_when_the_spec_is_refused(tmp_path, capsys):
+    out = tmp_path / "work"
+    assert run("init", "--out", out, "--train-size", "1") == 1
+    assert "train_size must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_writes_datasets(data_dir):
@@ -179,6 +190,7 @@ def test_generate_names_mvsk_when_its_moments_overflow(tmp_path, capsys):
         code = run("generate", "--spec", workdir / "spec.json", "--out", workdir / "data")
     assert code == 1
     assert capsys.readouterr().err.startswith("error: mvsk skewness and kurtosis overflow")
+    assert not (workdir / "data").exists()
 
 
 def test_evaluate_refuses_a_nan_threshold(workdir, data_dir, capsys):
@@ -273,7 +285,7 @@ def test_commands_without_optional_flags_take_the_library_defaults(tmp_path):
     for command in ("train", "tune"):
         args = parser.parse_args([command, "data", "--out", "run"])
         assert _train_config(args, 0.01) == TrainConfig(0.01)
-    args = parser.parse_args(["evaluate", "data", "--out", "report.json"])
+    args = parser.parse_args(["evaluate", "data", "--detector", "threshold", "--out", "report.json"])
     assert args.aggregation == ThresholdDetector.aggregation
 
 
@@ -376,9 +388,11 @@ def test_evaluate_refuses_a_model_trained_on_another_feature_method(workdir, run
 
 def test_evaluate_requires_exactly_one_detector(data_dir, tmp_path):
     out = tmp_path / "r.json"
-    assert run("evaluate", data_dir, "--out", out) == 2
-    assert run("evaluate", data_dir, "--model", "m.json",
-               "--detector", "threshold", "--out", out) == 2
+    for detectors in ([], ["--model", "m.json", "--detector", "threshold"]):
+        with pytest.raises(SystemExit) as caught:  # argparse's usage error
+            run("evaluate", data_dir, *detectors, "--out", out)
+        assert caught.value.code == 2
+    assert not out.exists()
 
 
 def test_evaluate_missing_model_fails(data_dir, tmp_path):

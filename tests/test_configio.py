@@ -9,8 +9,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spoofbench.channel import ChannelParams
-from spoofbench.configio import ConfigError, config_from_dict, config_to_dict, load_config, save_config
+from spoofbench.configio import ConfigError, config_from_dict, config_to_dict, load_config, save_config, save_json
+from spoofbench.dataset import DatasetFormatError, DatasetSpec, generate, load, load_spec, save, spec_to_dict
+from spoofbench.mlp import MlpArchitecture, TrainConfig, load_model, save_model, train
 from spoofbench.scenario import default_config
+
+
+_DROP = object()
 
 
 def valid_doc() -> dict:
@@ -60,11 +65,15 @@ def test_seed_and_frequency_keys_are_read_into_the_channel():
         ("start", [150.0, 150.0, 2**60 + 1], "start must be finite and held exactly by a double"),
         ("base_stations", [], "base_stations must hold at least one station"),
         ("base_stations", [{"id": -1, "x": 0, "y": 0, "h": 35}], "base station -1 id must be >= 0"),
+        ("sampled_los", _DROP, "config missing keys: sampled_los"),
     ],
 )
 def test_load_rejects_bad_values_naming_the_key(tmp_path, key, value, message):
     doc = valid_doc()
-    doc[key] = value
+    if value is _DROP:
+        del doc[key]
+    else:
+        doc[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity are written as JSON extensions
     with pytest.raises(ConfigError, match=message):
@@ -99,6 +108,45 @@ def test_load_names_the_file_of_a_document_nested_too_deep_to_parse(tmp_path):
     path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: maximum recursion depth")):
         load_config(path)
+
+
+def _documents(tmp_path) -> dict:
+    """A written file of each kind the tools read, with its reader."""
+    spec = DatasetSpec(default_config(), ChannelParams(rng_seed=4), "wd", 1, train_size=6, test_size=4)
+    save_config(tmp_path / "config.json", spec.scenario, spec.channel)
+    save_json(tmp_path / "spec.json", spec_to_dict(spec))
+    train_ds = generate(spec)[0]
+    save(train_ds, tmp_path / "train.csv")
+    model = train(MlpArchitecture(1, 1, 2), train_ds.features, train_ds.labels, TrainConfig(0.01, max_epochs=1))
+    save_model(model, tmp_path / "model.json", {"method": "wd", "n_bs": 1, "dataset_spec_hash": "x"})
+    return {
+        "config.json": load_config,
+        "spec.json": load_spec,
+        "train.meta.json": lambda _: load(tmp_path / "train.csv"),
+        "model.json": load_model,
+    }
+
+
+# Each file with one of its keys given twice, the first time with another
+# value; read last-wins, every one of them would load.
+REPEATS = {
+    "config.json": '"window_size": 7',
+    "spec.json": '"method": "box"',
+    "train.meta.json": '"split": "test"',
+    "model.json": '"best_epoch": 0',
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATS))
+def test_a_repeated_key_is_refused_naming_the_file_and_the_key(tmp_path, name):
+    read = _documents(tmp_path)[name]
+    path = tmp_path / name
+    read(path)
+    path.write_text("{" + REPEATS[name] + "," + path.read_text()[1:])
+    key = REPEATS[name].split(":")[0].strip('"')
+    error = DatasetFormatError if name == "train.meta.json" else ConfigError
+    with pytest.raises(error, match="^" + re.escape(f"{path}: repeated key '{key}'") + "$"):
+        read(path)
 
 
 def test_only_configio_parses_json():

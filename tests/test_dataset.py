@@ -462,6 +462,8 @@ _WITHOUT_STATION_3 = [b for b in spec_to_dict(small_spec())["scenario"]["base_st
         ("method", 3, "method must be a string"),
         ("method", _DROP, "spec missing keys: method"),
         ("n_bs", _DROP, "spec missing keys: n_bs"),
+        ("train_size", _DROP, "spec missing keys: train_size"),
+        ("scenario.sampled_los", _DROP, r"scenario: missing fields \['sampled_los'\]"),
         ("scenario", [], "scenario must be an object"),
         ("scenario.base_stations", _WITHOUT_STATION_3,
          "invalid spec value: n_bs 2 uses base station 3, which the scenario lacks"),

@@ -110,13 +110,16 @@ def test_benchmark_goldens_pin_the_wd3_csvs_pinned_here():
 # when the config lost sample_period_s and the spec its second rng_seed. An
 # archive holds the first 30 rows of its seed's train split (2n - 2 for the
 # 16 destinations): each row's windows are those behind that train.csv row.
+# The archives were re-recorded when format version 2 wrote each station's
+# theoretical path loss and the reported destination once, and dropped each
+# row's label and noise seed; every value they hold is unchanged.
 GOLDEN_INIT_SHA256 = {
     "config.json": "466a66655c191f39d7e63231cf43df5e4b3dccbe139666134f134b50776eabf1",
     "spec.json": "636a46b3b690701f3d3fee1269df77ed0290a98060530f0c4685eb83c8de0762",
 }
 GOLDEN_ARCHIVE_SHA256 = {
-    None: "35798206ffe2f0ead8f9cd075d373658cb6657a528dfb85ae6c299a6703d4123",
-    7: "d8fb298f2e5de9e514fffc3b0059d150201608fe0f918d6368974e6e4290003e",
+    None: "c7465eb2fc4da9e119eb1c2ad8b113fb3f54d44422b18ddab5f24e29b57392a9",
+    7: "d07c368bf4e2d7290b445dea3003457761821ebf7e76a7f62857e95ead4ddcb0",
 }
 
 

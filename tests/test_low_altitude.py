@@ -20,8 +20,8 @@ from spoofbench.dataset import iter_delta_chunks, spec_from_dict
 START_HEIGHT_M = 50.0
 
 PARENT_ARCHIVE_SHA256 = {
-    False: "d1821288e990806986a8a1d626362a4f681809483d2ab1b89ca871ee3894a145",
-    True: "56a907187f386966883d4cf02e17a707a85eff5919199b44a0ffecce82c5982a",
+    False: "b3a374bed8d755fb05586c699e11a5f4864f4547fb0eeacb1de499a77fa90243",
+    True: "07b1970268cf5b807f52f4a687df96352e57353b5a920beef47f65b4e1aed571",
 }
 
 

@@ -26,6 +26,8 @@ from oracles import (
 from spoofbench import mlp
 from spoofbench.mlp import (
     ADAM_BETA1,
+    BATCH_SIZE,
+    VALIDATION_FRACTION,
     GridResult,
     MlpArchitecture,
     MlpModel,
@@ -412,15 +414,15 @@ def _same_model(a, b):
 
 
 @pytest.mark.parametrize(
-    "arch,config",
+    "arch,rows,config",
     [
-        (MlpArchitecture(2, 1, 8), TrainConfig(learning_rate=0.01, max_epochs=25, rng_seed=1)),
-        (MlpArchitecture(2, 3, 5), TrainConfig(learning_rate=0.05, max_epochs=60, patience=3,
-                                               batch_size=7, rng_seed=2)),
+        (MlpArchitecture(2, 1, 8), 300, TrainConfig(learning_rate=0.01, max_epochs=25, rng_seed=1)),
+        # 33 training rows: a last batch of one row
+        (MlpArchitecture(2, 3, 5), 41, TrainConfig(learning_rate=0.05, max_epochs=60, patience=3, rng_seed=2)),
     ],
 )
-def test_train_equals_the_per_tensor_reference_bit_for_bit(arch, config):
-    X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
+def test_train_equals_the_per_tensor_reference_bit_for_bit(arch, rows, config):
+    X, y = blobs(n=rows, seed=4, sep=0.6, std=1.0)
     model = train(arch, X, y, config)
     weights, biases, history, best_epoch = reference_train(arch, X, y, config)
     assert (model.history, model.best_epoch) == (history, best_epoch)
@@ -432,11 +434,11 @@ def test_train_equals_the_per_tensor_reference_past_adams_last_bias_correction()
     no longer divides by it; the reference divides at every step."""
     cutoff = next(step for step in itertools.count(1) if 1.0 - ADAM_BETA1**step == 1.0)
     arch = MlpArchitecture(2, 1, 8)
-    config = TrainConfig(learning_rate=0.001, max_epochs=60, patience=60, batch_size=32, rng_seed=1)
+    config = TrainConfig(learning_rate=0.001, max_epochs=60, patience=60, rng_seed=1)
     X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
     model = train(arch, X, y, config)
-    train_rows = len(X) - round(config.validation_fraction * len(X))
-    steps_per_epoch = math.ceil(train_rows / config.batch_size)
+    train_rows = len(X) - round(VALIDATION_FRACTION * len(X))
+    steps_per_epoch = math.ceil(train_rows / BATCH_SIZE)
     # 480 steps, and the snapshot compared below is the last epoch's
     assert model.best_epoch * steps_per_epoch > cutoff
     weights, biases, history, best_epoch = reference_train(arch, X, y, config)
@@ -445,18 +447,18 @@ def test_train_equals_the_per_tensor_reference_past_adams_last_bias_correction()
 
 
 @pytest.mark.parametrize(
-    "arch,rows,batch_size",
+    "arch,rows",
     [
-        (MlpArchitecture(2, 2, 6), 300, 32),
-        (MlpArchitecture(1, 2, 6), 300, 32),  # input width 1, as a 1-station wd row
-        (MlpArchitecture(2, 1, 1), 300, 32),  # hidden width 1
-        (MlpArchitecture(2, 2, 6), 301, 8),  # 241 training rows: a last batch of one row
+        (MlpArchitecture(2, 2, 6), 300),
+        (MlpArchitecture(1, 2, 6), 300),  # input width 1, as a 1-station wd row
+        (MlpArchitecture(2, 1, 1), 300),  # hidden width 1
+        (MlpArchitecture(2, 2, 6), 281),  # 225 training rows: a last batch of one row
     ],
 )
-def test_train_stack_equals_one_train_per_learning_rate(arch, rows, batch_size):
+def test_train_stack_equals_one_train_per_learning_rate(arch, rows):
     X, y = blobs(n=rows, seed=4, sep=0.6, std=1.0)
     X = X[:, : arch.input_width]
-    config = TrainConfig(learning_rate=0.01, patience=3, max_epochs=60, batch_size=batch_size, rng_seed=2)
+    config = TrainConfig(learning_rate=0.01, patience=3, max_epochs=60, rng_seed=2)
     rates = (0.002, 0.05, 0.01)  # the fastest to stop sits mid-stack
     models = train_stack(arch, X, y, config, rates)
     # Each stops at its own epoch, so the stack shrinks to one model and
@@ -675,6 +677,9 @@ def _edited(edit):
         (lambda d: d["train_config"].update(learning_rate=2**53 + 1),
          "train_config.learning_rate must be finite and held exactly by a double"),
         (lambda d: d.update(note="x"), r"model: unknown fields \['note'\]"),
+        # a version-1 file, which also recorded the batch size and validation fraction
+        (lambda d: d.update(format_version=1), "unsupported format version 1"),
+        (lambda d: d["train_config"].update(batch_size=32), r"train_config: unknown fields \['batch_size'\]"),
     ],
 )
 def test_load_model_rejects_malformed_documents_naming_path_and_key(tmp_path, edit, message):
