@@ -25,7 +25,7 @@ from .scenario import default_config, destination_grid
 ARCHIVE_FORMAT = "spoofbench-archive"
 ARCHIVE_FORMAT_VERSION = 2
 REPORT_FORMAT = "spoofbench-report"
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 
 def _sha256(path) -> str:
@@ -216,8 +216,13 @@ def _confusion_report(predictions, labels, started: float, spec_hash_: str, dete
 
 
 def cmd_evaluate(args) -> int:
-    """Score an MLP model file or the threshold baseline on a dataset's test split."""
+    """Score an MLP model file or the threshold baseline on a dataset's test
+    split. Without --t, the threshold is the one fitted on the train split."""
     started = time.perf_counter()
+    if args.model is not None:
+        for flag, value in (("--t", args.t), ("--aggregation", args.aggregation)):
+            if value is not None:
+                raise ValueError(f"{flag} sets the threshold detector; --model takes none")
     ds = _load_split(args.data_dir, "test")
     labels = ds.labels
     if args.model is not None:
@@ -236,12 +241,24 @@ def cmd_evaluate(args) -> int:
             "model_sha256": _sha256(args.model),
         }
     else:
-        det = baseline.ThresholdDetector(args.t, args.aggregation)
+        aggregation = args.aggregation or baseline.ThresholdDetector.aggregation
+        if args.t is not None:
+            det = baseline.ThresholdDetector(args.t, aggregation)
+        else:  # fitted on the train split of the spec it scores
+            train_ds = _load_split(args.data_dir, "train")
+            if train_ds.provenance != ds.provenance:
+                raise ValueError(
+                    f"{Path(args.data_dir) / 'train.csv'} is of spec {train_ds.provenance}, but "
+                    f"{Path(args.data_dir) / 'test.csv'} is of spec {ds.provenance}: T is fitted on the "
+                    "train split of the spec it scores"
+                )
+            det = baseline.fit(dataset.window_means(train_ds), train_ds.labels, aggregation)
         predictions = baseline.decide(det, dataset.window_means(ds)).astype(float)
         # JSON has no infinity; an infinite threshold is recorded as "inf",
         # and -0.0 as 0.0, as configio writes it: one threshold, one report.
-        threshold_db = "inf" if args.t == float("inf") else args.t + 0.0
-        detector = {"kind": "threshold", "threshold_db": threshold_db, "aggregation": args.aggregation}
+        threshold_db = "inf" if det.threshold_db == float("inf") else det.threshold_db + 0.0
+        detector = {"kind": "threshold", "threshold_db": threshold_db, "aggregation": aggregation,
+                    "fitted_on_train": args.t is None}
     report = _confusion_report(predictions, labels, started, ds.provenance, detector)
     save_json(args.out, report)
     print(
@@ -320,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     detector = p.add_mutually_exclusive_group(required=True)
     detector.add_argument("--model", default=None, help="model.json from `train`/`tune`")
     detector.add_argument("--detector", choices=("threshold",), default=None)
-    p.add_argument("--t", type=float, default=1.0, help="threshold in dB")
-    p.add_argument("--aggregation", choices=baseline.AGGREGATIONS, default="mean-delta")
+    p.add_argument("--t", type=float, default=None,
+                   help="threshold in dB (default: fitted on train.csv)")
+    p.add_argument("--aggregation", choices=baseline.AGGREGATIONS, default=None,
+                   help=f"threshold detector only (default: {baseline.ThresholdDetector.aggregation})")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)
 

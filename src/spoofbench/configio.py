@@ -137,14 +137,20 @@ def save_json(path, doc, indent: int = 1) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False) + "\n")
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's members as a dict; a name given twice raises
-    ConfigError naming it (I-JSON, RFC 7493 section 2.3)."""
+def _objects(value, path: str = ""):
+    """value as parsed with each JSON object's (name, value) pairs, a tuple,
+    made a dict. A name given twice raises ConfigError naming it and, below
+    the top level, its key path (I-JSON, RFC 7493 section 2.3)."""
+    if isinstance(value, list):
+        return [_objects(v, path) for v in value]
+    if not isinstance(value, tuple):
+        return value
     doc = {}
-    for key, value in pairs:
+    for key, member in value:
         if key in doc:
-            raise ConfigError(f"repeated key {key!r:.40}")
-        doc[key] = value
+            where = f"{at(path, key)}: " if path else ""
+            raise ConfigError(f"{where}repeated key {key!r:.40}")
+        doc[key] = _objects(member, at(path, key))
     return doc
 
 
@@ -153,7 +159,8 @@ def load_json(path, read, error=ConfigError):
     syntax error's line and column or a repeated key included, or a nesting
     too deep to parse is re-raised as error prefixed with the path."""
     try:
-        return read(json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys))
+        # JSON arrays parse as lists, so a tuple is always an object's members.
+        return read(_objects(json.loads(Path(path).read_text(), object_pairs_hook=tuple)))
     except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         raise error(f"{path}: {exc}") from None
 

@@ -5,7 +5,8 @@ summation for the moments, CDF-area integration and the sorted-difference
 formula for the transport distance, central finite differences for the
 gradients, one sample at a time for the flight positions and the simulated
 path loss, one generator per window for the noise, one row at a time for
-the row plan, and one model with one Adam update per tensor for training.
+the row plan, one model with one Adam update per tensor for training, and
+a count of the stations over T for the threshold verdicts.
 `backprop_gradients` is the one exception: it runs the library's own batch
 gradient on one model, so that the oracles above can check it.
 """
@@ -283,3 +284,13 @@ def reference_train(architecture, X, y, config):
                 break
     layers = len(model.weights)
     return best[0][:layers], best[0][layers:], history, best[1]
+
+
+def count_rule_verdicts(means, t: float, aggregation: str) -> np.ndarray:
+    """Threshold verdicts without a per-row score: mean-delta flags a row
+    whose stations' mean exceeds t, a majority vote one where more than
+    half of the stations' window means exceed t, counted."""
+    means = np.asarray(means, dtype=float)
+    if aggregation == "mean-delta":
+        return np.mean(means, axis=-1) > t
+    return np.sum(means > t, axis=-1) * 2 > means.shape[-1]

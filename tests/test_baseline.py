@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from spoofbench.baseline import (
-    OperatingPoint,
+    AGGREGATIONS,
     ThresholdDetector,
     best_operating_point,
     decide,
+    fit,
     sweep_threshold,
 )
-from oracles import path_loss, position_at
+from oracles import count_rule_verdicts, path_loss, position_at
 from spoofbench.channel import ChannelParams
 from spoofbench.dataset import DatasetSpec, iter_delta_chunks, row_plan
 from spoofbench.features import extract
@@ -150,3 +151,49 @@ def test_sweep_threshold_validates_input():
         sweep_threshold(*_noisy_rows(4), [])
     with pytest.raises(ValueError, match="labels"):
         sweep_threshold(_noisy_rows(4)[0], [True], [1.0])
+
+
+def _random_means(rng, rows, stations):
+    """(rows, stations) window means, half of them from a few values (0
+    among them) so that rows tie and means fall exactly on a cut."""
+    drawn = rng.uniform(0, 3, size=(rows, stations))
+    few = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], size=(rows, stations))
+    return np.where(rng.random((rows, stations)) < 0.5, few, drawn)
+
+
+@pytest.mark.parametrize("aggregation", AGGREGATIONS)
+def test_fit_is_the_best_cut_of_a_sweep_over_every_candidate(aggregation):
+    """Brute force: every row's station mean, every window mean and 0 hold
+    every score, so the sweep's best point over them is the best T."""
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        rows, stations = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        means = _random_means(rng, rows, stations)
+        labels = rng.random(rows) < 0.5
+        cuts = np.concatenate(([0.0], means.ravel(), np.mean(means, axis=-1)))
+        best = best_operating_point(sweep_threshold(means, labels, cuts, aggregation))
+        detector = fit(means, labels, aggregation)
+        assert detector == ThresholdDetector(best.threshold_db, aggregation)
+        assert np.mean(decide(detector, means) == labels) == best.accuracy
+
+
+def test_fit_takes_the_smallest_of_tied_cuts():
+    means = np.array([[0.0], [1.0], [2.0], [3.0]])
+    assert fit(means, [False, True, False, True]).threshold_db == 0.0  # 0 and 2 both score 3/4
+    assert fit(means, [False, False, True, True]).threshold_db == 1.0
+    assert fit(means, [True, True, False, False]).threshold_db == 3.0  # best to flag no row
+    assert repr(fit(-0.0 * means, [True, False, True, False]).threshold_db) == "0.0"  # never -0.0
+    with pytest.raises(ValueError, match="3 labels for 4 rows"):
+        fit(means, [True, False, True])
+    with pytest.raises(ValueError):
+        fit(means, [True] * 4, "average")
+
+
+@pytest.mark.parametrize("aggregation", AGGREGATIONS)
+def test_decide_gives_the_count_rule_verdicts(aggregation):
+    rng = np.random.default_rng(7)
+    for stations in range(1, 6):
+        means = _random_means(rng, 200, stations)
+        for t in (0.0, 0.5, 1.45, 2.0, float(means[0, 0]), math.inf):  # some means exactly at T
+            verdicts = decide(ThresholdDetector(t, aggregation), means)
+            assert verdicts.tolist() == count_rule_verdicts(means, t, aggregation).tolist()

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from spoofbench.baseline import ThresholdDetector, decide
+from spoofbench.baseline import ThresholdDetector, decide, fit
 from spoofbench.channel import ChannelParams
 from spoofbench.cli import _train_config, build_parser, main
 from spoofbench.configio import load_config
-from spoofbench.dataset import DatasetSpec, load, load_spec, spec_to_dict
+from spoofbench.dataset import DatasetSpec, load, load_spec, spec_to_dict, window_means
 from spoofbench.mlp import TrainConfig, confusion_matrix
 from spoofbench.scenario import default_config
 
@@ -285,8 +285,10 @@ def test_commands_without_optional_flags_take_the_library_defaults(tmp_path):
     for command in ("train", "tune"):
         args = parser.parse_args([command, "data", "--out", "run"])
         assert _train_config(args, 0.01) == TrainConfig(0.01)
+    # Unset, so that --model can refuse them; the threshold detector fits T
+    # on train.csv and takes ThresholdDetector's aggregation.
     args = parser.parse_args(["evaluate", "data", "--detector", "threshold", "--out", "report.json"])
-    assert args.aggregation == ThresholdDetector.aggregation
+    assert (args.t, args.aggregation) == (None, None)
 
 
 def test_train_is_byte_deterministic(workdir, data_dir):
@@ -330,11 +332,58 @@ def test_evaluate_threshold_detector(workdir, data_dir):
                "--out", report_path) == 0
     report = json.loads(report_path.read_text())
     assert report["detector"] == {
-        "kind": "threshold", "threshold_db": 1.5, "aggregation": "mean-delta",
+        "kind": "threshold", "threshold_db": 1.5, "aggregation": "mean-delta", "fitted_on_train": False,
     }
     assert "history" not in report
     counts = report["confusion"]
     assert sum(counts.values()) == 20
+
+
+# The seed-1 wd/3 split's fitted T and test accuracy for each aggregation;
+# mean-delta is the default, given by no flag.
+FITTED = {
+    "mean-delta": ([], 1.457331316210478, 0.9525283797729618),
+    "majority-vote": (["--aggregation", "majority-vote"], 1.4501769656286723, 0.9050567595459237),
+}
+
+
+@pytest.mark.parametrize("aggregation", sorted(FITTED))
+def test_evaluate_fits_the_threshold_on_the_train_split(tmp_path, wd3_data, aggregation):
+    flags, t, accuracy = FITTED[aggregation]
+    out = tmp_path / "thr.json"
+    assert run("evaluate", wd3_data, "--detector", "threshold", *flags, "--out", out) == 0
+    report = json.loads(out.read_text())
+    train = load(wd3_data / "train.csv")
+    assert fit(window_means(train), train.labels, aggregation).threshold_db == t
+    assert report["detector"] == {
+        "kind": "threshold", "threshold_db": t, "aggregation": aggregation, "fitted_on_train": True,
+    }
+    assert report["test_accuracy"] == accuracy
+    assert report["format_version"] == 2
+
+
+def test_evaluate_refuses_to_fit_on_the_train_split_of_another_spec(tmp_path, data_dir, capsys):
+    other = tmp_path / "seed4"
+    assert run("init", "--out", other, "--seed", "4", *SMALL) == 0
+    other_data = _generate(other)
+    for suffix in (".csv", ".meta.json"):
+        shutil.copyfile(other_data / f"train{suffix}", data_dir / f"train{suffix}")
+    out = tmp_path / "thr.json"
+    assert run("evaluate", data_dir, "--detector", "threshold", "--out", out) == 1
+    train_hash, test_hash = (json.loads((data_dir / f"{s}.meta.json").read_text())["spec_hash"]
+                             for s in ("train", "test"))
+    assert train_hash != test_hash
+    err = capsys.readouterr().err
+    assert f"{data_dir / 'train.csv'} is of spec {train_hash}, but {data_dir / 'test.csv'} is of spec {test_hash}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--t", "1.5"), ("--aggregation", "mean-delta")])
+def test_evaluate_model_refuses_the_threshold_flags(workdir, data_dir, run_dir, capsys, flag, value):
+    out = workdir / "r.json"
+    assert run("evaluate", data_dir, "--model", run_dir / "model.json", flag, value, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {flag} sets the threshold detector; --model takes none\n"
+    assert not out.exists()
 
 
 def test_evaluate_records_a_negative_zero_threshold_as_zero(workdir, data_dir):

@@ -128,24 +128,29 @@ def _documents(tmp_path) -> dict:
 
 
 # Each file with one of its keys given twice, the first time with another
-# value; read last-wins, every one of them would load.
+# value; read last-wins, every one of them would load. A case named
+# "<file>:<key path>" repeats a key of the object at that path.
 REPEATS = {
     "config.json": '"window_size": 7',
+    "config.json:base_stations": '"h": 30.0',
     "spec.json": '"method": "box"',
     "train.meta.json": '"split": "test"',
     "model.json": '"best_epoch": 0',
 }
 
 
-@pytest.mark.parametrize("name", sorted(REPEATS))
-def test_a_repeated_key_is_refused_naming_the_file_and_the_key(tmp_path, name):
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_a_repeated_key_is_refused_naming_the_file_and_the_key(tmp_path, case):
+    name, _, where = case.partition(":")
     read = _documents(tmp_path)[name]
     path = tmp_path / name
     read(path)
-    path.write_text("{" + REPEATS[name] + "," + path.read_text()[1:])
-    key = REPEATS[name].split(":")[0].strip('"')
+    key = REPEATS[case].split(":")[0].strip('"')
+    # The member goes in front of the first member of its name.
+    path.write_text(path.read_text().replace(f'"{key}":', f'{REPEATS[case]}, "{key}":', 1))
     error = DatasetFormatError if name == "train.meta.json" else ConfigError
-    with pytest.raises(error, match="^" + re.escape(f"{path}: repeated key '{key}'") + "$"):
+    key_path = f"{where}.{key}: " if where else ""
+    with pytest.raises(error, match="^" + re.escape(f"{path}: {key_path}repeated key '{key}'") + "$"):
         read(path)
 
 

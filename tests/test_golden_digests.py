@@ -155,14 +155,6 @@ def _model_digest(path):
     return hashlib.sha256(json.dumps(core, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def wd3_data(tmp_path_factory):
-    root = tmp_path_factory.mktemp("wd3")
-    assert cli(["init", "--out", str(root), "--seed", "1", "--method", "wd", "--n-bs", "3"]) == 0
-    assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
-    return root / "data"
-
-
 def test_seed1_wd3_preset_model_matches_golden_digest(tmp_path, wd3_data):
     assert cli(["train", str(wd3_data), "--out", str(tmp_path), "--seed", "1"]) == 0
     assert _model_digest(tmp_path / "model.json") == GOLDEN_PRESET_MODEL_SHA256, _profile_note()
