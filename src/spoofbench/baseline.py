@@ -26,8 +26,8 @@ class ThresholdDetector:
     aggregation: str = "mean-delta"
 
     def __post_init__(self):
-        if not self.threshold_db >= 0:  # NaN compares False; +inf is a legal threshold
-            raise ValueError(f"threshold_db must be >= 0, got {self.threshold_db!r}")
+        if not 0 <= self.threshold_db < math.inf:  # NaN compares False
+            raise ValueError(f"threshold_db must be finite and >= 0, got {self.threshold_db!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
 
@@ -77,49 +77,3 @@ def fit(means, labels, aggregation: str = "mean-delta") -> ThresholdDetector:
     correct = legit + (labels.sum() - (below - legit))  # and the spoofed rows over the cut
     return ThresholdDetector(float(cuts[np.argmax(correct)]), aggregation)
 
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    threshold_db: float
-    accuracy: float
-    fp_rate: float
-    fn_rate: float
-
-
-def sweep_threshold(means, labels, t_grid, aggregation: str = "mean-delta") -> list[OperatingPoint]:
-    """Operating curve of the detector over a grid of thresholds.
-
-    means is a (rows, stations) array of window means and labels holds each
-    row's true label (True = spoofed). FP rate is taken over legitimate
-    rows, FN rate over spoofed rows.
-    """
-    labels = np.asarray(labels, dtype=bool)
-    t_grid = [ThresholdDetector(float(t), aggregation).threshold_db for t in t_grid]
-    if not t_grid:
-        raise ValueError("empty threshold grid")
-    verdicts = scores(means, aggregation) > np.array(t_grid)[:, None]
-    if verdicts.shape[1] != len(labels):
-        raise ValueError(f"{len(labels)} labels for {verdicts.shape[1]} rows")
-    n_spoofed = int(labels.sum())
-    n_legit = len(labels) - n_spoofed
-    curve = []
-    for t, row in zip(t_grid, verdicts):
-        fp = int(np.sum(row & ~labels))
-        fn = int(np.sum(~row & labels))
-        curve.append(
-            OperatingPoint(
-                threshold_db=t,
-                accuracy=float(np.mean(row == labels)),
-                fp_rate=fp / n_legit if n_legit else 0.0,
-                fn_rate=fn / n_spoofed if n_spoofed else 0.0,
-            )
-        )
-    return curve
-
-
-def best_operating_point(curve: list[OperatingPoint]) -> OperatingPoint:
-    """Highest-accuracy point; ties broken toward the smaller threshold."""
-    finite_first = sorted(
-        curve, key=lambda p: (-p.accuracy, math.inf if math.isinf(p.threshold_db) else p.threshold_db)
-    )
-    return finite_first[0]

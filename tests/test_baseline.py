@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spoofbench.baseline import (
-    AGGREGATIONS,
-    ThresholdDetector,
-    best_operating_point,
-    decide,
-    fit,
-    sweep_threshold,
-)
+from spoofbench.baseline import AGGREGATIONS, ThresholdDetector, decide, fit
 from oracles import count_rule_verdicts, path_loss, position_at
 from spoofbench.channel import ChannelParams
 from spoofbench.dataset import DatasetSpec, iter_delta_chunks, row_plan
@@ -74,11 +67,9 @@ def test_decide_is_monotone_in_threshold():
 
 
 def test_detector_validation():
-    with pytest.raises(ValueError):
-        ThresholdDetector(-0.5)
-    with pytest.raises(ValueError, match="threshold_db must be >= 0, got nan"):
-        ThresholdDetector(math.nan)
-    assert ThresholdDetector(math.inf).threshold_db == math.inf
+    for bad, shown in ((-0.5, "-0.5"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(ValueError, match=f"threshold_db must be finite and >= 0, got {shown}$"):
+            ThresholdDetector(bad)
     with pytest.raises(ValueError):
         ThresholdDetector(1.0, "average")
 
@@ -111,46 +102,31 @@ def _noisy_rows(n=40):
     return extract(np.abs(base + rng.normal(0, 0.7, size=(n, 1, 12))), "wd"), labels
 
 
-def test_sweep_threshold_zero_flags_everything():
-    (point,) = sweep_threshold(*_noisy_rows(), [0.0])
-    assert point.fp_rate == 1.0  # any positive delta exceeds T=0
-    assert point.fn_rate == 0.0
+def test_decide_at_zero_flags_every_positive_row():
+    means, _ = _noisy_rows()
+    assert np.all(means > 0)
+    assert decide(ThresholdDetector(0.0), means).all()
 
 
-def test_sweep_threshold_infinite_misses_everything():
-    (point,) = sweep_threshold(*_noisy_rows(), [float("inf")])
-    assert point.fn_rate == 1.0
-    assert point.fp_rate == 0.0
-    assert point.accuracy == pytest.approx(0.5)
-
-
-def test_sweep_threshold_finds_best_point_on_noisy_data():
+def test_fit_on_noisy_rows_scores_above_0_8():
     means, labels = _noisy_rows(200)
-    curve = sweep_threshold(means, labels, np.linspace(0.0, 3.0, 61))
-    best = best_operating_point(curve)
-    assert best.accuracy == max(p.accuracy for p in curve)
-    assert best.accuracy > 0.8
-    for aggregation in ("mean-delta", "majority-vote"):  # one decision per threshold
-        for point in sweep_threshold(means, labels, [0.5, 1.0], aggregation):
-            verdicts = decide(ThresholdDetector(point.threshold_db, aggregation), means)
-            assert point.accuracy == float(np.mean(verdicts == labels))
+    assert np.mean(decide(fit(means, labels), means) == labels) > 0.8
 
 
-def test_sweep_threshold_zero_noise_reaches_perfect_accuracy():
+def test_fit_on_a_zero_noise_split_separates_perfectly():
     spec = DatasetSpec(default_config(), QUIET, "wd", n_bs=3, train_size=30, test_size=2)
     (_, deltas), = iter_delta_chunks(spec, "train")
-    labels = row_plan(spec, "train")[0] != 0
-    curve = sweep_threshold(extract(deltas, "wd"), labels, np.linspace(0.0, 2.0, 41))
-    assert best_operating_point(curve).accuracy == 1.0
+    means, labels = extract(deltas, "wd"), row_plan(spec, "train")[0] != 0
+    assert np.all(decide(fit(means, labels), means) == labels)
 
 
-def test_sweep_threshold_validates_input():
+def test_fit_validates_input():
+    with pytest.raises(ValueError, match="window means"):
+        fit(np.zeros((0, 1)), [])
+    with pytest.raises(ValueError, match="3 labels for 4 rows"):
+        fit(_noisy_rows(4)[0], [True, False, True])
     with pytest.raises(ValueError):
-        sweep_threshold(np.zeros((0, 1)), [], [1.0])
-    with pytest.raises(ValueError):
-        sweep_threshold(*_noisy_rows(4), [])
-    with pytest.raises(ValueError, match="labels"):
-        sweep_threshold(_noisy_rows(4)[0], [True], [1.0])
+        fit(_noisy_rows(4)[0], [True] * 4, "average")
 
 
 def _random_means(rng, rows, stations):
@@ -164,17 +140,20 @@ def _random_means(rng, rows, stations):
 @pytest.mark.parametrize("aggregation", AGGREGATIONS)
 def test_fit_is_the_best_cut_of_a_sweep_over_every_candidate(aggregation):
     """Brute force: every row's station mean, every window mean and 0 hold
-    every score, so the sweep's best point over them is the best T."""
+    every score, so the most accurate of them, the smallest on a tie, is
+    the best T."""
     rng = np.random.default_rng(26)
     for _ in range(300):
         rows, stations = int(rng.integers(1, 25)), int(rng.integers(1, 4))
         means = _random_means(rng, rows, stations)
         labels = rng.random(rows) < 0.5
         cuts = np.concatenate(([0.0], means.ravel(), np.mean(means, axis=-1)))
-        best = best_operating_point(sweep_threshold(means, labels, cuts, aggregation))
-        detector = fit(means, labels, aggregation)
-        assert detector == ThresholdDetector(best.threshold_db, aggregation)
-        assert np.mean(decide(detector, means) == labels) == best.accuracy
+
+        def accuracy(t):
+            return np.mean(decide(ThresholdDetector(t, aggregation), means) == labels)
+
+        best = max(cuts.tolist(), key=lambda t: (accuracy(t), -t))
+        assert fit(means, labels, aggregation) == ThresholdDetector(best, aggregation)
 
 
 def test_fit_takes_the_smallest_of_tied_cuts():
@@ -183,10 +162,6 @@ def test_fit_takes_the_smallest_of_tied_cuts():
     assert fit(means, [False, False, True, True]).threshold_db == 1.0
     assert fit(means, [True, True, False, False]).threshold_db == 3.0  # best to flag no row
     assert repr(fit(-0.0 * means, [True, False, True, False]).threshold_db) == "0.0"  # never -0.0
-    with pytest.raises(ValueError, match="3 labels for 4 rows"):
-        fit(means, [True, False, True])
-    with pytest.raises(ValueError):
-        fit(means, [True] * 4, "average")
 
 
 @pytest.mark.parametrize("aggregation", AGGREGATIONS)
@@ -194,6 +169,6 @@ def test_decide_gives_the_count_rule_verdicts(aggregation):
     rng = np.random.default_rng(7)
     for stations in range(1, 6):
         means = _random_means(rng, 200, stations)
-        for t in (0.0, 0.5, 1.45, 2.0, float(means[0, 0]), math.inf):  # some means exactly at T
+        for t in (0.0, 0.5, 1.45, 2.0, float(means[0, 0])):  # some means exactly at T
             verdicts = decide(ThresholdDetector(t, aggregation), means)
             assert verdicts.tolist() == count_rule_verdicts(means, t, aggregation).tolist()
