@@ -229,7 +229,7 @@ def measured_windows(links: Link, dests, params: ChannelParams, noise_seeds, bs_
     in the order every dataset depends on: the LoS branch of every sample
     (sampled_los only), then every shadow-fading value, then every
     measurement-noise value. One generator is re-seeded per window, and
-    the path loss is assembled once per batch.
+    the path loss is assembled once per batch, and refused unless finite.
     """
     rows, (stations, n) = len(dests), links.los_prob.shape[1:]
     bitgen = np.random.PCG64(0)
@@ -250,13 +250,16 @@ def measured_windows(links: Link, dests, params: ChannelParams, noise_seeds, bs_
     # pl + sigma * shadow + meas_noise_sigma * noise without temporaries;
     # IEEE addition commutes, so the sums are bit for bit the same. And
     # sigma * standard_normal() is normal(0, sigma) bit for bit, without the
-    # per-call scale checks that normal() makes on an array sigma.
-    measured = sigma * draws[:, :, -2]
-    measured += pl
-    noise = draws[:, :, -1]
-    noise *= params.meas_noise_sigma
-    measured += noise
-    return measured
+    # per-call scale checks that normal() makes on an array sigma. An
+    # overflow, from a sigma near the largest float, warns nothing here:
+    # check_finite refuses it with one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        measured = sigma * draws[:, :, -2]
+        measured += pl
+        noise = draws[:, :, -1]
+        noise *= params.meas_noise_sigma
+        measured += noise
+    return check_finite(measured)
 
 
 def check_finite(values: np.ndarray) -> np.ndarray:

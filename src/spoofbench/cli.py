@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import baseline, dataset, mlp
-from .channel import ChannelParams
+from .channel import ChannelParams, measured_windows
 from .configio import config_to_dict, load_config, save_config, save_csv, save_json
 from .features import METHODS
 from .presets import BEST_SETTINGS
@@ -54,24 +54,25 @@ def cmd_simulate(args) -> int:
     """Archive every station's windows of the first 2n - 2 rows of the train
     split, n the scene's destinations: each non-planned one spoofed once.
     Every row reports the planned flight, so the reported destination and
-    each station's path loss along it (iter_windows' one theoretical array)
+    each station's path loss along it (scene_links' one theoretical array)
     are written once; a row's label and noise seed follow from its true
-    destination and index."""
+    destination and index. The archive holds every value, so the rows are
+    simulated in one batch."""
     scenario_cfg, channel = load_config(args.config)
     bs_ids = [bs.id for bs in scenario_cfg.base_stations]
     destinations = destination_grid(scenario_cfg)
     n = scenario_cfg.n_destinations
     dests, first_seed = dataset.plan_rows(n, channel.rng_seed, "train", 2 * n - 2)
-    entries = []
-    for rows, theoretical, measured in dataset.iter_windows(scenario_cfg, channel, bs_ids, dests, first_seed):
-        for k, row in zip(rows, measured):
-            entries.append(
-                {
-                    "index": k,
-                    "true_destination": destinations[dests[k]].tolist(),
-                    "measured_db": {str(bs_id): m.tolist() for bs_id, m in zip(bs_ids, row)},
-                }
-            )
+    links, theoretical = dataset.scene_links(scenario_cfg, channel, bs_ids)
+    measured = measured_windows(links, dests, channel, range(first_seed, first_seed + len(dests)), bs_ids)
+    entries = [
+        {
+            "index": k,
+            "true_destination": destinations[dest].tolist(),
+            "measured_db": {str(bs_id): m.tolist() for bs_id, m in zip(bs_ids, row)},
+        }
+        for k, (dest, row) in enumerate(zip(dests, measured))
+    ]
     save_json(
         args.out,
         {

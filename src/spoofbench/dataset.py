@@ -32,8 +32,8 @@ SPLITS = ("train", "test")
 CHUNK_ROWS = 64
 
 # The fewest rows worth a process of their own. A forked part also pays for
-# the fork and the wait (about 4 ms) and each split's noise-free links
-# (about 2.5 ms), while 256 wd/3 rows simulate in about 19 ms (2-vCPU Xeon).
+# the fork and the wait (about 4 ms), while 256 wd/3 rows simulate in about
+# 19 ms (2-vCPU Xeon).
 PART_MIN_ROWS = 256
 
 BS_SUBSETS = {1: (1,), 2: (1, 3), 3: (1, 2, 3)}
@@ -127,19 +127,11 @@ def row_plan(spec: DatasetSpec, split: str) -> tuple[np.ndarray, int]:
     return plan_rows(spec.scenario.n_destinations, spec.channel.rng_seed, split, split_size(spec, split))
 
 
-def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, dests, first_seed: int):
-    """Yields (rows, theoretical, measured) for consecutive chunks of at most
-    CHUNK_ROWS rows: the one simulation behind `generate` and `simulate`.
-    Row k flies to destination dests[k] with noise seed first_seed + k, and
-    rows is the chunk's range of k.
-
-    Every row reports the planned flight, destination 0, so theoretical is
-    one (stations, samples) array of its noise-free path loss, shared by
-    every chunk. measured is a (rows, stations, samples) array of the path
-    loss each station reports along the row's true flight. Stations come in
-    bs_ids order. The noise-free path loss is computed once per
-    (destination, station); per window only its generator is re-seeded and
-    its draws made (channel.measured_windows).
+def scene_links(config: ScenarioConfig, channel: ChannelParams, bs_ids) -> tuple[Link, np.ndarray]:
+    """The noise-free links of every destination of a scene to the stations
+    bs_ids, in that order (Link.along), and the (stations, samples)
+    theoretical path loss of destination 0. Every row reports that planned
+    flight, so the one array serves every row of `generate` and `simulate`.
     """
     stations = [config.base_station_by_id(i) for i in bs_ids]
     positions = flight_positions(config, destination_grid(config))
@@ -149,73 +141,42 @@ def iter_windows(config: ScenarioConfig, channel: ChannelParams, bs_ids, dests, 
         k = 1 + int(np.argmax(never_diverge))
         raise ValueError(f"spoofed flight to destination {k} never diverges from the planned one")
     links = Link.along(positions, stations, channel)
-    theoretical = check_finite(links.theoretical())
-    dests = np.asarray(dests)
-    for start in range(0, len(dests), CHUNK_ROWS):
-        rows = range(start, min(start + CHUNK_ROWS, len(dests)))
-        seeds = range(first_seed + rows.start, first_seed + rows.stop)
-        measured = measured_windows(links, dests[rows.start : rows.stop], channel, seeds, bs_ids)
-        yield rows, theoretical, check_finite(measured)
-
-
-def iter_delta_chunks(spec: DatasetSpec, split: str, rows: range | None = None):
-    """Yields (rows, deltas) for consecutive chunks of at most CHUNK_ROWS rows
-    of a split, or of its rows in range rows. rows must start on a chunk
-    boundary, so every chunk is one that the whole split yields.
-
-    rows is the chunk's range of row indices, and deltas a (rows, stations,
-    samples) array of |measured - theoretical| path loss, stations in
-    select_bs_subset order.
-    """
-    dests, first_seed = row_plan(spec, split)
-    rows = range(len(dests)) if rows is None else rows
-    if rows.start % CHUNK_ROWS:
-        raise ValueError(f"rows must start on a multiple of {CHUNK_ROWS}, got {rows.start}")
-    bs_ids = select_bs_subset(spec.n_bs)
-    windows = iter_windows(spec.scenario, spec.channel, bs_ids, dests[rows.start : rows.stop], first_seed + rows.start)
-    for chunk, theoretical, measured in windows:
-        measured -= theoretical  # in place: |measured - theoretical| without temporaries
-        yield range(rows.start + chunk.start, rows.start + chunk.stop), np.abs(measured, out=measured)
-
-
-def _parts(spec: DatasetSpec, splits) -> list[list[tuple[str, range]]]:
-    """The rows of splits, taken in order, as k contiguous parts of whole
-    chunks, each a list of (split, rows) segments; a chunk starting at row r
-    of the splits joined goes to part r * k // (their rows). k is one per
-    usable CPU (forks.workers), with at least PART_MIN_ROWS rows a part.
-    """
-    sizes = [split_size(spec, split) for split in splits]
-    total = sum(sizes)
-    k = forks.workers(total // PART_MIN_ROWS)
-    parts: list[list[tuple[str, range]]] = [[] for _ in range(k)]
-    offset = 0
-    for split, size in zip(splits, sizes):
-        for start in range(0, size, CHUNK_ROWS):
-            segments = parts[(offset + start) * k // total]
-            rows = range(start, min(start + CHUNK_ROWS, size))
-            if segments and segments[-1][0] == split:  # the part's segment of this split grows
-                rows = range(segments.pop()[1].start, rows.stop)
-            segments.append((split, rows))
-        offset += size
-    return [part for part in parts if part]
-
-
-def _simulate_part(spec: DatasetSpec, method: str, part) -> np.ndarray:
-    """The feature rows of a part's (split, rows) segments, in order."""
-    return np.concatenate([
-        features.extract(deltas, method) for split, rows in part for _, deltas in iter_delta_chunks(spec, split, rows)
-    ])
+    return links, check_finite(links.theoretical())
 
 
 def _simulate_features(spec: DatasetSpec, method: str, splits) -> list[np.ndarray]:
     """The (rows, width) feature matrix by method of each split in splits.
 
-    The rows are simulated in parts (_parts), one process each (fork_map).
-    Each part runs the chunks that one part would, so neither the bytes nor
-    the error, that of the first failing chunk, depend on the part count.
+    The scene's links are built once, here; forked parts inherit them. The
+    rows of splits, in order, are cut into chunks of at most CHUNK_ROWS
+    rows, and the chunks into k contiguous parts, one process each
+    (fork_map); k is one per usable CPU (forks.workers), with at least
+    PART_MIN_ROWS rows a part. A chunk draws only from its own rows'
+    streams, so neither the bytes nor the error, that of the first failing
+    chunk, depend on k.
     """
-    parts = forks.fork_map(lambda part: _simulate_part(spec, method, part), _parts(spec, splits))
-    return np.split(np.concatenate(parts), np.cumsum([split_size(spec, split) for split in splits])[:-1])
+    bs_ids = select_bs_subset(spec.n_bs)
+    links, theoretical = scene_links(spec.scenario, spec.channel, bs_ids)
+    chunks = []  # (destinations, noise seeds) of each chunk
+    for split in splits:
+        dests, first_seed = row_plan(spec, split)
+        for start in range(0, len(dests), CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, len(dests))
+            chunks.append((dests[start:stop], range(first_seed + start, first_seed + stop)))
+
+    def simulate(part) -> np.ndarray:
+        blocks = []
+        for dests, seeds in part:
+            deltas = measured_windows(links, dests, spec.channel, seeds, bs_ids)
+            deltas -= theoretical  # in place: |measured - theoretical| without temporaries
+            blocks.append(features.extract(np.abs(deltas, out=deltas), method))
+        return np.concatenate(blocks)
+
+    sizes = [split_size(spec, split) for split in splits]
+    k = forks.workers(sum(sizes) // PART_MIN_ROWS)
+    parts = [chunks[i * len(chunks) // k : (i + 1) * len(chunks) // k] for i in range(k)]
+    blocks = forks.fork_map(simulate, [part for part in parts if part])
+    return np.split(np.concatenate(blocks), np.cumsum(sizes)[:-1])
 
 
 def spec_width(spec: DatasetSpec) -> int:

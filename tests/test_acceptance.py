@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import split_deltas
 from oracles import (
     backprop_gradients,
     cdf_area_distance,
@@ -24,7 +25,7 @@ from oracles import (
 from spoofbench.baseline import decide, fit
 from spoofbench.channel import ChannelParams
 from spoofbench.cli import main as cli
-from spoofbench.dataset import DatasetSpec, generate, iter_delta_chunks, row_plan
+from spoofbench.dataset import DatasetSpec, generate, row_plan
 from spoofbench.features import FEATURES_PER_BS, METHODS, extract
 from spoofbench.mlp import (
     VALIDATION_FRACTION,
@@ -310,7 +311,7 @@ def test_criterion_08_statistical_oracles():
 
 def split_means(spec: DatasetSpec, split: str):
     """A whole split's (rows, stations) window means and its labels."""
-    means = np.concatenate([extract(d, "wd") for _, d in iter_delta_chunks(spec, split)])
+    means = extract(split_deltas(spec, split), "wd")
     return means, row_plan(spec, split)[0] != 0
 
 

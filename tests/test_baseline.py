@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spoofbench.baseline import AGGREGATIONS, ThresholdDetector, decide, fit
+from conftest import split_deltas
 from oracles import count_rule_verdicts, path_loss, position_at
+from spoofbench.baseline import AGGREGATIONS, ThresholdDetector, decide, fit
 from spoofbench.channel import ChannelParams
-from spoofbench.dataset import DatasetSpec, iter_delta_chunks, row_plan
+from spoofbench.dataset import DatasetSpec, row_plan
 from spoofbench.features import extract
 from spoofbench.scenario import default_config, destination_grid
 
@@ -80,7 +81,7 @@ def test_zero_noise_spoofed_flight_exceeds_1db():
     cfg = default_config()
     bs = cfg.base_stations[0]
     spec = DatasetSpec(cfg, QUIET, "wd", n_bs=1, train_size=16, test_size=2)
-    (_, deltas), = iter_delta_chunks(spec, "train")
+    deltas = split_deltas(spec, "train")
     k = int(np.flatnonzero(row_plan(spec, "train")[0] == 8)[0])  # opposite azimuth
     true, reported = destination_grid(cfg)[8], destination_grid(cfg)[0]
 
@@ -115,7 +116,7 @@ def test_fit_on_noisy_rows_scores_above_0_8():
 
 def test_fit_on_a_zero_noise_split_separates_perfectly():
     spec = DatasetSpec(default_config(), QUIET, "wd", n_bs=3, train_size=30, test_size=2)
-    (_, deltas), = iter_delta_chunks(spec, "train")
+    deltas = split_deltas(spec, "train")
     means, labels = extract(deltas, "wd"), row_plan(spec, "train")[0] != 0
     assert np.all(decide(fit(means, labels), means) == labels)
 

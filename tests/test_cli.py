@@ -3,11 +3,14 @@ import json
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import spoofbench
 from spoofbench.baseline import ThresholdDetector, decide, fit
 from spoofbench.channel import ChannelParams
 from spoofbench.cli import _train_config, build_parser, main
@@ -125,6 +128,24 @@ def test_init_writes_nothing_when_the_spec_is_refused(tmp_path, capsys):
     out = tmp_path / "work"
     assert run("init", "--out", out, "--train-size", "1") == 1
     assert "train_size must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "simulate"])
+def test_overflowing_path_loss_gives_one_error_line_and_no_output(tmp_path, command):
+    # A subprocess, so that any numpy warning reaches stderr as a user sees it.
+    _init(tmp_path, "wd", 3)
+    for name in ("config.json", "spec.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        (doc["scenario"] if name == "spec.json" else doc)["meas_noise_sigma_db"] = 1e308
+        (tmp_path / name).write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    source = ["--spec", tmp_path / "spec.json"] if command == "generate" else ["--config", tmp_path / "config.json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(spoofbench.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "spoofbench", command, *source, "--out", out],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: path loss values must be finite\n"
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import split_deltas
 from oracles import reference_row_plan, reference_window
 from spoofbench.channel import ChannelParams
 from spoofbench.configio import ConfigError, load_config, save_config, save_csv
@@ -21,7 +22,6 @@ from spoofbench.dataset import (
     LabeledDataset,
     generate,
     CHUNK_ROWS,
-    iter_delta_chunks,
     load,
     load_spec,
     row_plan,
@@ -128,21 +128,20 @@ def test_row_plan_matches_the_per_row_reference(rng_seed):
 
 def test_windows_draw_with_the_reference_seeds_beyond_int64():
     spec = small_spec(method="wd", n_bs=1, seed=2**40, train=CHUNK_ROWS + 2, test=2)
-    chunks = list(iter_delta_chunks(spec, "train"))
+    deltas = split_deltas(spec, "train")
     plan = reference_row_plan(spec, "train")
     station = spec.scenario.base_station_by_id(1)
     for k in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1):
         _, dest, seed = plan[k]
         measured, theoretical, _ = reference_window(spec.scenario, dest, seed, station, spec.channel)
-        rows, deltas = chunks[k // CHUNK_ROWS]
-        assert deltas[rows.index(k), 0].tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
+        assert deltas[k, 0].tolist() == [abs(m - t) for m, t in zip(measured, theoretical)]
 
 
 def test_delta_rows_agree_with_mvsk_mean_feature():
     spec = small_spec(method="mvsk", n_bs=2, train=6, test=4)
     train_ds, _ = generate(spec)
-    (rows, deltas), = iter_delta_chunks(spec, "train")
-    assert rows == range(6) and deltas.shape == (6, 2, 100)
+    deltas = split_deltas(spec, "train")
+    assert deltas.shape == (6, 2, 100)
     assert train_ds.labels.tolist() == [label for label, _, _ in reference_row_plan(spec, "train")]
     means = train_ds.features.reshape(6, 2, 4)[..., 0]  # (rows, stations) window means
     assert np.mean(deltas, axis=-1) == pytest.approx(means, rel=1e-12)
@@ -153,18 +152,10 @@ def test_delta_rows_agree_with_mvsk_mean_feature():
 def test_window_means_of_saved_rows_equal_the_resimulated_means(tmp_path, method, n_bs):
     for ds in generate(small_spec(method=method, n_bs=n_bs, train=30, test=20)):
         save(ds, tmp_path / f"{ds.split}.csv")
-        resimulated = np.concatenate([extract(d, "wd") for _, d in iter_delta_chunks(ds.spec, ds.split)])
+        resimulated = extract(split_deltas(ds.spec, ds.split), "wd")
         means = window_means(load(tmp_path / f"{ds.split}.csv"))
         assert means.shape == (len(ds.labels), n_bs)
         assert means.tobytes() == resimulated.tobytes()
-
-
-def test_delta_chunks_cover_the_split_in_order():
-    spec = small_spec(method="wd", n_bs=1, train=CHUNK_ROWS + 3, test=2)
-    chunks = list(iter_delta_chunks(spec, "train"))
-    assert [len(rows) for rows, _ in chunks] == [CHUNK_ROWS, 3]
-    assert [k for rows, _ in chunks for k in rows] == list(range(CHUNK_ROWS + 3))
-    assert all(d.shape == (len(rows), 1, 100) for rows, d in chunks)
 
 
 @pytest.mark.parametrize("sigma", [1e120, 1e160])

@@ -3,8 +3,8 @@
 `dataset.generate`, and `window_means` on a box split, cut the rows into
 one part per usable CPU. These tests set the CPU count and PART_MIN_ROWS
 to fix the number of parts, compare every result with the one-part run's,
-and check that no forked process outlives a call, whether it returns or
-raises.
+check that the scene's links are built once, in the caller, and that no
+forked process outlives a call, whether it returns or raises.
 """
 
 import atexit
@@ -16,12 +16,11 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from spoofbench import dataset, features
-from spoofbench.channel import ChannelParams
-from spoofbench.dataset import PART_MIN_ROWS, DatasetSpec, generate, window_means
+from spoofbench.channel import ChannelParams, Link
+from spoofbench.dataset import CHUNK_ROWS, PART_MIN_ROWS, SPLITS, DatasetSpec, generate, row_plan, window_means
 from spoofbench.scenario import default_config
 
 # 300 + 200 rows make 9 chunks: 64, 64, 64, 64, 44 and 64, 64, 64, 8.
@@ -86,14 +85,57 @@ def test_features_do_not_depend_on_the_part_count(monkeypatch, forks, scene):
         assert generate(nlos)[0].features.tobytes() != expected[0].features.tobytes()
 
 
-def test_parts_are_whole_chunks_in_row_order(monkeypatch):
+def test_parts_cut_the_chunks_of_both_splits_in_row_order(monkeypatch):
+    spec, parts, fork_map = spec_of("wd"), [], dataset.forks.fork_map
+
+    def captured(fn, items):
+        parts.extend(items)
+        return fork_map(fn, items)
+
+    monkeypatch.setattr(dataset.forks, "fork_map", captured)
     set_cpus(monkeypatch, 3)
-    parts = dataset._parts(spec_of("wd"), dataset.SPLITS)
-    assert parts == [
-        [("train", range(0, 192))],
-        [("train", range(192, 300)), ("test", range(0, 64))],
-        [("test", range(64, 200))],
+    generate(spec)
+    plans = {split: row_plan(spec, split) for split in SPLITS}
+
+    def split_rows(chunk):
+        """The split and the row range of a (destinations, noise seeds) chunk."""
+        dests, seeds = chunk
+        for split, (plan, first_seed) in plans.items():
+            if first_seed <= seeds.start < first_seed + len(plan):
+                rows = range(seeds.start - first_seed, seeds.stop - first_seed)
+                assert dests.tolist() == plan[rows.start : rows.stop].tolist()
+                return split, rows
+        raise AssertionError(f"noise seeds {seeds} are in neither split")
+
+    layout = [[split_rows(chunk) for chunk in part] for part in parts]
+    chunks = [chunk for part in layout for chunk in part]
+    assert all(len(rows) <= CHUNK_ROWS and rows.start % CHUNK_ROWS == 0 for _, rows in chunks)
+    assert [(split, k) for split, rows in chunks for k in rows] == [
+        (split, k) for split in SPLITS for k in range(len(plans[split][0]))
     ]
+    assert [[(split, rows.start) for split, rows in part] for part in layout] == [
+        [("train", 0), ("train", 64), ("train", 128)],
+        [("train", 192), ("train", 256), ("test", 0)],
+        [("test", 64), ("test", 128), ("test", 192)],
+    ]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_links_are_built_once_per_call_in_the_caller(monkeypatch, forks, cpus):
+    caller, along, builds = os.getpid(), Link.along.__func__, []
+
+    def counted(cls, *args):
+        if os.getpid() != caller:
+            raise AssertionError("Link.along called in a forked process")
+        builds.append(args)
+        return along(cls, *args)
+
+    monkeypatch.setattr(Link, "along", classmethod(counted))
+    set_cpus(monkeypatch, cpus)
+    train, _ = generate(spec_of("box"))
+    assert len(builds) == 1 and len(forks) == cpus - 1
+    window_means(train)  # a box split is re-simulated
+    assert len(builds) == 2 and len(forks) == 2 * (cpus - 1)
 
 
 def test_rows_below_two_parts_fork_nothing(monkeypatch):
@@ -117,23 +159,23 @@ def test_a_running_thread_keeps_one_part(monkeypatch):
         thread.join()
 
 
-def overflow_test_rows_from(monkeypatch, first_row: int) -> None:
-    """Scales the deltas of the test split's chunks from first_row on by
-    1e120, so their mvsk moments overflow there and nowhere else."""
-    chunks = dataset.iter_delta_chunks
+def overflow_test_rows_from(monkeypatch, spec, first_row: int) -> None:
+    """Scales the measured path loss of spec's test rows from first_row on
+    by 1e120, so their mvsk moments overflow there and nowhere else."""
+    first_seed = row_plan(spec, "test")[1] + first_row  # train seeds are all lower
+    measured_windows = dataset.measured_windows
 
-    def scaled(spec, split, rows=None):
-        for chunk, deltas in chunks(spec, split, rows):
-            if split == "test" and chunk.start >= first_row:
-                deltas *= 1e120
-            yield chunk, deltas
+    def scaled(links, dests, params, noise_seeds, bs_ids):
+        measured = measured_windows(links, dests, params, noise_seeds, bs_ids)
+        measured[[seed >= first_seed for seed in noise_seeds]] *= 1e120
+        return measured
 
-    monkeypatch.setattr(dataset, "iter_delta_chunks", scaled)
+    monkeypatch.setattr(dataset, "measured_windows", scaled)
 
 
 def one_part_error(monkeypatch, spec, first_row: int) -> str:
     with monkeypatch.context() as m:
-        overflow_test_rows_from(m, first_row)
+        overflow_test_rows_from(m, spec, first_row)
         with pytest.raises(ValueError, match="mvsk skewness and kurtosis overflow") as error:
             one_part(m, spec)
     return str(error.value)
@@ -142,7 +184,7 @@ def one_part_error(monkeypatch, spec, first_row: int) -> str:
 def test_a_failing_child_part_raises_its_error_in_the_caller(monkeypatch, forks):
     spec = spec_of("mvsk")
     message = one_part_error(monkeypatch, spec, 0)
-    overflow_test_rows_from(monkeypatch, 0)
+    overflow_test_rows_from(monkeypatch, spec, 0)
     set_cpus(monkeypatch, 2)  # part 0 is train rows 0-255, part 1 the rest
     with pytest.raises(ValueError) as error:
         generate(spec)
@@ -159,7 +201,7 @@ def test_of_several_failing_parts_the_lowest_one_raises(monkeypatch, forks):
     message = one_part_error(monkeypatch, spec, 0)
     # Part 2's first failing chunk, test row 64, has another message.
     assert one_part_error(monkeypatch, spec, 64) != message
-    overflow_test_rows_from(monkeypatch, 0)
+    overflow_test_rows_from(monkeypatch, spec, 0)
     set_cpus(monkeypatch, 3)  # test rows 0-63 are in part 1, the others in part 2
     with pytest.raises(ValueError) as error:
         generate(spec)
@@ -221,17 +263,6 @@ def test_a_child_leaves_only_through_os_exit(monkeypatch, forks, tmp_path):
     finally:
         atexit.unregister(ran)
     assert len(forks) == 2 and not marker.exists()
-
-
-def test_row_ranges_start_on_a_chunk_boundary():
-    spec = spec_of("wd")
-    with pytest.raises(ValueError, match="rows must start on a multiple of 64, got 65"):
-        next(dataset.iter_delta_chunks(spec, "train", range(65, 128)))
-    (rows, deltas), = dataset.iter_delta_chunks(spec, "test", range(192, 200))
-    whole = list(dataset.iter_delta_chunks(spec, "test"))
-    assert rows == whole[-1][0] == range(192, 200)
-    assert deltas.tobytes() == whole[-1][1].tobytes()
-    assert np.all(deltas >= 0)
 
 
 def test_the_command_line_imports_no_process_pool():

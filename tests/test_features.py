@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import split_deltas
 from oracles import cdf_area_distance, naive_mvsk, reference_row_plan, reference_window, wasserstein_1d
 from spoofbench.channel import ChannelParams
-from spoofbench.dataset import DatasetSpec, iter_delta_chunks
+from spoofbench.dataset import DatasetSpec
 from spoofbench.features import FEATURES_PER_BS, extract
 from spoofbench.scenario import default_config
 
@@ -31,8 +32,8 @@ def test_delta_series_is_absolute_difference():
     config = default_config()
     spec = DatasetSpec(config, ChannelParams(carrier_frequency=2.0), "wd", n_bs=2,
                        train_size=6, test_size=2)
-    ((_, deltas),) = iter_delta_chunks(spec, "train")
-    for (_, dest, seed), row in zip(reference_row_plan(spec, "train"), deltas):
+    deltas = split_deltas(spec, "train")
+    for (_, dest, seed), row in zip(reference_row_plan(spec, "train"), deltas, strict=True):
         for bs_id, delta in zip((1, 3), row):
             measured, theoretical, _ = reference_window(
                 config, dest, seed, config.base_station_by_id(bs_id), spec.channel

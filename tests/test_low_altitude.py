@@ -13,9 +13,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import split_deltas
 from oracles import reference_row_plan, reference_window
 from spoofbench.cli import main as cli
-from spoofbench.dataset import iter_delta_chunks, spec_from_dict
+from spoofbench.dataset import spec_from_dict
 
 START_HEIGHT_M = 50.0
 
@@ -46,8 +47,7 @@ def test_low_altitude_deltas_match_scalar_oracle_and_parent_archive(tmp_path, sa
     stations = [config.base_station_by_id(i) for i in (1, 2, 3)]
     nlos_draws = 0
     for split in ("train", "test"):
-        deltas = np.concatenate([d for _, d in iter_delta_chunks(spec, split)])
-        for (_, dest, seed), row in zip(reference_row_plan(spec, split), deltas, strict=True):
+        for (_, dest, seed), row in zip(reference_row_plan(spec, split), split_deltas(spec, split), strict=True):
             for bs, delta in zip(stations, row):
                 measured, theoretical, los = reference_window(config, dest, seed, bs, spec.channel)
                 nlos_draws += los.count(False)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import position_at
 from spoofbench.channel import ChannelParams
-from spoofbench.dataset import DatasetSpec, iter_windows, plan_rows, spec_hash
+from spoofbench.dataset import DatasetSpec, plan_rows, scene_links, spec_hash
 from spoofbench.scenario import (
     ELEVATION_SPREAD_DEG,
     BaseStation,
@@ -95,7 +95,7 @@ def test_windows_refuse_a_spoofed_flight_that_never_diverges():
     # A radius this small rounds every destination onto the start.
     cfg = _config(mission_radius=1e-300)
     with pytest.raises(ValueError, match="destination 1 never diverges"):
-        next(iter_windows(cfg, ChannelParams(), [1], *_archive_plan(cfg)))
+        scene_links(cfg, ChannelParams(), [1])
 
 
 def _config(**overrides):
