@@ -134,7 +134,7 @@ def _train_config(args, learning_rate: float) -> mlp.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    """Train one MLP on a generated dataset; write model JSON + history CSV."""
+    """Train one MLP on a generated dataset; write its model JSON, history included."""
     train_ds = _load_split(args.data_dir, "train")
     preset = BEST_SETTINGS[train_ds.spec.method, train_ds.spec.n_bs]
     lr = args.lr if args.lr is not None else preset[0]
@@ -146,7 +146,6 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mlp.save_model(model, out / "model.json", _model_meta(train_ds))
-    mlp.write_history_csv(model.history, out / "history.csv")
     print(
         f"wrote {out}/model.json: {len(model.history)} epochs, best {model.best_epoch} "
         f"(val_mse {model.val_mse:.5f}, val_acc {model.val_accuracy:.4f})"
@@ -190,7 +189,6 @@ def cmd_tune(args) -> int:
     rows = ((train_ds.spec.method, *astuple(r), rank) for r, rank in zip(result.results, result.ranks))
     save_csv(out / "grid_report.csv", header, rows)
     mlp.save_model(result.best_model, out / "model.json", _model_meta(train_ds))
-    mlp.write_history_csv(result.best_model.history, out / "history.csv")
     best = result.results[result.best_index]
     print(
         f"wrote {out}/grid_report.csv ({len(result.results)} configurations); best: "

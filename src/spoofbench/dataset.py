@@ -210,12 +210,6 @@ class LabeledDataset:
     def provenance(self) -> str:
         return spec_hash(self.spec)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabeledDataset):
-            return NotImplemented
-        same = (self.split, self.spec) == (other.split, other.spec)
-        return same and np.array_equal(self.features, other.features)
-
 
 def generate(spec: DatasetSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Simulate and extract the train and test splits of a spec, on every

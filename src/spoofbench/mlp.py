@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from . import forks
-from .configio import array, fields, load_json, save_csv, save_json, typed
+from .configio import array, fields, load_json, save_json, typed
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -389,7 +389,9 @@ def train(
     Splits off VALIDATION_FRACTION of the rows for validation,
     standardizes inputs with training-split statistics, and returns the
     model snapshot from the epoch with the lowest validation MSE. The full
-    per-epoch history stays attached to the returned model.
+    per-epoch history stays attached to the returned model. An epoch whose
+    train or validation MSE is not finite, as a diverging learning rate's
+    is, raises ValueError.
     """
     return train_stack(architecture, inputs, labels, config, (config.learning_rate,))[0]
 
@@ -462,43 +464,44 @@ def train_stack(
     ]
     train_outs, val_outs = _pass_buffers(architecture, len(Xt)), _pass_buffers(architecture, len(Xv))
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(Xt))
-        np.take(Xt, order, axis=0, out=X_epoch)
-        np.take(y_train, order, out=y_epoch[:, 0])
-        for x, x_t, y_batch in batches:
-            _gradients(stack, x, x_t, y_batch)
-            step += 1
-            stack.adam_step(step)
+    # A diverging run overflows to inf and nan silently; its first
+    # non-finite MSE raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(len(Xt))
+            np.take(Xt, order, axis=0, out=X_epoch)
+            np.take(y_train, order, out=y_epoch[:, 0])
+            for x, x_t, y_batch in batches:
+                _gradients(stack, x, x_t, y_batch)
+                step += 1
+                stack.adam_step(step)
 
-        stopped = set()
-        # One model at a time: a stack's (L, rows, width) buffers do not fit
-        # the cache, and stacked, this pass was 2-3x slower per model.
-        for row, i in enumerate(active):
-            weights, biases = stack.model(row)
-            train_pred = _forward(weights, biases, Xt, train_outs)[:, 0]
-            val_pred = _forward(weights, biases, Xv, val_outs)[:, 0]
-            val_mse = loss_mse(val_pred, y_val)
-            histories[i].append(
-                EpochStats(
-                    epoch=epoch,
-                    train_mse=loss_mse(train_pred, y_train),
-                    val_mse=val_mse,
-                    val_accuracy=accuracy(val_pred, y_val),
-                )
-            )
-            if val_mse < best_val[i]:
-                best_val[i] = val_mse
-                best_epoch[i] = epoch
-                best_params[i] = stack.params[row]
-            elif epoch - best_epoch[i] >= config.patience:
-                stopped.add(row)
-        if stopped:
-            rows = [row for row in range(len(active)) if row not in stopped]
-            if not rows:
-                break
-            stack.keep(rows)
-            active = [active[row] for row in rows]
+            stopped = set()
+            # One model at a time: a stack's (L, rows, width) buffers do not fit
+            # the cache, and stacked, this pass was 2-3x slower per model.
+            for row, i in enumerate(active):
+                weights, biases = stack.model(row)
+                train_pred = _forward(weights, biases, Xt, train_outs)[:, 0]
+                val_pred = _forward(weights, biases, Xv, val_outs)[:, 0]
+                train_mse, val_mse = loss_mse(train_pred, y_train), loss_mse(val_pred, y_val)
+                if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
+                    raise ValueError(
+                        f"training at learning rate {configs[i].learning_rate!r} diverged: "
+                        f"epoch {epoch}'s MSE is not finite"
+                    )
+                histories[i].append(EpochStats(epoch, train_mse, val_mse, accuracy(val_pred, y_val)))
+                if val_mse < best_val[i]:
+                    best_val[i] = val_mse
+                    best_epoch[i] = epoch
+                    best_params[i] = stack.params[row]
+                elif epoch - best_epoch[i] >= config.patience:
+                    stopped.add(row)
+            if stopped:
+                rows = [row for row in range(len(active)) if row not in stopped]
+                if not rows:
+                    break
+                stack.keep(rows)
+                active = [active[row] for row in rows]
 
     best_weights, best_biases = _layer_views(best_params, stack.sizes)
     return [
@@ -704,7 +707,3 @@ def load_model(path) -> tuple[MlpModel, dict]:
     """Read a `save_model` file. A document that is not one raises a
     ConfigError (a ValueError) naming the path and the offending key."""
     return load_json(path, _model_from_doc)
-
-
-def write_history_csv(history: list[EpochStats], path) -> None:
-    save_csv(path, column_names(EpochStats), map(astuple, history))

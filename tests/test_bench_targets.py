@@ -17,6 +17,7 @@ STALE = {
     "spoofbench.dataset.extract",
     "spoofbench.dataset.delta_series",
     "spoofbench.dataset.iter_delta_rows",
+    "spoofbench.mlp.write_history_csv",
 }
 
 

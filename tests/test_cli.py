@@ -32,6 +32,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess, so that any numpy warning reaches stderr as a
+    user sees it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spoofbench.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "spoofbench", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+
+
 def _init(out, method, n_bs):
     """`init` of the test scene, seed 3 at 40/20 rows, for method and n_bs."""
     assert run("init", "--out", out, "--method", method, "--n-bs", n_bs, "--seed", "3", *SMALL) == 0
@@ -133,7 +141,6 @@ def test_init_writes_nothing_when_the_spec_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["generate", "simulate"])
 def test_overflowing_path_loss_gives_one_error_line_and_no_output(tmp_path, command):
-    # A subprocess, so that any numpy warning reaches stderr as a user sees it.
     _init(tmp_path, "wd", 3)
     for name in ("config.json", "spec.json"):
         doc = json.loads((tmp_path / name).read_text())
@@ -141,9 +148,7 @@ def test_overflowing_path_loss_gives_one_error_line_and_no_output(tmp_path, comm
         (tmp_path / name).write_text(json.dumps(doc))
     out = tmp_path / "out"
     source = ["--spec", tmp_path / "spec.json"] if command == "generate" else ["--config", tmp_path / "config.json"]
-    env = {**os.environ, "PYTHONPATH": str(Path(spoofbench.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "spoofbench", command, *source, "--out", out],
-                          env=env, capture_output=True, text=True)
+    done = run_process(command, *source, "--out", out)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: path loss values must be finite\n"
     assert not out.exists()
@@ -171,15 +176,34 @@ def test_train_writes_model_and_history(run_dir):
     assert doc["meta"]["method"] == "wd"
     assert doc["meta"]["n_bs"] == 3
     assert doc["train_config"]["max_epochs"] == 40
-    history = (run_dir / "history.csv").read_text().splitlines()
-    assert history[0] == "epoch,train_mse,val_mse,val_accuracy"
-    assert len(history) == len(doc["history"]) + 1
+    # The history's one record: [epoch, train_mse, val_mse, val_accuracy] per epoch.
+    history = doc["history"]
+    assert [entry[0] for entry in history] == list(range(1, len(history) + 1))
+    assert {len(entry) for entry in history} == {4}
 
 
 def test_train_rejects_a_non_finite_learning_rate(workdir, data_dir, capsys):
     assert run("train", data_dir, "--out", workdir / "run", "--lr", "nan") == 1
     assert "learning_rate" in capsys.readouterr().err
     assert not (workdir / "run").exists()
+
+
+TUNE_ONE_ARCHITECTURE = ["--layers-grid", "1", "--neurons-grid", "4", "--epochs", "10", "--patience", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "1e300", "--epochs", "20", "--patience", "5"],
+    ["tune", "--lr-grid", "0.01,1e300", *TUNE_ONE_ARCHITECTURE],
+    ["tune", "--lr-grid", "1e300,0.01", *TUNE_ONE_ARCHITECTURE],
+], ids=["train", "tune", "tune-diverging-rate-first"])
+def test_a_diverging_learning_rate_gives_one_error_line_and_no_output(workdir, data_dir, argv):
+    # Whatever the grid order, a run whose MSE turns nan is refused, not ranked.
+    out = workdir / "out"
+    done = run_process(argv[0], data_dir, "--out", out, *argv[1:])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: training at learning rate 1e+300 diverged: epoch ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+    assert not out.exists()
 
 
 def test_evaluate_names_the_sidecar_and_the_missing_key(workdir, data_dir, capsys):
@@ -307,7 +331,6 @@ def test_train_is_byte_deterministic(workdir, data_dir):
     for out in (a, b):
         assert run("train", data_dir, "--out", out, "--epochs", "25", "--seed", "5") == 0
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
-    assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
 
 
 def test_evaluate_model_report(workdir, data_dir, run_dir):

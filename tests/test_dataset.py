@@ -19,7 +19,6 @@ from spoofbench.configio import ConfigError, load_config, save_config, save_csv
 from spoofbench.dataset import (
     DatasetFormatError,
     DatasetSpec,
-    LabeledDataset,
     generate,
     CHUNK_ROWS,
     load,
@@ -30,7 +29,6 @@ from spoofbench.dataset import (
     spec_from_dict,
     spec_hash,
     spec_to_dict,
-    spec_width,
     window_means,
 )
 from spoofbench.features import FEATURES_PER_BS, extract
@@ -85,13 +83,18 @@ def test_generate_width_matches_method_and_stations(method, n_bs):
     assert train_ds.width == n_bs * FEATURES_PER_BS[method]
 
 
+def _same(a, b) -> bool:
+    """Two splits of one spec with the same features."""
+    return (a.split, a.spec) == (b.split, b.spec) and np.array_equal(a.features, b.features)
+
+
 def test_generate_is_deterministic():
     a_train, a_test = generate(small_spec(seed=5))
     b_train, b_test = generate(small_spec(seed=5))
-    assert a_train == b_train
-    assert a_test == b_test
+    assert _same(a_train, b_train)
+    assert _same(a_test, b_test)
     c_train, _ = generate(small_spec(seed=6))
-    assert a_train != c_train
+    assert not np.array_equal(a_train.features, c_train.features)
 
 
 def plan_seeds(spec, split):
@@ -174,7 +177,7 @@ def test_save_load_round_trip(tmp_path):
     for ds, name in ((train_ds, "train.csv"), (test_ds, "test.csv")):
         path = tmp_path / name
         save(ds, path)
-        assert load(path) == ds
+        assert _same(load(path), ds)
 
 
 def test_save_csv_writes_numpy_floats_as_digits_that_load_reads_back(tmp_path):
@@ -187,7 +190,7 @@ def test_save_csv_writes_numpy_floats_as_digits_that_load_reads_back(tmp_path):
     assert type(rows[0][1]) is np.float64
     save_csv(path, ["label"] + [f"f{i + 1}" for i in range(ds.width)], rows)
     assert path.read_bytes() == written
-    assert load(path) == ds
+    assert _same(load(path), ds)
     save_csv(tmp_path / "cells.csv", ["a", "b", "c"], [(np.float64(0.1), np.float64(1e-05), 1e16)])
     assert (tmp_path / "cells.csv").read_text() == "a,b,c\n0.1,1e-05,1e+16\n"
 
@@ -613,8 +616,6 @@ _TWIN = [-0.0, *_FLOATS[1:13], 2, *_FLOATS[14:]]
 def test_specs_are_equal_exactly_when_their_hashes_are(pair):
     a, b = pair
     assert (a == b) == (spec_hash(a) == spec_hash(b))
-    features = np.zeros((a.train_size, spec_width(a)))
-    assert (LabeledDataset(features, "train", a) == LabeledDataset(features, "train", b)) == (a == b)
     for spec in pair:
         assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 

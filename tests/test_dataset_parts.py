@@ -75,7 +75,7 @@ def test_features_do_not_depend_on_the_part_count(monkeypatch, forks, scene):
         assert len(forks) == min(cpus, CHUNKS) - 1
         for ds, want in zip(got, expected, strict=True):
             assert ds.features.tobytes() == want.features.tobytes()
-            assert ds == want
+            assert (ds.split, ds.spec) == (want.split, want.spec)
         if scene == "box":
             for ds, want in zip(got, expected):
                 assert window_means(ds).tobytes() == window_means(want).tobytes()

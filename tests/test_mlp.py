@@ -43,7 +43,6 @@ from spoofbench.mlp import (
     train,
     train_stack,
     tune,
-    write_history_csv,
 )
 
 
@@ -768,20 +767,6 @@ def test_load_model_fuzz_rejects_with_value_error_or_round_trips(doc):
     for key, value in written.items():
         if key in doc:
             assert doc[key] == value, key
-
-
-def test_history_csv(tmp_path):
-    X, y = blobs(n=120, seed=15)
-    model = train(MlpArchitecture(2, 1, 4), X, y,
-                  TrainConfig(learning_rate=0.01, max_epochs=5, rng_seed=2))
-    path = tmp_path / "history.csv"
-    write_history_csv(model.history, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_mse,val_mse,val_accuracy"
-    assert len(lines) == len(model.history) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[2]) == model.history[0].val_mse
 
 
 def test_architecture_parameter_count():
