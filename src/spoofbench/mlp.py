@@ -14,6 +14,7 @@ import dataclasses
 import math
 import typing
 from dataclasses import asdict, astuple, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -112,10 +113,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     """z <- 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, in place and
     without overflow. e^min(z, 0) is 1 or e^-|z|, so both branches are the
     one division e^min(z, 0) / (1 + e^-|z|)."""
-    e = np.exp(np.copysign(z, -1.0))
-    e += 1.0
-    np.exp(np.minimum(z, 0.0, out=z), out=z)
-    return np.divide(z, e, out=z)
+    _run(_sigmoid_calls(z, np.empty_like(z)))
+    return z
+
+
+def _sigmoid_calls(z: np.ndarray, e: np.ndarray) -> list:
+    """`_sigmoid`'s calls, with e, shaped as z, for e^-|z| + 1."""
+    zero, one, minus_one = np.array(0.0), np.array(1.0), np.array(-1.0)
+    return [
+        (np.copysign, (z, minus_one, e)), (np.exp, (e, e)), (np.add, (e, one, e)),
+        (partial(np.minimum, out=z), (z, zero)), (np.exp, (z, z)), (np.divide, (z, e, z)),
+    ]
+
+
+def _run(calls: list) -> None:
+    """Run (numpy callable, operands) calls, bound once. Constants are 0-d
+    float64 arrays: numpy would convert a Python float on every call.
+    `np.maximum` and `np.minimum` get `out` by keyword through `partial`:
+    as a third positional operand it is deprecated, and slower."""
+    for f, args in calls:
+        f(*args)
 
 
 def init_model(architecture: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
@@ -137,36 +154,40 @@ def init_model(architecture: MlpArchitecture, rng: np.random.Generator) -> MlpMo
     )
 
 
-def _forward(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray], product=np.matmul) -> np.ndarray:
-    """The output layer's activation for normalized inputs; layer k's
-    activation is written into outs[k], and the last of them is returned.
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, dot: bool) -> tuple:
+    """The call a @ b -> out: `a.dot`, bound, for 2-D operands (the C
+    routine `np.dot` reaches, without its dispatch), else `np.matmul`."""
+    return (a.dot, (b, out)) if dot else (np.matmul, (a, b, out))
+
+
+def _forward_calls(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray], e: np.ndarray, dot=False) -> list:
+    """The calls of a forward pass of normalized inputs: layer k's
+    activation is written into outs[k], and e is the sigmoid's temporary,
+    shaped as outs[-1].
 
     Takes one model's (fan_in, fan_out) weights and (fan_out,) biases with
     (rows, fan_out) buffers, or a stack's (L, fan_in, fan_out) weights and
     (L, 1, fan_out) biases with (L, rows, fan_out) buffers. A layer's buffer
     may be reused two layers later, never by the next one: a product is not
-    written over its own input. `product` defaults to `np.matmul`, which
-    beat `np.dot` on a full split's rows (11 against 17 us for 1807 rows by
-    (3, 16) weights).
+    written over its own input. Without `dot`, products are `np.matmul`,
+    which beat `np.dot` on a full split's rows (11 against 17 us for 1807
+    rows by (3, 16) weights).
     """
-    a = x_norm
-    last = len(weights) - 1
+    calls, zero, a, last = [], np.array(0.0), x_norm, len(weights) - 1
     for k, (w, b, out) in enumerate(zip(weights, biases, outs)):
-        a = product(a, w, out=out)
-        a += b
-        if k == last:
-            _sigmoid(a)
-        else:
-            np.maximum(a, 0.0, out=a)
-    return a
+        calls += [_product(a, w, out, dot), (np.add, (out, b, out))]
+        calls += _sigmoid_calls(out, e) if k == last else [(partial(np.maximum, out=out), (out, zero))]
+        a = out
+    return calls
 
 
-def _pass_buffers(architecture: MlpArchitecture, rows: int) -> list[np.ndarray]:
-    """`_forward` buffers for one model on `rows` rows, when no activation is
-    kept: the hidden layers alternate two buffers, so depth adds none."""
+def _pass_buffers(architecture: MlpArchitecture, rows: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """`_forward_calls` buffers and sigmoid temporary for one model on `rows`
+    rows, when no activation is kept: the hidden layers alternate two
+    buffers, so depth adds none."""
     width, depth = architecture.neurons_per_hidden, architecture.hidden_layers
     hidden = [np.empty((rows, width)) for _ in range(min(2, depth))]
-    return [hidden[k % 2] for k in range(depth)] + [np.empty((rows, 1))]
+    return [hidden[k % 2] for k in range(depth)] + [np.empty((rows, 1))], np.empty((rows, 1))
 
 
 def normalize(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -180,8 +201,9 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {inputs.shape[1]} != model width {model.architecture.input_width}"
         )
-    outs = _pass_buffers(model.architecture, len(inputs))
-    return _forward(model.weights, model.biases, normalize(model, inputs), outs)[:, 0]
+    outs, e = _pass_buffers(model.architecture, len(inputs))
+    _run(_forward_calls(model.weights, model.biases, normalize(model, inputs), outs, e))
+    return outs[-1][:, 0]
 
 
 def _pair(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -221,15 +243,17 @@ class _Workspace:
     each one (depth, L, n, width) buffer, so one call covers every hidden
     layer; `acts`, `deltas` and `masks` are its per-layer (L, n, width)
     views, `acts` ending with the output layer's (L, n, 1) activation, and
-    `acts_t` the hidden activations transposed. `d` and `t` are the output
-    layer's delta and a temporary of it. A stack of one model drops the L
-    axis."""
+    `acts_t` the hidden activations transposed. A mask is float64 0.0/1.0:
+    delta * 1.0 and delta * 0.0 are the bits delta * True and delta * False
+    give, without a bool-to-float cast on each multiply. `d` and `t` are the
+    output layer's delta and a temporary of it. A stack of one model drops
+    the L axis."""
 
     def __init__(self, n_models: int, n: int, sizes: list[int]):
         lead = (n_models,) if n_models > 1 else ()
         self.hidden = np.empty((len(sizes) - 2, *lead, n, sizes[1]))
         self.delta = np.empty_like(self.hidden)
-        self.mask = np.empty(self.hidden.shape, dtype=bool)
+        self.mask = np.empty_like(self.hidden)
         self.acts = [*self.hidden, np.empty((*lead, n, 1))]
         self.acts_t = [a.swapaxes(-1, -2) for a in self.hidden]
         self.deltas, self.masks = list(self.delta), list(self.mask)
@@ -246,10 +270,11 @@ class _Stack:
     contiguous block, and `grad_b_hidden` views it as (depth, L, 1, width),
     the shape of one bias-gradient reduce over the workspace's delta buffer.
     A stack of one model, which every `train` is, drops the L axis and
-    multiplies with `np.dot`: on a batch's rows it costs less per call and
-    gives the same bits. The learning rate is (L, P) too:
-    Adam's multiply by it is then one array by another, which is faster
-    than a multiply by an (L, 1) broadcast.
+    multiplies with `dot`: on a batch's rows it costs less per call and
+    gives the same bits, and its learning rate is 0-d. A stack's is (L, P)
+    too: a multiply by it is faster than by an (L, 1) broadcast. Adam's two
+    call lists are made with the buffers: one divides by `corr1`, one is for
+    the steps at which `corr1` has rounded to 1.0.
     """
 
     def __init__(self, sizes: list[int], params: np.ndarray, learning_rates: np.ndarray):
@@ -258,26 +283,39 @@ class _Stack:
         self.grads = np.empty_like(params)
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self.lr = np.repeat(learning_rates[:, None], params.shape[1], axis=1)
+        self.learning_rates = learning_rates
+        self.corr1, self.corr2 = np.array(1.0), np.array(1.0)  # each step's bias corrections
         self._views()
 
     def _views(self) -> None:
         views = [*_layer_views(self.params, self.sizes), *_layer_views(self.grads, self.sizes)]
-        self.product = np.matmul
-        if len(self.params) == 1:
+        self.dot, rates = len(self.params) == 1, self.learning_rates
+        self.lr = np.array(rates[0]) if self.dot else np.repeat(rates[:, None], self.params.shape[1], axis=1)
+        if self.dot:
             views = [[t[0] for t in layers] for layers in views]
-            self.product = np.dot
         self.weights, self.biases, self.grad_w, self.grad_b = views
         depth, width = len(self.sizes) - 2, self.sizes[1]
         hidden = self.grads[:, -1 - depth * width : -1].reshape(len(self.grads), depth, 1, width).swapaxes(0, 1)
-        self.grad_b_hidden = hidden[:, 0] if len(self.params) == 1 else hidden
+        self.grad_b_hidden = hidden[:, 0] if self.dot else hidden
         self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
-        self._temps = (np.empty_like(self.params), np.empty_like(self.params))
         self._workspaces: dict[int, _Workspace] = {}
+        g, m, v, p, t, u = self.grads, self.m, self.v, self.params, np.empty_like(self.m), np.empty_like(self.m)
+        b1, b2, c1, c2, eps = map(np.array, (ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPS))
+        moments = [
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+            (np.multiply, (m, b1, m)), (np.multiply, (g, c1, t)), (np.add, (m, t, m)),
+            (np.multiply, (v, b2, v)), (np.multiply, (g, c2, t)), (np.multiply, (t, g, t)), (np.add, (v, t, v)),
+            # p -= (lr (m / corr1)) / (sqrt(v / corr2) + eps)
+            (np.divide, (v, self.corr2, t)), (np.sqrt, (t, t)), (np.add, (t, eps, t)),
+        ]
+        update = [(np.divide, (u, t, u)), (np.subtract, (p, u, p))]
+        self._adam = ([*moments, (np.divide, (m, self.corr1, u)), (np.multiply, (u, self.lr, u)), *update],
+                      [*moments, (np.multiply, (m, self.lr, u)), *update])
 
     def keep(self, rows: list[int]) -> None:
-        """Drop every row not in `rows`, in one copy of each buffer."""
-        self.params, self.m, self.v, self.lr = (a[rows] for a in (self.params, self.m, self.v, self.lr))
+        """Drop every row not in `rows`, in one copy of each buffer, and remake the views and lists."""
+        self.params, self.m, self.v = (a[rows] for a in (self.params, self.m, self.v))
+        self.learning_rates = self.learning_rates[rows]
         self.grads = np.empty_like(self.params)
         self._views()
 
@@ -290,31 +328,18 @@ class _Stack:
 
     def model(self, row: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Row views of one model's weights and biases."""
-        if len(self.params) == 1:
+        if self.dot:
             return self.weights, self.biases
         return [w[row] for w in self.weights], [b[row] for b in self.biases]
 
     def adam_step(self, step: int) -> None:
         """One Adam update of every parameter. Each element goes through the
         operations of a per-tensor update in the same order, so stacking
-        changes no bit of any model. A bias correction that has rounded to
-        exactly 1.0 (corr1 from step 356) is not divided by: x / 1.0
-        is x."""
+        changes no bit of any model. corr1, once it has rounded to exactly
+        1.0 (from step 356), is not divided by: x / 1.0 is x."""
         corr1 = 1.0 - ADAM_BETA1**step
-        corr2 = 1.0 - ADAM_BETA2**step
-        g, m, v = self.grads, self.m, self.v
-        t, u = self._temps
-        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
-        v *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=t)
-        v += np.multiply(t, g, out=t)
-        # p -= (lr (m / corr1)) / (sqrt(v / corr2) + eps)
-        np.sqrt(v if corr2 == 1.0 else np.divide(v, corr2, out=t), out=t)
-        t += ADAM_EPS
-        np.multiply(m if corr1 == 1.0 else np.divide(m, corr1, out=u), self.lr, out=u)
-        self.params -= np.divide(u, t, out=u)
+        self.corr1[()], self.corr2[()] = corr1, 1.0 - ADAM_BETA2**step
+        _run(self._adam[corr1 == 1.0])
 
 
 def _layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -345,29 +370,36 @@ def _gradients(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> 
 
     The ReLU subgradient at exactly 0 is taken as 0.
     """
-    n = len(y)
-    ws = stack.workspace(n)
-    product, grad_w = stack.product, stack.grad_w
-    y_hat = _forward(stack.weights, stack.biases, x, ws.acts, product)
-    # ReLU'(z) is 1 exactly where ReLU(z) > 0, in every hidden layer at once
-    np.greater(ws.hidden, 0.0, out=ws.mask)
-    # d(mean squared error)/d(logit) through the logistic output:
-    # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time.
-    # Doubling is exact and so is n / 2, so (y_hat - y) / (n / 2) rounds
-    # the same real quotient as (2 (y_hat - y)) / n.
-    delta = np.subtract(y_hat, y, out=ws.d)
-    delta /= n / 2
-    delta *= y_hat
-    delta *= np.subtract(1.0, y_hat, out=ws.t)
-    np.add.reduce(delta, axis=-2, keepdims=True, out=stack.grad_b[-1])
+    _run(_gradient_calls(stack, x, x_t, y))
+
+
+def _gradient_calls(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> list:
+    """`_gradients`' calls, bound to these operands and the stack's buffers."""
+    ws = stack.workspace(len(y))
+    dot, grad_w, d, t, y_hat = stack.dot, stack.grad_w, ws.d, ws.t, ws.acts[-1]
+    zero, one, half_n = np.array(0.0), np.array(1.0), np.array(len(y) / 2)
+    calls = _forward_calls(stack.weights, stack.biases, x, ws.acts, t, dot)
+    calls += [
+        # ReLU'(z) is 1 exactly where ReLU(z) > 0, in every hidden layer at once
+        (np.greater, (ws.hidden, zero, ws.mask)),
+        # d(mean squared error)/d(logit) through the logistic output:
+        # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time.
+        # Doubling is exact and so is n / 2, so (y_hat - y) / (n / 2) rounds
+        # the same real quotient as (2 (y_hat - y)) / n.
+        (np.subtract, (y_hat, y, d)), (np.divide, (d, half_n, d)), (np.multiply, (d, y_hat, d)),
+        (np.subtract, (one, y_hat, t)), (np.multiply, (d, t, d)),
+        (np.add.reduce, (d, -2, None, stack.grad_b[-1], True)),
+    ]
+    delta = d
     for k in range(len(ws.acts) - 1, 0, -1):
-        product(ws.acts_t[k - 1], delta, out=grad_w[k])
-        delta = product(delta, stack.weights_t[k], out=ws.deltas[k - 1])
-        delta *= ws.masks[k - 1]
-    product(x_t, delta, out=grad_w[0])
+        below = ws.deltas[k - 1]
+        calls += [_product(ws.acts_t[k - 1], delta, grad_w[k], dot), _product(delta, stack.weights_t[k], below, dot)]
+        calls.append((np.multiply, (below, ws.masks[k - 1], below)))
+        delta = below
     # every hidden layer's bias gradient: each element sums its n rows in
     # the order a per-layer reduce would
-    np.add.reduce(ws.delta, axis=-2, keepdims=True, out=stack.grad_b_hidden)
+    calls += [_product(x_t, delta, grad_w[0], dot), (np.add.reduce, (ws.delta, -2, None, stack.grad_b_hidden, True))]
+    return calls
 
 
 def _check_training_labels(labels: np.ndarray) -> None:
@@ -462,8 +494,15 @@ def train_stack(
         (X_epoch[lo : lo + b], X_epoch[lo : lo + b].T, y_epoch[lo : lo + b])
         for lo in range(0, len(Xt), b)
     ]
-    train_outs, val_outs = _pass_buffers(architecture, len(Xt)), _pass_buffers(architecture, len(Xv))
+    passes = [(x, *_pass_buffers(architecture, len(x))) for x in (Xt, Xv)]
+    train_out, val_out = (outs[-1][:, 0] for _, outs, _ in passes)
 
+    def call_lists():  # each batch's gradient, and each stack row's evaluation
+        models = [stack.model(row) for row in range(len(active))]
+        evaluations = [[c for x, outs, e in passes for c in _forward_calls(*model, x, outs, e)] for model in models]
+        return [_gradient_calls(stack, *batch) for batch in batches], evaluations
+
+    steps, evaluations = call_lists()
     # A diverging run overflows to inf and nan silently; its first
     # non-finite MSE raises.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -471,8 +510,8 @@ def train_stack(
             order = rng.permutation(len(Xt))
             np.take(Xt, order, axis=0, out=X_epoch)
             np.take(y_train, order, out=y_epoch[:, 0])
-            for x, x_t, y_batch in batches:
-                _gradients(stack, x, x_t, y_batch)
+            for calls in steps:
+                _run(calls)
                 step += 1
                 stack.adam_step(step)
 
@@ -480,16 +519,14 @@ def train_stack(
             # One model at a time: a stack's (L, rows, width) buffers do not fit
             # the cache, and stacked, this pass was 2-3x slower per model.
             for row, i in enumerate(active):
-                weights, biases = stack.model(row)
-                train_pred = _forward(weights, biases, Xt, train_outs)[:, 0]
-                val_pred = _forward(weights, biases, Xv, val_outs)[:, 0]
-                train_mse, val_mse = loss_mse(train_pred, y_train), loss_mse(val_pred, y_val)
+                _run(evaluations[row])
+                train_mse, val_mse = loss_mse(train_out, y_train), loss_mse(val_out, y_val)
                 if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
                     raise ValueError(
                         f"training at learning rate {configs[i].learning_rate!r} diverged: "
                         f"epoch {epoch}'s MSE is not finite"
                     )
-                histories[i].append(EpochStats(epoch, train_mse, val_mse, accuracy(val_pred, y_val)))
+                histories[i].append(EpochStats(epoch, train_mse, val_mse, accuracy(val_out, y_val)))
                 if val_mse < best_val[i]:
                     best_val[i] = val_mse
                     best_epoch[i] = epoch
@@ -502,6 +539,7 @@ def train_stack(
                     break
                 stack.keep(rows)
                 active = [active[row] for row in rows]
+                steps, evaluations = call_lists()
 
     best_weights, best_biases = _layer_views(best_params, stack.sizes)
     return [

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -245,6 +245,24 @@ def test_trainer_gradient_equals_the_reference_gradient_bit_for_bit(n_models, de
         assert all(np.array_equal(g[i, 0], r) for g, r in zip(grad_b, ref_b))
 
 
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310]
+
+
+@given(pairs=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=64))
+@example(pairs=list(itertools.product(SPECIAL_FLOATS, SPECIAL_FLOATS + [1.0, -1.0])))
+def test_a_float_relu_mask_multiplies_to_the_bits_of_a_bool_mask(pairs):
+    """The trainer's ReLU mask is `np.greater` written as float64 0.0/1.0:
+    delta * that mask has the bits delta * the bool mask has, for every
+    delta, the signed zeros, infinities, NaNs and subnormals too."""
+    delta, act = np.array(pairs).T
+    float_mask = np.greater(act, np.array(0.0), np.empty_like(act))
+    assert set(float_mask.tolist()) <= {0.0, 1.0}
+    assert np.array_equal(np.signbit(float_mask), np.zeros(len(act), dtype=bool))
+    with np.errstate(invalid="ignore"):  # inf * 0.0, as the trainer allows
+        got, expected = delta * float_mask, delta * (act > 0.0)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_flatten_lays_out_every_layers_weights_then_every_layers_biases():
     sizes = MlpArchitecture(3, 2, 4).layer_sizes()
     weights = [100.0 * k + np.arange(a * b).reshape(a, b) for k, (a, b) in enumerate(zip(sizes, sizes[1:]))]
@@ -469,6 +487,20 @@ def test_train_stack_equals_one_train_per_learning_rate(arch, rows):
         weights, biases, history, best_epoch = reference_train(arch, X, y, lr_config)
         assert (model.history, model.best_epoch) == (history, best_epoch)
         assert all(np.array_equal(a, b) for a, b in zip(model.weights + model.biases, weights + biases))
+
+
+def test_train_stack_remakes_its_call_lists_when_its_first_row_stops():
+    """Row 0 stops first, so `keep` remakes every buffer under the rows that
+    train on; their steps and evaluations must then run on the new ones."""
+    arch = MlpArchitecture(2, 2, 6)
+    X, y = blobs(n=300, seed=4, sep=0.6, std=1.0)
+    config = TrainConfig(learning_rate=0.01, patience=3, max_epochs=60, rng_seed=2)
+    rates = (0.05, 0.002, 0.01)
+    models = train_stack(arch, X, y, config, rates)
+    first, *rest = (len(m.history) for m in models)
+    assert all(epochs >= first + 2 for epochs in rest)
+    for lr, model in zip(rates, models):
+        assert _same_model(model, train(arch, X, y, replace(config, learning_rate=lr)))
 
 
 def three_cpus(monkeypatch) -> None:
