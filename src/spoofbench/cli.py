@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 import time
 from dataclasses import asdict, astuple
@@ -281,8 +282,21 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every float literal after a minus sign
+    as a value: argparse's own pattern takes only digits and a point, so
+    `--t -1e-3` and `--t -inf` would lose their value to an unknown option.
+    The value then meets the option's own rule."""
+
+    NEGATIVE_NUMBER = re.compile(r"^-(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)([eE][+-]?\d[\d_]*)?$|^-(inf|infinity|nan)$", re.I)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self.NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spoofbench",
         description="GPS spoofing detection workbench: simulate, featurize, train, evaluate.",
     )

@@ -173,11 +173,17 @@ def _forward_calls(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray], 
     which beat `np.dot` on a full split's rows (11 against 17 us for 1807
     rows by (3, 16) weights).
     """
-    calls, zero, a, last = [], np.array(0.0), x_norm, len(weights) - 1
+    return [_product(x_norm, weights[0], outs[0], dot), *_forward_tail(weights, biases, outs, e, dot)]
+
+
+def _forward_tail(weights, biases, outs: list[np.ndarray], e: np.ndarray, dot: bool) -> list:
+    """`_forward_calls` after the first product, the one call that reads the inputs."""
+    calls, zero, last = [], np.array(0.0), len(weights) - 1
     for k, (w, b, out) in enumerate(zip(weights, biases, outs)):
-        calls += [_product(a, w, out, dot), (np.add, (out, b, out))]
+        if k:
+            calls.append(_product(outs[k - 1], w, out, dot))
+        calls.append((np.add, (out, b, out)))
         calls += _sigmoid_calls(out, e) if k == last else [(partial(np.maximum, out=out), (out, zero))]
-        a = out
     return calls
 
 
@@ -188,6 +194,15 @@ def _pass_buffers(architecture: MlpArchitecture, rows: int) -> tuple[list[np.nda
     width, depth = architecture.neurons_per_hidden, architecture.hidden_layers
     hidden = [np.empty((rows, width)) for _ in range(min(2, depth))]
     return [hidden[k % 2] for k in range(depth)] + [np.empty((rows, 1))], np.empty((rows, 1))
+
+
+def _evaluation_passes(architecture: MlpArchitecture, Xt: np.ndarray, Xv: np.ndarray) -> list[tuple]:
+    """(x, buffers, sigmoid temporary) of the training pass over Xt and the
+    validation pass over Xv, which has no more rows: it writes the first
+    rows of the training pass's buffers, so it runs once that output is read."""
+    outs, e = _pass_buffers(architecture, len(Xt))
+    n = len(Xv)
+    return [(Xt, outs, e), (Xv, [out[:n] for out in outs], e[:n])]
 
 
 def normalize(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -249,15 +264,25 @@ class _Workspace:
     output layer's delta and a temporary of it. A stack of one model drops
     the L axis."""
 
-    def __init__(self, n_models: int, n: int, sizes: list[int]):
+    def __init__(self, hidden, delta, mask, y_hat, d, t):
+        self.rows = y_hat.shape[-2]
+        self.hidden, self.delta, self.mask = hidden, delta, mask
+        self.acts = [*hidden, y_hat]
+        self.acts_t = [a.swapaxes(-1, -2) for a in hidden]
+        self.deltas, self.masks = list(delta), list(mask)
+        self.d, self.t = d, t
+
+    @classmethod
+    def empty(cls, n_models: int, n: int, sizes: list[int]) -> _Workspace:
         lead = (n_models,) if n_models > 1 else ()
-        self.hidden = np.empty((len(sizes) - 2, *lead, n, sizes[1]))
-        self.delta = np.empty_like(self.hidden)
-        self.mask = np.empty_like(self.hidden)
-        self.acts = [*self.hidden, np.empty((*lead, n, 1))]
-        self.acts_t = [a.swapaxes(-1, -2) for a in self.hidden]
-        self.deltas, self.masks = list(self.delta), list(self.mask)
-        self.d, self.t = np.empty((*lead, n, 1)), np.empty((*lead, n, 1))
+        hidden = np.empty((len(sizes) - 2, *lead, n, sizes[1]))
+        return cls(hidden, np.empty_like(hidden), np.empty_like(hidden), *(np.empty((*lead, n, 1)) for _ in range(3)))
+
+    def head(self, n: int) -> _Workspace:
+        """Views of every buffer's first n rows: a shorter batch's workspace.
+        Each matrix keeps its row stride, so a product gets the same BLAS
+        call, and a reduce the same order, as on buffers of n rows."""
+        return _Workspace(*(a[..., :n, :] for a in (self.hidden, self.delta, self.mask, self.acts[-1], self.d, self.t)))
 
 
 class _Stack:
@@ -274,7 +299,8 @@ class _Stack:
     gives the same bits, and its learning rate is 0-d. A stack's is (L, P)
     too: a multiply by it is faster than by an (L, 1) broadcast. Adam's two
     call lists are made with the buffers: one divides by `corr1`, one is for
-    the steps at which `corr1` has rounded to 1.0.
+    the steps at which `corr1` has rounded to 1.0. Both write the update
+    into `grads`, once the moments have read them.
     """
 
     def __init__(self, sizes: list[int], params: np.ndarray, learning_rates: np.ndarray):
@@ -298,8 +324,8 @@ class _Stack:
         hidden = self.grads[:, -1 - depth * width : -1].reshape(len(self.grads), depth, 1, width).swapaxes(0, 1)
         self.grad_b_hidden = hidden[:, 0] if self.dot else hidden
         self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
-        self._workspaces: dict[int, _Workspace] = {}
-        g, m, v, p, t, u = self.grads, self.m, self.v, self.params, np.empty_like(self.m), np.empty_like(self.m)
+        self._workspace: _Workspace | None = None
+        g, m, v, p, t = self.grads, self.m, self.v, self.params, np.empty_like(self.m)
         b1, b2, c1, c2, eps = map(np.array, (ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPS))
         moments = [
             # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
@@ -308,9 +334,9 @@ class _Stack:
             # p -= (lr (m / corr1)) / (sqrt(v / corr2) + eps)
             (np.divide, (v, self.corr2, t)), (np.sqrt, (t, t)), (np.add, (t, eps, t)),
         ]
-        update = [(np.divide, (u, t, u)), (np.subtract, (p, u, p))]
-        self._adam = ([*moments, (np.divide, (m, self.corr1, u)), (np.multiply, (u, self.lr, u)), *update],
-                      [*moments, (np.multiply, (m, self.lr, u)), *update])
+        update = [(np.divide, (g, t, g)), (np.subtract, (p, g, p))]
+        self._adam = ([*moments, (np.divide, (m, self.corr1, g)), (np.multiply, (g, self.lr, g)), *update],
+                      [*moments, (np.multiply, (m, self.lr, g)), *update])
 
     def keep(self, rows: list[int]) -> None:
         """Drop every row not in `rows`, in one copy of each buffer, and remake the views and lists."""
@@ -320,11 +346,11 @@ class _Stack:
         self._views()
 
     def workspace(self, n: int) -> _Workspace:
-        """The buffers of a gradient on an n-row batch, made on first use."""
-        ws = self._workspaces.get(n)
-        if ws is None:
-            ws = self._workspaces[n] = _Workspace(len(self.params), n, self.sizes)
-        return ws
+        """The buffers of a gradient on an n-row batch: the first n rows of
+        the stack's one workspace, made on first use, and again for more rows."""
+        if self._workspace is None or self._workspace.rows < n:
+            self._workspace = _Workspace.empty(len(self.params), n, self.sizes)
+        return self._workspace.head(n)
 
     def model(self, row: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Row views of one model's weights and biases."""
@@ -370,36 +396,57 @@ def _gradients(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> 
 
     The ReLU subgradient at exactly 0 is taken as 0.
     """
-    _run(_gradient_calls(stack, x, x_t, y))
+    _run(_gradient_calls(stack, [(x, x_t, y)])[0])
 
 
-def _gradient_calls(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> list:
-    """`_gradients`' calls, bound to these operands and the stack's buffers."""
-    ws = stack.workspace(len(y))
+def _gradient_calls(stack: _Stack, batches: list[tuple]) -> list[list]:
+    """`_gradients`' calls for each (x, x_t, y) batch, bound to its operands
+    and the stack's buffers. Batches of one length write the same buffers,
+    so their lists share every call object but the three that read the
+    batch: x's product with the first layer's weights, the output error
+    y_hat - y, and the first layer's weight gradient x_t @ delta."""
+    shared, lists = {}, []
+    for x, x_t, y in batches:
+        if len(y) not in shared:
+            shared[len(y)] = _shared_gradient_calls(stack, stack.workspace(len(y)))
+        ws, forward, backward, last = shared[len(y)]
+        lists.append([
+            _product(x, stack.weights[0], ws.acts[0], stack.dot), *forward,
+            (np.subtract, (ws.acts[-1], y, ws.d)), *backward,
+            _product(x_t, ws.deltas[0], stack.grad_w[0], stack.dot), last,
+        ])
+    return lists
+
+
+def _shared_gradient_calls(stack: _Stack, ws: _Workspace) -> tuple:
+    """ws and the calls of a gradient on its rows that read no batch: the
+    forward pass after its first product, then the ReLU masks; the backward
+    pass from the output error to the first layer's delta; and the hidden
+    bias gradients' reduce."""
     dot, grad_w, d, t, y_hat = stack.dot, stack.grad_w, ws.d, ws.t, ws.acts[-1]
-    zero, one, half_n = np.array(0.0), np.array(1.0), np.array(len(y) / 2)
-    calls = _forward_calls(stack.weights, stack.biases, x, ws.acts, t, dot)
-    calls += [
-        # ReLU'(z) is 1 exactly where ReLU(z) > 0, in every hidden layer at once
-        (np.greater, (ws.hidden, zero, ws.mask)),
+    zero, one, half_n = np.array(0.0), np.array(1.0), np.array(ws.rows / 2)
+    forward = _forward_tail(stack.weights, stack.biases, ws.acts, t, dot)
+    # ReLU'(z) is 1 exactly where ReLU(z) > 0, in every hidden layer at once
+    forward.append((np.greater, (ws.hidden, zero, ws.mask)))
+    backward = [
         # d(mean squared error)/d(logit) through the logistic output:
-        # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time.
-        # Doubling is exact and so is n / 2, so (y_hat - y) / (n / 2) rounds
-        # the same real quotient as (2 (y_hat - y)) / n.
-        (np.subtract, (y_hat, y, d)), (np.divide, (d, half_n, d)), (np.multiply, (d, y_hat, d)),
+        # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time,
+        # from d = y_hat - y. Doubling is exact and so is n / 2, so
+        # (y_hat - y) / (n / 2) rounds the same real quotient as
+        # (2 (y_hat - y)) / n.
+        (np.divide, (d, half_n, d)), (np.multiply, (d, y_hat, d)),
         (np.subtract, (one, y_hat, t)), (np.multiply, (d, t, d)),
         (np.add.reduce, (d, -2, None, stack.grad_b[-1], True)),
     ]
     delta = d
     for k in range(len(ws.acts) - 1, 0, -1):
         below = ws.deltas[k - 1]
-        calls += [_product(ws.acts_t[k - 1], delta, grad_w[k], dot), _product(delta, stack.weights_t[k], below, dot)]
-        calls.append((np.multiply, (below, ws.masks[k - 1], below)))
+        backward += [_product(ws.acts_t[k - 1], delta, grad_w[k], dot), _product(delta, stack.weights_t[k], below, dot)]
+        backward.append((np.multiply, (below, ws.masks[k - 1], below)))
         delta = below
     # every hidden layer's bias gradient: each element sums its n rows in
     # the order a per-layer reduce would
-    calls += [_product(x_t, delta, grad_w[0], dot), (np.add.reduce, (ws.delta, -2, None, stack.grad_b_hidden, True))]
-    return calls
+    return ws, forward, backward, (np.add.reduce, (ws.delta, -2, None, stack.grad_b_hidden, True))
 
 
 def _check_training_labels(labels: np.ndarray) -> None:
@@ -494,13 +541,13 @@ def train_stack(
         (X_epoch[lo : lo + b], X_epoch[lo : lo + b].T, y_epoch[lo : lo + b])
         for lo in range(0, len(Xt), b)
     ]
-    passes = [(x, *_pass_buffers(architecture, len(x))) for x in (Xt, Xv)]
+    passes = _evaluation_passes(architecture, Xt, Xv)
     train_out, val_out = (outs[-1][:, 0] for _, outs, _ in passes)
 
-    def call_lists():  # each batch's gradient, and each stack row's evaluation
+    def call_lists():  # each batch's gradient, and each stack row's two passes
         models = [stack.model(row) for row in range(len(active))]
-        evaluations = [[c for x, outs, e in passes for c in _forward_calls(*model, x, outs, e)] for model in models]
-        return [_gradient_calls(stack, *batch) for batch in batches], evaluations
+        evaluations = [[_forward_calls(*model, x, outs, e) for x, outs, e in passes] for model in models]
+        return _gradient_calls(stack, batches), evaluations
 
     steps, evaluations = call_lists()
     # A diverging run overflows to inf and nan silently; its first
@@ -519,8 +566,11 @@ def train_stack(
             # One model at a time: a stack's (L, rows, width) buffers do not fit
             # the cache, and stacked, this pass was 2-3x slower per model.
             for row, i in enumerate(active):
-                _run(evaluations[row])
-                train_mse, val_mse = loss_mse(train_out, y_train), loss_mse(val_out, y_val)
+                train_pass, val_pass = evaluations[row]
+                _run(train_pass)
+                train_mse = loss_mse(train_out, y_train)
+                _run(val_pass)  # over the training pass's first rows
+                val_mse = loss_mse(val_out, y_val)
                 if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
                     raise ValueError(
                         f"training at learning rate {configs[i].learning_rate!r} diverged: "

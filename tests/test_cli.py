@@ -241,9 +241,21 @@ def test_generate_names_mvsk_when_its_moments_overflow(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_evaluate_refuses_a_nan_threshold(workdir, data_dir, capsys, value):
     out = workdir / "thr.json"
-    # --t=-inf: argparse reads a bare -inf as an option, not a number
     assert run("evaluate", data_dir, "--detector", "threshold", f"--t={value}", "--out", out) == 1
     assert f"threshold_db must be finite and >= 0, got {value}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("-0.5", "-0.5"), ("-5", "-5.0"), ("-1e-3", "-0.001"), ("-2E+1", "-20.0"),
+    ("-inf", "-inf"), ("-Infinity", "-inf"), ("-nan", "nan"),
+])
+def test_evaluate_refuses_every_bare_negative_threshold_by_its_value(workdir, data_dir, capsys, value, shown):
+    """A float after `--t` is its value however it is spelt, so the one
+    threshold rule refuses it, never argparse as a missing argument."""
+    out = workdir / "thr.json"
+    assert run("evaluate", data_dir, "--detector", "threshold", "--t", value, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: threshold_db must be finite and >= 0, got {shown}\n"
     assert not out.exists()
 
 

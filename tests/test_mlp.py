@@ -295,6 +295,72 @@ def test_hidden_bias_gradients_are_one_view_of_the_gradient_buffer(n_models, kep
     check(len(kept))
 
 
+def _stack(arch, n_models):
+    model = init_model(arch, np.random.default_rng(1))
+    params = np.tile(mlp._flatten(model.weights, model.biases), (n_models, 1))
+    return mlp._Stack(arch.layer_sizes(), params, np.full(n_models, 0.01))
+
+
+def _reads(call, operand) -> bool:
+    """Whether a (callable, operands) call reads operand, as an operand or
+    as the array a bound `dot` belongs to."""
+    f, args = call
+    return any(a is operand for a in (getattr(f, "__self__", None), *args))
+
+
+@pytest.mark.parametrize("n_models,kept", [(1, [0]), (3, [0, 2]), (3, [1])])
+def test_full_batches_share_every_gradient_call_but_the_three_that_read_the_batch(n_models, kept):
+    """Two full batches' call lists hold the same call objects but x's
+    product with the first layer's weights, the output error y_hat - y and
+    the weight gradient x_t @ delta, each reading its own batch; after
+    `keep`, the lists are made anew and share the same way."""
+    stack = _stack(MlpArchitecture(3, 3, 16), n_models)
+    X, y = np.random.default_rng(2).normal(size=(79, 3)), np.ones((79, 1))
+    batches = [(X[lo : lo + 32], X[lo : lo + 32].T, y[lo : lo + 32]) for lo in range(0, 79, 32)]
+
+    def check():
+        first, second, _ = lists = mlp._gradient_calls(stack, batches)
+        assert len(lists) == len(batches)
+        differ = [k for k, (a, b) in enumerate(zip(first, second, strict=True)) if a is not b]
+        assert len(differ) == 3 and differ[0] == 0 and differ[-1] == len(first) - 2
+        for calls, (x, x_t, y_batch) in zip(lists, batches):
+            assert [_reads(calls[k], operand) for k, operand in zip(differ, (x, y_batch, x_t))] == [True] * 3
+        return first
+
+    before = check()
+    stack.keep(kept)
+    after = check()
+    assert not any(a is b for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("n_models,kept", [(1, [0]), (3, [0, 2])])
+def test_a_short_batch_the_validation_pass_and_adams_update_reuse_held_buffers(n_models, kept):
+    """A short batch's workspace is the first rows of the full one, before
+    and after `keep`; the validation pass writes the first rows of the
+    training pass's buffers; Adam's update is written into `stack.grads`."""
+    arch = MlpArchitecture(3, 3, 16)
+    stack = _stack(arch, n_models)
+
+    def buffers(ws):
+        return [ws.hidden, ws.delta, ws.mask, ws.acts[-1], ws.d, ws.t]
+
+    def check():
+        full, short = (buffers(stack.workspace(n)) for n in (32, 15))
+        assert [b.shape[-2] for b in full + short] == [32] * 6 + [15] * 6
+        assert all(np.shares_memory(a, b) for a, b in zip(short, full, strict=True))
+        for calls in stack._adam:
+            f, (p, update, out) = calls[-1]
+            assert f is np.subtract and p is out is stack.params
+            assert np.shares_memory(update, stack.grads)
+
+    check()
+    stack.keep(kept)
+    check()
+    (_, train_outs, train_e), (_, val_outs, val_e) = mlp._evaluation_passes(arch, np.zeros((1807, 3)), np.zeros((452, 3)))
+    assert [len(out) for out in (*val_outs, val_e)] == [452] * 5
+    assert all(np.shares_memory(v, t) for v, t in zip([*val_outs, val_e], [*train_outs, train_e], strict=True))
+
+
 # ---------------------------------------------------------------------- train
 
 
@@ -436,6 +502,8 @@ def _same_model(a, b):
         (MlpArchitecture(2, 1, 8), 300, TrainConfig(learning_rate=0.01, max_epochs=25, rng_seed=1)),
         # 33 training rows: a last batch of one row
         (MlpArchitecture(2, 3, 5), 41, TrainConfig(learning_rate=0.05, max_epochs=60, patience=3, rng_seed=2)),
+        # 16 training rows: one short batch and no full one
+        (MlpArchitecture(2, 3, 5), 20, TrainConfig(learning_rate=0.05, max_epochs=60, patience=3, rng_seed=2)),
     ],
 )
 def test_train_equals_the_per_tensor_reference_bit_for_bit(arch, rows, config):
@@ -470,6 +538,7 @@ def test_train_equals_the_per_tensor_reference_past_adams_last_bias_correction()
         (MlpArchitecture(1, 2, 6), 300),  # input width 1, as a 1-station wd row
         (MlpArchitecture(2, 1, 1), 300),  # hidden width 1
         (MlpArchitecture(2, 2, 6), 281),  # 225 training rows: a last batch of one row
+        (MlpArchitecture(2, 2, 6), 20),  # 16 training rows: one short batch and no full one
     ],
 )
 def test_train_stack_equals_one_train_per_learning_rate(arch, rows):
