@@ -109,7 +109,7 @@ class Link:
             los_sigma=np.broadcast_to(los_sigma, d3d.shape),
         )
 
-    def branch(self, los: np.ndarray, nlos_sigma: float, index=...) -> tuple[np.ndarray, np.ndarray]:
+    def branch(self, los: np.ndarray, nlos_sigma: float, index) -> tuple[np.ndarray, np.ndarray]:
         """Path loss and shadow-fading sigma per sample for a LoS mask over
         the links at index (along the leading axes of every array)."""
         return (

@@ -20,6 +20,8 @@ import numpy as np
 
 from . import forks
 from .configio import array, fields, load_json, save_json, typed
+from .dataset import BS_SUBSETS
+from .features import METHODS
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -109,16 +111,11 @@ class MlpModel:
         return self.history[self.best_epoch - 1].val_accuracy
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """z <- 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, in place and
-    without overflow. e^min(z, 0) is 1 or e^-|z|, so both branches are the
-    one division e^min(z, 0) / (1 + e^-|z|)."""
-    _run(_sigmoid_calls(z, np.empty_like(z)))
-    return z
-
-
 def _sigmoid_calls(z: np.ndarray, e: np.ndarray) -> list:
-    """`_sigmoid`'s calls, with e, shaped as z, for e^-|z| + 1."""
+    """The calls z <- 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below,
+    in place and without overflow, with e, shaped as z, for e^-|z| + 1.
+    e^min(z, 0) is 1 or e^-|z|, so both branches are the one division
+    e^min(z, 0) / (1 + e^-|z|)."""
     zero, one, minus_one = np.array(0.0), np.array(1.0), np.array(-1.0)
     return [
         (np.copysign, (z, minus_one, e)), (np.exp, (e, e)), (np.add, (e, one, e)),
@@ -160,7 +157,7 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, dot: bool) -> tuple:
     return (a.dot, (b, out)) if dot else (np.matmul, (a, b, out))
 
 
-def _forward_calls(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray], e: np.ndarray, dot=False) -> list:
+def _forward_calls(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray], e: np.ndarray) -> list:
     """The calls of a forward pass of normalized inputs: layer k's
     activation is written into outs[k], and e is the sigmoid's temporary,
     shaped as outs[-1].
@@ -169,15 +166,16 @@ def _forward_calls(weights, biases, x_norm: np.ndarray, outs: list[np.ndarray], 
     (rows, fan_out) buffers, or a stack's (L, fan_in, fan_out) weights and
     (L, 1, fan_out) biases with (L, rows, fan_out) buffers. A layer's buffer
     may be reused two layers later, never by the next one: a product is not
-    written over its own input. Without `dot`, products are `np.matmul`,
-    which beat `np.dot` on a full split's rows (11 against 17 us for 1807
-    rows by (3, 16) weights).
+    written over its own input. Products are `np.matmul`, which beat
+    `np.dot` on a full split's rows (11 against 17 us for 1807 rows by
+    (3, 16) weights).
     """
-    return [_product(x_norm, weights[0], outs[0], dot), *_forward_tail(weights, biases, outs, e, dot)]
+    return [_product(x_norm, weights[0], outs[0], False), *_forward_tail(weights, biases, outs, e, False)]
 
 
 def _forward_tail(weights, biases, outs: list[np.ndarray], e: np.ndarray, dot: bool) -> list:
-    """`_forward_calls` after the first product, the one call that reads the inputs."""
+    """`_forward_calls` after the first product, the one call that reads the
+    inputs; products are the bound `dot` if `dot` is set (see `_product`)."""
     calls, zero, last = [], np.array(0.0), len(weights) - 1
     for k, (w, b, out) in enumerate(zip(weights, biases, outs)):
         if k:
@@ -252,68 +250,38 @@ def confusion_matrix(predictions, labels) -> dict[str, int]:
     }
 
 
-class _Workspace:
-    """What a stack of L models' gradient on an n-row batch writes. The
-    hidden layers' activations, back-propagated deltas and ReLU masks are
-    each one (depth, L, n, width) buffer, so one call covers every hidden
-    layer; `acts`, `deltas` and `masks` are its per-layer (L, n, width)
-    views, `acts` ending with the output layer's (L, n, 1) activation, and
-    `acts_t` the hidden activations transposed. A mask is float64 0.0/1.0:
-    delta * 1.0 and delta * 0.0 are the bits delta * True and delta * False
-    give, without a bool-to-float cast on each multiply. `d` and `t` are the
-    output layer's delta and a temporary of it. A stack of one model drops
-    the L axis."""
-
-    def __init__(self, hidden, delta, mask, y_hat, d, t):
-        self.rows = y_hat.shape[-2]
-        self.hidden, self.delta, self.mask = hidden, delta, mask
-        self.acts = [*hidden, y_hat]
-        self.acts_t = [a.swapaxes(-1, -2) for a in hidden]
-        self.deltas, self.masks = list(delta), list(mask)
-        self.d, self.t = d, t
-
-    @classmethod
-    def empty(cls, n_models: int, n: int, sizes: list[int]) -> _Workspace:
-        lead = (n_models,) if n_models > 1 else ()
-        hidden = np.empty((len(sizes) - 2, *lead, n, sizes[1]))
-        return cls(hidden, np.empty_like(hidden), np.empty_like(hidden), *(np.empty((*lead, n, 1)) for _ in range(3)))
-
-    def head(self, n: int) -> _Workspace:
-        """Views of every buffer's first n rows: a shorter batch's workspace.
-        Each matrix keeps its row stride, so a product gets the same BLAS
-        call, and a reduce the same order, as on buffers of n rows."""
-        return _Workspace(*(a[..., :n, :] for a in (self.hidden, self.delta, self.mask, self.acts[-1], self.d, self.t)))
-
-
 class _Stack:
-    """Parameters, gradients and Adam moments of L models of one architecture.
+    """Parameters, gradients and Adam moments of L models of one
+    architecture, and every call list that binds them.
 
     Each is one flat (L, P) buffer, laid out as every layer's weights, then
     every layer's biases; `weights`, `biases`, `grad_w` and `grad_b` are
     per-layer (L, fan_in, fan_out) and (L, 1, fan_out) views into them,
     multiplied with `np.matmul`. The hidden layers' bias gradients are one
     contiguous block, and `grad_b_hidden` views it as (depth, L, 1, width),
-    the shape of one bias-gradient reduce over the workspace's delta buffer.
+    the shape of one bias-gradient reduce over the gradient's delta buffer.
     A stack of one model, which every `train` is, drops the L axis and
     multiplies with `dot`: on a batch's rows it costs less per call and
     gives the same bits, and its learning rate is 0-d. A stack's is (L, P)
-    too: a multiply by it is faster than by an (L, 1) broadcast. Adam's two
-    call lists are made with the buffers: one divides by `corr1`, one is for
-    the steps at which `corr1` has rounded to 1.0. Both write the update
-    into `grads`, once the moments have read them.
+    too: a multiply by it is faster than by an (L, 1) broadcast.
+
+    `_bind` makes the gradients, the views and the lists, and `keep` calls
+    it again, so no list outlives the buffers it binds: `steps`, the
+    gradient calls of each (x, x_t, y) batch; `evaluations`, each row's
+    calls of the `_evaluation_passes` passes; and Adam's two lists, one
+    dividing by `corr1`, one for the steps at which `corr1` has rounded to
+    1.0. Both write the update into `grads`, once the moments have read
+    them.
     """
 
-    def __init__(self, sizes: list[int], params: np.ndarray, learning_rates: np.ndarray):
-        self.sizes = sizes
-        self.params = params
-        self.grads = np.empty_like(params)
-        self.m = np.zeros_like(params)
-        self.v = np.zeros_like(params)
-        self.learning_rates = learning_rates
-        self.corr1, self.corr2 = np.array(1.0), np.array(1.0)  # each step's bias corrections
-        self._views()
+    def __init__(self, sizes: list[int], params: np.ndarray, learning_rates: np.ndarray, batches: list, passes: list):
+        self.sizes, self.params, self.learning_rates = sizes, params, learning_rates
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self.batches, self.passes = batches, passes
+        self._bind()
 
-    def _views(self) -> None:
+    def _bind(self) -> None:
+        self.grads = np.empty_like(self.params)
         views = [*_layer_views(self.params, self.sizes), *_layer_views(self.grads, self.sizes)]
         self.dot, rates = len(self.params) == 1, self.learning_rates
         self.lr = np.array(rates[0]) if self.dot else np.repeat(rates[:, None], self.params.shape[1], axis=1)
@@ -324,7 +292,7 @@ class _Stack:
         hidden = self.grads[:, -1 - depth * width : -1].reshape(len(self.grads), depth, 1, width).swapaxes(0, 1)
         self.grad_b_hidden = hidden[:, 0] if self.dot else hidden
         self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
-        self._workspace: _Workspace | None = None
+        self.corr1, self.corr2 = np.array(1.0), np.array(1.0)  # each step's bias corrections
         g, m, v, p, t = self.grads, self.m, self.v, self.params, np.empty_like(self.m)
         b1, b2, c1, c2, eps = map(np.array, (ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPS))
         moments = [
@@ -337,20 +305,15 @@ class _Stack:
         update = [(np.divide, (g, t, g)), (np.subtract, (p, g, p))]
         self._adam = ([*moments, (np.divide, (m, self.corr1, g)), (np.multiply, (g, self.lr, g)), *update],
                       [*moments, (np.multiply, (m, self.lr, g)), *update])
+        self.steps = _gradient_calls(self, self.batches)
+        models = [self.model(row) for row in range(len(self.params))]
+        self.evaluations = [[_forward_calls(*model, x, outs, e) for x, outs, e in self.passes] for model in models]
 
     def keep(self, rows: list[int]) -> None:
-        """Drop every row not in `rows`, in one copy of each buffer, and remake the views and lists."""
+        """Drop every row not in `rows`, in one copy of each buffer, and bind the views and lists anew."""
         self.params, self.m, self.v = (a[rows] for a in (self.params, self.m, self.v))
         self.learning_rates = self.learning_rates[rows]
-        self.grads = np.empty_like(self.params)
-        self._views()
-
-    def workspace(self, n: int) -> _Workspace:
-        """The buffers of a gradient on an n-row batch: the first n rows of
-        the stack's one workspace, made on first use, and again for more rows."""
-        if self._workspace is None or self._workspace.rows < n:
-            self._workspace = _Workspace.empty(len(self.params), n, self.sizes)
-        return self._workspace.head(n)
+        self._bind()
 
     def model(self, row: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Row views of one model's weights and biases."""
@@ -389,64 +352,60 @@ def _flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([t.ravel() for t in (*weights, *biases)])
 
 
-def _gradients(stack: _Stack, x: np.ndarray, x_t: np.ndarray, y: np.ndarray) -> None:
-    """Batch MSE gradients of every model in the stack, into stack.grads,
-    for (n, d) normalized inputs x, their (d, n) transpose x_t and (n, 1)
-    labels y.
-
-    The ReLU subgradient at exactly 0 is taken as 0.
-    """
-    _run(_gradient_calls(stack, [(x, x_t, y)])[0])
-
-
 def _gradient_calls(stack: _Stack, batches: list[tuple]) -> list[list]:
-    """`_gradients`' calls for each (x, x_t, y) batch, bound to its operands
-    and the stack's buffers. Batches of one length write the same buffers,
-    so their lists share every call object but the three that read the
-    batch: x's product with the first layer's weights, the output error
-    y_hat - y, and the first layer's weight gradient x_t @ delta."""
+    """The calls of each (x, x_t, y) batch's MSE gradient of every model in
+    the stack, into stack.grads: (n, d) normalized inputs, their transpose
+    and (n, 1) labels. The ReLU subgradient at exactly 0 is taken as 0.
+
+    The hidden layers' activations, deltas and ReLU masks are each one
+    (depth, [L,] rows, width) buffer, so one call covers every hidden layer;
+    a mask is float64 0.0/1.0, whose products have the bits a bool mask's
+    have, without a cast. The buffers are made once, for the longest batch,
+    and an n-row batch uses their first n rows: each matrix keeps its row
+    stride, so a product gets the same BLAS call, and a reduce the same
+    order, as on buffers of n rows. Batches of one length share every call
+    object but the three that read the batch: x @ weights[0], the output
+    error y_hat - y and the weight gradient x_t @ delta."""
+    dot, weights, grad_w, sizes = stack.dot, stack.weights, stack.grad_w, stack.sizes
+    lead, rows = () if dot else (len(stack.params),), max((len(y) for *_, y in batches), default=0)
+    full = np.empty((len(sizes) - 2, *lead, rows, sizes[1]))
+    buffers = (full, np.empty_like(full), np.empty_like(full), *(np.empty((*lead, rows, 1)) for _ in range(3)))
     shared, lists = {}, []
     for x, x_t, y in batches:
-        if len(y) not in shared:
-            shared[len(y)] = _shared_gradient_calls(stack, stack.workspace(len(y)))
-        ws, forward, backward, last = shared[len(y)]
+        n = len(y)
+        if n not in shared:
+            hidden, delta, mask, y_hat, d, t = views = [a[..., :n, :] for a in buffers]
+            zero, one, half_n = np.array(0.0), np.array(1.0), np.array(n / 2)
+            acts = [*hidden, y_hat]
+            forward = _forward_tail(weights, stack.biases, acts, t, dot)
+            # ReLU'(z) is 1 exactly where ReLU(z) > 0, in every hidden layer at once
+            forward.append((np.greater, (hidden, zero, mask)))
+            backward = [
+                # d(mean squared error)/d(logit) through the logistic output:
+                # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a
+                # time, from d = y_hat - y. Doubling is exact and so is n / 2,
+                # so (y_hat - y) / (n / 2) rounds the same real quotient as
+                # (2 (y_hat - y)) / n.
+                (np.divide, (d, half_n, d)), (np.multiply, (d, y_hat, d)),
+                (np.subtract, (one, y_hat, t)), (np.multiply, (d, t, d)),
+                (np.add.reduce, (d, -2, None, stack.grad_b[-1], True)),
+            ]
+            above = d
+            for k in range(len(acts) - 1, 0, -1):
+                below = delta[k - 1]
+                backward += [_product(acts[k - 1].swapaxes(-1, -2), above, grad_w[k], dot),
+                             _product(above, stack.weights_t[k], below, dot), (np.multiply, (below, mask[k - 1], below))]
+                above = below
+            # every hidden layer's bias gradient: each element sums its n rows
+            # in the order a per-layer reduce would
+            shared[n] = views, forward, backward, (np.add.reduce, (delta, -2, None, stack.grad_b_hidden, True))
+        (hidden, delta, _, y_hat, d, _), forward, backward, last = shared[n]
         lists.append([
-            _product(x, stack.weights[0], ws.acts[0], stack.dot), *forward,
-            (np.subtract, (ws.acts[-1], y, ws.d)), *backward,
-            _product(x_t, ws.deltas[0], stack.grad_w[0], stack.dot), last,
+            _product(x, weights[0], hidden[0], dot), *forward,
+            (np.subtract, (y_hat, y, d)), *backward,
+            _product(x_t, delta[0], grad_w[0], dot), last,
         ])
     return lists
-
-
-def _shared_gradient_calls(stack: _Stack, ws: _Workspace) -> tuple:
-    """ws and the calls of a gradient on its rows that read no batch: the
-    forward pass after its first product, then the ReLU masks; the backward
-    pass from the output error to the first layer's delta; and the hidden
-    bias gradients' reduce."""
-    dot, grad_w, d, t, y_hat = stack.dot, stack.grad_w, ws.d, ws.t, ws.acts[-1]
-    zero, one, half_n = np.array(0.0), np.array(1.0), np.array(ws.rows / 2)
-    forward = _forward_tail(stack.weights, stack.biases, ws.acts, t, dot)
-    # ReLU'(z) is 1 exactly where ReLU(z) > 0, in every hidden layer at once
-    forward.append((np.greater, (ws.hidden, zero, ws.mask)))
-    backward = [
-        # d(mean squared error)/d(logit) through the logistic output:
-        # 2 (y_hat - y) / n * y_hat * (1 - y_hat), one operation at a time,
-        # from d = y_hat - y. Doubling is exact and so is n / 2, so
-        # (y_hat - y) / (n / 2) rounds the same real quotient as
-        # (2 (y_hat - y)) / n.
-        (np.divide, (d, half_n, d)), (np.multiply, (d, y_hat, d)),
-        (np.subtract, (one, y_hat, t)), (np.multiply, (d, t, d)),
-        (np.add.reduce, (d, -2, None, stack.grad_b[-1], True)),
-    ]
-    delta = d
-    for k in range(len(ws.acts) - 1, 0, -1):
-        below = ws.deltas[k - 1]
-        backward += [_product(ws.acts_t[k - 1], delta, grad_w[k], dot), _product(delta, stack.weights_t[k], below, dot)]
-        backward.append((np.multiply, (below, ws.masks[k - 1], below)))
-        delta = below
-    # every hidden layer's bias gradient: each element sums its n rows in
-    # the order a per-layer reduce would
-    return ws, forward, backward, (np.add.reduce, (ws.delta, -2, None, stack.grad_b_hidden, True))
 
 
 def _check_training_labels(labels: np.ndarray) -> None:
@@ -520,19 +479,6 @@ def train_stack(
 
     initial = init_model(architecture, rng)
     n_models = len(configs)
-    stack = _Stack(
-        architecture.layer_sizes(),
-        np.tile(_flatten(initial.weights, initial.biases), (n_models, 1)),
-        np.array([c.learning_rate for c in configs]),
-    )
-    active = list(range(n_models))  # model index of each stack row
-    step = 0
-
-    histories: list[list[EpochStats]] = [[] for _ in configs]
-    best_val = [np.inf] * n_models
-    best_epoch = [0] * n_models
-    best_params = stack.params.copy()  # row i: model i's best snapshot
-
     # This epoch's rows and (n, 1) labels in batch order; each step's batch
     # is a fixed set of (x, x transposed, y) views of them, listed once.
     X_epoch, y_epoch = np.empty_like(Xt), np.empty((len(Xt), 1))
@@ -543,13 +489,21 @@ def train_stack(
     ]
     passes = _evaluation_passes(architecture, Xt, Xv)
     train_out, val_out = (outs[-1][:, 0] for _, outs, _ in passes)
+    stack = _Stack(
+        architecture.layer_sizes(),
+        np.tile(_flatten(initial.weights, initial.biases), (n_models, 1)),
+        np.array([c.learning_rate for c in configs]),
+        batches,
+        passes,
+    )
+    active = list(range(n_models))  # model index of each stack row
+    step = 0
 
-    def call_lists():  # each batch's gradient, and each stack row's two passes
-        models = [stack.model(row) for row in range(len(active))]
-        evaluations = [[_forward_calls(*model, x, outs, e) for x, outs, e in passes] for model in models]
-        return _gradient_calls(stack, batches), evaluations
+    histories: list[list[EpochStats]] = [[] for _ in configs]
+    best_val = [np.inf] * n_models
+    best_epoch = [0] * n_models
+    best_params = stack.params.copy()  # row i: model i's best snapshot
 
-    steps, evaluations = call_lists()
     # A diverging run overflows to inf and nan silently; its first
     # non-finite MSE raises.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -557,7 +511,7 @@ def train_stack(
             order = rng.permutation(len(Xt))
             np.take(Xt, order, axis=0, out=X_epoch)
             np.take(y_train, order, out=y_epoch[:, 0])
-            for calls in steps:
+            for calls in stack.steps:
                 _run(calls)
                 step += 1
                 stack.adam_step(step)
@@ -566,7 +520,7 @@ def train_stack(
             # One model at a time: a stack's (L, rows, width) buffers do not fit
             # the cache, and stacked, this pass was 2-3x slower per model.
             for row, i in enumerate(active):
-                train_pass, val_pass = evaluations[row]
+                train_pass, val_pass = stack.evaluations[row]
                 _run(train_pass)
                 train_mse = loss_mse(train_out, y_train)
                 _run(val_pass)  # over the training pass's first rows
@@ -589,7 +543,6 @@ def train_stack(
                     break
                 stack.keep(rows)
                 active = [active[row] for row in rows]
-                steps, evaluations = call_lists()
 
     best_weights, best_biases = _layer_views(best_params, stack.sizes)
     return [
@@ -726,7 +679,7 @@ def save_model(model: MlpModel, path, meta: dict) -> None:
         "best_epoch": model.best_epoch,
         "train_config": asdict(model.train_config),
         "history": [astuple(s) for s in model.history],
-        "meta": fields("meta", meta, _META_KEYS),
+        "meta": _meta(meta),
     }
     save_json(path, doc)
 
@@ -738,6 +691,16 @@ _MODEL_KEYS = {
 }
 # What a model was trained on: its dataset's feature method, stations, spec.
 _META_KEYS = {"method": str, "n_bs": int, "dataset_spec_hash": str}
+
+
+def _meta(value) -> dict:
+    """The meta record, its method and station count ones a dataset can have."""
+    meta = fields("meta", value, _META_KEYS)
+    if meta["method"] not in METHODS:
+        raise ValueError(f"meta.method must be one of {', '.join(METHODS)}, got {meta['method']!r}")
+    if meta["n_bs"] not in BS_SUBSETS:
+        raise ValueError(f"meta.n_bs must be one of {', '.join(map(str, BS_SUBSETS))}, got {meta['n_bs']}")
+    return meta
 
 
 def _record(key: str, value, cls):
@@ -788,7 +751,7 @@ def _model_from_doc(doc) -> tuple[MlpModel, dict]:
         raise ValueError(f"best_epoch {best_epoch} is not the first epoch of lowest val_mse in history")
     train_config = _record("train_config", d["train_config"], TrainConfig)
     model = MlpModel(architecture, weights, biases, norm_mean, norm_std, history, best_epoch, train_config)
-    return model, fields("meta", d["meta"], _META_KEYS)
+    return model, _meta(d["meta"])
 
 
 def load_model(path) -> tuple[MlpModel, dict]:

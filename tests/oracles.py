@@ -173,11 +173,12 @@ def finite_difference_gradients(model, inputs, labels, step=1e-5):
 
 def backprop_gradients(model, inputs, labels):
     """The trainer's analytic batch-MSE gradients, as (weights, biases)
-    lists, from `mlp._gradients` on a stack of this one model."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    stack = mlp._Stack(model.architecture.layer_sizes(), mlp._flatten(model.weights, model.biases)[None], np.zeros(1))
-    x = mlp.normalize(model, inputs)
-    mlp._gradients(stack, x, x.T, np.asarray(labels, dtype=float)[:, None])
+    lists, from the step of a stack of this one model on the one batch."""
+    x = mlp.normalize(model, np.atleast_2d(np.asarray(inputs, dtype=float)))
+    batch = (x, x.T, np.asarray(labels, dtype=float)[:, None])
+    params = mlp._flatten(model.weights, model.biases)[None]
+    stack = mlp._Stack(model.architecture.layer_sizes(), params, np.zeros(1), [batch], [])
+    mlp._run(stack.steps[0])
     grad_w, grad_b = mlp._layer_views(stack.grads, stack.sizes)  # (L, ...) whatever the stack's views
     return [g[0] for g in grad_w], [g[0, 0] for g in grad_b]
 

@@ -520,6 +520,22 @@ def test_report_refuses_a_run_directory_its_csv_cannot_hold(tmp_path, run_dir, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("method", "wd,x"), ("method", "WD"), ("n_bs", -7), ("n_bs", 4)])
+def test_report_and_evaluate_refuse_a_model_of_an_impossible_dataset(workdir, data_dir, run_dir, capsys, key, value):
+    """A model whose meta names no feature method or station count a dataset
+    can have is refused, by name, before any row of a report is written."""
+    model = run_dir / "model.json"
+    doc = json.loads(model.read_text())
+    doc["meta"][key] = value
+    model.write_text(json.dumps(doc))
+    for argv in (("report", run_dir), ("evaluate", data_dir, "--model", model)):
+        out = workdir / "out"
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == 1
+        assert f"meta.{key} must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_tune_writes_grid_report(monkeypatch, forks, workdir, data_dir):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
     outputs = []

@@ -130,8 +130,9 @@ def test_sigmoid_equals_the_two_branch_formula_with_its_sign_bits():
     z = np.array([v for m in magnitudes for v in (m, -m)])
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         expected = reference_sigmoid(z)
-        got = mlp._sigmoid(z.copy())
-        nan = mlp._sigmoid(np.array([np.nan, -np.nan]))
+        got, nan = z.copy(), np.array([np.nan, -np.nan])
+        for a in (got, nan):
+            mlp._run(mlp._sigmoid_calls(a, np.empty_like(a)))
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     assert np.all(np.isnan(nan))
 
@@ -228,7 +229,7 @@ def test_gradients_match_finite_differences():
 @pytest.mark.parametrize("width", [1, 16, 32])
 @pytest.mark.parametrize("lo,hi", [(0, 1), (1792, 1807), (0, 32)])  # 1807 rows: a last batch of 15
 def test_trainer_gradient_equals_the_reference_gradient_bit_for_bit(n_models, depth, width, lo, hi):
-    """`_gradients` on a batch view of an epoch's rows, as the trainer
+    """A stack's step on a batch view of an epoch's rows, as the trainer
     passes it, against the per-model reference on the same rows."""
     rng = np.random.default_rng(7)
     arch = MlpArchitecture(3, depth, width)  # (3, 3, 16) is the wd/3 preset's shape
@@ -236,8 +237,8 @@ def test_trainer_gradient_equals_the_reference_gradient_bit_for_bit(n_models, de
     X_epoch, y_epoch = rng.normal(size=(1807, 3)), rng.integers(0, 2, size=(1807, 1)).astype(float)
     x, y = X_epoch[lo:hi], y_epoch[lo:hi]
     params = np.stack([mlp._flatten(m.weights, m.biases) for m in models])
-    stack = mlp._Stack(arch.layer_sizes(), params, np.zeros(n_models))
-    mlp._gradients(stack, x, x.T, y)
+    stack = mlp._Stack(arch.layer_sizes(), params, np.zeros(n_models), [(x, x.T, y)], [])
+    mlp._run(stack.steps[0])
     grad_w, grad_b = mlp._layer_views(stack.grads, stack.sizes)
     for i, model in enumerate(models):
         ref_w, ref_b = reference_gradients(model.weights, model.biases, x, y[:, 0])
@@ -282,7 +283,7 @@ def test_hidden_bias_gradients_are_one_view_of_the_gradient_buffer(n_models, kep
     arch = MlpArchitecture(3, 3, 16)
     model = init_model(arch, np.random.default_rng(1))
     params = np.tile(mlp._flatten(model.weights, model.biases), (n_models, 1))
-    stack = mlp._Stack(arch.layer_sizes(), params, np.full(n_models, 0.01))
+    stack = mlp._Stack(arch.layer_sizes(), params, np.full(n_models, 0.01), [], [])
 
     def check(rows):
         assert stack.grad_b_hidden.shape == (3, *((rows,) if rows > 1 else ()), 1, 16)
@@ -295,17 +296,34 @@ def test_hidden_bias_gradients_are_one_view_of_the_gradient_buffer(n_models, kep
     check(len(kept))
 
 
-def _stack(arch, n_models):
+def _stack(arch, n_models, batches=(), passes=()):
     model = init_model(arch, np.random.default_rng(1))
     params = np.tile(mlp._flatten(model.weights, model.biases), (n_models, 1))
-    return mlp._Stack(arch.layer_sizes(), params, np.full(n_models, 0.01))
+    return mlp._Stack(arch.layer_sizes(), params, np.full(n_models, 0.01), list(batches), list(passes))
+
+
+def _batches(rows):
+    """(x, x_t, y) views of rows of inputs and labels, 32 rows a batch."""
+    X, y = np.random.default_rng(2).normal(size=(rows, 3)), np.ones((rows, 1))
+    return [(X[lo : lo + 32], X[lo : lo + 32].T, y[lo : lo + 32]) for lo in range(0, rows, 32)]
+
+
+def _operands(call) -> list:
+    """The arrays a (callable, operands) call reads or writes, the array a
+    bound `dot` belongs to included."""
+    f, args = call
+    return [a for a in (getattr(f, "__self__", None), *args) if isinstance(a, np.ndarray)]
 
 
 def _reads(call, operand) -> bool:
-    """Whether a (callable, operands) call reads operand, as an operand or
-    as the array a bound `dot` belongs to."""
-    f, args = call
-    return any(a is operand for a in (getattr(f, "__self__", None), *args))
+    """Whether a call has operand among its operands."""
+    return any(a is operand for a in _operands(call))
+
+
+def _bound(stack) -> list:
+    """Every array the stack's call lists bind."""
+    lists = [*stack.steps, *(calls for passes in stack.evaluations for calls in passes), *stack._adam]
+    return [a for calls in lists for call in calls for a in _operands(call)]
 
 
 @pytest.mark.parametrize("n_models,kept", [(1, [0]), (3, [0, 2]), (3, [1])])
@@ -313,39 +331,47 @@ def test_full_batches_share_every_gradient_call_but_the_three_that_read_the_batc
     """Two full batches' call lists hold the same call objects but x's
     product with the first layer's weights, the output error y_hat - y and
     the weight gradient x_t @ delta, each reading its own batch; after
-    `keep`, the lists are made anew and share the same way."""
-    stack = _stack(MlpArchitecture(3, 3, 16), n_models)
-    X, y = np.random.default_rng(2).normal(size=(79, 3)), np.ones((79, 1))
-    batches = [(X[lo : lo + 32], X[lo : lo + 32].T, y[lo : lo + 32]) for lo in range(0, 79, 32)]
+    `keep`, the lists are made anew on new buffers and share the same way."""
+    arch, batches = MlpArchitecture(3, 3, 16), _batches(79)
+    passes = mlp._evaluation_passes(arch, batches[0][0], batches[1][0][:20])
+    stack = _stack(arch, n_models, batches, passes)
 
-    def check():
-        first, second, _ = lists = mlp._gradient_calls(stack, batches)
-        assert len(lists) == len(batches)
+    def check(lists):
+        first, second, _ = lists
         differ = [k for k, (a, b) in enumerate(zip(first, second, strict=True)) if a is not b]
         assert len(differ) == 3 and differ[0] == 0 and differ[-1] == len(first) - 2
-        for calls, (x, x_t, y_batch) in zip(lists, batches):
+        for calls, (x, x_t, y_batch) in zip(lists, batches, strict=True):
             assert [_reads(calls[k], operand) for k, operand in zip(differ, (x, y_batch, x_t))] == [True] * 3
-        return first
 
-    before = check()
+    before, old = stack.steps, _bound(stack)
+    check(before)
     stack.keep(kept)
-    after = check()
-    assert not any(a is b for a, b in zip(before, after))
+    check(stack.steps)
+    assert not any(a is b for a, b in zip(before[0], stack.steps[0]))
+    held = [a for batch in batches for a in batch] + [a for x, outs, e in passes for a in (x, *outs, e)]
+    new = [a for a in _bound(stack) if not any(np.shares_memory(a, h) for h in held)]
+    assert new and not any(np.shares_memory(a, b) for a in new for b in old)
+
+
+def _gradient_buffers(calls) -> list:
+    """A step's six buffers: the hidden activations and ReLU masks, which
+    the mask call reads and writes, the deltas the last call reduces,
+    y_hat and d of the output error, and the temporary 1 - y_hat."""
+    ((_, (hidden, _, mask)),) = [call for call in calls if call[0] is np.greater]
+    error, complement = [args for f, args in calls if f is np.subtract]
+    return [hidden, mask, calls[-1][1][0], error[0], error[2], complement[2]]
 
 
 @pytest.mark.parametrize("n_models,kept", [(1, [0]), (3, [0, 2])])
 def test_a_short_batch_the_validation_pass_and_adams_update_reuse_held_buffers(n_models, kept):
-    """A short batch's workspace is the first rows of the full one, before
+    """A short batch's buffers are the first rows of a full one's, before
     and after `keep`; the validation pass writes the first rows of the
     training pass's buffers; Adam's update is written into `stack.grads`."""
     arch = MlpArchitecture(3, 3, 16)
-    stack = _stack(arch, n_models)
-
-    def buffers(ws):
-        return [ws.hidden, ws.delta, ws.mask, ws.acts[-1], ws.d, ws.t]
+    stack = _stack(arch, n_models, _batches(47))
 
     def check():
-        full, short = (buffers(stack.workspace(n)) for n in (32, 15))
+        full, short = (_gradient_buffers(calls) for calls in (stack.steps[0], stack.steps[-1]))
         assert [b.shape[-2] for b in full + short] == [32] * 6 + [15] * 6
         assert all(np.shares_memory(a, b) for a, b in zip(short, full, strict=True))
         for calls in stack._adam:
@@ -708,6 +734,15 @@ def test_save_model_refuses_an_untrained_model_it_could_not_load(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("key,value", [("method", "wd,x"), ("n_bs", 4)])
+def test_save_model_refuses_the_meta_load_model_would(tmp_path, key, value):
+    model = train(MlpArchitecture(2, 1, 4), *blobs(n=120, seed=14), TrainConfig(learning_rate=0.01, max_epochs=3))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match=f"meta.{key} must be one of"):
+        save_model(model, path, {**META, key: value})
+    assert not path.exists()
+
+
 def test_load_model_rejects_other_files(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text('{"format": "something-else"}')
@@ -773,6 +808,8 @@ def _edited(edit):
         (lambda d: d.update(train_config=None), "train_config must be an object"),
         (lambda d: d["meta"].pop("n_bs"), r"meta: missing fields \['n_bs'\]"),
         (lambda d: d["meta"].update(n_bs="3"), "meta.n_bs must be an integer"),
+        (lambda d: d["meta"].update(method="wd,x"), "meta.method must be one of mvsk, box, wd, got 'wd,x'"),
+        (lambda d: d["meta"].update(n_bs=-7), "meta.n_bs must be one of 1, 2, 3, got -7"),
         (lambda d: d["meta"].update(scenario="3bs"), r"meta: unknown fields \['scenario'\]"),
         (lambda d: d["train_config"].update(learning_rate=2**53 + 1),
          "train_config.learning_rate must be finite and held exactly by a double"),

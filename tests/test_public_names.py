@@ -33,3 +33,22 @@ def test_every_public_library_name_is_used_outside_the_tests():
     ]
     assert public
     assert [name for name in public if name.split(".")[1] not in used] == []
+
+
+def test_every_private_library_name_and_method_has_a_caller_in_the_library():
+    """A private function or class, or a method, that only tests call is
+    code kept for the tests alone."""
+    used = set().union(*(_referenced(ast.parse(p.read_text(), str(p))) for p in LIBRARY))
+    names = []
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                names.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{path.stem}.{node.name}.{f.name}"
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not (f.name.startswith("__") and f.name.endswith("__"))
+                ]
+    assert names
+    assert [name for name in names if name.rsplit(".", 1)[1] not in used] == []
