@@ -4,6 +4,10 @@ tune detectors, evaluate them and merge training curves into report CSVs.
 Every command is replayable: outputs embed the hash of the generating spec
 and a single --seed value reproduces a whole experiment byte for byte
 (wall-clock fields excepted).
+
+The trainer, `mlp`, is imported by the commands that train or read a model
+(`train`, `tune`, `evaluate`, `report`), so `init`, `simulate` and
+`generate` start without loading it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import time
 from dataclasses import asdict, astuple
 from pathlib import Path
 
-from . import baseline, dataset, mlp
+from . import baseline, dataset
 from .channel import ChannelParams, measured_windows
 from .configio import config_to_dict, load_config, save_config, save_csv, save_json
 from .features import METHODS
@@ -119,23 +123,24 @@ def _model_meta(train_ds: dataset.LabeledDataset) -> dict:
 
 
 def _train_flags(p) -> None:
-    """The training flags `train` and `tune` share; _train_config reads them."""
-    p.add_argument("--epochs", type=int, default=mlp.TrainConfig.max_epochs)
-    p.add_argument("--patience", type=int, default=mlp.TrainConfig.patience)
-    p.add_argument("--seed", type=int, default=mlp.TrainConfig.rng_seed)
+    """The training flags `train` and `tune` share; _train_config reads them.
+    They default to unset, so TrainConfig alone holds the defaults."""
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--patience", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
 
 
-def _train_config(args, learning_rate: float) -> mlp.TrainConfig:
-    return mlp.TrainConfig(
-        learning_rate=learning_rate,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        rng_seed=args.seed,
-    )
+def _train_config(args, learning_rate: float):
+    from . import mlp
+
+    given = {"max_epochs": args.epochs, "patience": args.patience, "rng_seed": args.seed}
+    return mlp.TrainConfig(learning_rate=learning_rate, **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_train(args) -> int:
     """Train one MLP on a generated dataset; write its model JSON, history included."""
+    from . import mlp
+
     train_ds = _load_split(args.data_dir, "train")
     preset = BEST_SETTINGS[train_ds.spec.method, train_ds.spec.n_bs]
     lr = args.lr if args.lr is not None else preset[0]
@@ -171,6 +176,8 @@ def _parse_grid(text: str | None, default, cast, flag: str):
 
 def cmd_tune(args) -> int:
     """Grid-search hyperparameters; write the full grid report and the winner."""
+    from . import mlp
+
     train_ds = _load_split(args.data_dir, "train")
     lrs = _parse_grid(args.lr_grid, mlp.GRID_LEARNING_RATES, float, "--lr-grid")
     layer_grid = _parse_grid(args.layers_grid, mlp.GRID_HIDDEN_LAYERS, int, "--layers-grid")
@@ -200,6 +207,8 @@ def cmd_tune(args) -> int:
 
 
 def _confusion_report(predictions, labels, started: float, spec_hash_: str, detector: dict) -> dict:
+    from . import mlp
+
     counts = mlp.confusion_matrix(predictions, labels)
     return {
         "format": REPORT_FORMAT,
@@ -216,6 +225,8 @@ def _confusion_report(predictions, labels, started: float, spec_hash_: str, dete
 def cmd_evaluate(args) -> int:
     """Score an MLP model file or the threshold baseline on a dataset's test
     split. Without --t, the threshold is the one fitted on the train split."""
+    from . import mlp
+
     started = time.perf_counter()
     if args.model is not None:
         for flag, value in (("--t", args.t), ("--aggregation", args.aggregation)):
@@ -267,6 +278,8 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     """Merge run histories into one scenario,method,run,epoch,accuracy,mse
     CSV, run being the run directory as given."""
+    from . import mlp
+
     rows = []
     for run_dir in args.run_dirs:
         if any(c in run_dir for c in ",\n\r"):

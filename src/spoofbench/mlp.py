@@ -21,7 +21,7 @@ import numpy as np
 from . import forks
 from .configio import array, fields, load_json, save_json, typed
 from .dataset import BS_SUBSETS
-from .features import METHODS
+from .features import FEATURES_PER_BS, METHODS
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -679,7 +679,7 @@ def save_model(model: MlpModel, path, meta: dict) -> None:
         "best_epoch": model.best_epoch,
         "train_config": asdict(model.train_config),
         "history": [astuple(s) for s in model.history],
-        "meta": _meta(meta),
+        "meta": _meta(meta, model.architecture.input_width),
     }
     save_json(path, doc)
 
@@ -693,13 +693,20 @@ _MODEL_KEYS = {
 _META_KEYS = {"method": str, "n_bs": int, "dataset_spec_hash": str}
 
 
-def _meta(value) -> dict:
-    """The meta record, its method and station count ones a dataset can have."""
+def _meta(value, input_width: int) -> dict:
+    """The meta record, its method and station count ones a dataset can have,
+    and that dataset's row as wide as the model's input."""
     meta = fields("meta", value, _META_KEYS)
     if meta["method"] not in METHODS:
         raise ValueError(f"meta.method must be one of {', '.join(METHODS)}, got {meta['method']!r}")
     if meta["n_bs"] not in BS_SUBSETS:
         raise ValueError(f"meta.n_bs must be one of {', '.join(map(str, BS_SUBSETS))}, got {meta['n_bs']}")
+    width = FEATURES_PER_BS[meta["method"]] * meta["n_bs"]
+    if width != input_width:
+        raise ValueError(
+            f"meta: {meta['method']} features of {meta['n_bs']} stations are {width} wide, "
+            f"but architecture.input_width is {input_width}"
+        )
     return meta
 
 
@@ -751,7 +758,7 @@ def _model_from_doc(doc) -> tuple[MlpModel, dict]:
         raise ValueError(f"best_epoch {best_epoch} is not the first epoch of lowest val_mse in history")
     train_config = _record("train_config", d["train_config"], TrainConfig)
     model = MlpModel(architecture, weights, biases, norm_mean, norm_std, history, best_epoch, train_config)
-    return model, _meta(d["meta"])
+    return model, _meta(d["meta"], architecture.input_width)
 
 
 def load_model(path) -> tuple[MlpModel, dict]:

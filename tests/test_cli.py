@@ -338,6 +338,37 @@ def test_commands_without_optional_flags_take_the_library_defaults(tmp_path):
     assert (args.t, args.aggregation) == (None, None)
 
 
+# Each command's argv, given a fixture getter and an output path.
+COMMAND_LINES = {
+    "init": lambda f, out: ["init", "--out", out, *SMALL],
+    "simulate": lambda f, out: ["simulate", "--config", f("workdir") / "config.json", "--out", out],
+    "generate": lambda f, out: ["generate", "--spec", f("workdir") / "spec.json", "--out", out],
+    "train": lambda f, out: ["train", f("data_dir"), "--out", out, "--epochs", "3"],
+    "tune": lambda f, out: ["tune", f("data_dir"), "--out", out, "--lr-grid", "0.01", "--layers-grid", "1",
+                            "--neurons-grid", "2", "--epochs", "3", "--jobs", "1"],
+    "evaluate": lambda f, out: ["evaluate", f("data_dir"), "--model", f("run_dir") / "model.json", "--out", out],
+    "report": lambda f, out: ["report", f("run_dir"), "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_a_command_imports_no_process_pool_and_the_trainer_only_to_train_or_read_a_model(request, tmp_path, command):
+    """multiprocessing and concurrent.futures.process cost 10-20 ms of import
+    each on every command, and the trainer about 13 ms without cached
+    bytecode: a fork and a pipe need neither, and init, simulate and
+    generate never train. Each command runs through cli.main in a fresh
+    interpreter."""
+    argv = [str(a) for a in COMMAND_LINES[command](request.getfixturevalue, tmp_path / "out")]
+    code = ("import json, sys; from spoofbench.cli import main; rc = main(json.loads(sys.argv[1])); print(json.dumps("
+            "[rc, sorted({'multiprocessing', 'concurrent.futures.process', 'spoofbench.mlp'} & set(sys.modules))]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(spoofbench.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    rc, imported = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0
+    assert imported == ([] if command in ("init", "simulate", "generate") else ["spoofbench.mlp"])
+
+
 def test_train_is_byte_deterministic(workdir, data_dir):
     a, b = workdir / "run_a", workdir / "run_b"
     for out in (a, b):
@@ -520,10 +551,18 @@ def test_report_refuses_a_run_directory_its_csv_cannot_hold(tmp_path, run_dir, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("method", "wd,x"), ("method", "WD"), ("n_bs", -7), ("n_bs", 4)])
-def test_report_and_evaluate_refuse_a_model_of_an_impossible_dataset(workdir, data_dir, run_dir, capsys, key, value):
+@pytest.mark.parametrize("key,value,message", [
+    ("method", "wd,x", "meta.method must be one of"),
+    ("method", "WD", "meta.method must be one of"),
+    ("n_bs", -7, "meta.n_bs must be one of"),
+    ("n_bs", 4, "meta.n_bs must be one of"),
+    ("method", "mvsk", "meta: mvsk features of 3 stations are 12 wide, but architecture.input_width is 3"),
+])
+def test_report_and_evaluate_refuse_a_model_of_an_impossible_dataset(
+        workdir, data_dir, run_dir, capsys, key, value, message):
     """A model whose meta names no feature method or station count a dataset
-    can have is refused, by name, before any row of a report is written."""
+    can have, or a dataset whose rows are not the model's input width, is
+    refused, by name, before any row of a report is written."""
     model = run_dir / "model.json"
     doc = json.loads(model.read_text())
     doc["meta"][key] = value
@@ -532,7 +571,7 @@ def test_report_and_evaluate_refuse_a_model_of_an_impossible_dataset(workdir, da
         out = workdir / "out"
         capsys.readouterr()
         assert run(*argv, "--out", out) == 1
-        assert f"meta.{key} must be one of" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -9,12 +9,9 @@ forked process outlives a call, whether it returns or raises.
 
 import atexit
 import os
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -264,12 +261,3 @@ def test_a_child_leaves_only_through_os_exit(monkeypatch, forks, tmp_path):
         atexit.unregister(ran)
     assert len(forks) == 2 and not marker.exists()
 
-
-def test_the_command_line_imports_no_process_pool():
-    # multiprocessing and concurrent.futures.process cost 10-20 ms of import
-    # each on every command; a fork and a pipe need neither.
-    code = ("import sys; import spoofbench.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": str(Path(dataset.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"

@@ -695,7 +695,7 @@ def test_selection_prefers_mse_then_accuracy_then_size():
 # ------------------------------------------------------------------------- io
 
 
-META = {"method": "wd", "n_bs": 3, "dataset_spec_hash": "0" * 64}
+META = {"method": "wd", "n_bs": 2, "dataset_spec_hash": "0" * 64}  # the rows of the width-2 models below
 
 
 def test_model_json_round_trip(tmp_path):
@@ -734,11 +734,15 @@ def test_save_model_refuses_an_untrained_model_it_could_not_load(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("key,value", [("method", "wd,x"), ("n_bs", 4)])
-def test_save_model_refuses_the_meta_load_model_would(tmp_path, key, value):
+@pytest.mark.parametrize("key,value,message", [
+    ("method", "wd,x", "meta.method must be one of"),
+    ("n_bs", 4, "meta.n_bs must be one of"),
+    ("method", "mvsk", "meta: mvsk features of 2 stations are 8 wide, but architecture.input_width is 2"),
+])
+def test_save_model_refuses_the_meta_load_model_would(tmp_path, key, value, message):
     model = train(MlpArchitecture(2, 1, 4), *blobs(n=120, seed=14), TrainConfig(learning_rate=0.01, max_epochs=3))
     path = tmp_path / "model.json"
-    with pytest.raises(ValueError, match=f"meta.{key} must be one of"):
+    with pytest.raises(ValueError, match=message):
         save_model(model, path, {**META, key: value})
     assert not path.exists()
 
@@ -810,6 +814,10 @@ def _edited(edit):
         (lambda d: d["meta"].update(n_bs="3"), "meta.n_bs must be an integer"),
         (lambda d: d["meta"].update(method="wd,x"), "meta.method must be one of mvsk, box, wd, got 'wd,x'"),
         (lambda d: d["meta"].update(n_bs=-7), "meta.n_bs must be one of 1, 2, 3, got -7"),
+        (lambda d: d["meta"].update(method="mvsk"), "meta: mvsk features of 2 stations are 8 wide, "
+                                                    "but architecture.input_width is 2"),
+        (lambda d: d["meta"].update(n_bs=3), "meta: wd features of 3 stations are 3 wide, "
+                                             "but architecture.input_width is 2"),
         (lambda d: d["meta"].update(scenario="3bs"), r"meta: unknown fields \['scenario'\]"),
         (lambda d: d["train_config"].update(learning_rate=2**53 + 1),
          "train_config.learning_rate must be finite and held exactly by a double"),
