@@ -17,7 +17,11 @@ the parent's by more than the distance between the parent's quartiles.
 An untraced run also reports, from run.py's record, its ``raw_wall_s``
 (the median iteration's wall time less the pace handler's, before pace
 scaling) and its ``pace_factor`` (the reference kernel time over the mean
-measured one), as run.py prints them.
+measured one), as run.py prints them, and likewise its ``raw_setup_s``
+(the median set-up's) and ``setup_pace_samples`` (the pace samples its
+set-ups took). run.py leaves a set-up that ends before the first sample
+unscaled, so when one side's set-ups take no samples and the other's do,
+only the raw set-up times compare like with like.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload headline
            [--seeds 1-10] [--seconds 46] [--trace 0] [--claim wall_s]
@@ -38,7 +42,10 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 STEADINESS = ROOT / "perfbench" / "steadiness.py"
 SIDES = ("parent", "change")
 # A pace factor is the host's speed, better neither way.
-RAW_METRICS = {"raw_wall_s": ("s", "lower"), "pace_factor": ("ratio", None)}
+RAW_METRICS = {
+    "raw_wall_s": ("s", "lower"), "raw_setup_s": ("s", "lower"),
+    "pace_factor": ("ratio", None), "setup_pace_samples": ("count", None),
+}
 
 
 def better_directions(path: Path = BENCHMARK) -> dict[str, str | None]:
@@ -82,13 +89,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int)
 
 
 def raw_metrics(record: dict, reference_s: float) -> dict:
-    """raw_wall_s and pace_factor of a run's complete iterations, from the
+    """raw_wall_s and pace_factor of a run's complete iterations, and
+    raw_setup_s and setup_pace_samples of its complete set-ups, from the
     record run.py writes, in its result line's metric layout."""
     iterations = [it for it in record["iterations"] if it["wall_s"] is not None]
     raw = statistics.median(it["wall_s"] - it["pace"]["handler_s"] for it in iterations)
     samples = sum(it["pace"]["samples"] for it in iterations)
     factor = reference_s * samples / sum(it["pace"]["kernel_s"] for it in iterations) if samples else 1.0
-    values = {"raw_wall_s": raw, "pace_factor": factor}
+    setups = [s for s in record["setups"] if s["setup_s"] is not None]
+    values = {
+        "raw_wall_s": raw, "pace_factor": factor,
+        "raw_setup_s": statistics.median(s["setup_s"] - s["setup_pace"]["handler_s"] for s in setups),
+        "setup_pace_samples": sum(s["setup_pace"]["samples"] for s in setups),
+    }
     return {name: {"value": values[name], "unit": unit} for name, (unit, _) in RAW_METRICS.items()}
 
 

@@ -15,8 +15,7 @@ import argparse
 from pathlib import Path
 
 from spoofbench.cli import main as cli
-from spoofbench.dataset import BS_SUBSETS
-from spoofbench.features import METHODS
+from spoofbench.spec import BS_SUBSETS, METHODS
 
 
 def run(seed: int, workdir: Path, methods: list[str], n_bs: list[int], jobs: int | None) -> None:

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from spoofbench.cli import main as cli
-from spoofbench.features import METHODS
+from spoofbench.spec import METHODS
 
 
 def run(seed: int, workdir: Path) -> None:

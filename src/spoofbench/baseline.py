@@ -8,6 +8,9 @@ each station's window mean is tested against T, either averaged across
 stations ("mean-delta") or by strict majority vote. Both reduce a row to
 one score tested against T, so `fit` finds the training split's best T
 exactly.
+
+loss_mse, accuracy and confusion_matrix score any detector's predictions
+against the labels; the trainer and every report use them.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-AGGREGATIONS = ("mean-delta", "majority-vote")
+from .spec import AGGREGATIONS
 
 
 @dataclass(frozen=True)
 class ThresholdDetector:
     threshold_db: float
-    aggregation: str = "mean-delta"
+    aggregation: str = AGGREGATIONS[0]
 
     def __post_init__(self):
         if not 0 <= self.threshold_db < math.inf:  # NaN compares False
@@ -57,7 +60,7 @@ def decide(detector: ThresholdDetector, means) -> np.ndarray:
     return scores(means, detector.aggregation) > detector.threshold_db
 
 
-def fit(means, labels, aggregation: str = "mean-delta") -> ThresholdDetector:
+def fit(means, labels, aggregation: str = AGGREGATIONS[0]) -> ThresholdDetector:
     """The detector of highest accuracy on these rows, ties going to the
     smaller T.
 
@@ -77,3 +80,33 @@ def fit(means, labels, aggregation: str = "mean-delta") -> ThresholdDetector:
     correct = legit + (labels.sum() - (below - legit))  # and the spoofed rows over the cut
     return ThresholdDetector(float(cuts[np.argmax(correct)]), aggregation)
 
+
+def _pair(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
+    """predictions and labels as float arrays, checked to pair up."""
+    p = np.asarray(predictions, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if len(p) == 0 or len(p) != len(y):
+        raise ValueError("predictions and labels must be equal-length and non-empty")
+    return p, y
+
+
+def loss_mse(predictions, labels) -> float:
+    p, y = _pair(predictions, labels)
+    return float(np.mean((y - p) ** 2))
+
+
+def accuracy(predictions, labels) -> float:
+    """Fraction of correct spoofed/legitimate calls; positive means spoofed."""
+    p, y = _pair(predictions, labels)
+    return float(np.mean((p >= 0.5) == (y >= 0.5)))
+
+
+def confusion_matrix(predictions, labels) -> dict[str, int]:
+    p, y = _pair(predictions, labels)
+    p, y = p >= 0.5, y >= 0.5
+    return {
+        "tp": int(np.sum(p & y)),
+        "fp": int(np.sum(p & ~y)),
+        "fn": int(np.sum(~p & y)),
+        "tn": int(np.sum(~p & ~y)),
+    }

@@ -25,34 +25,9 @@ from itertools import product
 
 import numpy as np
 
-from .scenario import BaseStation, check_positive_finite
+from .scenario import BaseStation, ChannelParams
 
 LOS_PROBABILITY_MIN_HEIGHT = 22.5  # rule below this clamps to the model floor
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Stochastic channel configuration; all sigmas in dB.
-
-    The only holder of the carrier frequency and of rng_seed, the first
-    entry of every window's noise seed (measured_windows).
-    """
-
-    carrier_frequency: float = 2.0  # GHz
-    los_shadow_formula: bool = True  # height-dependent LoS shadow sigma on/off
-    nlos_shadow_sigma: float = 6.0
-    meas_noise_sigma: float = 0.5
-    rng_seed: int = 1
-    sampled_los: bool = False  # draw the LoS/NLoS branch instead of thresholding
-
-    def __post_init__(self):
-        check_positive_finite("carrier_frequency", self.carrier_frequency)
-        for name in ("nlos_shadow_sigma", "meas_noise_sigma"):
-            sigma = getattr(self, name)
-            if not (math.isfinite(sigma) and sigma >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
 
 
 def los_probability(heights, d2d) -> np.ndarray:

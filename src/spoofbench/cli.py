@@ -5,9 +5,10 @@ Every command is replayable: outputs embed the hash of the generating spec
 and a single --seed value reproduces a whole experiment byte for byte
 (wall-clock fields excepted).
 
-The trainer, `mlp`, is imported by the commands that train or read a model
-(`train`, `tune`, `evaluate`, `report`), so `init`, `simulate` and
-`generate` start without loading it.
+`init`, `--help` and a usage error start without numpy: the parser and
+`init` read only `scenario`, `spec` and `configio`. Each command imports
+the modules that compute as it needs them, and only `train`, `tune`,
+`evaluate --model` and `report` import the trainer, `mlp`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ import time
 from dataclasses import asdict, astuple
 from pathlib import Path
 
-from . import baseline, dataset
-from .channel import ChannelParams, measured_windows
 from .configio import config_to_dict, load_config, save_config, save_csv, save_json
-from .features import METHODS
 from .presets import BEST_SETTINGS
-from .scenario import default_config, destination_grid
+from .scenario import ChannelParams, default_config
+from .spec import AGGREGATIONS, BS_SUBSETS, METHODS, DatasetSpec, load_spec, spec_to_dict
 
 ARCHIVE_FORMAT = "spoofbench-archive"
 ARCHIVE_FORMAT_VERSION = 2
@@ -39,7 +38,7 @@ def _sha256(path) -> str:
 
 def cmd_init(args) -> int:
     """Write the default scenario config and dataset spec to a directory."""
-    spec = dataset.DatasetSpec(
+    spec = DatasetSpec(
         scenario=default_config(),
         channel=ChannelParams(rng_seed=args.seed),
         method=args.method,
@@ -50,7 +49,7 @@ def cmd_init(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_config(out / "config.json", spec.scenario, spec.channel)
-    save_json(out / "spec.json", dataset.spec_to_dict(spec))
+    save_json(out / "spec.json", spec_to_dict(spec))
     print(f"wrote {out / 'config.json'} and {out / 'spec.json'}")
     return 0
 
@@ -63,9 +62,12 @@ def cmd_simulate(args) -> int:
     are written once; a row's label and noise seed follow from its true
     destination and index. The archive holds every value, so the rows are
     simulated in one batch."""
+    from . import dataset
+    from .channel import measured_windows
+
     scenario_cfg, channel = load_config(args.config)
     bs_ids = [bs.id for bs in scenario_cfg.base_stations]
-    destinations = destination_grid(scenario_cfg)
+    destinations = dataset.destination_grid(scenario_cfg)
     n = scenario_cfg.n_destinations
     dests, first_seed = dataset.plan_rows(n, channel.rng_seed, "train", 2 * n - 2)
     links, theoretical = dataset.scene_links(scenario_cfg, channel, bs_ids)
@@ -96,7 +98,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_generate(args) -> int:
     """Wrap dataset.generate: write train/test CSVs plus spec sidecars."""
-    spec = dataset.load_spec(args.spec)
+    from . import dataset
+
+    spec = load_spec(args.spec)
     train_ds, test_ds = dataset.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,7 +113,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_split(data_dir, split: str) -> dataset.LabeledDataset:
+def _load_split(data_dir, split: str):
+    from . import dataset
+
     path = Path(data_dir) / f"{split}.csv"
     ds = dataset.load(path)
     if ds.split != split:
@@ -117,7 +123,7 @@ def _load_split(data_dir, split: str) -> dataset.LabeledDataset:
     return ds
 
 
-def _model_meta(train_ds: dataset.LabeledDataset) -> dict:
+def _model_meta(train_ds) -> dict:
     spec = train_ds.spec
     return {"method": spec.method, "n_bs": spec.n_bs, "dataset_spec_hash": train_ds.provenance}
 
@@ -207,16 +213,16 @@ def cmd_tune(args) -> int:
 
 
 def _confusion_report(predictions, labels, started: float, spec_hash_: str, detector: dict) -> dict:
-    from . import mlp
+    from . import baseline
 
-    counts = mlp.confusion_matrix(predictions, labels)
+    counts = baseline.confusion_matrix(predictions, labels)
     return {
         "format": REPORT_FORMAT,
         "format_version": REPORT_FORMAT_VERSION,
         "dataset_spec_hash": spec_hash_,
         "detector": detector,
-        "test_accuracy": mlp.accuracy(predictions, labels),
-        "test_mse": mlp.loss_mse(predictions, labels),
+        "test_accuracy": baseline.accuracy(predictions, labels),
+        "test_mse": baseline.loss_mse(predictions, labels),
         "confusion": counts,
         "wall_clock_s": time.perf_counter() - started,
     }
@@ -225,7 +231,7 @@ def _confusion_report(predictions, labels, started: float, spec_hash_: str, dete
 def cmd_evaluate(args) -> int:
     """Score an MLP model file or the threshold baseline on a dataset's test
     split. Without --t, the threshold is the one fitted on the train split."""
-    from . import mlp
+    from . import baseline, dataset
 
     started = time.perf_counter()
     if args.model is not None:
@@ -235,6 +241,8 @@ def cmd_evaluate(args) -> int:
     ds = _load_split(args.data_dir, "test")
     labels = ds.labels
     if args.model is not None:
+        from . import mlp
+
         model, meta = mlp.load_model(args.model)
         if (meta["method"], meta["n_bs"]) != (ds.spec.method, ds.spec.n_bs):
             raise ValueError(
@@ -319,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=ChannelParams.rng_seed)
     p.add_argument("--method", choices=METHODS, default="wd")
-    p.add_argument("--n-bs", type=int, choices=tuple(dataset.BS_SUBSETS), default=3)
-    p.add_argument("--train-size", type=int, default=dataset.DatasetSpec.train_size)
-    p.add_argument("--test-size", type=int, default=dataset.DatasetSpec.test_size)
+    p.add_argument("--n-bs", type=int, choices=tuple(BS_SUBSETS), default=3)
+    p.add_argument("--train-size", type=int, default=DatasetSpec.train_size)
+    p.add_argument("--test-size", type=int, default=DatasetSpec.test_size)
     p.set_defaults(func=cmd_init)
 
     p = sub.add_parser("simulate", help="write a scenario + window archive")
@@ -361,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     detector.add_argument("--detector", choices=("threshold",), default=None)
     p.add_argument("--t", type=float, default=None,
                    help="threshold in dB (default: fitted on train.csv)")
-    p.add_argument("--aggregation", choices=baseline.AGGREGATIONS, default=None,
-                   help=f"threshold detector only (default: {baseline.ThresholdDetector.aggregation})")
+    p.add_argument("--aggregation", choices=AGGREGATIONS, default=None,
+                   help=f"threshold detector only (default: {AGGREGATIONS[0]})")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)
 

@@ -1,7 +1,7 @@
-"""The scenario config file, the one JSON reader (typed, array, fields,
-load_json) that also reads the dataset spec, its sidecar and the model, the
-one JSON writer (save_json) of every document the tools write, and the one
-CSV writer (save_csv) of every table.
+"""The scenario config file, the one JSON reader (typed, fields, load_json)
+that also reads the dataset spec, its sidecar and the model, the one JSON
+writer (save_json) of every document the tools write, and the one CSV
+writer (save_csv) of every table.
 
 One JSON document holds both the scene geometry (ScenarioConfig) and the
 channel settings (ChannelParams), under fixed keys:
@@ -22,10 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from .channel import ChannelParams
-from .scenario import BaseStation, ScenarioConfig
+from .scenario import BaseStation, ChannelParams, ScenarioConfig
 
 
 class ConfigError(ValueError):
@@ -86,20 +83,6 @@ def typed(key: str, value, kind):
     except OverflowError:
         pass
     raise ValueError(f"{key} must be finite and held exactly by a double, got {value!r:.40}")
-
-
-def array(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """Nested JSON lists of finite numbers, of exactly this shape."""
-    try:
-        cells = np.array(value, dtype=object)
-    except ValueError:
-        cells = None
-    if cells is None or cells.shape != shape:
-        raise ConfigError(f"{key} must be a {' x '.join(map(str, shape))} array")
-    out = np.array([typed(key, v, float) for v in cells.flat], dtype=float).reshape(shape)
-    if not np.isfinite(out).all():
-        raise ValueError(f"{key} must be finite")
-    return out
 
 
 def at(path: str, key: str) -> str:

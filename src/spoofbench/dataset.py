@@ -10,7 +10,6 @@ pure function of the DatasetSpec.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import features, forks
-from .channel import ChannelParams, Link, check_finite, measured_windows
-from .configio import ConfigError, at, config_from_dict, config_to_dict, fields, load_json, save_csv, save_json
-from .features import FEATURES_PER_BS, check_method
-from .scenario import ScenarioConfig, destination_grid, flight_positions
-
-SPLITS = ("train", "test")
+from .channel import Link, check_finite, measured_windows
+from .configio import ConfigError, fields, load_json, save_csv, save_json
+from .scenario import ChannelParams, ScenarioConfig, destination_points
+from .spec import (
+    FEATURES_PER_BS, SPLITS, DatasetSpec, select_bs_subset, spec_from_dict, spec_hash, spec_to_dict, split_size,
+)
 
 # Rows simulated per chunk; the bound is there for peak memory. wd/3 at seed 1
 # peaked at 39.6 MB after generate with 64-row chunks, as the per-sample
@@ -36,75 +35,25 @@ CHUNK_ROWS = 64
 # 19 ms (2-vCPU Xeon).
 PART_MIN_ROWS = 256
 
-BS_SUBSETS = {1: (1,), 2: (1, 3), 3: (1, 2, 3)}
+
+def destination_grid(config: ScenarioConfig) -> np.ndarray:
+    """The config's (n_destinations, 3) destinations
+    (scenario.destination_points); row 0 is the planned (real) one."""
+    return np.array(destination_points(config.start, config.mission_radius, config.n_destinations))
 
 
-def select_bs_subset(n_bs: int) -> tuple[int, ...]:
-    """Station ids used in the 1-, 2- and 3-station evaluation scenarios."""
-    try:
-        return BS_SUBSETS[n_bs]
-    except KeyError:
-        raise ValueError(f"n_bs must be one of {sorted(BS_SUBSETS)}, got {n_bs}") from None
+def flight_positions(config: ScenarioConfig, destinations) -> np.ndarray:
+    """(destinations, samples, 3) positions of straight flights from the
+    start to each destination: sample k of a window of W sits at k / W of
+    the way.
 
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    scenario: ScenarioConfig
-    channel: ChannelParams
-    method: str
-    n_bs: int
-    train_size: int = 2259
-    test_size: int = 969
-
-    def __post_init__(self):
-        check_method(self.method)
-        missing = set(select_bs_subset(self.n_bs)) - {bs.id for bs in self.scenario.base_stations}
-        if missing:
-            raise ValueError(f"n_bs {self.n_bs} uses base station {min(missing)}, which the scenario lacks")
-        for name, size in (("train_size", self.train_size), ("test_size", self.test_size)):
-            if size < 2:  # the row plan's row 0 is spoofed and row 1 legitimate
-                raise ValueError(f"{name} must be >= 2 for a spoofed and a legitimate row, got {size}")
-
-
-_SPEC_KEYS = {"scenario": dict, "method": str, "n_bs": int, "train_size": int, "test_size": int}
-
-
-def spec_to_dict(spec: DatasetSpec) -> dict:
-    return {
-        "scenario": config_to_dict(spec.scenario, spec.channel),
-        "method": spec.method,
-        "n_bs": spec.n_bs,
-        "train_size": spec.train_size,
-        "test_size": spec.test_size,
-    }
-
-
-def spec_from_dict(doc: dict, path: str = "") -> DatasetSpec:
-    """The spec a `spec_to_dict` document describes, at key path path of its
-    file; ConfigError, naming the key, on a missing or unknown key, a value
-    of the wrong JSON type or a bad value."""
-    d = fields(path, doc, _SPEC_KEYS, "spec")
-    scenario, channel = config_from_dict(d.pop("scenario"), at(path, "scenario"))
-    try:
-        return DatasetSpec(scenario, channel, **d)
-    except ValueError as exc:  # a DatasetSpec check
-        raise ConfigError(f"invalid spec value: {exc}") from exc
-
-
-def load_spec(path) -> DatasetSpec:
-    """The spec in a spec.json file; errors name the file and the key."""
-    return load_json(path, spec_from_dict)
-
-
-def spec_hash(spec: DatasetSpec) -> str:
-    canonical = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def split_size(spec: DatasetSpec, split: str) -> int:
-    if split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {split!r:.40}")
-    return spec.train_size if split == "train" else spec.test_size
+    slope * k + start is the arithmetic np.interp does on [0, W], so the
+    positions are its bit for bit.
+    """
+    ks = np.arange(config.window_size, dtype=float)
+    start = np.asarray(config.start)
+    slope = (np.asarray(destinations, dtype=float) - start) / config.window_size
+    return slope[:, None, :] * ks[:, None] + start
 
 
 def plan_rows(n_destinations: int, rng_seed: int, split: str, n_rows: int) -> tuple[np.ndarray, int]:

@@ -17,14 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-METHODS = ("mvsk", "box", "wd")
-FEATURES_PER_BS = {"mvsk": 4, "box": 5, "wd": 1}
-
-
-def check_method(method: str) -> str:
-    if method not in METHODS:
-        raise ValueError(f"unknown feature method {method!r}; expected one of {METHODS}")
-    return method
+from .spec import check_method
 
 
 def _mvsk_lanes(x: np.ndarray) -> np.ndarray:

@@ -19,9 +19,9 @@ from functools import partial
 import numpy as np
 
 from . import forks
-from .configio import array, fields, load_json, save_json, typed
-from .dataset import BS_SUBSETS
-from .features import FEATURES_PER_BS, METHODS
+from .baseline import accuracy, loss_mse
+from .configio import ConfigError, fields, load_json, save_json, typed
+from .spec import BS_SUBSETS, FEATURES_PER_BS, METHODS
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -217,37 +217,6 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     outs, e = _pass_buffers(model.architecture, len(inputs))
     _run(_forward_calls(model.weights, model.biases, normalize(model, inputs), outs, e))
     return outs[-1][:, 0]
-
-
-def _pair(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
-    """predictions and labels as float arrays, checked to pair up."""
-    p = np.asarray(predictions, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if len(p) == 0 or len(p) != len(y):
-        raise ValueError("predictions and labels must be equal-length and non-empty")
-    return p, y
-
-
-def loss_mse(predictions, labels) -> float:
-    p, y = _pair(predictions, labels)
-    return float(np.mean((y - p) ** 2))
-
-
-def accuracy(predictions, labels) -> float:
-    """Fraction of correct spoofed/legitimate calls; positive means spoofed."""
-    p, y = _pair(predictions, labels)
-    return float(np.mean((p >= 0.5) == (y >= 0.5)))
-
-
-def confusion_matrix(predictions, labels) -> dict[str, int]:
-    p, y = _pair(predictions, labels)
-    p, y = p >= 0.5, y >= 0.5
-    return {
-        "tp": int(np.sum(p & y)),
-        "fp": int(np.sum(p & ~y)),
-        "fn": int(np.sum(~p & y)),
-        "tn": int(np.sum(~p & ~y)),
-    }
 
 
 class _Stack:
@@ -682,6 +651,20 @@ def save_model(model: MlpModel, path, meta: dict) -> None:
         "meta": _meta(meta, model.architecture.input_width),
     }
     save_json(path, doc)
+
+
+def array(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested JSON lists of finite numbers, of exactly this shape."""
+    try:
+        cells = np.array(value, dtype=object)
+    except ValueError:
+        cells = None
+    if cells is None or cells.shape != shape:
+        raise ConfigError(f"{key} must be a {' x '.join(map(str, shape))} array")
+    out = np.array([typed(key, v, float) for v in cells.flat], dtype=float).reshape(shape)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{key} must be finite")
+    return out
 
 
 _MODEL_KEYS = {

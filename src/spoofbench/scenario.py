@@ -1,5 +1,5 @@
-"""Scene geometry: base stations, destination layouts and flight position
-arrays.
+"""Scene geometry and channel settings: base stations, destination layouts
+and the stochastic channel's parameters.
 
 A flight goes in a straight line from a fixed start point to one of several
 destinations spread on a sphere around the start. The GPS receiver reports
@@ -13,20 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 ELEVATION_SPREAD_DEG = 15.0  # destinations sit at +/- this elevation angle
 
 
 def _as_vec3(p) -> tuple[float, float, float]:
     """p as a tuple of three finite floats: a value, so a frozen config
     shares nothing its caller can still write."""
-    v = np.array(p, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"coordinates must be finite, got {v.tolist()}")
-    return tuple(v.tolist())
+    try:
+        v = [float(x) for x in p]
+    except TypeError:  # a number, or a nested list: no flat sequence
+        raise ValueError(f"expected a 3-vector, got {p!r:.60}") from None
+    if len(v) != 3:
+        raise ValueError(f"expected a 3-vector, got shape ({len(v)},)")
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"coordinates must be finite, got {v}")
+    return tuple(v)
 
 
 def check_positive_finite(name: str, value: float) -> None:
@@ -81,7 +82,7 @@ class ScenarioConfig:
         # Two destinations span both elevation rings, and a destination's
         # height does not depend on its azimuth: this fails exactly when the
         # full layout would put a destination underground.
-        destination_layout(self.start, self.mission_radius, 2)
+        destination_points(self.start, self.mission_radius, 2)
 
     def base_station_by_id(self, bs_id: int) -> BaseStation:
         for bs in self.base_stations:
@@ -106,8 +107,8 @@ def default_config() -> ScenarioConfig:
     )
 
 
-def destination_layout(start, radius: float, n: int) -> np.ndarray:
-    """(n, 3) destinations at exactly `radius` from start, evenly spread in
+def destination_points(start, radius: float, n: int) -> list[tuple[float, float, float]]:
+    """n destinations at exactly `radius` from start, evenly spread in
     angle: n/2 azimuths times two elevation rings at +/-ELEVATION_SPREAD_DEG,
     so n must be even and at least 2.
     """
@@ -122,27 +123,33 @@ def destination_layout(start, radius: float, n: int) -> np.ndarray:
         for az in azimuths
         for e in (el, -el)
     ]
-    points = np.asarray(_as_vec3(start)) + radius * np.array(units)
-    if np.any(points[:, 2] <= 0):
+    start = _as_vec3(start)
+    points = [tuple(s + radius * u for s, u in zip(start, unit)) for unit in units]
+    if any(z <= 0 for _, _, z in points):
         raise ValueError("destination altitude would be <= 0")
     return points
 
 
-def destination_grid(config: ScenarioConfig) -> np.ndarray:
-    """The config's (n_destinations, 3) destinations; row 0 is the planned
-    (real) one."""
-    return destination_layout(config.start, config.mission_radius, config.n_destinations)
+@dataclass(frozen=True)
+class ChannelParams:
+    """Stochastic channel configuration; all sigmas in dB.
 
-
-def flight_positions(config: ScenarioConfig, destinations) -> np.ndarray:
-    """(destinations, samples, 3) positions of straight flights from the
-    start to each destination: sample k of a window of W sits at k / W of
-    the way.
-
-    slope * k + start is the arithmetic np.interp does on [0, W], so the
-    positions are its bit for bit.
+    The only holder of the carrier frequency and of rng_seed, the first
+    entry of every window's noise seed (channel.measured_windows).
     """
-    ks = np.arange(config.window_size, dtype=float)
-    start = np.asarray(config.start)
-    slope = (np.asarray(destinations, dtype=float) - start) / config.window_size
-    return slope[:, None, :] * ks[:, None] + start
+
+    carrier_frequency: float = 2.0  # GHz
+    los_shadow_formula: bool = True  # height-dependent LoS shadow sigma on/off
+    nlos_shadow_sigma: float = 6.0
+    meas_noise_sigma: float = 0.5
+    rng_seed: int = 1
+    sampled_los: bool = False  # draw the LoS/NLoS branch instead of thresholding
+
+    def __post_init__(self):
+        check_positive_finite("carrier_frequency", self.carrier_frequency)
+        for name in ("nlos_shadow_sigma", "meas_noise_sigma"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")

@@ -16,7 +16,8 @@ import pytest
 
 from spoofbench.channel import measured_windows
 from spoofbench.cli import main as cli
-from spoofbench.dataset import row_plan, scene_links, select_bs_subset
+from spoofbench.dataset import row_plan, scene_links
+from spoofbench.spec import select_bs_subset
 
 
 def split_deltas(spec, split: str) -> np.ndarray:

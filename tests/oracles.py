@@ -13,8 +13,10 @@ gradient on one model, so that the oracles above can check it.
 
 import numpy as np
 
-from spoofbench.channel import Link
 from spoofbench import mlp
+from spoofbench.baseline import accuracy, loss_mse
+from spoofbench.channel import Link
+from spoofbench.dataset import destination_grid
 from spoofbench.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -22,12 +24,9 @@ from spoofbench.mlp import (
     BATCH_SIZE,
     VALIDATION_FRACTION,
     EpochStats,
-    accuracy,
     forward_batch,
     init_model,
-    loss_mse,
 )
-from spoofbench.scenario import destination_grid
 
 
 def distance_3d(p, q) -> float:

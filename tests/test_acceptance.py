@@ -22,24 +22,23 @@ from oracles import (
     min_hidden_preactivation,
     naive_mvsk,
 )
-from spoofbench.baseline import decide, fit
-from spoofbench.channel import ChannelParams
+from spoofbench.baseline import accuracy, decide, fit
 from spoofbench.cli import main as cli
-from spoofbench.dataset import DatasetSpec, generate, row_plan
-from spoofbench.features import FEATURES_PER_BS, METHODS, extract
+from spoofbench.dataset import generate, row_plan
+from spoofbench.features import extract
 from spoofbench.forks import fork_map, workers
 from spoofbench.mlp import (
     VALIDATION_FRACTION,
     MlpArchitecture,
     TrainConfig,
     _deal,
-    accuracy,
     forward_batch,
     init_model,
     train,
 )
 from spoofbench.presets import BEST_SETTINGS
-from spoofbench.scenario import default_config
+from spoofbench.scenario import ChannelParams, default_config
+from spoofbench.spec import FEATURES_PER_BS, METHODS, DatasetSpec
 
 SEED = 1
 BS_COUNTS = (3, 2, 1)

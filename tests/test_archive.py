@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from spoofbench.cli import main as cli
-from spoofbench.dataset import BS_SUBSETS, load, select_bs_subset
-from spoofbench.features import METHODS, extract
+from spoofbench.dataset import load
+from spoofbench.features import extract
+from spoofbench.spec import BS_SUBSETS, METHODS, select_bs_subset
 
 
 def _init(workdir, seed, start_height, method="wd", n_bs=3):

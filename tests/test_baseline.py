@@ -5,11 +5,11 @@ import pytest
 
 from conftest import split_deltas
 from oracles import count_rule_verdicts, path_loss, position_at
-from spoofbench.baseline import AGGREGATIONS, ThresholdDetector, decide, fit
-from spoofbench.channel import ChannelParams
-from spoofbench.dataset import DatasetSpec, row_plan
+from spoofbench.baseline import ThresholdDetector, decide, fit
+from spoofbench.dataset import destination_grid, row_plan
 from spoofbench.features import extract
-from spoofbench.scenario import default_config, destination_grid
+from spoofbench.scenario import ChannelParams, default_config
+from spoofbench.spec import AGGREGATIONS, DatasetSpec
 
 QUIET = ChannelParams(
     carrier_frequency=2.0,

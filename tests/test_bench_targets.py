@@ -18,6 +18,9 @@ STALE = {
     "spoofbench.dataset.delta_series",
     "spoofbench.dataset.iter_delta_rows",
     "spoofbench.mlp.write_history_csv",
+    # The spec document's calls, now made by spoofbench.spec.
+    "spoofbench.dataset.config_to_dict",
+    "spoofbench.dataset.config_from_dict",
 }
 
 

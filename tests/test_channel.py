@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from oracles import distance_3d, measured_window, path_loss, position_at, window_rng
 from spoofbench.channel import (
-    ChannelParams,
     Link,
     check_finite,
     los_probability,
     measured_windows,
     window_states,
 )
-from spoofbench.dataset import DatasetSpec, generate, plan_rows, row_plan
-from spoofbench.scenario import BaseStation, default_config, destination_grid, flight_positions
+from spoofbench.dataset import destination_grid, flight_positions, generate, plan_rows, row_plan
+from spoofbench.scenario import BaseStation, ChannelParams, default_config
+from spoofbench.spec import DatasetSpec
 
 PARAMS = ChannelParams(carrier_frequency=2.0, rng_seed=1)
 QUIET = ChannelParams(

@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 import spoofbench
-from spoofbench.baseline import ThresholdDetector, decide, fit
-from spoofbench.channel import ChannelParams
+from spoofbench.baseline import ThresholdDetector, confusion_matrix, decide, fit
 from spoofbench.cli import _train_config, build_parser, main
 from spoofbench.configio import load_config
-from spoofbench.dataset import DatasetSpec, load, load_spec, spec_to_dict, window_means
-from spoofbench.mlp import TrainConfig, confusion_matrix
-from spoofbench.scenario import default_config
+from spoofbench.dataset import load, window_means
+from spoofbench.mlp import TrainConfig
+from spoofbench.scenario import ChannelParams, default_config
+from spoofbench.spec import DatasetSpec, load_spec, spec_to_dict
 
 SMALL = ["--train-size", "40", "--test-size", "20"]
 
@@ -347,26 +347,48 @@ COMMAND_LINES = {
     "tune": lambda f, out: ["tune", f("data_dir"), "--out", out, "--lr-grid", "0.01", "--layers-grid", "1",
                             "--neurons-grid", "2", "--epochs", "3", "--jobs", "1"],
     "evaluate": lambda f, out: ["evaluate", f("data_dir"), "--model", f("run_dir") / "model.json", "--out", out],
+    "evaluate --detector threshold": lambda f, out: ["evaluate", f("data_dir"), "--detector", "threshold",
+                                                     "--out", out],
     "report": lambda f, out: ["report", f("run_dir"), "--out", out],
 }
+WATCHED = ("multiprocessing", "concurrent.futures.process", "numpy", "spoofbench.mlp")
 
 
-@pytest.mark.parametrize("command", FLAGS)
+def _fresh_main(argv) -> list:
+    """cli.main(argv) in a fresh interpreter: [its return value or exit
+    code, the WATCHED modules it imported]."""
+    code = ("import json, sys; from spoofbench.cli import main\n"
+            "try: rc = main(json.loads(sys.argv[1]))\n"
+            "except SystemExit as exc: rc = exc.code\n"
+            f"print(json.dumps([rc, sorted(set({WATCHED!r}) & set(sys.modules))]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(spoofbench.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(list(map(str, argv)))],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", COMMAND_LINES)
 def test_a_command_imports_no_process_pool_and_the_trainer_only_to_train_or_read_a_model(request, tmp_path, command):
     """multiprocessing and concurrent.futures.process cost 10-20 ms of import
-    each on every command, and the trainer about 13 ms without cached
-    bytecode: a fork and a pipe need neither, and init, simulate and
-    generate never train. Each command runs through cli.main in a fresh
+    each on every command, numpy about 55 ms and the trainer about 13 ms
+    without cached bytecode: a fork and a pipe need neither pool, init
+    computes nothing, and only train, tune, evaluate --model and report
+    train or read a model. Each command runs through cli.main in a fresh
     interpreter."""
-    argv = [str(a) for a in COMMAND_LINES[command](request.getfixturevalue, tmp_path / "out")]
-    code = ("import json, sys; from spoofbench.cli import main; rc = main(json.loads(sys.argv[1])); print(json.dumps("
-            "[rc, sorted({'multiprocessing', 'concurrent.futures.process', 'spoofbench.mlp'} & set(sys.modules))]))")
-    env = {**os.environ, "PYTHONPATH": str(Path(spoofbench.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    rc, imported = json.loads(out.stdout.splitlines()[-1])
+    rc, imported = _fresh_main(COMMAND_LINES[command](request.getfixturevalue, tmp_path / "out"))
     assert rc == 0
-    assert imported == ([] if command in ("init", "simulate", "generate") else ["spoofbench.mlp"])
+    if command == "init":
+        assert imported == []
+    elif command in ("simulate", "generate", "evaluate --detector threshold"):
+        assert imported == ["numpy"]
+    else:
+        assert imported == ["numpy", "spoofbench.mlp"]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["init"], 2)])
+def test_help_and_a_usage_error_load_no_numpy(argv, code):
+    assert _fresh_main(argv) == [code, []]
 
 
 def test_train_is_byte_deterministic(workdir, data_dir):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spoofbench.channel import ChannelParams
 from spoofbench.configio import ConfigError, config_from_dict, config_to_dict, load_config, save_config, save_json
-from spoofbench.dataset import DatasetFormatError, DatasetSpec, generate, load, load_spec, save, spec_to_dict
+from spoofbench.dataset import DatasetFormatError, generate, load, save
 from spoofbench.mlp import MlpArchitecture, TrainConfig, load_model, save_model, train
-from spoofbench.scenario import default_config
+from spoofbench.scenario import ChannelParams, default_config
+from spoofbench.spec import DatasetSpec, load_spec, spec_to_dict
 
 
 _DROP = object()

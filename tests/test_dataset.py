@@ -14,25 +14,27 @@ from hypothesis import strategies as st
 
 from conftest import split_deltas
 from oracles import reference_row_plan, reference_window
-from spoofbench.channel import ChannelParams
 from spoofbench.configio import ConfigError, load_config, save_config, save_csv
 from spoofbench.dataset import (
-    DatasetFormatError,
-    DatasetSpec,
-    generate,
     CHUNK_ROWS,
+    DatasetFormatError,
+    generate,
     load,
-    load_spec,
     row_plan,
     save,
+    window_means,
+)
+from spoofbench.features import extract
+from spoofbench.scenario import BaseStation, ChannelParams, ScenarioConfig, default_config
+from spoofbench.spec import (
+    FEATURES_PER_BS,
+    DatasetSpec,
+    load_spec,
     select_bs_subset,
     spec_from_dict,
     spec_hash,
     spec_to_dict,
-    window_means,
 )
-from spoofbench.features import FEATURES_PER_BS, extract
-from spoofbench.scenario import BaseStation, ScenarioConfig, default_config
 
 
 def small_spec(method="mvsk", n_bs=3, seed=1, train=40, test=20):

@@ -16,9 +16,10 @@ from dataclasses import replace
 import pytest
 
 from spoofbench import dataset, features
-from spoofbench.channel import ChannelParams, Link
-from spoofbench.dataset import CHUNK_ROWS, PART_MIN_ROWS, SPLITS, DatasetSpec, generate, row_plan, window_means
-from spoofbench.scenario import default_config
+from spoofbench.channel import Link
+from spoofbench.dataset import CHUNK_ROWS, PART_MIN_ROWS, generate, row_plan, window_means
+from spoofbench.scenario import ChannelParams, default_config
+from spoofbench.spec import SPLITS, DatasetSpec
 
 # 300 + 200 rows make 9 chunks: 64, 64, 64, 64, 44 and 64, 64, 64, 8.
 TRAIN, TEST, CHUNKS = 300, 200, 9

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import split_deltas
 from oracles import cdf_area_distance, naive_mvsk, reference_row_plan, reference_window, wasserstein_1d
-from spoofbench.channel import ChannelParams
-from spoofbench.dataset import DatasetSpec
-from spoofbench.features import FEATURES_PER_BS, extract
-from spoofbench.scenario import default_config
+from spoofbench.features import extract
+from spoofbench.scenario import ChannelParams, default_config
+from spoofbench.spec import FEATURES_PER_BS, DatasetSpec
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
 delta_floats = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spoofbench.channel import ChannelParams
 from spoofbench.cli import main as cli
-from spoofbench.dataset import DatasetSpec, generate, save
-from spoofbench.scenario import default_config
+from spoofbench.dataset import generate, save
+from spoofbench.scenario import ChannelParams, default_config
+from spoofbench.spec import DatasetSpec
 
 GOLDEN_CSV_SHA256 = {
     ("mvsk", 1): ("4854a35ff5537535640d3ecb4ea3ddcecc6d12ec42364bf502e1bbf3aa96970c",

@@ -16,7 +16,7 @@ import pytest
 from conftest import split_deltas
 from oracles import reference_row_plan, reference_window
 from spoofbench.cli import main as cli
-from spoofbench.dataset import spec_from_dict
+from spoofbench.spec import spec_from_dict
 
 START_HEIGHT_M = 50.0
 

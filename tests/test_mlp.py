@@ -24,6 +24,7 @@ from oracles import (
     reference_train,
 )
 from spoofbench import mlp
+from spoofbench.baseline import accuracy, confusion_matrix, loss_mse
 from spoofbench.mlp import (
     ADAM_BETA1,
     BATCH_SIZE,
@@ -32,12 +33,9 @@ from spoofbench.mlp import (
     MlpArchitecture,
     MlpModel,
     TrainConfig,
-    accuracy,
-    confusion_matrix,
     forward_batch,
     init_model,
     load_model,
-    loss_mse,
     save_model,
     selection_key,
     train,

@@ -6,17 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import position_at
-from spoofbench.channel import ChannelParams
-from spoofbench.dataset import DatasetSpec, plan_rows, scene_links, spec_hash
+from spoofbench.dataset import destination_grid, flight_positions, plan_rows, scene_links
 from spoofbench.scenario import (
     ELEVATION_SPREAD_DEG,
     BaseStation,
+    ChannelParams,
     ScenarioConfig,
     default_config,
-    destination_grid,
-    destination_layout,
-    flight_positions,
+    destination_points,
 )
+from spoofbench.spec import DatasetSpec, spec_hash
 
 
 def test_default_config_reference_values():
@@ -45,10 +44,10 @@ def test_destination_grid_radius_and_distinctness():
 
 def test_destination_layout_rejects_underground_and_odd_counts():
     with pytest.raises(ValueError, match="altitude"):
-        destination_layout(np.array([0.0, 0.0, 10.0]), 100.0, 16)
+        destination_points(np.array([0.0, 0.0, 10.0]), 100.0, 16)
     for n in (1, 7):
         with pytest.raises(ValueError, match=f"cannot lay out {n} destinations"):
-            destination_layout(np.array([0.0, 0.0, 500.0]), 100.0, n)
+            destination_points(np.array([0.0, 0.0, 500.0]), 100.0, n)
 
 
 def test_flight_positions_match_the_scalar_oracle_bit_for_bit():
@@ -115,6 +114,9 @@ def test_config_validation():
         BaseStation(1, [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="base station -1 id must be >= 0"):
         BaseStation(-1, [0.0, 0.0, 35.0])
+    for position in ([0.0, 35.0], 35.0, [[0.0, 0.0, 35.0]]):
+        with pytest.raises(ValueError, match="expected a 3-vector"):
+            BaseStation(1, position)
     cfg = default_config()
     assert _config() == cfg
     with pytest.raises(ValueError):
@@ -149,7 +151,7 @@ def test_config_layout_check_matches_destination_grid():
         start = np.array([150.0, 150.0, z])
         if underground:
             with pytest.raises(ValueError, match="altitude"):
-                destination_layout(start, 100.0, 16)
+                destination_points(start, 100.0, 16)
             with pytest.raises(ValueError, match="altitude"):
                 _config(start=start)
         else:

@@ -65,11 +65,19 @@ def test_bench_pairs_reads_raw_wall_time_and_pace_factor_from_the_record():
     def iteration(wall_s, samples, kernel_s, handler_s):
         return {"wall_s": wall_s, "pace": {"samples": samples, "kernel_s": kernel_s, "handler_s": handler_s}}
 
+    def setup(setup_s, samples, handler_s):
+        return {"setup_s": setup_s, "setup_pace": {"samples": samples, "kernel_s": 0.001, "handler_s": handler_s}}
+
     record = {"iterations": [iteration(1.0, 10, 0.02, 0.1), iteration(1.3, 20, 0.03, 0.2),
-                             iteration(1.2, 10, 0.01, 0.1), {"wall_s": None, "pace": None}]}
+                             iteration(1.2, 10, 0.01, 0.1), {"wall_s": None, "pace": None}],
+              "setups": [setup(0.2, 2, 0.01), setup(0.03, 0, 0.0), setup(0.25, 3, 0.02),
+                         {"setup_s": None, "setup_pace": None}]}
     raw = script.raw_metrics(record, reference_s=0.0012)
     assert raw["raw_wall_s"] == {"value": pytest.approx(1.1), "unit": "s"}
     assert raw["pace_factor"] == {"value": pytest.approx(0.0012 * 40 / 0.06), "unit": "ratio"}
+    # A set-up that ends before the first pace sample is raw time as it is.
+    assert raw["raw_setup_s"] == {"value": pytest.approx(0.19), "unit": "s"}
+    assert raw["setup_pace_samples"] == {"value": 5, "unit": "count"}
 
     def with_raw(wall_s, raw_wall_s, factor):
         result = _result(wall_s, 0.95)
