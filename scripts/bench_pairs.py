@@ -21,7 +21,10 @@ measured one), as run.py prints them, and likewise its ``raw_setup_s``
 (the median set-up's) and ``setup_pace_samples`` (the pace samples its
 set-ups took). run.py leaves a set-up that ends before the first sample
 unscaled, so when one side's set-ups take no samples and the other's do,
-only the raw set-up times compare like with like.
+only the raw set-up times compare like with like. The summary's
+``bytecode`` records whether ``PYTHONDONTWRITEBYTECODE`` was set for the
+runs and whether each checkout's ``src/spoofbench/__pycache__`` existed
+before them: a process that compiles what it imports starts slower.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload headline
            [--seeds 1-10] [--seconds 46] [--trace 0] [--claim wall_s]
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import runpy
 import statistics
 import subprocess
@@ -105,6 +109,15 @@ def raw_metrics(record: dict, reference_s: float) -> dict:
     return {name: {"value": values[name], "unit": unit} for name, (unit, _) in RAW_METRICS.items()}
 
 
+def bytecode_record(checkouts: dict[str, Path]) -> dict:
+    """Whether the runs write no bytecode, and whether each side's
+    src/spoofbench/__pycache__ exists, checked before the first run."""
+    return {
+        "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "pycache_existed": {side: (checkouts[side] / "src" / "spoofbench" / "__pycache__").is_dir() for side in SIDES},
+    }
+
+
 def _stats(runs: list[float]) -> dict:
     # statistics.quantiles needs two runs; one run is its own median and quartiles
     q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
@@ -157,13 +170,14 @@ def main(argv=None) -> int:
     if args.claim is not None and better.get(args.claim) is None:
         ap.error(f"--claim {args.claim}: not a metric that is better one way")
     checkouts = {"parent": args.parent, "change": args.change}
+    bytecode = bytecode_record(checkouts)
     pairs = []
     for seed in args.seeds:
         results = {side: run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
                    for side in run_order(seed)}
         pairs.append((seed, results["parent"], results["change"]))
         print(json.dumps({"seed": seed, "order": run_order(seed), **results}), flush=True)
-    print(json.dumps(summarize(pairs, better, bounds(), args.claim)))
+    print(json.dumps({**summarize(pairs, better, bounds(), args.claim), "bytecode": bytecode}))
     return 0
 
 

@@ -99,26 +99,26 @@ class Link:
 
 
 # NumPy's SeedSequence (NEP 19) pool size and hash constants, and PCG64's
-# 128-bit LCG multiplier. window_states reproduces default_rng's seeding with
-# them, so a NumPy that changed them would move every draw: the pinned
-# digests and tests/test_channel.py's default_rng oracle test catch that.
+# 128-bit LCG multiplier as two uint64 halves. window_states reproduces
+# default_rng's seeding with them on array lanes, one lane per window, so a
+# NumPy that changed them would move every draw: the pinned digests and
+# tests/test_channel.py's default_rng oracle test catch that.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
-def _uint32_words(n: int) -> list[int]:
-    """SeedSequence's split of an int >= 0 into uint32 words, least
-    significant first; 0 is the one word 0."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _uint32_words(values) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's split of ints >= 0 into uint32 words, least
+    significant first, as a (len(values), width) array zero-padded to the
+    widest, and each value's word count; 0 is the one word 0."""
+    values = np.array(values, dtype=object)  # Python ints: seeds exceed int64
+    width = max(1, -(-int(np.max(values, initial=0)).bit_length() // 32))
+    words = np.stack([values >> 32 * i & _MASK32 for i in range(width)], axis=-1).astype(np.uint32)
+    return words, np.max(np.where(words != 0, np.arange(1, width + 1), 1), axis=-1)
 
 
 def _xorshift(x: np.ndarray) -> np.ndarray:
@@ -139,17 +139,18 @@ class _HashMix:
         return _xorshift(x * np.uint32(self.h))
 
 
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
+def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """generate_state(4, uint64) of SeedSequence(e) for every row e of a
-    (windows, words) uint32 entropy array, as (windows, 8) uint32 words.
+    (windows, words) uint32 entropy array, its first lengths[w] words row
+    w's entropy and the rest zero, as (windows, 8) uint32 words.
 
     Every operation is the scalar algorithm's on uint32 lanes, one lane per
-    window; uint32 arrays wrap on overflow as its C arithmetic does.
+    window; uint32 arrays wrap on overflow as its C arithmetic does. The
+    pool takes zeros for a row's missing words, and a row skips the mixing
+    of the words beyond its entropy.
     """
     hashmix = _HashMix(_INIT_A, _MULT_A)
-    zeros = np.zeros(len(entropy), dtype=np.uint32)
-    n_words = entropy.shape[1]
-    pool = [hashmix(entropy[:, i] if i < n_words else zeros) for i in range(_POOL_SIZE)]
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
 
     def mix(x, y):
         return _xorshift(x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R))
@@ -157,71 +158,85 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     for src, dst in product(range(_POOL_SIZE), repeat=2):
         if src != dst:
             pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, n_words):  # entropy beyond the pool
+    for src in range(_POOL_SIZE, entropy.shape[1]):  # entropy beyond the pool
         for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = np.where(src < lengths, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
     hashmix = _HashMix(_INIT_B, _MULT_B)  # generate_state's
     return np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
 
 
-def window_states(rng_seed: int, noise_seeds, bs_ids) -> list[tuple[int, int]]:
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2**128 on 128-bit (high, low) uint64 lanes."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _times_pcg64_mult(hi, lo) -> tuple[np.ndarray, np.ndarray]:
+    """x * PCG64's multiplier mod 2**128 on 128-bit (high, low) uint64
+    lanes; the low words' full product is built from 32-bit halves."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    m0, m1 = _PCG64_MULT_LO & _MASK32, _PCG64_MULT_LO >> 32
+    cross0, cross1 = a0 * m1, a1 * m0
+    mid = (a0 * m0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    carry = a1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+    return carry + hi * _PCG64_MULT_LO + lo * _PCG64_MULT_HI, lo * _PCG64_MULT_LO
+
+
+def window_states(rng_seed: int, noise_seeds, bs_ids) -> np.ndarray:
     """PCG64 (state, inc) of np.random.default_rng([rng_seed, seed, bs_id])
-    for every seed in noise_seeds and, within it, every bs_id.
+    for every seed in noise_seeds and, within it, every bs_id, as
+    (windows, 4) uint64 words: state high, state low, inc high, inc low.
 
-    The seeds are split into uint32 words as Python ints, since a dataset's
-    exceed int64; windows are mixed together when their entropy has the
-    same number of words.
+    Every window is seeded in one pass of array operations, whatever the
+    word counts of its seed and station id: its entropy is rng_seed's
+    words, then the seed's, then the station id's.
     """
-    tails = [_uint32_words(bs_id) for bs_id in bs_ids]
-    head = _uint32_words(rng_seed)
-    entropy = [head + words + tail for words in map(_uint32_words, noise_seeds) for tail in tails]
-    by_length: dict[int, list[int]] = {}
-    for w, words in enumerate(entropy):
-        by_length.setdefault(len(words), []).append(w)
-    states = [(0, 0)] * len(entropy)
-    for windows in by_length.values():
-        state_words = _seed_words(np.array([entropy[w] for w in windows], dtype=np.uint32))
-        # generate_state's uint64 words are little-endian uint32 pairs:
-        # (seed high, seed low, sequence high, sequence low).
-        state_words = state_words.astype(np.uint64)
-        halves = (state_words[:, 0::2] | state_words[:, 1::2] << np.uint64(32)).tolist()
-        for w, (seed_hi, seed_lo, seq_hi, seq_lo) in zip(windows, halves):
-            # PCG64's srandom: inc = 2 seq + 1, then two LCG steps from 0
-            # with the seed added in between.
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            states[w] = (((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc)
-    return states
+    (head, _), (seeds, seed_lengths), (tails, tail_lengths) = map(_uint32_words, ([rng_seed], noise_seeds, bs_ids))
+    h = head.shape[1]
+    entropy = np.zeros((len(seeds), len(tails), max(h + seeds.shape[1] + tails.shape[1], _POOL_SIZE)), np.uint32)
+    entropy[..., :h], entropy[..., h : h + seeds.shape[1]] = head, seeds[:, None]  # (seed, station, word)
+    np.put_along_axis(entropy, h + seed_lengths[:, None, None] + np.arange(tails.shape[1]), tails, axis=2)
+    lengths = h + seed_lengths[:, None] + tail_lengths
+    words = _seed_words(entropy.reshape(-1, entropy.shape[2]), lengths.ravel()).astype(np.uint64)
+    # generate_state's uint64 words are little-endian uint32 pairs:
+    # (seed high, seed low, sequence high, sequence low). PCG64's srandom:
+    # inc = 2 seq + 1, then two LCG steps from 0 with the seed added in between.
+    seed_hi, seed_lo, seq_hi, seq_lo = (words[:, 2 * i] | words[:, 2 * i + 1] << 32 for i in range(4))
+    inc = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    state = _add128(*_times_pcg64_mult(*_add128(*inc, seed_hi, seed_lo)), *inc)
+    return np.stack([*state, *inc], axis=1)
 
 
-def measured_windows(links: Link, dests, params: ChannelParams, noise_seeds, bs_ids) -> np.ndarray:
+def measured_windows(links: Link, dests, params: ChannelParams, states) -> np.ndarray:
     """Noisy path loss the stations report along a batch of windows, as a
     (rows, stations, samples) array.
 
-    links holds (destinations, stations, samples) arrays, station j being
-    bs_ids[j], and row i flies to destination dests[i]. Window (i, j) draws
-    from the stream of
-    np.random.default_rng([params.rng_seed, noise_seeds[i], bs_ids[j]]),
-    in the order every dataset depends on: the LoS branch of every sample
+    links holds (destinations, stations, samples) arrays, and row i flies
+    to destination dests[i]. Window (i, j), of row i and station j, draws
+    from the PCG64 stream of states[i * stations + j] (window_states), in
+    the order every dataset depends on: the LoS branch of every sample
     (sampled_los only), then every shadow-fading value, then every
-    measurement-noise value. One generator is re-seeded per window, and
-    the path loss is assembled once per batch, and refused unless finite.
+    measurement-noise value. One generator takes each window's state in
+    turn through one reused state dict, and the path loss is assembled
+    once per batch, and refused unless finite.
     """
     rows, (stations, n) = len(dests), links.los_prob.shape[1:]
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     draws = np.empty((rows * stations, 3 if params.sampled_los else 2, n))
-    for window, (state, inc) in zip(draws, window_states(params.rng_seed, noise_seeds, bs_ids)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    state = {"state": 0, "inc": 0}
+    value = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    for window, (state_hi, state_lo, inc_hi, inc_lo) in zip(draws, states.tolist(), strict=True):
+        state["state"], state["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+        bitgen.state = value
         if params.sampled_los:
             gen.random(out=window[0])
         gen.standard_normal(out=window[-2:])
     draws = draws.reshape(rows, stations, -1, n)
     if params.sampled_los:
-        los = draws[:, :, 0] < links.los_prob[dests]
-    else:
-        los = (links.los_prob >= 0.5)[dests]
-    pl, sigma = links.branch(los, params.nlos_shadow_sigma, dests)
+        pl, sigma = links.branch(draws[:, :, 0] < links.los_prob[dests], params.nlos_shadow_sigma, dests)
+    else:  # one branch per destination, gathered by row
+        pl, sigma = (a[dests] for a in links.branch(links.los_prob >= 0.5, params.nlos_shadow_sigma, ...))
     # pl + sigma * shadow + meas_noise_sigma * noise without temporaries;
     # IEEE addition commutes, so the sums are bit for bit the same. And
     # sigma * standard_normal() is normal(0, sigma) bit for bit, without the

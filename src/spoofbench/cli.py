@@ -63,7 +63,7 @@ def cmd_simulate(args) -> int:
     destination and index. The archive holds every value, so the rows are
     simulated in one batch."""
     from . import dataset
-    from .channel import measured_windows
+    from .channel import measured_windows, window_states
 
     scenario_cfg, channel = load_config(args.config)
     bs_ids = [bs.id for bs in scenario_cfg.base_stations]
@@ -71,7 +71,8 @@ def cmd_simulate(args) -> int:
     n = scenario_cfg.n_destinations
     dests, first_seed = dataset.plan_rows(n, channel.rng_seed, "train", 2 * n - 2)
     links, theoretical = dataset.scene_links(scenario_cfg, channel, bs_ids)
-    measured = measured_windows(links, dests, channel, range(first_seed, first_seed + len(dests)), bs_ids)
+    states = window_states(channel.rng_seed, range(first_seed, first_seed + len(dests)), bs_ids)
+    measured = measured_windows(links, dests, channel, states)
     entries = [
         {
             "index": k,

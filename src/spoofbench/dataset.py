@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, forks
-from .channel import Link, check_finite, measured_windows
+from .channel import Link, check_finite, measured_windows, window_states
 from .configio import ConfigError, fields, load_json, save_csv, save_json
 from .scenario import ChannelParams, ScenarioConfig, destination_points
 from .spec import (
@@ -31,8 +31,8 @@ from .spec import (
 CHUNK_ROWS = 64
 
 # The fewest rows worth a process of their own. A forked part also pays for
-# the fork and the wait (about 4 ms), while 256 wd/3 rows simulate in about
-# 19 ms (2-vCPU Xeon).
+# the fork and the wait (about 4 ms), while 256 wd/3 rows simulate and
+# featurize in about 7.5 ms, scene links included (2-vCPU Xeon).
 PART_MIN_ROWS = 256
 
 
@@ -100,9 +100,10 @@ def _simulate_features(spec: DatasetSpec, method: str, splits) -> list[np.ndarra
     rows of splits, in order, are cut into chunks of at most CHUNK_ROWS
     rows, and the chunks into k contiguous parts, one process each
     (fork_map); k is one per usable CPU (forks.workers), with at least
-    PART_MIN_ROWS rows a part. A chunk draws only from its own rows'
-    streams, so neither the bytes nor the error, that of the first failing
-    chunk, depend on k.
+    PART_MIN_ROWS rows a part. A part seeds all its chunks' windows in one
+    window_states call, and a chunk draws only from its own rows' streams,
+    so neither the bytes nor the error, that of the first failing chunk,
+    depend on k.
     """
     bs_ids = select_bs_subset(spec.n_bs)
     links, theoretical = scene_links(spec.scenario, spec.channel, bs_ids)
@@ -114,9 +115,11 @@ def _simulate_features(spec: DatasetSpec, method: str, splits) -> list[np.ndarra
             chunks.append((dests[start:stop], range(first_seed + start, first_seed + stop)))
 
     def simulate(part) -> np.ndarray:
+        states = window_states(spec.channel.rng_seed, [seed for _, seeds in part for seed in seeds], bs_ids)
+        ends = np.cumsum([len(dests) * len(bs_ids) for dests, _ in part])
         blocks = []
-        for dests, seeds in part:
-            deltas = measured_windows(links, dests, spec.channel, seeds, bs_ids)
+        for (dests, _), chunk_states in zip(part, np.split(states, ends[:-1])):
+            deltas = measured_windows(links, dests, spec.channel, chunk_states)
             deltas -= theoretical  # in place: |measured - theoretical| without temporaries
             blocks.append(features.extract(np.abs(deltas, out=deltas), method))
         return np.concatenate(blocks)

@@ -14,7 +14,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from spoofbench.channel import measured_windows
+from spoofbench.channel import measured_windows, window_states
 from spoofbench.cli import main as cli
 from spoofbench.dataset import row_plan, scene_links
 from spoofbench.spec import select_bs_subset
@@ -26,7 +26,8 @@ def split_deltas(spec, split: str) -> np.ndarray:
     dests, first_seed = row_plan(spec, split)
     bs_ids = select_bs_subset(spec.n_bs)
     links, theoretical = scene_links(spec.scenario, spec.channel, bs_ids)
-    measured = measured_windows(links, dests, spec.channel, range(first_seed, first_seed + len(dests)), bs_ids)
+    states = window_states(spec.channel.rng_seed, range(first_seed, first_seed + len(dests)), bs_ids)
+    measured = measured_windows(links, dests, spec.channel, states)
     return np.abs(measured - theoretical)
 
 

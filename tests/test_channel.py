@@ -139,7 +139,7 @@ def test_los_shadow_sigma_at_150m():
 def one_window(link, params, noise_seed, bs_id):
     """The library's measured path loss of the window of a Link of one path
     and one station."""
-    return measured_windows(link, [0], params, [noise_seed], [bs_id])[0, 0]
+    return measured_windows(link, [0], params, window_states(params.rng_seed, [noise_seed], [bs_id]))[0, 0]
 
 
 def test_measured_equals_theoretical_without_noise():
@@ -289,6 +289,9 @@ LOW_PASS = np.column_stack([np.arange(2000.0, 2100.0), np.zeros(100), np.full(10
         (1, range(2**32 - 20, 2**32 + 20)),  # one and two words in one batch
         (2**31, range(_first_seed(2**31, "test"), _first_seed(2**31, "test") + 40)),  # 5 words
         (2**40, range(_first_seed(2**40, "train"), _first_seed(2**40, "train") + 40)),  # 6 words
+        # A part that spans both splits seeds them in one call: 3 and 4 words.
+        (0, [*range(_first_seed(0, "train"), _first_seed(0, "train") + 20),
+             *range(_first_seed(0, "test"), _first_seed(0, "test") + 20)]),
     ],
 )
 @pytest.mark.parametrize("sampled_los", [False, True])
@@ -299,11 +302,13 @@ def test_batched_windows_are_default_rng_bit_for_bit(channel_seed, noise_seeds, 
     params = ChannelParams(rng_seed=channel_seed, sampled_los=sampled_los)
     bs_ids = (1, 2, 3)
     expected = [_default_rng_state(params, seed, bs_id) for seed in noise_seeds for bs_id in bs_ids]
-    assert window_states(channel_seed, noise_seeds, bs_ids) == expected
+    states = window_states(channel_seed, noise_seeds, bs_ids)
+    assert states.dtype == np.uint64 and states.shape == (len(expected), 4)
+    assert [(s_hi << 64 | s_lo, i_hi << 64 | i_lo) for s_hi, s_lo, i_hi, i_lo in states.tolist()] == expected
     stations = [CONFIG.base_station_by_id(bs_id) for bs_id in bs_ids]
     links = [Link.along(LOW_PASS[None], [bs], params) for bs in stations]
     dests = np.zeros(len(noise_seeds), dtype=int)
-    measured = measured_windows(Link.along(LOW_PASS[None], stations, params), dests, params, noise_seeds, bs_ids)
+    measured = measured_windows(Link.along(LOW_PASS[None], stations, params), dests, params, states)
     assert measured.shape == (len(noise_seeds), len(bs_ids), 100)
     for row, seed in zip(measured, noise_seeds):
         for window, link, bs_id in zip(row, links, bs_ids):

@@ -16,10 +16,10 @@ from dataclasses import replace
 import pytest
 
 from spoofbench import dataset, features
-from spoofbench.channel import Link
+from spoofbench.channel import Link, window_states
 from spoofbench.dataset import CHUNK_ROWS, PART_MIN_ROWS, generate, row_plan, window_means
 from spoofbench.scenario import ChannelParams, default_config
-from spoofbench.spec import SPLITS, DatasetSpec
+from spoofbench.spec import SPLITS, DatasetSpec, select_bs_subset
 
 # 300 + 200 rows make 9 chunks: 64, 64, 64, 64, 44 and 64, 64, 64, 8.
 TRAIN, TEST, CHUNKS = 300, 200, 9
@@ -159,13 +159,18 @@ def test_a_running_thread_keeps_one_part(monkeypatch):
 
 def overflow_test_rows_from(monkeypatch, spec, first_row: int) -> None:
     """Scales the measured path loss of spec's test rows from first_row on
-    by 1e120, so their mvsk moments overflow there and nowhere else."""
-    first_seed = row_plan(spec, "test")[1] + first_row  # train seeds are all lower
+    by 1e120, so their mvsk moments overflow there and nowhere else. A row
+    is known by its windows' PCG64 states, which no other row shares."""
+    dests, first_seed = row_plan(spec, "test")
+    bs_ids = select_bs_subset(spec.n_bs)
+    seeds = range(first_seed + first_row, first_seed + len(dests))
+    states = window_states(spec.channel.rng_seed, seeds, bs_ids)
+    overflowing = {row.tobytes() for row in states.reshape(len(seeds), -1)}
     measured_windows = dataset.measured_windows
 
-    def scaled(links, dests, params, noise_seeds, bs_ids):
-        measured = measured_windows(links, dests, params, noise_seeds, bs_ids)
-        measured[[seed >= first_seed for seed in noise_seeds]] *= 1e120
+    def scaled(links, dests, params, states):
+        measured = measured_windows(links, dests, params, states)
+        measured[[row.tobytes() in overflowing for row in states.reshape(len(dests), -1)]] *= 1e120
         return measured
 
     monkeypatch.setattr(dataset, "measured_windows", scaled)

@@ -1,10 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import split_deltas
-from oracles import cdf_area_distance, naive_mvsk, reference_row_plan, reference_window, wasserstein_1d
+from oracles import cdf_area_distance, reference_row_plan, reference_window, wasserstein_1d
 from spoofbench.features import extract
 from spoofbench.scenario import ChannelParams, default_config
 from spoofbench.spec import FEATURES_PER_BS, DatasetSpec
@@ -73,17 +76,71 @@ def test_mvsk_needs_two_values():
         mvsk([1.0])
 
 
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def exact_mvsk_and_tolerances(xs):
+    """The exact mean, variance, skewness and excess kurtosis of xs
+    (fractions; the skewness through one float sqrt), and how far a float
+    two-pass computation of each can stray from it, from the input's
+    conditioning.
+
+    With u the unit roundoff, n values x_i >= 0, exact mean mu, c_i = x_i - mu
+    and exact central moments m_k = sum c_i^k / n:
+    - the float mean sums n values >= 0 and divides, so it is off by at
+      most d = (n + 1) u sum x_i / n;
+    - a float moment sums fl((x_i - mean)^k) and divides by n. The mean's
+      error moves each term by at most (|c_i| + d)^k - |c_i|^k; the
+      subtraction, the power's at most k - 1 roundings, the n - 1 additions
+      and the division by at most (n + k + 2) u (|c_i| + d)^k. E_k, the sum
+      of both over i, divided by n, bounds the moment's error;
+    - the variance, sum_sq / (n - 1), is off by n E_2 / (n - 1) + u var;
+    - with r = E_2 / m_2, g1 = m3 / (m2 sqrt m2) is off by
+      E_3 / m2^1.5 + |g1| (1.5 r + 3u) to first order (sqrt, the product
+      and the quotient round once each), and the reference's float
+      rounding adds 4u |g1|; g2 = m4 / m2^2 - 3 is off by
+      E_4 / m2^2 + (g2 + 3)(2r + 2u) + u |g2|, and its reference by u |g2|.
+    The first-order bounds are doubled to cover the higher-order terms they
+    drop, small while r is. Past r = 1e-3 the spread is within the mean's
+    error: the float moments do not fix g1 and g2, which are not compared.
+    """
+    n, u = len(xs), Fraction(UNIT_ROUNDOFF)
+    exact = [Fraction(x) for x in xs]
+    mu = sum(exact) / n
+    c = [abs(x - mu) for x in exact]  # |c_i|: the bounds need no signs
+    m2, m3, m4 = (sum((x - mu) ** k for x in exact) / n for k in (2, 3, 4))
+    assume(m2 == 0 or m2 > Fraction(1e-100))  # past the float moments' range
+    d = (n + 1) * u * sum(exact) / n
+    e2, e3, e4 = (sum((a + d) ** k - a**k + (n + k + 2) * u * (a + d) ** k for a in c) / n for k in (2, 3, 4))
+    var = m2 * n / (n - 1)
+    want = [float(mu), float(var), 0.0, 0.0]
+    tolerance = [d, n * e2 / (n - 1) + u * var, math.inf, math.inf]
+    if m2 != 0 and e2 / m2 <= Fraction(1, 1000):
+        r = e2 / m2
+        want[2] = math.copysign(math.sqrt(float(m3**2 / m2**3)), m3)
+        want[3] = float(m4 / m2**2 - 3)
+        g1, g2 = Fraction(abs(want[2])), Fraction(abs(want[3]))
+        tolerance[2] = math.sqrt(float(e3**2 / m2**3)) + float(g1 * (Fraction(3, 2) * r + 7 * u))
+        tolerance[3] = float(e4 / m2**2 + (m4 / m2**2) * (2 * r + 2 * u) + 2 * u * g2)
+    return want, [2 * float(t) for t in tolerance]
+
+
+# Once failed against the naive two-pass oracle at rel=1e-12: the mean is one
+# ulp high, which moves m3 by 3 m2 d, about 3e-11 of it. The library's
+# skewness, -0.035904143256744465, and the naive oracle's,
+# -0.03590414325573619, are both more than 1e-12 from the exact
+# -0.035904143255988244.
+@example(xs=[994330.9999999999, 994930.9999999999, 994983.9999999999, 994211.0])
 @settings(max_examples=200)
 @given(st.lists(delta_floats, min_size=2, max_size=60))
-def test_mvsk_matches_naive_two_pass_oracle(xs):
+def test_mvsk_matches_exact_oracle_within_its_conditioning(xs):
     n = len(xs)
     mean = sum(xs) / n
     m2 = sum((x - mean) ** 2 for x in xs) / n
     assume(m2 == 0.0 or m2 > 1e-100)  # m2**1.5 must not underflow
-    got = mvsk(xs)
-    want = naive_mvsk(xs)
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+    want, tolerance = exact_mvsk_and_tolerances(xs)
+    for got, w, t in zip(mvsk(xs), want, tolerance):
+        assert abs(got - w) <= t
 
 
 # ------------------------------------------------------------------------- box

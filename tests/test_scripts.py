@@ -140,3 +140,26 @@ def test_bench_pairs_runs_the_parent_first_on_odd_seeds(monkeypatch, capsys):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["order"] for line in lines[:4]] == [["parent", "change"], ["change", "parent"]] * 2
     assert lines[-1]["wall_s"]["change_better_pairs"] == 4
+
+
+def test_bench_pairs_records_the_bytecode_setting_of_its_runs(monkeypatch, capsys, tmp_path):
+    script = load_script("bench_pairs")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "src" / "spoofbench" / "__pycache__").mkdir(parents=True)
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        # A run that writes bytecode leaves a cache; the record predates it.
+        (checkout / "src" / "spoofbench" / "__pycache__").mkdir(parents=True, exist_ok=True)
+        return _result(1.0, 0.95)
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert script.main([str(parent), str(change), "--workload", "headline", "--seeds", "1"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["bytecode"] == {
+        "PYTHONDONTWRITEBYTECODE": True, "pycache_existed": {"parent": True, "change": False},
+    }
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert script.bytecode_record({"parent": parent, "change": change}) == {
+        "PYTHONDONTWRITEBYTECODE": False, "pycache_existed": {"parent": True, "change": True},
+    }
