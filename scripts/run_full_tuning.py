@@ -4,7 +4,8 @@ configurations per (method, station count). Long-running; restrict with
 --methods/--n-bs. Each dataset has its own directory: `init --method M
 --n-bs K` writes its spec.json, and `generate` makes the data from it.
 tune trains architectures in one process per usable CPU; --jobs N caps
-that at N processes, and the outputs do not depend on it.
+that at N processes, and the outputs do not depend on it. Each cell
+prints tune's wall seconds.
 
 Usage: python scripts/run_full_tuning.py --methods wd --n-bs 3 [--jobs N]
 """
@@ -12,6 +13,7 @@ Usage: python scripts/run_full_tuning.py --methods wd --n-bs 3 [--jobs N]
 from __future__ import annotations
 
 import argparse
+import time
 from pathlib import Path
 
 from spoofbench.cli import main as cli
@@ -28,7 +30,9 @@ def run(seed: int, workdir: Path, methods: list[str], n_bs: list[int], jobs: int
             data = root / "data"
             assert cli(["generate", "--spec", str(root / "spec.json"), "--out", str(data)]) == 0
             out = root / "tuned"
+            t0 = time.perf_counter()
             assert cli(["tune", str(data), "--out", str(out), *jobs_flag, "--seed", str(seed)]) == 0
+            print(f"{method}/{k}: tune took {time.perf_counter() - t0:.1f} s wall")
             assert cli(["evaluate", str(data), "--model", str(out / "model.json"),
                         "--out", str(out / "report.json")]) == 0
             print(f"-> {out}/grid_report.csv")

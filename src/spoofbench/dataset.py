@@ -98,12 +98,12 @@ def _simulate_features(spec: DatasetSpec, method: str, splits) -> list[np.ndarra
 
     The scene's links are built once, here; forked parts inherit them. The
     rows of splits, in order, are cut into chunks of at most CHUNK_ROWS
-    rows, and the chunks into k contiguous parts, one process each
-    (fork_map); k is one per usable CPU (forks.workers), with at least
-    PART_MIN_ROWS rows a part. A part seeds all its chunks' windows in one
-    window_states call, and a chunk draws only from its own rows' streams,
-    so neither the bytes nor the error, that of the first failing chunk,
-    depend on k.
+    rows, and the chunks into k contiguous parts on k processes (fork_map:
+    the caller runs part 0, child j part j); k is one per usable CPU
+    (forks.workers), with at least PART_MIN_ROWS rows a part. A part seeds
+    all its chunks' windows in one window_states call, and a chunk draws
+    only from its own rows' streams, so neither the bytes nor the error,
+    that of the first failing chunk, depend on k.
     """
     bs_ids = select_bs_subset(spec.n_bs)
     links, theoretical = scene_links(spec.scenario, spec.channel, bs_ids)
@@ -127,7 +127,7 @@ def _simulate_features(spec: DatasetSpec, method: str, splits) -> list[np.ndarra
     sizes = [split_size(spec, split) for split in splits]
     k = forks.workers(sum(sizes) // PART_MIN_ROWS)
     parts = [chunks[i * len(chunks) // k : (i + 1) * len(chunks) // k] for i in range(k)]
-    blocks = forks.fork_map(simulate, [part for part in parts if part])
+    blocks = forks.fork_map(simulate, [part for part in parts if part], k)
     return np.split(np.concatenate(blocks), np.cumsum(sizes)[:-1])
 
 

@@ -557,19 +557,6 @@ def selection_key(result: GridResult) -> tuple:
     return (result.val_mse, -result.val_accuracy, result.param_count)
 
 
-def _deal(architectures: list[MlpArchitecture], k: int) -> list[list[int]]:
-    """The indices of architectures, largest first, each to the least loaded
-    of at most k groups. A layer counts as 250 parameters: a wd/3 epoch of 6
-    learning rates took 1.7 ms a layer plus 6.8 us a parameter (2-vCPU Xeon)."""
-    cost = [a.parameter_count() + 250 * (a.hidden_layers + 1) for a in architectures]
-    groups, loads = [[] for _ in range(k)], [0] * k
-    for s in sorted(range(len(cost)), key=cost.__getitem__, reverse=True):
-        g = loads.index(min(loads))
-        groups[g].append(s)
-        loads[g] += cost[s]
-    return [sorted(group) for group in groups if group]
-
-
 def tune(
     inputs: np.ndarray,
     labels: np.ndarray,
@@ -584,10 +571,10 @@ def tune(
     accuracy, then to the smaller parameter count, then to grid order.
 
     Results are in grid order, learning rate outermost. Each architecture
-    trains all its learning rates in one `train_stack`. The architectures
-    are dealt to at most jobs processes (default: every usable CPU); each
-    sends back its results and only its best model by (selection_key, grid
-    index), so the deal cannot change the winner.
+    trains all its learning rates in one `train_stack`. Of at most jobs
+    processes (default: every usable CPU), one that is free takes the next
+    architecture, largest first (forks.fork_map). The winner is the least
+    (selection_key, grid index), so the schedule cannot change it.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -601,32 +588,33 @@ def tune(
     archs = [MlpArchitecture(X.shape[1], depth, width) for depth in hidden_layers for width in neurons]
     if not learning_rates or not archs:
         raise ValueError("empty hyperparameter grid")
+    best = []  # the least (selection_key, grid index) this process has trained, and its model
 
-    def run(group):
-        rows, best = [], None
-        for s in group:
-            arch = archs[s]
-            for j, model in enumerate(train_stack(arch, X, labels, base_config, learning_rates)):
-                i = j * len(archs) + s  # grid order: learning rate outermost
-                result = GridResult(
-                    learning_rate=learning_rates[j],
-                    hidden_layers=arch.hidden_layers,
-                    neurons=arch.neurons_per_hidden,
-                    param_count=arch.parameter_count(),
-                    epochs_run=len(model.history),
-                    best_epoch=model.best_epoch,
-                    val_mse=model.val_mse,
-                    val_accuracy=model.val_accuracy,
-                )
-                rows.append((i, result))
-                if best is None or (selection_key(result), i) < best[0]:
-                    best = (selection_key(result), i), model
-        return rows, best
+    def run(s):
+        """Architecture s's results, and this process's `best`, which each
+        run updates in place: a process holds one model, not one for each."""
+        arch, results = archs[s], []
+        for j, model in enumerate(train_stack(arch, X, labels, base_config, learning_rates)):
+            result = GridResult(
+                learning_rate=learning_rates[j],
+                hidden_layers=arch.hidden_layers,
+                neurons=arch.neurons_per_hidden,
+                param_count=arch.parameter_count(),
+                epochs_run=len(model.history),
+                best_epoch=model.best_epoch,
+                val_mse=model.val_mse,
+                val_accuracy=model.val_accuracy,
+            )
+            results.append(result)
+            key = (selection_key(result), j * len(archs) + s)  # grid order: learning rate outermost
+            if not best or key < best[0]:
+                best[:] = key, model
+        return results, best
 
-    groups = forks.fork_map(run, _deal(archs, forks.workers(jobs)))
-    found = {i: result for rows, _ in groups for i, result in rows}
-    results = [found[i] for i in range(len(found))]
-    _, best_model = min(best for _, best in groups)  # each key holds a distinct grid index
+    largest_first = sorted(range(len(archs)), key=lambda s: archs[s].parameter_count(), reverse=True)
+    runs = dict(zip(largest_first, forks.fork_map(run, largest_first, forks.workers(jobs))))
+    results = [runs[s][0][j] for j in range(len(learning_rates)) for s in range(len(archs))]
+    _, best_model = min((kept for _, kept in runs.values()), key=lambda kept: kept[0])
     order = sorted(range(len(results)), key=lambda i: (selection_key(results[i]), i))
     return TuneResult(best_model=best_model, results=results, ranks=[order.index(i) + 1 for i in range(len(order))])
 

@@ -1,7 +1,7 @@
 """Shipped reference hyperparameters per (feature method, station count).
 
-These are the best-known settings for the default simulation setup; the
-full tuner (`spoofbench tune`) can re-derive winners for any dataset.
+Reference settings with no recorded origin. At seed 1, the full tuner
+(`spoofbench tune`, 216 configurations) ranks the wd/3 preset 126th.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from spoofbench.mlp import (
     VALIDATION_FRACTION,
     MlpArchitecture,
     TrainConfig,
-    _deal,
     forward_batch,
     init_model,
     train,
@@ -71,9 +70,9 @@ class BenchRun:
 def bench():
     """Nine full-size datasets and reference-setting training runs, in
     (stations, method) order. Each dataset is made here, on every usable
-    CPU; the trainings are dealt as `tune` deals architectures, to at most
-    one process per usable CPU, and come back through each group's pipe.
-    Training is deterministic, so the deal changes no model."""
+    CPU; the trainings go largest first to at most one process per usable
+    CPU, as `tune`'s architectures do, and a free process takes the next.
+    Training is deterministic, so the schedule changes no model."""
     cells = [(method, n_bs) for n_bs in BS_COUNTS for method in METHODS]
     made = []  # (spec, train split, test split, seconds to generate) per cell
     for cell in cells:
@@ -82,25 +81,23 @@ def bench():
         made.append((spec, *generate(spec), time.perf_counter() - t0))
     archs = [MlpArchitecture(made[i][1].width, *BEST_SETTINGS[cell][1:]) for i, cell in enumerate(cells)]
 
-    def run(group):
-        runs = []
-        for i in group:
-            spec, train_ds, test_ds, seconds = made[i]
-            t0 = time.perf_counter()
-            config = TrainConfig(learning_rate=BEST_SETTINGS[cells[i]][0], rng_seed=SEED)
-            model = train(archs[i], train_ds.features, train_ds.labels, config)
-            runs.append((i, BenchRun(
-                spec=spec,
-                train_rows=len(train_ds.labels),
-                test_rows=len(test_ds.labels),
-                width=train_ds.width,
-                model=model,
-                test_accuracy=accuracy(forward_batch(model, test_ds.features), test_ds.labels),
-                seconds=seconds + time.perf_counter() - t0,
-            )))
-        return runs
+    def run(i):
+        spec, train_ds, test_ds, seconds = made[i]
+        t0 = time.perf_counter()
+        config = TrainConfig(learning_rate=BEST_SETTINGS[cells[i]][0], rng_seed=SEED)
+        model = train(archs[i], train_ds.features, train_ds.labels, config)
+        return BenchRun(
+            spec=spec,
+            train_rows=len(train_ds.labels),
+            test_rows=len(test_ds.labels),
+            width=train_ds.width,
+            model=model,
+            test_accuracy=accuracy(forward_batch(model, test_ds.features), test_ds.labels),
+            seconds=seconds + time.perf_counter() - t0,
+        )
 
-    found = dict(pair for runs in fork_map(run, _deal(archs, workers())) for pair in runs)
+    largest_first = sorted(range(len(cells)), key=lambda i: archs[i].parameter_count(), reverse=True)
+    found = dict(zip(largest_first, fork_map(run, largest_first, workers())))
     return {cell: found[i] for i, cell in enumerate(cells)}
 
 

@@ -86,9 +86,10 @@ def test_features_do_not_depend_on_the_part_count(monkeypatch, forks, scene):
 def test_parts_cut_the_chunks_of_both_splits_in_row_order(monkeypatch):
     spec, parts, fork_map = spec_of("wd"), [], dataset.forks.fork_map
 
-    def captured(fn, items):
+    def captured(fn, items, processes):
+        assert processes == len(items)  # one process a part: none takes a second
         parts.extend(items)
-        return fork_map(fn, items)
+        return fork_map(fn, items, processes)
 
     monkeypatch.setattr(dataset.forks, "fork_map", captured)
     set_cpus(monkeypatch, 3)

@@ -4,8 +4,10 @@ import json
 import math
 import os
 import re
+import select
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -644,12 +646,13 @@ def test_a_failing_architecture_raises_its_error_and_leaves_no_child(monkeypatch
     base = TrainConfig(learning_rate=0.01, max_epochs=10, rng_seed=1)
     depths = (1, 2, 3)
     three_cpus(monkeypatch)
-    groups = mlp._deal([MlpArchitecture(2, depth, 3) for depth in depths], 2)
-    failing = depths[groups[0 if where == "caller" else 1][0]]
-    train_stack = mlp.train_stack
+    caller, train_stack = os.getpid(), mlp.train_stack
+    # The caller's first architecture is the largest, depth 3; the child's
+    # is the next, depth 2, and it fails before it can take another.
+    failing = 3 if where == "caller" else 2
 
     def fail_one(arch, *args):
-        if arch.hidden_layers == failing:
+        if (os.getpid() == caller) == (where == "caller") and arch.hidden_layers == failing:
             raise ValueError(f"depth {failing} fails")
         return train_stack(arch, *args)
 
@@ -662,6 +665,41 @@ def test_a_failing_architecture_raises_its_error_and_leaves_no_child(monkeypatch
     assert (error.value.__cause__ is not None) == (where == "child")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_free_process_takes_the_next_architecture(monkeypatch, forks):
+    X, y = blobs(n=150, seed=13)
+    base = TrainConfig(learning_rate=0.01, max_epochs=5, rng_seed=1)
+    grid = {"learning_rates": (0.01, 0.05), "hidden_layers": (1, 2, 3, 4), "neurons": (3,)}
+    three_cpus(monkeypatch)
+    caller, train_stack, (done_r, done_w) = os.getpid(), mlp.train_stack, os.pipe()
+    waited = []  # the caller's first architecture, once it has waited
+
+    def wait_for_the_others(arch, *args):
+        if os.getpid() == caller and not waited:
+            # Every other architecture must train while this one waits.
+            waited.append(arch.hidden_layers)
+            signals, deadline = b"", time.monotonic() + 30
+            while len(signals) < len(grid["hidden_layers"]) - 1:
+                if not select.select([done_r], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                    pytest.fail(f"the caller waited 30 s; {len(signals)} other architectures trained")
+                signals += os.read(done_r, 64)
+            return train_stack(arch, *args)
+        models = train_stack(arch, *args)
+        os.write(done_w, b".")
+        return models
+
+    monkeypatch.setattr(mlp, "train_stack", wait_for_the_others)
+    try:
+        result = tune(X, y, base, **grid, jobs=2)
+    finally:
+        os.close(done_r)
+        os.close(done_w)
+    assert waited == [4] and len(forks) == 1
+    monkeypatch.setattr(mlp, "train_stack", train_stack)
+    alone = tune(X, y, base, **grid, jobs=1)
+    assert result.results == alone.results and result.ranks == alone.ranks
+    assert _same_model(result.best_model, alone.best_model)
 
 
 def test_a_running_thread_keeps_tune_in_one_process(monkeypatch):
